@@ -1,6 +1,6 @@
 """qcsync campaign benchmark.
 
-    python3 bench/run.py --workload jump100 --seed 7 --seconds 20 --trace 0
+    python3 bench/run.py --workload jump100 --seed 7 --seconds 15 --trace 0
 
 Runs ``qcsync.run_scenario`` on one seeded workload, one fresh process per
 campaign and one process at a time, for ``--seconds`` seconds (at least one
@@ -69,7 +69,6 @@ class Session:
         self.scenario_path = scenario_path
         self.setups = []
         self.attempted = 0
-        self.failed = 0
         self.problems = []
         self._n = 0
 
@@ -81,6 +80,7 @@ class Session:
         except ChildFailed as exc:
             return tag, {"problems": [str(exc)]}
         self.setups.append(result["setup_s"])
+        result["tag"] = tag
         result["dir"] = self.work / tag
         return tag, result
 
@@ -92,40 +92,41 @@ class Session:
         return result
 
     def campaign(self, mode):
-        """One campaign run; None when it failed."""
+        """One campaign run's result; a failed check is recorded, not dropped."""
         self.attempted += 1
         tag, result = self._spawn(mode)
-        if result.get("problems"):
-            self.fail(tag, result["problems"])
-            return None
+        self.fail(tag, result.get("problems", []))
         return result
 
     def fail(self, tag, problems):
-        self.failed += 1
-        self.problems.extend(f"{tag}: {p}" for p in problems)
+        self.problems.extend((tag, p) for p in problems)
+
+    @property
+    def failed(self):
+        return len({tag for tag, _ in self.problems})
 
 
 def _end_to_end(session, seconds):
-    refs = [session.prepare("reference")["reference_s"]]
     records = session.prepare("count")["records"]
-    runs = []
+    runs, refs = [], []
     started = time.monotonic()
     while session.attempted == 0 or time.monotonic() - started < seconds:
         run = session.campaign("plain")
-        if run is not None:
-            runs.append(run)
         refs.append(session.prepare("reference")["reference_s"])
+        if "wall_s" in run:
+            # Each campaign is scaled by the reference run right after it.
+            run["at_reference_s"] = run["wall_s"] * REFERENCE_S / refs[-1]
+            runs.append(run)
     if not runs:
         return None
     walls = [r["wall_s"] for r in runs]
     reference_s = statistics.median(refs)
-    speed = REFERENCE_S / reference_s
-    wall_s = statistics.median(walls) * speed
+    wall_s = statistics.median(r["at_reference_s"] for r in runs)
     return {
         "wall_s": (wall_s, "s"),
         "records_per_s": (records / wall_s, "1/s"),
         "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for r in runs), "MB"),
-        "setup_s": (statistics.median(session.setups) * speed, "s"),
+        "setup_s": (statistics.median(session.setups) * REFERENCE_S / reference_s, "s"),
         "pass_frac": (1.0 - session.failed / session.attempted, "ratio"),
     }, {
         "wall_raw_s": statistics.median(walls),
@@ -189,13 +190,11 @@ def _per_layer(session, seconds):
     while session.attempted == 0 or time.monotonic() - started < seconds:
         plain = session.campaign("plain")
         run = session.campaign("traced")
-        if plain is None or run is None:
+        if "wall_s" not in plain or "spans" not in run:
             continue
-        problems = mirror_problems(run["dir"], plain["dir"], run["missing_spans"])
-        if problems:
-            session.fail(run["dir"].name, problems)
-            continue
-        pairs.append((plain, run))
+        session.fail(run["tag"], mirror_problems(run["dir"], plain["dir"], run["missing_spans"]))
+        if not run["missing_spans"]:
+            pairs.append((plain, run))
     if not pairs:
         return None
     (session.work / "spans.json").write_text(json.dumps([run["spans"] for _, run in pairs]))
@@ -211,7 +210,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=None, help="default: the builtin's seed")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -240,8 +239,8 @@ def main(argv=None):
         measured = measure(session, args.seconds)
     except ChildFailed as exc:
         sys.exit(f"error: {exc}")
-    for problem in session.problems:
-        print(f"FAIL {problem}")
+    for tag, problem in session.problems:
+        print(f"FAIL {tag}: {problem}")
     if measured is None:
         sys.exit("error: no run completed, so there is nothing to report")
     metrics, extra = measured

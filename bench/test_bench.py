@@ -85,17 +85,22 @@ def test_gate_rejects_a_wrong_step(tiny_run):
     assert any(p.startswith("step") for p in problems)
 
 
-def test_bridge_allows_one_outlier_on_short_runs(tiny_run):
+def test_bridge_tolerates_only_chance_outliers(tiny_run):
     _, _, result = tiny_run
     series = result.series
-    one = dataclasses.replace(
-        series, points=[_shifted(series, 50.0).points[0]] + series.points[1:]
-    )
-    assert checks.series_problems(result.scenario, one) == []
-    two = dataclasses.replace(
-        series, points=_shifted(series, 50.0).points[:2] + series.points[2:]
-    )
-    assert checks.series_problems(result.scenario, two) != []
+    allowed = checks.allowed_outliers(len(series))
+    assert allowed == 2
+    shifted = _shifted(series, 50.0).points
+
+    def with_outliers(k):
+        return dataclasses.replace(series, points=shifted[:k] + series.points[k:])
+
+    assert checks.series_problems(result.scenario, with_outliers(allowed)) == []
+    assert checks.series_problems(result.scenario, with_outliers(allowed + 1)) != []
+
+
+def test_allowed_outliers_cover_one_percent():
+    assert [checks.allowed_outliers(n) for n in (30, 500, 3500)] == [2, 7, 35]
 
 
 def test_traced_mirror_matches_run_scenario(tiny_run, tmp_path):
