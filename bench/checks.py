@@ -1,4 +1,4 @@
-"""Correctness gate and mirror checks of the benchmark.
+"""Correctness gate and trace checks of the benchmark.
 
 A run fails when qcsync raises, or when any check here reports a problem.
 Each check returns a list of problems, empty when the run passes.
@@ -6,8 +6,7 @@ Each check returns a list of problems, empty when the run passes.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -88,30 +87,39 @@ def series_problems(scenario, series, split_s=None):
     return problems
 
 
-def bundle_problems(out_dir, series):
-    """The written series.csv must read back as the in-memory series."""
-    written = ClockDifferenceSeries.from_csv(Path(out_dir) / "series.csv")
-    if not np.array_equal(written.deltas(), series.deltas(), equal_nan=True):
-        return ["bundle: series.csv does not read back as the run's series"]
-    return []
+def _rows(series):
+    return [(p.epoch_start_s, p.tau_ab_ps, p.tau_aba_ps, p.delta_ps) for p in series.points]
 
 
-def stream_digest(stream):
-    """Digest of every field of a timestamp stream, arrays by content."""
-    h = hashlib.blake2b(digest_size=16)
-    for field in dataclasses.fields(stream):
-        value = getattr(stream, field.name)
-        if isinstance(value, np.ndarray):
-            h.update(f"{field.name}:{value.dtype}:{value.shape}".encode())
-            h.update(np.ascontiguousarray(value).data)
-        else:
-            h.update(f"{field.name}:{value!r}".encode())
-    return h.hexdigest()
+def _data_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(1 for _ in fh) - 1
 
 
-def mirror_problems(traced_dir, plain_dir, missing_spans):
+def bundle_problems(out_dir, result):
+    """The written bundle must read back as the run's result.
+
+    series.csv must hold the series row for row: epoch starts, both taus,
+    delta and the gap pattern.  meta.json must equal the run's metadata, and
+    tdev.csv and alarms.csv must hold one row per TDEV point and per alarm.
+    """
+    out = Path(out_dir)
+    problems = []
+    if _rows(ClockDifferenceSeries.from_csv(out / "series.csv")) != _rows(result.series):
+        problems.append("bundle: series.csv does not read back as the run's series")
+    with open(out / "meta.json", encoding="utf-8") as fh:
+        if json.load(fh) != json.loads(json.dumps(result.meta)):
+            problems.append("bundle: meta.json does not read back as the run's metadata")
+    if _data_lines(out / "tdev.csv") != len(result.tdev.points):
+        problems.append("bundle: tdev.csv does not hold one row per TDEV point")
+    if _data_lines(out / "alarms.csv") != len(result.alarms):
+        problems.append("bundle: alarms.csv does not hold one row per alarm")
+    return problems
+
+
+def trace_problems(traced_dir, plain_dir, missing_spans):
     """The traced run must open every span and reproduce the untraced series."""
-    problems = [f"trace: span {name!r} not recorded once" for name in missing_spans]
+    problems = [f"trace: span {name!r} not recorded" for name in missing_spans]
     traced = (Path(traced_dir) / "series.csv").read_bytes()
     plain = (Path(plain_dir) / "series.csv").read_bytes()
     if traced != plain:

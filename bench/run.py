@@ -23,9 +23,10 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
-from reference import REFERENCE_S
+from reference import at_reference_speed
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -115,7 +116,7 @@ def _end_to_end(session, seconds):
         refs.append(session.prepare("reference")["reference_s"])
         if "wall_s" in run:
             # Each campaign is scaled by the reference run right after it.
-            run["at_reference_s"] = run["wall_s"] * REFERENCE_S / refs[-1]
+            run["at_reference_s"] = at_reference_speed(run["wall_s"], refs[-1])
             runs.append(run)
     if not runs:
         return None
@@ -126,7 +127,7 @@ def _end_to_end(session, seconds):
         "wall_s": (wall_s, "s"),
         "records_per_s": (records / wall_s, "1/s"),
         "peak_rss_mb": (statistics.median(r["peak_rss_mb"] for r in runs), "MB"),
-        "setup_s": (statistics.median(session.setups) * REFERENCE_S / reference_s, "s"),
+        "setup_s": (at_reference_speed(statistics.median(session.setups), reference_s), "s"),
         "pass_frac": (1.0 - session.failed / session.attempted, "ratio"),
     }, {
         "wall_raw_s": statistics.median(walls),
@@ -139,51 +140,58 @@ def _end_to_end(session, seconds):
 
 
 def _layer_metrics(run, plain):
-    """Per-layer metrics of one traced run and its untraced twin, by name."""
-    by_name = {s["name"]: s for s in run["spans"]}
+    """Per-layer metrics of one traced run and its untraced twin, by name.
 
-    def seconds(name):
-        return by_name[name]["end"] - by_name[name]["start"]
-
-    pairs = by_name["simulation.generate_pairs"]["counts"]["pairs"]
-    detect = by_name["simulation.propagate_and_detect"]
-    records = detect["counts"]["records"]
+    A layer's time is its own: the time of its spans less that of the spans
+    opened inside them (``coarse_acquire`` inside ``per_epoch_series``).
+    Times and counts add up over repeated calls of a layer; RSS takes the
+    highest.
+    """
+    spans = run["spans"]
+    own, counts, rss = Counter(), Counter(), Counter()
+    for span in spans:
+        took = span["end"] - span["start"]
+        own[span["name"]] += took
+        if span["parent"] is not None:
+            own[spans[span["parent"]]["name"]] -= took
+        counts.update({f"{span['name']}.{k}": n for k, n in span["counts"].items()})
+        rss[span["name"]] = max(rss[span["name"]], span["rss_mb"])
+    total_s = sum(s["end"] - s["start"] for s in spans if s["name"] == "run_scenario")
+    pairs = counts["simulation.generate_pairs.pairs"]
+    detected = "simulation.propagate_and_detect"
+    records = counts[f"{detected}.records"]
     bundle = sum(f.stat().st_size for f in run["dir"].iterdir())
     return {
-        "scenario.load_s": (seconds("scenario.load"), "s"),
-        "simulation.generate_pairs_s": (seconds("simulation.generate_pairs"), "s"),
-        "simulation.propagate_and_detect_s": (seconds("simulation.propagate_and_detect"), "s"),
+        "scenario.load_s": (own["scenario.load"], "s"),
+        "simulation.generate_pairs_s": (own["simulation.generate_pairs"], "s"),
+        "simulation.propagate_and_detect_s": (own[detected], "s"),
         "simulation.pairs": (pairs, "count"),
         "simulation.records": (records, "count"),
-        "simulation.records.IdlerA": (detect["counts"]["IDLER_A"], "count"),
-        "simulation.records.SignalB": (detect["counts"]["SIGNAL_B"], "count"),
-        "simulation.records.ReturnA": (detect["counts"]["RETURN_A"], "count"),
+        "simulation.records.IdlerA": (counts[f"{detected}.IDLER_A"], "count"),
+        "simulation.records.SignalB": (counts[f"{detected}.SIGNAL_B"], "count"),
+        "simulation.records.ReturnA": (counts[f"{detected}.RETURN_A"], "count"),
         "simulation.records_per_pair": (records / pairs, "ratio"),
-        "simulation.rss_mb": (detect["rss_mb"], "MB"),
-        "estimator.coarse_acquire_s": (seconds("estimator.coarse_acquire"), "s"),
-        "estimator.per_epoch_series_s": (seconds("estimator.per_epoch_series"), "s"),
-        "estimator.epochs": (by_name["estimator.per_epoch_series"]["counts"]["epochs"], "count"),
-        "estimator.gap_epochs": (
-            by_name["estimator.per_epoch_series"]["counts"]["gap_epochs"],
-            "count",
-        ),
-        "stability.tdev_s": (seconds("stability.tdev"), "s"),
-        "stability.tdev_points": (by_name["stability.tdev"]["counts"]["points"], "count"),
-        "detection.threshold_monitor_s": (seconds("detection.threshold_monitor"), "s"),
-        "detection.cusum_drift_s": (seconds("detection.cusum_drift"), "s"),
+        "simulation.rss_mb": (rss[detected], "MB"),
+        "estimator.coarse_acquire_s": (own["estimator.coarse_acquire"], "s"),
+        "estimator.per_epoch_series_s": (own["estimator.per_epoch_series"], "s"),
+        "estimator.epochs": (counts["estimator.per_epoch_series.epochs"], "count"),
+        "estimator.gap_epochs": (counts["estimator.per_epoch_series.gap_epochs"], "count"),
+        "stability.tdev_s": (own["stability.tdev"], "s"),
+        "stability.tdev_points": (counts["stability.tdev.points"], "count"),
+        "detection.threshold_monitor_s": (own["detection.threshold_monitor"], "s"),
+        "detection.cusum_drift_s": (own["detection.cusum_drift"], "s"),
         "detection.alarms": (
-            by_name["detection.threshold_monitor"]["counts"]["alarms"]
-            + by_name["detection.cusum_drift"]["counts"]["alarms"],
+            counts["detection.threshold_monitor.alarms"] + counts["detection.cusum_drift.alarms"],
             "count",
         ),
-        "runner.write_campaign_s": (seconds("runner.write_campaign"), "s"),
+        "runner.write_campaign_s": (own["runner.write_campaign"], "s"),
         "runner.bundle_bytes": (bundle, "bytes"),
-        "trace.overhead_s": (seconds("run_scenario") - plain["wall_s"], "s"),
+        "trace.overhead_s": (total_s - plain["wall_s"], "s"),
     }
 
 
 def _per_layer(session, seconds):
-    from checks import mirror_problems
+    from checks import trace_problems
 
     pairs = []
     started = time.monotonic()
@@ -192,7 +200,7 @@ def _per_layer(session, seconds):
         run = session.campaign("traced")
         if "wall_s" not in plain or "spans" not in run:
             continue
-        session.fail(run["tag"], mirror_problems(run["dir"], plain["dir"], run["missing_spans"]))
+        session.fail(run["tag"], trace_problems(run["dir"], plain["dir"], run["missing_spans"]))
         if not run["missing_spans"]:
             pairs.append((plain, run))
     if not pairs:

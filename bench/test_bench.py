@@ -5,17 +5,20 @@
 
 import contextlib
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+BENCH = Path(__file__).resolve().parent
+sys.path.insert(0, str(BENCH))
 
 import qcsync  # noqa: E402
 from qcsync import builtin_scenario, validate_scenario_dict  # noqa: E402
 
 import checks  # noqa: E402
+import run  # noqa: E402
 import traced  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import WORKLOADS, scenario_doc  # noqa: E402
@@ -58,7 +61,7 @@ def test_highrate_workload_shape():
 def test_gate_passes_a_good_run(tiny_run):
     _, plain_dir, result = tiny_run
     assert checks.series_problems(result.scenario, result.series, 12.0) == []
-    assert checks.bundle_problems(plain_dir, result.series) == []
+    assert checks.bundle_problems(plain_dir, result) == []
 
 
 def _shifted(series, offset_ps, from_s=0.0):
@@ -75,7 +78,28 @@ def test_gate_rejects_a_corrupted_series(tiny_run):
     _, plain_dir, result = tiny_run
     corrupt = _shifted(result.series, 50.0)
     assert any(p.startswith("bridge") for p in checks.series_problems(result.scenario, corrupt))
-    assert checks.bundle_problems(plain_dir, corrupt) != []
+    assert checks.bundle_problems(plain_dir, dataclasses.replace(result, series=corrupt)) == [
+        "bundle: series.csv does not read back as the run's series"
+    ]
+
+
+def test_bundle_check_sees_every_series_column_and_file(tiny_run):
+    _, plain_dir, result = tiny_run
+    first = result.series.points[0]
+    for change in ({"epoch_start_s": 0.5}, {"tau_ab_ps": first.tau_ab_ps + 1.0}):
+        points = [dataclasses.replace(first, **change)] + result.series.points[1:]
+        series = dataclasses.replace(result.series, points=points)
+        assert checks.bundle_problems(plain_dir, dataclasses.replace(result, series=series))
+    gap = qcsync.ClockDifferencePoint(first.epoch_start_s, None, None, None)
+    series = dataclasses.replace(result.series, points=[gap] + result.series.points[1:])
+    assert checks.bundle_problems(plain_dir, dataclasses.replace(result, series=series))
+    wrong = dataclasses.replace(
+        result, meta={**result.meta, "seed": -1}, alarms=result.alarms + result.alarms[:1]
+    )
+    assert checks.bundle_problems(plain_dir, wrong) == [
+        "bundle: meta.json does not read back as the run's metadata",
+        "bundle: alarms.csv does not hold one row per alarm",
+    ]
 
 
 def test_gate_rejects_a_wrong_step(tiny_run):
@@ -103,21 +127,33 @@ def test_allowed_outliers_cover_one_percent():
     assert [checks.allowed_outliers(n) for n in (30, 500, 3500)] == [2, 7, 35]
 
 
-def test_traced_mirror_matches_run_scenario(tiny_run, tmp_path):
-    doc, plain_dir, _ = tiny_run
+def test_traced_campaign_times_the_real_run_scenario(tiny_run, tmp_path):
+    doc, plain_dir, plain = tiny_run
+    originals = [getattr(module, name) for module, name, _, _ in traced.LAYERS]
     tracer = Tracer()
-    result, stream = traced.traced_campaign(doc, tmp_path, tracer)
+    result = traced.traced_campaign(doc, tmp_path, tracer)
+    assert [getattr(module, name) for module, name, _, _ in traced.LAYERS] == originals
     assert tracer.missing(traced.SPANS) == []
-    assert checks.stream_digest(stream) == checks.stream_digest(
-        qcsync.run_round_trip_sim(result.scenario)
-    )
-    assert checks.mirror_problems(tmp_path, plain_dir, []) == []
-    root = tracer.get("run_scenario")
+    assert checks.trace_problems(tmp_path, plain_dir, []) == []
+    by_name = {s["name"]: s for s in tracer.spans}
+    assert len(by_name) == len(tracer.spans) == len(traced.SPANS)
+    nested_in = {"estimator.coarse_acquire": "estimator.per_epoch_series"}
     for name in traced.SPANS[2:]:
-        span = tracer.get(name)
-        assert span["parent"] == root["id"]
-        assert root["start"] <= span["start"] <= span["end"] <= root["end"]
-    assert tracer.get("simulation.propagate_and_detect")["counts"]["records"] == len(stream)
+        span, parent = by_name[name], tracer.spans[by_name[name]["parent"]]
+        assert parent["name"] == nested_in.get(name, "run_scenario")
+        assert parent["start"] <= span["start"] <= span["end"] <= parent["end"]
+    counts = by_name["estimator.per_epoch_series"]["counts"]
+    assert counts == {"epochs": len(plain.series), "gap_epochs": plain.series.gap_count()}
+    records = by_name["simulation.propagate_and_detect"]["counts"]["records"]
+    assert records == len(qcsync.run_round_trip_sim(result.scenario))
+
+    layers = run._layer_metrics({"spans": tracer.spans, "dir": tmp_path}, {"wall_s": 0.0})
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert {(m["name"], m["unit"]) for m in declared} == {(n, u) for n, (_, u) in layers.items()}
+    epochs = by_name["estimator.per_epoch_series"]
+    both = layers["estimator.per_epoch_series_s"][0] + layers["estimator.coarse_acquire_s"][0]
+    assert both == pytest.approx(epochs["end"] - epochs["start"])
+    assert layers["detection.alarms"][0] == len(result.alarms)
 
 
 class _SkippingTracer(Tracer):
@@ -133,30 +169,21 @@ class _SkippingTracer(Tracer):
         return super().span(name)
 
 
-def test_mirror_check_fails_when_a_span_is_skipped(tiny_run, tmp_path):
+def test_trace_check_fails_when_a_span_is_skipped(tiny_run, tmp_path):
     doc, plain_dir, _ = tiny_run
     tracer = _SkippingTracer("stability.tdev")
     traced.traced_campaign(doc, tmp_path, tracer)
-    problems = checks.mirror_problems(tmp_path, plain_dir, tracer.missing(traced.SPANS))
-    assert problems == ["trace: span 'stability.tdev' not recorded once"]
+    problems = checks.trace_problems(tmp_path, plain_dir, tracer.missing(traced.SPANS))
+    assert problems == ["trace: span 'stability.tdev' not recorded"]
 
 
-def test_mirror_check_fails_when_the_series_diverges(tiny_run, tmp_path, monkeypatch):
+def test_trace_check_fails_when_the_series_diverges(tiny_run, tmp_path, monkeypatch):
     doc, plain_dir, _ = tiny_run
-    real = traced.per_epoch_series
+    real = qcsync.runner.per_epoch_series
     monkeypatch.setattr(
-        traced, "per_epoch_series", lambda *args: _shifted(real(*args), 50.0)
+        qcsync.runner, "per_epoch_series", lambda *args: _shifted(real(*args), 50.0)
     )
     tracer = Tracer()
     traced.traced_campaign(doc, tmp_path, tracer)
-    problems = checks.mirror_problems(tmp_path, plain_dir, tracer.missing(traced.SPANS))
+    problems = checks.trace_problems(tmp_path, plain_dir, tracer.missing(traced.SPANS))
     assert problems == ["trace: traced series differs from the untraced run's series"]
-
-
-def test_stream_digest_sees_one_changed_timestamp(tiny_run):
-    _, _, result = tiny_run
-    stream = qcsync.run_round_trip_sim(result.scenario)
-    before = checks.stream_digest(stream)
-    times = stream.times_ps.copy()
-    times[-1] += 1
-    assert checks.stream_digest(dataclasses.replace(stream, times_ps=times)) != before

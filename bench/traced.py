@@ -1,171 +1,85 @@
-"""Traced mirror of ``qcsync.run_scenario``.
+"""Spans around the layers of the real ``qcsync.run_scenario``.
 
-The benchmark may not instrument ``src/``, so this module repeats the
-campaign path call by call, with a span around each layer's public
-function.  The mirror is checked on every traced run: its stream must equal
-``run_round_trip_sim``'s and its series must equal the untraced run's.
+The benchmark may not instrument ``src/``.  The campaign path looks its
+layers' public functions up as module-level names at call time, so, for
+the length of a block, ``instrumented`` replaces each of those names with a
+wrapper that opens a span around the real function and records counts of
+what it returns.  The traced campaign then calls ``qcsync.run_scenario``
+itself, so every span surrounds the code the program actually runs.
 ``attacks.eval_trajectory`` runs inside ``propagate_and_detect`` and is
 timed as part of it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
+import contextlib
+import functools
 
-import numpy as np
+import qcsync
+from qcsync import estimator, runner, simulation
 
-from qcsync import (
-    CampaignResult,
-    GapRateError,
-    ThresholdConfig,
-    __version__,
-    coarse_acquire,
-    cusum_drift,
-    generate_pairs,
-    load_scenario,
-    per_epoch_series,
-    propagate_and_detect,
-    score,
-    tdev,
-    threshold_monitor,
-    write_campaign,
-)
-from qcsync.runner import MAX_GAP_FRACTION
 
-# Spans every benchmark workload opens exactly once.  The workloads all
-# configure both detectors and leave the estimator to acquire its centres.
-SPANS = (
-    "scenario.load",
-    "run_scenario",
-    "simulation.generate_pairs",
-    "simulation.propagate_and_detect",
-    "estimator.coarse_acquire",
-    "estimator.per_epoch_series",
-    "stability.tdev",
-    "detection.threshold_monitor",
-    "detection.cusum_drift",
-    "runner.write_campaign",
+def _stream_counts(stream):
+    counts = {"records": len(stream)}
+    counts.update({det.name: n for det, n in stream.counts().items()})
+    return counts
+
+
+# (module, name looked up at call time, span name, counts of the result)
+LAYERS = (
+    (simulation, "generate_pairs", "simulation.generate_pairs", lambda p: {"pairs": len(p)}),
+    (simulation, "propagate_and_detect", "simulation.propagate_and_detect", _stream_counts),
+    (estimator, "coarse_acquire", "estimator.coarse_acquire", None),
+    (
+        runner,
+        "per_epoch_series",
+        "estimator.per_epoch_series",
+        lambda s: {"epochs": len(s), "gap_epochs": s.gap_count()},
+    ),
+    (runner, "tdev", "stability.tdev", lambda c: {"points": len(c.points)}),
+    (runner, "threshold_monitor", "detection.threshold_monitor", lambda a: {"alarms": len(a)}),
+    (runner, "cusum_drift", "detection.cusum_drift", lambda a: {"alarms": len(a)}),
+    (runner, "write_campaign", "runner.write_campaign", None),
 )
 
-
-def _simulate(scenario, tracer):
-    # Same seed split and call sequence as qcsync.run_round_trip_sim.
-    run = scenario.run
-    gen_seed, prop_seed = (
-        int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, dtype=np.uint64)
-    )
-    with tracer.span("simulation.generate_pairs") as counts:
-        pairs = generate_pairs(scenario.source, run.duration_s, gen_seed)
-        counts["pairs"] = len(pairs)
-    with tracer.span("simulation.propagate_and_detect") as counts:
-        stream = propagate_and_detect(
-            pairs,
-            scenario.channel,
-            scenario.m_trajectory(),
-            scenario.n_trajectory(),
-            scenario.detectors,
-            scenario.tdc,
-            scenario.clock,
-            prop_seed,
-            duration_s=run.duration_s,
-        )
-        counts["records"] = len(stream)
-        counts.update({det.name: n for det, n in stream.counts().items()})
-    return dataclasses.replace(stream, seed=run.seed, config_hash=scenario.config_hash())
+# Spans every benchmark workload opens.  The workloads all configure both
+# detectors and leave the estimator to acquire its centres.
+SPANS = ("scenario.load", "run_scenario") + tuple(span for _, _, span, _ in LAYERS)
 
 
-def _estimate(scenario, stream, tracer):
-    config = scenario.estimator
-    if config.forward_center_ps is None or config.loopback_center_ps is None:
-        with tracer.span("estimator.coarse_acquire"):
-            acq = coarse_acquire(stream, config)
-        config = dataclasses.replace(
-            config,
-            forward_center_ps=acq.forward_center_ps,
-            loopback_center_ps=acq.loopback_center_ps,
-        )
-    with tracer.span("estimator.per_epoch_series") as counts:
-        series = per_epoch_series(stream, scenario.run.epoch_s, config)
-        counts["epochs"] = len(series)
-        counts["gap_epochs"] = series.gap_count()
-    return series
+def _wrap(tracer, span, func, counts_of):
+    @functools.wraps(func)
+    def traced(*args, **kwargs):
+        with tracer.span(span) as counts:
+            value = func(*args, **kwargs)
+        # Counted outside the span, so the count's cost is tracing overhead.
+        if counts_of is not None:
+            counts.update(counts_of(value))
+        return value
+
+    return traced
 
 
-def _detect(scenario, series, tracer):
-    # Same policy as the runner's detector stage.
-    settings = scenario.detection
-    if settings is None:
-        return None, None
-    alarms = []
-    if settings.threshold is not None:
-        spec = settings.threshold
-        level = spec.threshold_ps
-        if level is None:
-            deltas = [p.delta_ps for p in series.points if not p.is_gap]
-            level = 4.0 * float(np.std(deltas[: spec.baseline_window_epochs]))
-            if level <= 0:
-                level = 1.0
-        cfg = ThresholdConfig(
-            baseline_window_epochs=spec.baseline_window_epochs, threshold_ps=level
-        )
-        with tracer.span("detection.threshold_monitor") as counts:
-            found = threshold_monitor(series, cfg)
-            counts["alarms"] = len(found)
-        alarms.extend(found)
-    if settings.cusum is not None:
-        with tracer.span("detection.cusum_drift") as counts:
-            found = cusum_drift(series, settings.cusum)
-            counts["alarms"] = len(found)
-        alarms.extend(found)
-    alarms.sort(key=lambda a: (a.epoch_start_s, a.kind.value))
-
-    onset = scenario.first_attack_onset_s()
-    detection_score = None
-    if onset is not None:
-        span = scenario.run.duration_s
-        detection_score = score(alarms, min(onset, span), span)
-    return alarms, detection_score
+@contextlib.contextmanager
+def instrumented(tracer):
+    """Within the block, each layer of ``LAYERS`` opens a span on ``tracer``."""
+    originals = [(module, name, getattr(module, name)) for module, name, _, _ in LAYERS]
+    try:
+        for (module, name, func), (_, _, span, counts_of) in zip(originals, LAYERS):
+            setattr(module, name, _wrap(tracer, span, func, counts_of))
+        yield
+    finally:
+        for module, name, func in originals:
+            setattr(module, name, func)
 
 
 def traced_campaign(source, out_dir, tracer):
-    """Run one full-simulation campaign under ``tracer``; returns (result, stream).
+    """Run one campaign under ``tracer``; returns its ``CampaignResult``.
 
     ``scenario.load`` is timed on its own; ``run_scenario`` spans the rest,
     the part an untraced ``run_scenario(scenario, out_dir)`` call times.
     """
     with tracer.span("scenario.load"):
-        scenario = load_scenario(source)
-    with tracer.span("run_scenario"):
-        started = time.perf_counter()
-        stream = _simulate(scenario, tracer)
-        series = _estimate(scenario, stream, tracer)
-
-        if series.gap_count() / len(series) > MAX_GAP_FRACTION:
-            raise GapRateError(f"{series.gap_count()} of {len(series)} epochs are gaps")
-
-        deltas = series.deltas()
-        usable = deltas[~np.isnan(deltas)]
-        with tracer.span("stability.tdev") as counts:
-            curve = tdev(usable, series.epoch_length_s) if usable.size >= 4 else None
-            counts["points"] = len(curve.points) if curve else 0
-
-        alarms, detection_score = _detect(scenario, series, tracer)
-
-        meta = {
-            "tool": "qcsync",
-            "version": __version__,
-            "scenario_name": scenario.name,
-            "mode": scenario.mode.value,
-            "seed": scenario.run.seed,
-            "config_hash": scenario.config_hash(),
-            "reference_ps": scenario.reference_ps,
-            "n_epochs": len(series),
-            "gap_count": series.gap_count(),
-            "wall_time_s": time.perf_counter() - started,
-            "scenario": scenario.to_dict(),
-        }
-        result = CampaignResult(scenario, series, curve, alarms, detection_score, meta)
-        with tracer.span("runner.write_campaign"):
-            write_campaign(result, out_dir)
-    return result, stream
+        scenario = qcsync.load_scenario(source)
+    with instrumented(tracer), tracer.span("run_scenario"):
+        return qcsync.run_scenario(scenario, out_dir)
