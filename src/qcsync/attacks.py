@@ -87,12 +87,20 @@ class LinearBehavior:
 
     rate_per_step: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate_per_step):
+            raise ConfigurationError("rate_per_step must be finite")
+
 
 @dataclass(frozen=True)
 class LogarithmicBehavior:
     """Ramp ``log(1 + u / scale_s)`` of elapsed time ``u``."""
 
     scale_s: float = 1.0
+
+    def __post_init__(self):
+        if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
+            raise ConfigurationError("scale_s must be > 0")
 
 
 @dataclass(frozen=True)
@@ -101,12 +109,22 @@ class ExponentialBehavior:
 
     rate_per_s: float = 0.01
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate_per_s):
+            raise ConfigurationError("rate_per_s must be finite")
+
 
 @dataclass(frozen=True)
 class PolynomialBehavior:
     """Ramp ``sum_k c_k * u**(k+1)``; coefficients start at the linear term."""
 
-    coefficients: tuple = (1.0,)
+    coefficients: tuple[float, ...] = (1.0,)
+
+    def __post_init__(self):
+        if not self.coefficients:
+            raise ConfigurationError("coefficients must be non-empty")
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ConfigurationError("coefficients must be finite")
 
 
 GradualBehavior = Union[
@@ -135,25 +153,6 @@ def _shape(behavior, u, basis_s):
             out += c * u ** (k + 1)
         return out
     raise ConfigurationError(f"unsupported gradual behavior: {behavior!r}")
-
-
-def _validate_behavior(behavior):
-    if not isinstance(behavior, _BEHAVIOR_TYPES):
-        raise ConfigurationError(f"unsupported gradual behavior: {behavior!r}")
-    if isinstance(behavior, LinearBehavior):
-        if not math.isfinite(behavior.rate_per_step):
-            raise ConfigurationError("linear rate_per_step must be finite")
-    elif isinstance(behavior, LogarithmicBehavior):
-        if not (behavior.scale_s > 0 and math.isfinite(behavior.scale_s)):
-            raise ConfigurationError("logarithmic scale_s must be > 0")
-    elif isinstance(behavior, ExponentialBehavior):
-        if not math.isfinite(behavior.rate_per_s):
-            raise ConfigurationError("exponential rate_per_s must be finite")
-    else:
-        if not behavior.coefficients:
-            raise ConfigurationError("polynomial coefficients must be non-empty")
-        if not all(math.isfinite(c) for c in behavior.coefficients):
-            raise ConfigurationError("polynomial coefficients must be finite")
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +207,8 @@ class AttackEvent:
         if pattern is AttackPattern.GRADUAL:
             if self.behavior is None:
                 object.__setattr__(self, "behavior", LinearBehavior())
-            _validate_behavior(self.behavior)
+            if not isinstance(self.behavior, _BEHAVIOR_TYPES):
+                raise ConfigurationError(f"unsupported gradual behavior: {self.behavior!r}")
             if not (math.isfinite(self.step_interval_s) and self.step_interval_s >= 0):
                 raise ConfigurationError("step_interval_s must be >= 0")
             if self.end_s is not None and not (

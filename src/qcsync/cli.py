@@ -15,6 +15,7 @@ acquisition failure, 3 gap-rate failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detection import CusumConfig, ThresholdConfig, cusum_drift, score, threshold_monitor
+from .detection import (
+    CusumConfig,
+    ThresholdConfig,
+    cusum_drift,
+    score,
+    threshold_monitor,
+    write_alarms_csv,
+)
 from .errors import (
     AcquisitionError,
     ConfigurationError,
@@ -178,17 +186,11 @@ def _cmd_detect(args):
     if args.onset_s is not None:
         span = series.points[-1].epoch_start_s + series.epoch_length_s
         s = score(alarms, args.onset_s, span)
-        print(json.dumps(
-            {"detected": s.detected, "latency_s": s.latency_s, "false_alarms": s.false_alarms},
-            sort_keys=True,
-        ))
+        print(json.dumps(dataclasses.asdict(s), sort_keys=True))
     if args.out_dir is not None:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "alarms.csv", "w", encoding="utf-8") as fh:
-            fh.write("epoch_start_s,kind,magnitude_ps\n")
-            for a in alarms:
-                fh.write(f"{a.epoch_start_s!r},{a.kind.value},{a.magnitude_ps!r}\n")
+        write_alarms_csv(alarms, out / "alarms.csv")
         print(f"wrote {out / 'alarms.csv'}")
     return 0
 

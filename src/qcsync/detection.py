@@ -29,6 +29,7 @@ __all__ = [
     "threshold_monitor",
     "cusum_drift",
     "score",
+    "write_alarms_csv",
 ]
 
 
@@ -146,3 +147,11 @@ def score(alarms, attack_onset_s, series_span_s):
         return DetectionScore(detected=False, latency_s=None, false_alarms=false_alarms)
     latency = min(a.epoch_start_s for a in hits) - attack_onset_s
     return DetectionScore(detected=True, latency_s=latency, false_alarms=false_alarms)
+
+
+def write_alarms_csv(alarms, path):
+    """Write alarms as ``epoch_start_s,kind,magnitude_ps`` CSV rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch_start_s,kind,magnitude_ps\n")
+        for a in alarms:
+            fh.write(f"{a.epoch_start_s!r},{a.kind.value},{a.magnitude_ps!r}\n")

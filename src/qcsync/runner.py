@@ -38,6 +38,7 @@ from .detection import (
     cusum_drift,
     score,
     threshold_monitor,
+    write_alarms_csv,
 )
 from .errors import ConfigurationError, GapRateError
 from .estimator import ClockDifferencePoint, ClockDifferenceSeries, per_epoch_series
@@ -87,6 +88,8 @@ def load_scenario(source):
 
 
 def _apply_overrides(scenario, seed=None, mode=None, epoch_s=None):
+    # dataclasses.replace re-runs each __post_init__, so overrides are
+    # validated exactly like scenario documents.
     run = scenario.run
     if seed is not None:
         run = dataclasses.replace(run, seed=int(seed))
@@ -95,10 +98,7 @@ def _apply_overrides(scenario, seed=None, mode=None, epoch_s=None):
     if run is not scenario.run:
         scenario = dataclasses.replace(scenario, run=run)
     if mode is not None:
-        new_mode = RunMode(mode)
-        if new_mode is RunMode.ANALYTIC and scenario.analytic is None:
-            raise ConfigurationError("analytic mode requires a noise model section")
-        scenario = dataclasses.replace(scenario, mode=new_mode)
+        scenario = dataclasses.replace(scenario, mode=RunMode(mode))
     return scenario
 
 
@@ -228,19 +228,10 @@ def write_campaign(result, out_dir):
     if result.tdev is not None:
         result.tdev.to_csv(out / "tdev.csv")
     if result.alarms is not None:
-        with open(out / "alarms.csv", "w", encoding="utf-8") as fh:
-            fh.write("epoch_start_s,kind,magnitude_ps\n")
-            for a in result.alarms:
-                fh.write(f"{a.epoch_start_s!r},{a.kind.value},{a.magnitude_ps!r}\n")
+        write_alarms_csv(result.alarms, out / "alarms.csv")
     if result.detection_score is not None:
-        s = result.detection_score
         with open(out / "score.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {"detected": s.detected, "latency_s": s.latency_s, "false_alarms": s.false_alarms},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+            json.dump(dataclasses.asdict(result.detection_score), fh, indent=2, sort_keys=True)
             fh.write("\n")
     with open(out / "meta.json", "w", encoding="utf-8") as fh:
         json.dump(result.meta, fh, indent=2, sort_keys=True)

@@ -5,10 +5,22 @@ fully determines one campaign: the synchronization scheme, run length and
 seed, the attack events on each channel direction (or a coordination rule
 deriving one from the other), the photon-chain configuration for full
 simulation, a per-epoch noise model for analytic runs, estimator settings
-and optional detector settings.  Field names carry explicit units (_ps,
-_s, _hz).  Validation is fail-closed: unknown fields are rejected, every
-problem is reported with its field path, and a scenario only constructs if
-no issue was found.
+and optional detector settings.
+
+The schema is the config dataclasses themselves: every section is an
+object whose keys are exactly the fields of its dataclass (``run`` is
+``RunConfig``, ``estimator`` is ``EstimatorConfig``, an event is
+``AttackEvent``, ...), typed by the field annotations, with the gradual
+``behavior`` union tagged by ``kind``.  One walker over ``fields()``
+parses documents and serializes scenarios, so ``to_dict`` writes every
+field and ``config_hash`` covers every setting.  Field names carry
+explicit units (_ps, _s, _hz).  Omitted (or null) fields take the
+dataclass defaults; fields without a default are required.
+
+Validation is fail-closed: unknown fields are rejected, the dataclasses'
+own ``__post_init__`` checks are the only value rules, every problem is
+reported with its field path, and a scenario only constructs if no issue
+was found.
 
 The builtin registry encodes the reference experiments: a no-attack
 baseline, the jump grid {-10, -50, -100, -200, -500} ps with N = -M over
@@ -23,17 +35,19 @@ run metadata so divergence stays auditable.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .attacks import (
     AttackEvent,
-    AttackPattern,
     CoordinationMode,
     CoordinationRule,
     DelayTrajectory,
@@ -92,6 +106,8 @@ class RunConfig:
             raise ConfigurationError("duration_s must be > 0")
         if not (self.epoch_s > 0 and math.isfinite(self.epoch_s)):
             raise ConfigurationError("epoch_s must be > 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -139,7 +155,7 @@ class AttackScenario:
     mode: RunMode
     run: RunConfig
     coordination: CoordinationRule
-    m_events: Tuple[AttackEvent, ...] = ()
+    m_events: Tuple[AttackEvent, ...]
     n_events: Optional[Tuple[AttackEvent, ...]] = None
     source: SourceConfig = field(default_factory=SourceConfig)
     detectors: DetectorConfig = field(default_factory=DetectorConfig)
@@ -151,6 +167,34 @@ class AttackScenario:
     reference_ps: float = 0.0
     detection: Optional[ScenarioDetection] = None
     schema_version: int = SCHEMA_VERSION
+
+    def __post_init__(self):
+        # Cross-field rules, all reported together with their field paths.
+        rules = (
+            (
+                self.schema_version != SCHEMA_VERSION,
+                "schema_version",
+                f"unsupported version {self.schema_version}, expected {SCHEMA_VERSION}",
+            ),
+            (
+                self.mode == RunMode.FULL_SIM and self.scheme != SchemeKind.ROUND_TRIP,
+                "scheme",
+                "full_sim mode supports round_trip only (others are analytic-only)",
+            ),
+            (
+                self.mode == RunMode.ANALYTIC and self.analytic is None,
+                "analytic",
+                "analytic mode requires a noise model section",
+            ),
+            (
+                self.coordination.mode is CoordinationMode.PROPORTIONAL and bool(self.n_events),
+                "n_events",
+                "conflicts with proportional coordination (N is derived from M)",
+            ),
+        )
+        issues = [(path, message) for broken, path, message in rules if broken]
+        if issues:
+            raise SchemaError(issues)
 
     def qcs_scheme(self):
         return QcsScheme(self.scheme)
@@ -169,69 +213,8 @@ class AttackScenario:
         return min(starts) if starts else None
 
     def to_dict(self):
-        """Fully resolved JSON-shaped dict (defaults filled in)."""
-        doc = {
-            "schema_version": self.schema_version,
-            "name": self.name,
-            "scheme": self.scheme.value,
-            "mode": self.mode.value,
-            "run": {
-                "duration_s": self.run.duration_s,
-                "epoch_s": self.run.epoch_s,
-                "seed": self.run.seed,
-            },
-            "coordination": _coordination_to_dict(self.coordination),
-            "m_events": [_event_to_dict(e) for e in self.m_events],
-            "source": {
-                "pair_rate_hz": self.source.pair_rate_hz,
-                "intrinsic_correlation_jitter_ps": self.source.intrinsic_correlation_jitter_ps,
-            },
-            "detectors": {
-                "efficiency": self.detectors.efficiency,
-                "jitter_sigma_ps": self.detectors.jitter_sigma_ps,
-                "dead_time_ps": self.detectors.dead_time_ps,
-            },
-            "tdc": {
-                "resolution_ps": self.tdc.resolution_ps,
-                "jitter_sigma_ps": self.tdc.jitter_sigma_ps,
-            },
-            "channel": {
-                "one_way_delay_ps": self.channel.one_way_delay_ps,
-                "loss_survival_prob": self.channel.loss_survival_prob,
-                "splitter_loopback_prob": self.channel.splitter_loopback_prob,
-            },
-            "clock": {
-                "offset_ps": self.clock.offset_ps,
-                "drift_ps_per_s": self.clock.drift_ps_per_s,
-                "white_phase_noise_sigma_ps": self.clock.white_phase_noise_sigma_ps,
-            },
-            "estimator": {
-                "bin_width_ps": self.estimator.bin_width_ps,
-                "window_halfwidth_ps": self.estimator.window_halfwidth_ps,
-            },
-            "reference_ps": self.reference_ps,
-        }
-        if self.n_events is not None:
-            doc["n_events"] = [_event_to_dict(e) for e in self.n_events]
-        if self.analytic is not None:
-            doc["analytic"] = {
-                "noise_sigma_ps": self.analytic.noise_sigma_ps,
-                "baseline_delta_ps": self.analytic.baseline_delta_ps,
-            }
-        if self.detection is not None:
-            det = {}
-            if self.detection.threshold is not None:
-                det["threshold"] = {
-                    "baseline_window_epochs": self.detection.threshold.baseline_window_epochs,
-                    "threshold_ps": self.detection.threshold.threshold_ps,
-                }
-            if self.detection.cusum is not None:
-                det["cusum"] = {
-                    "reference_drift_ps": self.detection.cusum.reference_drift_ps,
-                    "decision_limit_ps": self.detection.cusum.decision_limit_ps,
-                }
-            doc["detection"] = det
-        return doc
+        """Fully resolved JSON-shaped dict: every field, defaults filled in."""
+        return _dump(AttackScenario, self)
 
     def config_hash(self):
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -246,511 +229,163 @@ class AttackScenario:
 
 
 # --------------------------------------------------------------------------
-# Serialization helpers.
+# The schema walker: parses documents into the config dataclasses and dumps
+# them back, both driven by the dataclass fields and their type hints.
 # --------------------------------------------------------------------------
 
-
-def _coordination_to_dict(rule):
-    if rule.mode is CoordinationMode.PROPORTIONAL:
-        return {"mode": "proportional", "n": rule.n}
-    return {"mode": "independent"}
-
-
-def _behavior_to_dict(behavior):
-    if isinstance(behavior, LinearBehavior):
-        return {"kind": "linear", "rate_per_step": behavior.rate_per_step}
-    if isinstance(behavior, LogarithmicBehavior):
-        return {"kind": "logarithmic", "scale_s": behavior.scale_s}
-    if isinstance(behavior, ExponentialBehavior):
-        return {"kind": "exponential", "rate_per_s": behavior.rate_per_s}
-    return {"kind": "polynomial", "coefficients": list(behavior.coefficients)}
-
-
-def _event_to_dict(event):
-    doc = {
-        "pattern": event.pattern.value,
-        "amplitude_ps": event.amplitude_ps,
-        "start_s": event.start_s,
-    }
-    if event.pattern is AttackPattern.SPIKE:
-        doc["width_s"] = event.width_s
-    if event.pattern is AttackPattern.GRADUAL:
-        doc["behavior"] = _behavior_to_dict(event.behavior)
-        doc["step_interval_s"] = event.step_interval_s
-        if event.end_s is not None:
-            doc["end_s"] = event.end_s
-            doc["reverse_after_end"] = event.reverse_after_end
-    return doc
-
-
-# --------------------------------------------------------------------------
-# Validation.  Every helper appends (path, message) issues and returns None
-# on failure; the scenario constructs only with an empty issue list.
-# --------------------------------------------------------------------------
-
-
-def _check_keys(doc, path, allowed, issues):
-    for key in doc:
-        if key not in allowed:
-            issues.append((f"{path}.{key}" if path else key, "unknown field"))
-
-
-def _get_number(doc, key, path, issues, required=False, default=None, integer=False):
-    if key not in doc:
-        if required:
-            issues.append((f"{path}.{key}", "required field missing"))
-            return None
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        issues.append((f"{path}.{key}", "must be a number"))
-        return None
-    if integer and not isinstance(value, int):
-        issues.append((f"{path}.{key}", "must be an integer"))
-        return None
-    return value
-
-
-def _get_string(doc, key, path, issues, choices=None, required=False, default=None):
-    if key not in doc:
-        if required:
-            issues.append((f"{path}.{key}", "required field missing"))
-            return None
-        return default
-    value = doc[key]
-    if not isinstance(value, str):
-        issues.append((f"{path}.{key}", "must be a string"))
-        return None
-    if choices is not None and value not in choices:
-        issues.append((f"{path}.{key}", f"must be one of {sorted(choices)}"))
-        return None
-    return value
-
-
-def _get_bool(doc, key, path, issues, default=False):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if not isinstance(value, bool):
-        issues.append((f"{path}.{key}", "must be a boolean"))
-        return None
-    return value
-
-
-def _get_mapping(doc, key, path, issues, required=False):
-    if key not in doc or doc[key] is None:
-        if required:
-            issues.append((f"{path}.{key}" if path else key, "required section missing"))
-        return None
-    value = doc[key]
-    if not isinstance(value, dict):
-        issues.append((f"{path}.{key}" if path else key, "must be an object"))
-        return None
-    return value
-
-
-def _construct(factory, path, issues, **kwargs):
-    """Build a config dataclass, converting its validation error to an issue."""
-    try:
-        return factory(**kwargs)
-    except ConfigurationError as exc:
-        issues.append((path, str(exc)))
-        return None
-
-
-_BEHAVIOR_FIELDS = {
-    "linear": ("rate_per_step", LinearBehavior),
-    "logarithmic": ("scale_s", LogarithmicBehavior),
-    "exponential": ("rate_per_s", ExponentialBehavior),
-    "polynomial": ("coefficients", PolynomialBehavior),
+# Tags of the gradual ``behavior`` union, the one union in the schema.
+_KINDS = {
+    LinearBehavior: "linear",
+    LogarithmicBehavior: "logarithmic",
+    ExponentialBehavior: "exponential",
+    PolynomialBehavior: "polynomial",
 }
 
-
-def _parse_behavior(doc, path, issues):
-    if not isinstance(doc, dict):
-        issues.append((path, "must be an object"))
-        return None
-    kind = _get_string(doc, "kind", path, issues, choices=set(_BEHAVIOR_FIELDS), required=True)
-    if kind is None:
-        return None
-    param, factory = _BEHAVIOR_FIELDS[kind]
-    _check_keys(doc, path, {"kind", param}, issues)
-    if kind == "polynomial":
-        coeffs = doc.get("coefficients")
-        if coeffs is None or not isinstance(coeffs, list) or not coeffs:
-            issues.append((f"{path}.coefficients", "must be a non-empty list of numbers"))
-            return None
-        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
-            issues.append((f"{path}.coefficients", "must be a non-empty list of numbers"))
-            return None
-        return _construct(factory, path, issues, coefficients=tuple(float(c) for c in coeffs))
-    if param in doc:
-        value = _get_number(doc, param, path, issues, required=True)
-        if value is None:
-            return None
-        return _construct(factory, path, issues, **{param: float(value)})
-    return _construct(factory, path, issues)
+# Returned in place of a value that failed and was reported as an issue.
+_BAD = object()
 
 
-_EVENT_KEYS = {
-    "pattern",
-    "amplitude_ps",
-    "start_s",
-    "width_s",
-    "behavior",
-    "step_interval_s",
-    "end_s",
-    "reverse_after_end",
-}
-
-
-def _parse_event(doc, path, issues):
-    if not isinstance(doc, dict):
-        issues.append((path, "must be an object"))
-        return None
-    _check_keys(doc, path, _EVENT_KEYS, issues)
-    pattern = _get_string(
-        doc, "pattern", path, issues, choices={p.value for p in AttackPattern}, required=True
-    )
-    amplitude = _get_number(doc, "amplitude_ps", path, issues, required=True)
-    start = _get_number(doc, "start_s", path, issues, required=True)
-    if pattern is None or amplitude is None or start is None:
-        return None
-
-    kwargs = {
-        "pattern": AttackPattern(pattern),
-        "amplitude_ps": float(amplitude),
-        "start_s": float(start),
-    }
-    if "width_s" in doc:
-        width = _get_number(doc, "width_s", path, issues, required=True)
-        if width is None:
-            return None
-        kwargs["width_s"] = float(width)
-    if "behavior" in doc:
-        behavior = _parse_behavior(doc["behavior"], f"{path}.behavior", issues)
-        if behavior is None:
-            return None
-        kwargs["behavior"] = behavior
-    if "step_interval_s" in doc:
-        step = _get_number(doc, "step_interval_s", path, issues, required=True)
-        if step is None:
-            return None
-        kwargs["step_interval_s"] = float(step)
-    if "end_s" in doc:
-        end = _get_number(doc, "end_s", path, issues, required=True)
-        if end is None:
-            return None
-        kwargs["end_s"] = float(end)
-    reverse = _get_bool(doc, "reverse_after_end", path, issues)
-    if reverse is None:
-        return None
-    if reverse:
-        kwargs["reverse_after_end"] = True
-
-    try:
-        return AttackEvent(**kwargs)
-    except ConfigurationError as exc:
-        # Name the offending field where the message identifies one.
-        message = str(exc)
-        key = message.split(" ", 1)[0]
-        target = f"{path}.{key}" if key in _EVENT_KEYS else path
-        issues.append((target, message))
-        return None
-
-
-def _parse_events(doc, key, path, issues):
-    if key not in doc or doc[key] is None:
-        return None
-    value = doc[key]
-    if not isinstance(value, list):
-        issues.append((key, "must be a list of events"))
-        return None
-    events = []
-    ok = True
-    for i, item in enumerate(value):
-        event = _parse_event(item, f"{key}[{i}]", issues)
-        if event is None:
-            ok = False
-        else:
-            events.append(event)
-    return tuple(events) if ok else None
-
-
-def _parse_coordination(doc, issues):
-    section = _get_mapping(doc, "coordination", "", issues, required=True)
-    if section is None:
-        return None
-    _check_keys(section, "coordination", {"mode", "n"}, issues)
-    mode = _get_string(
-        section,
-        "mode",
-        "coordination",
-        issues,
-        choices={m.value for m in CoordinationMode},
-        required=True,
-    )
-    if mode is None:
-        return None
-    if mode == "proportional":
-        n = _get_number(section, "n", "coordination", issues, default=-1.0)
-        if n is None:
-            return None
-        return _construct(
-            CoordinationRule,
-            "coordination",
-            issues,
-            mode=CoordinationMode.PROPORTIONAL,
-            n=float(n),
+@functools.lru_cache(maxsize=None)
+def _schema(cls):
+    """``(name, type, required)`` of each init field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            hints[f.name],
+            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
-    if "n" in section:
-        issues.append(("coordination.n", "only allowed for proportional coordination"))
-        return None
-    return CoordinationRule(CoordinationMode.INDEPENDENT)
+        for f in dataclasses.fields(cls)
+        if f.init
+    )
 
 
-def _parse_section(doc, key, path, issues, fields, factory, required=False):
-    """Parse a flat numeric config section into its dataclass."""
-    section = _get_mapping(doc, key, "", issues, required=required)
-    if section is None:
-        return None if required else factory()
-    _check_keys(section, path, set(fields), issues)
+def _members(tp):
+    """Non-None members of a Union type."""
+    return [a for a in typing.get_args(tp) if a is not type(None)]
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _fail(issues, path, message):
+    issues.append((path, message))
+    return _BAD
+
+
+def _parse(tp, value, path, issues):
+    """Value of type ``tp`` parsed from JSON ``value``, or ``_BAD``."""
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        members = _members(tp)
+        if len(members) == 1:
+            return _parse(members[0], value, path, issues)
+        return _parse_tagged(members, value, path, issues)
+    if origin is tuple:
+        if not isinstance(value, list):
+            return _fail(issues, path, "must be a list")
+        item = typing.get_args(tp)[0]
+        items = tuple(_parse(item, v, f"{path}[{i}]", issues) for i, v in enumerate(value))
+        return _BAD if any(v is _BAD for v in items) else items
+    if dataclasses.is_dataclass(tp):
+        return _parse_object(tp, value, path, issues)
+    if issubclass(tp, Enum):
+        choices = sorted(m.value for m in tp)
+        if not isinstance(value, str):
+            return _fail(issues, path, "must be a string")
+        if value not in choices:
+            return _fail(issues, path, f"must be one of {choices}")
+        return tp(value)
+    if tp is bool or tp is str:
+        if not isinstance(value, tp):
+            return _fail(issues, path, f"must be a {'boolean' if tp is bool else 'string'}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return _fail(issues, path, "must be a number")
+    if tp is int:
+        return value if isinstance(value, int) else _fail(issues, path, "must be an integer")
+    return float(value)
+
+
+def _parse_tagged(members, value, path, issues):
+    if not isinstance(value, dict):
+        return _fail(issues, path, "must be an object")
+    by_kind = {_KINDS[cls]: cls for cls in members}
+    kind = value.get("kind")
+    if kind is None:
+        return _fail(issues, _join(path, "kind"), "required field missing")
+    if not isinstance(kind, str) or kind not in by_kind:
+        return _fail(issues, _join(path, "kind"), f"must be one of {sorted(by_kind)}")
+    body = {k: v for k, v in value.items() if k != "kind"}
+    return _parse_object(by_kind[kind], body, path, issues)
+
+
+def _parse_object(cls, doc, path, issues):
+    """Construct dataclass ``cls`` from a JSON object, collecting all issues.
+
+    Null counts as omitted.  The dataclass's own validation error becomes
+    an issue on the field its message starts with, else on the object.
+    """
+    if not isinstance(doc, dict):
+        return _fail(issues, path, "must be an object")
+    schema = _schema(cls)
+    names = {name for name, _, _ in schema}
+    issues.extend((_join(path, key), "unknown field") for key in doc if key not in names)
     kwargs = {}
     ok = True
-    for name, (required_field, integer) in fields.items():
-        value = _get_number(section, name, path, issues, required=required_field, integer=integer)
+    for name, tp, required in schema:
+        value = doc.get(name)
         if value is None:
-            if required_field or name in section:
+            if required:
+                missing = "section" if dataclasses.is_dataclass(tp) else "field"
+                issues.append((_join(path, name), f"required {missing} missing"))
                 ok = False
             continue
-        kwargs[name] = value if integer else float(value)
+        kwargs[name] = _parse(tp, value, _join(path, name), issues)
+        ok = ok and kwargs[name] is not _BAD
     if not ok:
+        return _BAD
+    try:
+        return cls(**kwargs)
+    except SchemaError as exc:
+        issues.extend((_join(path, key), message) for key, message in exc.issues)
+    except ConfigurationError as exc:
+        message = str(exc)
+        key = message.split(" ", 1)[0]
+        issues.append((_join(path, key) if key in names else path, message))
+    return _BAD
+
+
+def _dump(tp, value):
+    """JSON-shaped form of ``value`` of type ``tp``; inverse of ``_parse``."""
+    if value is None:
         return None
-    return _construct(factory, path, issues, **kwargs)
-
-
-_TOP_KEYS = {
-    "schema_version",
-    "name",
-    "scheme",
-    "mode",
-    "run",
-    "coordination",
-    "m_events",
-    "n_events",
-    "source",
-    "detectors",
-    "tdc",
-    "channel",
-    "clock",
-    "analytic",
-    "estimator",
-    "reference_ps",
-    "detection",
-}
-
-
-def _parse_detection(doc, issues):
-    section = _get_mapping(doc, "detection", "", issues)
-    if section is None:
-        return None
-    _check_keys(section, "detection", {"threshold", "cusum"}, issues)
-    threshold = None
-    cusum = None
-    if "threshold" in section and section["threshold"] is not None:
-        sub = section["threshold"]
-        if not isinstance(sub, dict):
-            issues.append(("detection.threshold", "must be an object"))
-            return None
-        _check_keys(sub, "detection.threshold", {"baseline_window_epochs", "threshold_ps"}, issues)
-        window = _get_number(
-            sub, "baseline_window_epochs", "detection.threshold", issues, default=60, integer=True
-        )
-        level = _get_number(sub, "threshold_ps", "detection.threshold", issues)
-        if window is None:
-            return None
-        threshold = _construct(
-            ThresholdSpec,
-            "detection.threshold",
-            issues,
-            baseline_window_epochs=window,
-            threshold_ps=float(level) if level is not None else None,
-        )
-        if threshold is None:
-            return None
-    if "cusum" in section and section["cusum"] is not None:
-        sub = section["cusum"]
-        if not isinstance(sub, dict):
-            issues.append(("detection.cusum", "must be an object"))
-            return None
-        _check_keys(sub, "detection.cusum", {"reference_drift_ps", "decision_limit_ps"}, issues)
-        k = _get_number(sub, "reference_drift_ps", "detection.cusum", issues, required=True)
-        h = _get_number(sub, "decision_limit_ps", "detection.cusum", issues, required=True)
-        if k is None or h is None:
-            return None
-        cusum = _construct(
-            CusumConfig,
-            "detection.cusum",
-            issues,
-            reference_drift_ps=float(k),
-            decision_limit_ps=float(h),
-        )
-        if cusum is None:
-            return None
-    return ScenarioDetection(threshold=threshold, cusum=cusum)
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        members = _members(tp)
+        if len(members) == 1:
+            return _dump(members[0], value)
+        return {"kind": _KINDS[type(value)], **_dump(type(value), value)}
+    if origin is tuple:
+        item = typing.get_args(tp)[0]
+        return [_dump(item, v) for v in value]
+    if dataclasses.is_dataclass(tp):
+        return {name: _dump(t, getattr(value, name)) for name, t, _ in _schema(tp)}
+    if issubclass(tp, Enum):
+        return tp(value).value
+    return float(value) if tp is float else value
 
 
 def _parse_scenario(doc):
-    issues: List[Tuple[str, str]] = []
     if not isinstance(doc, dict):
         return None, [("", "scenario document must be a JSON object")]
-    _check_keys(doc, "", _TOP_KEYS, issues)
-
-    version = _get_number(doc, "schema_version", "", issues, required=True, integer=True)
-    if version is not None and version != SCHEMA_VERSION:
-        issues.append(("schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"))
-    name = _get_string(doc, "name", "", issues, required=True)
-    scheme = _get_string(
-        doc, "scheme", "", issues, choices={s.value for s in SchemeKind}, required=True
-    )
-    mode = _get_string(doc, "mode", "", issues, choices={m.value for m in RunMode}, required=True)
-
-    run_section = _get_mapping(doc, "run", "", issues, required=True)
-    run = None
-    if run_section is not None:
-        _check_keys(run_section, "run", {"duration_s", "epoch_s", "seed"}, issues)
-        duration = _get_number(run_section, "duration_s", "run", issues, required=True)
-        epoch = _get_number(run_section, "epoch_s", "run", issues, default=1.0)
-        seed = _get_number(run_section, "seed", "run", issues, default=0, integer=True)
-        if duration is not None and epoch is not None and seed is not None:
-            run = _construct(
-                RunConfig, "run", issues, duration_s=float(duration), epoch_s=float(epoch), seed=seed
-            )
-
-    coordination = _parse_coordination(doc, issues)
-    if "m_events" not in doc:
-        issues.append(("m_events", "required field missing"))
-        m_events = None
-    else:
-        m_events = _parse_events(doc, "m_events", "m_events", issues)
-    n_events = _parse_events(doc, "n_events", "n_events", issues)
-
-    if (
-        coordination is not None
-        and coordination.mode is CoordinationMode.PROPORTIONAL
-        and "n_events" in doc
-        and doc["n_events"]
-    ):
-        issues.append(
-            ("n_events", "conflicts with proportional coordination (N is derived from M)")
-        )
-
-    source = _parse_section(
-        doc,
-        "source",
-        "source",
-        issues,
-        {"pair_rate_hz": (False, False), "intrinsic_correlation_jitter_ps": (False, False)},
-        SourceConfig,
-    )
-    detectors = _parse_section(
-        doc,
-        "detectors",
-        "detectors",
-        issues,
-        {
-            "efficiency": (False, False),
-            "jitter_sigma_ps": (False, False),
-            "dead_time_ps": (False, False),
-        },
-        DetectorConfig,
-    )
-    tdc = _parse_section(
-        doc,
-        "tdc",
-        "tdc",
-        issues,
-        {"resolution_ps": (False, False), "jitter_sigma_ps": (False, False)},
-        TdcConfig,
-    )
-    channel = _parse_section(
-        doc,
-        "channel",
-        "channel",
-        issues,
-        {
-            "one_way_delay_ps": (False, False),
-            "loss_survival_prob": (False, False),
-            "splitter_loopback_prob": (False, False),
-        },
-        ChannelConfig,
-    )
-    clock = _parse_section(
-        doc,
-        "clock",
-        "clock",
-        issues,
-        {
-            "offset_ps": (False, False),
-            "drift_ps_per_s": (False, False),
-            "white_phase_noise_sigma_ps": (False, False),
-        },
-        ClockConfig,
-    )
-    estimator = _parse_section(
-        doc,
-        "estimator",
-        "estimator",
-        issues,
-        {"bin_width_ps": (False, False), "window_halfwidth_ps": (False, True)},
-        EstimatorConfig,
-    )
-
-    analytic = None
-    if "analytic" in doc and doc["analytic"] is not None:
-        section = _get_mapping(doc, "analytic", "", issues)
-        if section is not None:
-            _check_keys(section, "analytic", {"noise_sigma_ps", "baseline_delta_ps"}, issues)
-            sigma = _get_number(section, "noise_sigma_ps", "analytic", issues, required=True)
-            base = _get_number(section, "baseline_delta_ps", "analytic", issues, default=-9900.0)
-            if sigma is not None and base is not None:
-                analytic = _construct(
-                    AnalyticConfig,
-                    "analytic",
-                    issues,
-                    noise_sigma_ps=float(sigma),
-                    baseline_delta_ps=float(base),
-                )
-
-    detection = _parse_detection(doc, issues)
-    reference = _get_number(doc, "reference_ps", "", issues, default=0.0)
-
-    if mode == RunMode.FULL_SIM.value and scheme is not None and scheme != SchemeKind.ROUND_TRIP.value:
-        issues.append(("scheme", "full_sim mode supports round_trip only (others are analytic-only)"))
-    if mode == RunMode.ANALYTIC.value and ("analytic" not in doc or doc["analytic"] is None):
-        issues.append(("analytic", "analytic mode requires a noise model section"))
-
-    if issues:
-        return None, issues
-    scenario = AttackScenario(
-        name=name,
-        scheme=SchemeKind(scheme),
-        mode=RunMode(mode),
-        run=run,
-        coordination=coordination,
-        m_events=m_events,
-        n_events=n_events,
-        source=source,
-        detectors=detectors,
-        tdc=tdc,
-        channel=channel,
-        clock=clock,
-        analytic=analytic,
-        estimator=estimator,
-        reference_ps=float(reference),
-        detection=detection,
-    )
-    return scenario, []
+    issues = []
+    # The version is never defaulted: a document must say which schema it is.
+    if doc.get("schema_version") is None:
+        issues.append(("schema_version", "required field missing"))
+    scenario = _parse_object(AttackScenario, doc, "", issues)
+    return (None, issues) if issues else (scenario, [])
 
 
 def validate_scenario_dict(doc):

@@ -39,6 +39,18 @@ class TestRun:
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "tdev.csv").read_bytes() == (out2 / "tdev.csv").read_bytes()
 
+    def test_negative_seed_exits_config(self, capsys):
+        assert main(["run", "baseline", "--seed", "-1", "--mode", "analytic"]) == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_full_sim_override_needs_round_trip(self, tmp_path, capsys):
+        doc = builtin_scenario("jump_-100ps")
+        doc.update(scheme="two_way", mode="analytic")
+        path = tmp_path / "two_way.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--mode", "full_sim"]) == 1
+        assert "round_trip" in capsys.readouterr().err
+
     def test_unknown_scenario_exits_config(self, capsys):
         assert main(["run", "definitely_not_a_scenario"]) == 1
         assert "builtin" in capsys.readouterr().err

@@ -1,12 +1,16 @@
 """Scenario schema validation, builtins and trajectory wiring."""
 
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcsync.attacks import eval_trajectory
 from qcsync.errors import ConfigurationError, SchemaError
+from qcsync.estimator import EstimatorConfig
 from qcsync.runner import load_scenario
 from qcsync.scenario import (
     FIGURE_IDS,
@@ -32,6 +36,45 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _bench_workload_docs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: module.scenario_doc(name) for name in module.WORKLOADS}
+
+
+def _gradual(behavior):
+    event = {"pattern": "gradual", "amplitude_ps": -2.0, "start_s": 5.0, "behavior": behavior}
+    return minimal_doc(m_events=[event])
+
+
+_ROUNDTRIP_DOCS = {
+    **{name: builtin_scenario(name) for name in builtin_names()},
+    **_bench_workload_docs(),
+    "threshold_without_level": minimal_doc(
+        detection={"threshold": {"baseline_window_epochs": 30}}
+    ),
+    "independent_with_n_events": minimal_doc(
+        coordination={"mode": "independent"},
+        n_events=[{"pattern": "jump", "amplitude_ps": 5.0, "start_s": 1.0}],
+    ),
+    "linear": _gradual({"kind": "linear", "rate_per_step": 0.5}),
+    "logarithmic": _gradual({"kind": "logarithmic", "scale_s": 50.0}),
+    "exponential": _gradual({"kind": "exponential", "rate_per_s": 0.002}),
+    "polynomial": _gradual({"kind": "polynomial", "coefficients": [0.01, 0.0001]}),
+    "spike": minimal_doc(
+        m_events=[{"pattern": "spike", "amplitude_ps": -300.0, "start_s": 40.0, "width_s": 2.0}]
+    ),
+}
+
+# One changed value per hashed setting: the seed and every estimator field.
+_HASHED_CHANGES = [("run", "seed", 4)] + [
+    ("estimator", f.name, 1234 if f.default is None else 2 * f.default)
+    for f in dataclasses.fields(EstimatorConfig)
+]
 
 
 class TestBuiltins:
@@ -129,6 +172,12 @@ class TestValidation:
             AttackScenario.from_dict(minimal_doc(fooo=1))
         assert any(path == "fooo" for path, _ in err.value.issues)
 
+    def test_negative_seed_rejected(self):
+        doc = minimal_doc()
+        doc["run"]["seed"] = -1
+        issues = validate_scenario_dict(doc)
+        assert any(path == "run.seed" for path, _ in issues)
+
     def test_validate_scenario_file(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_doc()))
@@ -144,11 +193,14 @@ class TestValidation:
 
 
 class TestScenarioObject:
-    def test_roundtrip_through_dict(self):
-        doc = builtin_scenario("gradual_fast_reversing")
+    @pytest.mark.parametrize("doc", _ROUNDTRIP_DOCS.values(), ids=_ROUNDTRIP_DOCS.keys())
+    def test_roundtrip_through_dict(self, doc):
         scenario = AttackScenario.from_dict(doc)
-        resolved = scenario.to_dict()
+        # Through JSON, as the meta.json echo is read back.
+        resolved = json.loads(json.dumps(scenario.to_dict()))
         again = AttackScenario.from_dict(resolved)
+        assert again == scenario
+        assert again.to_dict() == resolved
         assert again.config_hash() == scenario.config_hash()
 
     def test_trajectories_proportional(self):
@@ -181,10 +233,13 @@ class TestScenarioObject:
         with pytest.raises(ConfigurationError):
             load_scenario("no_such_thing")
 
-    def test_config_hash_tracks_seed(self):
+    @pytest.mark.parametrize(
+        "section,key,value", _HASHED_CHANGES, ids=[key for _, key, _ in _HASHED_CHANGES]
+    )
+    def test_config_hash_tracks_seed(self, section, key, value):
         a = AttackScenario.from_dict(minimal_doc())
         doc = minimal_doc()
-        doc["run"]["seed"] = 4
+        doc.setdefault(section, {})[key] = value
         b = AttackScenario.from_dict(doc)
         assert a.config_hash() != b.config_hash()
 
