@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .attacks import (
     AttackEvent,
@@ -84,7 +84,6 @@ from .simulation import (
     DetectorId,
     SourceConfig,
     TdcConfig,
-    TimestampRecord,
     TimestampStream,
     generate_pairs,
     propagate_and_detect,

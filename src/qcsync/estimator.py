@@ -78,7 +78,7 @@ class PeakEstimate:
 
 @dataclass(frozen=True)
 class ClockDifferencePoint:
-    """One epoch's estimates; all-None taus mark a gap epoch."""
+    """One epoch's estimates: a None delta marks a gap; analytic runs have None taus."""
 
     epoch_start_s: float
     tau_ab_ps: Optional[float]
@@ -124,12 +124,8 @@ class ClockDifferenceSeries:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("epoch_start_s,tau_ab_ps,tau_aba_ps,delta_ps\n")
             for p in self.points:
-                if p.is_gap:
-                    fh.write(f"{p.epoch_start_s!r},,,\n")
-                else:
-                    fh.write(
-                        f"{p.epoch_start_s!r},{p.tau_ab_ps!r},{p.tau_aba_ps!r},{p.delta_ps!r}\n"
-                    )
+                cells = (p.epoch_start_s, p.tau_ab_ps, p.tau_aba_ps, p.delta_ps)
+                fh.write(",".join("" if v is None else repr(v) for v in cells) + "\n")
 
     @classmethod
     def from_csv(cls, path):
@@ -142,15 +138,8 @@ class ClockDifferenceSeries:
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != 4:
                     raise ConfigurationError(f"malformed series row: {line!r}")
-                t = float(cells[0])
-                if cells[1] == "":
-                    points.append(ClockDifferencePoint(t, None, None, None))
-                else:
-                    points.append(
-                        ClockDifferencePoint(
-                            t, float(cells[1]), float(cells[2]), float(cells[3])
-                        )
-                    )
+                values = (float(c) if c else None for c in cells[1:])
+                points.append(ClockDifferencePoint(float(cells[0]), *values))
         if len(points) < 2:
             epoch = 1.0
         else:
@@ -172,10 +161,11 @@ class EstimatorConfig:
     loopback_center_ps: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.bin_width_ps > 0 and self.window_halfwidth_ps > 0):
-            raise ConfigurationError("histogram parameters must be positive")
-        if not (self.coarse_bin_ps > 0 and self.refine_bin_ps > 0):
-            raise ConfigurationError("acquisition bin widths must be positive")
+        bin_width_ok = self.bin_width_ps > 0 and math.isfinite(self.bin_width_ps)
+        if not (bin_width_ok and self.window_halfwidth_ps > 0):
+            raise ConfigurationError("histogram parameters must be finite and positive")
+        if not all(w > 0 and math.isfinite(w) for w in (self.coarse_bin_ps, self.refine_bin_ps)):
+            raise ConfigurationError("acquisition bin widths must be finite and positive")
         if not (self.refine_halfwidth_ps > 0 and self.acquire_max_events > 0):
             raise ConfigurationError("acquisition parameters must be positive")
 
@@ -338,9 +328,9 @@ def coarse_acquire(stream, config=None, nominal_one_way_delay_ps=None):
     if nominal is None or not (nominal > 0):
         raise ConfigurationError("nominal one-way delay required for acquisition")
 
-    idler = stream.detector_times(DetectorId.IDLER_A)[: config.acquire_max_events]
-    signal = stream.detector_times(DetectorId.SIGNAL_B)
-    ret = stream.detector_times(DetectorId.RETURN_A)
+    idler = stream.times[DetectorId.IDLER_A][: config.acquire_max_events]
+    signal = stream.times[DetectorId.SIGNAL_B]
+    ret = stream.times[DetectorId.RETURN_A]
     if idler.size == 0 or signal.size == 0 or ret.size == 0:
         raise AcquisitionError("one or more detector streams are empty")
 
@@ -375,9 +365,9 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
             loopback_center_ps=acq.loopback_center_ps,
         )
 
-    idler = stream.detector_times(DetectorId.IDLER_A)
-    signal = stream.detector_times(DetectorId.SIGNAL_B)
-    ret = stream.detector_times(DetectorId.RETURN_A)
+    idler = stream.times[DetectorId.IDLER_A]
+    signal = stream.times[DetectorId.SIGNAL_B]
+    ret = stream.times[DetectorId.RETURN_A]
 
     epoch_ps = epoch_length_s * 1e12
     edges = np.rint(np.arange(n_epochs + 1) * epoch_ps).astype(np.int64)

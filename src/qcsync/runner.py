@@ -8,7 +8,8 @@ two modes directly comparable on the same scenario.
 
 Per-run outputs (all deterministic given scenario + seed):
 
-    series.csv           epoch_start_s, tau_ab_ps, tau_aba_ps, delta_ps
+    series.csv           epoch_start_s, tau_ab_ps, tau_aba_ps, delta_ps  (taus
+                         empty in analytic runs, all three empty at gaps)
     series_rezeroed.csv  epoch_start_s, delta_rezeroed_ps  (delta minus the
                          configured reference, the plot convention)
     tdev.csv             tau_s, tdev_ps, m, n_terms
@@ -118,8 +119,8 @@ def _run_analytic(scenario):
     points = [
         ClockDifferencePoint(
             epoch_start_s=k * run.epoch_s,
-            tau_ab_ps=float(delta[k]),
-            tau_aba_ps=0.0,
+            tau_ab_ps=None,
+            tau_aba_ps=None,
             delta_ps=float(delta[k]),
             delta_sigma_ps=sigma,
         )

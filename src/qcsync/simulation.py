@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "ClockConfig",
     "DetectorId",
     "DETECTOR_NAMES",
-    "TimestampRecord",
     "TimestampStream",
     "generate_pairs",
     "propagate_and_detect",
@@ -54,8 +53,9 @@ __all__ = [
 # Jitter specs are conventionally quoted as FWHM; convert to Gaussian sigma.
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-# Vectorized propagation works on bounded slices of the pair array so peak
-# memory stays flat regardless of campaign length.
+# Vectorized propagation works on bounded slices of the pair array.  This
+# bounds only the per-slice random draws and temporaries: all pairs and all
+# detection records of the campaign are still held in memory at once.
 _PAIR_CHUNK = 1_000_000
 
 # int64 picosecond timestamps stay exact in float64 arithmetic up to 2**53.
@@ -76,8 +76,9 @@ class SourceConfig:
     def __post_init__(self):
         if not (self.pair_rate_hz > 0 and math.isfinite(self.pair_rate_hz)):
             raise ConfigurationError("pair_rate_hz must be > 0")
-        if not (self.intrinsic_correlation_jitter_ps >= 0):
-            raise ConfigurationError("intrinsic_correlation_jitter_ps must be >= 0")
+        jitter = self.intrinsic_correlation_jitter_ps
+        if not (jitter >= 0 and math.isfinite(jitter)):
+            raise ConfigurationError("intrinsic_correlation_jitter_ps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ class DetectorConfig:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise ConfigurationError("efficiency must be in [0, 1]")
-        if not (self.jitter_sigma_ps >= 0):
-            raise ConfigurationError("jitter_sigma_ps must be >= 0")
-        if not (self.dead_time_ps >= 0):
-            raise ConfigurationError("dead_time_ps must be >= 0")
+        if not (self.jitter_sigma_ps >= 0 and math.isfinite(self.jitter_sigma_ps)):
+            raise ConfigurationError("jitter_sigma_ps must be finite and >= 0")
+        if not (self.dead_time_ps >= 0 and math.isfinite(self.dead_time_ps)):
+            raise ConfigurationError("dead_time_ps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class TdcConfig:
     def __post_init__(self):
         if not (self.resolution_ps > 0 and math.isfinite(self.resolution_ps)):
             raise ConfigurationError("resolution_ps must be > 0")
-        if not (self.jitter_sigma_ps >= 0):
-            raise ConfigurationError("jitter_sigma_ps must be >= 0")
+        if not (self.jitter_sigma_ps >= 0 and math.isfinite(self.jitter_sigma_ps)):
+            raise ConfigurationError("jitter_sigma_ps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,9 @@ class ClockConfig:
             raise ConfigurationError("offset_ps must be finite")
         if not math.isfinite(self.drift_ps_per_s):
             raise ConfigurationError("drift_ps_per_s must be finite")
-        if not (self.white_phase_noise_sigma_ps >= 0):
-            raise ConfigurationError("white_phase_noise_sigma_ps must be >= 0")
+        sigma = self.white_phase_noise_sigma_ps
+        if not (sigma >= 0 and math.isfinite(sigma)):
+            raise ConfigurationError("white_phase_noise_sigma_ps must be finite and >= 0")
 
 
 class DetectorId(IntEnum):
@@ -164,66 +166,40 @@ DETECTOR_NAMES = {
 DETECTOR_IDS_BY_NAME = {v: k for k, v in DETECTOR_NAMES.items()}
 
 
-@dataclass(frozen=True)
-class TimestampRecord:
-    """One detection: detector, local-clock time (integer ps), ground truth."""
-
-    detector_id: DetectorId
-    time_ps: int
-    true_pair_id: int
-
-
 @dataclass
 class TimestampStream:
-    """Columnar detection record store, globally sorted by timestamp.
+    """Detection records stored per detector, indexed by ``DetectorId``.
 
-    ``pair_ids`` holds the emission index of each photon, simulation-only
-    ground truth that estimators must not consume.
+    ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
+    ps) in ascending order; ``pair_ids[det]`` the emission index of each,
+    simulation-only ground truth that estimators must not consume.
     """
 
-    detector_ids: np.ndarray
-    times_ps: np.ndarray
-    pair_ids: np.ndarray
+    times: Tuple[np.ndarray, ...]
+    pair_ids: Tuple[np.ndarray, ...]
     duration_s: float
     seed: int
     config_hash: Optional[str] = None
     nominal_one_way_delay_ps: Optional[float] = None
 
     def __post_init__(self):
-        self.detector_ids = np.asarray(self.detector_ids, dtype=np.uint8)
-        self.times_ps = np.asarray(self.times_ps, dtype=np.int64)
-        self.pair_ids = np.asarray(self.pair_ids, dtype=np.int64)
-        if not (
-            self.detector_ids.shape == self.times_ps.shape == self.pair_ids.shape
-        ):
-            raise ConfigurationError("stream columns must have equal length")
-        if self.times_ps.size:
-            if self.times_ps[0] < 0:
-                raise ConfigurationError("timestamps must be >= 0")
-            if np.any(np.diff(self.times_ps) < 0):
-                raise ConfigurationError("stream must be sorted by time")
+        if not (len(self.times) == len(self.pair_ids) == len(DetectorId)):
+            raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
+        self.times = tuple(np.asarray(t, dtype=np.int64) for t in self.times)
+        self.pair_ids = tuple(np.asarray(p, dtype=np.int64) for p in self.pair_ids)
+        for name, t, p in zip(DETECTOR_NAMES.values(), self.times, self.pair_ids):
+            if t.shape != p.shape:
+                raise ConfigurationError(f"{name} times and pair ids must have equal length")
+            if t.size and t[0] < 0:
+                raise ConfigurationError(f"{name} timestamps must be >= 0")
+            if np.any(np.diff(t) < 0):
+                raise ConfigurationError(f"{name} timestamps must be sorted ascending")
 
     def __len__(self):
-        return self.times_ps.size
-
-    def detector_times(self, detector):
-        """Sorted int64 timestamps of one detector."""
-        return self.times_ps[self.detector_ids == int(detector)]
-
-    def detector_records(self, detector):
-        """(times, pair_ids) arrays of one detector."""
-        mask = self.detector_ids == int(detector)
-        return self.times_ps[mask], self.pair_ids[mask]
+        return sum(t.size for t in self.times)
 
     def counts(self):
-        return {
-            det: int(np.count_nonzero(self.detector_ids == int(det)))
-            for det in DetectorId
-        }
-
-    def records(self) -> Iterator[TimestampRecord]:
-        for d, t, p in zip(self.detector_ids, self.times_ps, self.pair_ids):
-            yield TimestampRecord(DetectorId(int(d)), int(t), int(p))
+        return {det: int(self.times[det].size) for det in DetectorId}
 
 
 def generate_pairs(source, duration_s, seed):
@@ -246,9 +222,9 @@ def generate_pairs(source, duration_s, seed):
     return np.column_stack((t - 0.5 * d, t + 0.5 * d))
 
 
-def _quantize(times_ps, resolution_ps):
+def _quantize(times, resolution_ps):
     """Snap to the TDC grid and store as integer picoseconds."""
-    q = np.rint(times_ps / resolution_ps) * resolution_ps
+    q = np.rint(times / resolution_ps) * resolution_ps
     return np.rint(q).astype(np.int64)
 
 
@@ -298,8 +274,8 @@ def propagate_and_detect(
     s_tdc = tdc.jitter_sigma_ps
     s_wpn = clocks.white_phase_noise_sigma_ps
 
-    out_times = {det: [] for det in DetectorId}
-    out_pairs = {det: [] for det in DetectorId}
+    out_times = {det: [np.empty(0, np.int64)] for det in DetectorId}
+    out_pairs = {det: [np.empty(0, np.int64)] for det in DetectorId}
 
     for lo in range(0, pairs.shape[0], _PAIR_CHUNK):
         e_idler = pairs[lo : lo + _PAIR_CHUNK, 0]
@@ -345,27 +321,20 @@ def propagate_and_detect(
             out_times[det].append(t[nonneg])
             out_pairs[det].append(pid[nonneg])
 
-    det_codes, times, pair_ids = [], [], []
+    times, pair_ids = [], []
     for det in DetectorId:
-        t = np.concatenate(out_times[det]) if out_times[det] else np.empty(0, np.int64)
-        p = np.concatenate(out_pairs[det]) if out_pairs[det] else np.empty(0, np.int64)
+        t = np.concatenate(out_times[det])
+        p = np.concatenate(out_pairs[det])
         order = np.lexsort((p, t))
         t, p = _apply_dead_time(t[order], p[order], detectors.dead_time_ps)
-        det_codes.append(np.full(t.size, int(det), dtype=np.uint8))
         times.append(t)
         pair_ids.append(p)
 
-    det_codes = np.concatenate(det_codes)
-    times = np.concatenate(times)
-    pair_ids = np.concatenate(pair_ids)
-    order = np.lexsort((pair_ids, det_codes, times))
-
     if duration_s is None:
-        duration_s = float(times.max() + 1) * 1e-12 if times.size else 0.0
+        duration_s = max((float(t[-1] + 1) * 1e-12 for t in times if t.size), default=0.0)
     return TimestampStream(
-        detector_ids=det_codes[order],
-        times_ps=times[order],
-        pair_ids=pair_ids[order],
+        times=times,
+        pair_ids=pair_ids,
         duration_s=float(duration_s),
         seed=int(seed),
         nominal_one_way_delay_ps=L,

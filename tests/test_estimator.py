@@ -180,9 +180,8 @@ class TestCoarseAcquire:
 
     def test_empty_stream_fails(self):
         stream = TimestampStream(
-            detector_ids=np.empty(0, np.uint8),
-            times_ps=np.empty(0, np.int64),
-            pair_ids=np.empty(0, np.int64),
+            times=[np.empty(0, np.int64)] * 3,
+            pair_ids=[np.empty(0, np.int64)] * 3,
             duration_s=10.0,
             seed=0,
             nominal_one_way_delay_ps=49e6,
@@ -257,21 +256,12 @@ class TestPerEpochSeries:
         # nothing usable in epoch 1.
         rng = np.random.default_rng(5)
         delay = 10_000
-        rows = []
-        for epoch in (0, 2):
-            base = int(epoch * 1e12)
-            idler = np.sort(rng.integers(base, base + int(1e12), 400))
-            for t in idler:
-                rows.append((0, t))
-                rows.append((1, t + delay))
-                rows.append((2, t + 2 * delay))
-        det = np.array([r[0] for r in rows], dtype=np.uint8)
-        times = np.array([r[1] for r in rows], dtype=np.int64)
-        order = np.argsort(times, kind="stable")
+        idler = np.concatenate(
+            [np.sort(rng.integers(int(e * 1e12), int((e + 1) * 1e12), 400)) for e in (0, 2)]
+        )
         stream = TimestampStream(
-            detector_ids=det[order],
-            times_ps=times[order],
-            pair_ids=np.zeros(len(rows), dtype=np.int64),
+            times=[idler, idler + delay, idler + 2 * delay],
+            pair_ids=[np.zeros(idler.size, dtype=np.int64)] * 3,
             duration_s=3.0,
             seed=0,
             nominal_one_way_delay_ps=float(delay),

@@ -39,6 +39,16 @@ class TestAnalyticMode:
         r2 = run_scenario(analytic_doc(), seed=5)
         np.testing.assert_array_equal(r1.series.deltas(), r2.series.deltas())
 
+    def test_series_csv_leaves_taus_empty(self, tmp_path):
+        # No photon measured a tau in an analytic run, so none is written.
+        result = run_scenario(analytic_doc(), out_dir=tmp_path)
+        rows = (tmp_path / "series.csv").read_text().splitlines()[1:]
+        assert all(row.split(",")[1:3] == ["", ""] for row in rows)
+        back = type(result.series).from_csv(tmp_path / "series.csv")
+        assert back.gap_count() == 0
+        assert [p.delta_ps for p in back.points] == list(result.series.deltas())
+        assert all(p.tau_ab_ps is None and p.tau_aba_ps is None for p in back.points)
+
     def test_mode_override_needs_noise_model(self):
         doc = builtin_scenario("baseline")
         del doc["analytic"]

@@ -178,6 +178,27 @@ class TestValidation:
         issues = validate_scenario_dict(doc)
         assert any(path == "run.seed" for path, _ in issues)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "source.intrinsic_correlation_jitter_ps",
+            "detectors.jitter_sigma_ps",
+            "detectors.dead_time_ps",
+            "tdc.jitter_sigma_ps",
+            "clock.white_phase_noise_sigma_ps",
+            "estimator.bin_width_ps",
+            "estimator.coarse_bin_ps",
+            "estimator.refine_bin_ps",
+        ],
+    )
+    def test_infinite_value_rejected(self, path):
+        # JSON ``Infinity`` parses to float("inf"); it must fail the schema.
+        section, key = path.split(".")
+        doc = minimal_doc()
+        doc[section] = {key: float("inf")}
+        issues = validate_scenario_dict(json.loads(json.dumps(doc)))
+        assert any(p in (section, path) for p, _ in issues), issues
+
     def test_validate_scenario_file(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_doc()))
