@@ -20,8 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .detection import (
     CusumConfig,
@@ -145,8 +143,7 @@ def _cmd_validate(args):
 
 def _cmd_tdev(args):
     series = ClockDifferenceSeries.from_csv(args.series)
-    deltas = series.deltas()
-    curve = tdev(deltas[~np.isnan(deltas)], series.epoch_length_s)
+    curve = tdev(series.deltas(), series.epoch_length_s)
     if args.out is not None:
         curve.to_csv(args.out)
         print(f"wrote {args.out}")

@@ -161,13 +161,13 @@ class EstimatorConfig:
     loopback_center_ps: Optional[int] = None
 
     def __post_init__(self):
-        bin_width_ok = self.bin_width_ps > 0 and math.isfinite(self.bin_width_ps)
-        if not (bin_width_ok and self.window_halfwidth_ps > 0):
-            raise ConfigurationError("histogram parameters must be finite and positive")
-        if not all(w > 0 and math.isfinite(w) for w in (self.coarse_bin_ps, self.refine_bin_ps)):
-            raise ConfigurationError("acquisition bin widths must be finite and positive")
-        if not (self.refine_halfwidth_ps > 0 and self.acquire_max_events > 0):
-            raise ConfigurationError("acquisition parameters must be positive")
+        for name in ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigurationError(f"{name} must be finite and > 0")
+        for name in ("window_halfwidth_ps", "refine_halfwidth_ps", "acquire_max_events"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

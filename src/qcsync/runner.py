@@ -178,11 +178,9 @@ def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
             f"({100 * gap_fraction:.2f}% > {100 * MAX_GAP_FRACTION:.0f}% tolerated)"
         )
 
-    # Small gap fractions are dropped and the remainder treated as evenly
-    # spaced; interpolation is deliberately avoided.
-    deltas = series.deltas()
-    usable = deltas[~np.isnan(deltas)]
-    curve = tdev(usable, series.epoch_length_s) if usable.size >= 4 else None
+    # TDEV runs on the full epoch grid: gap epochs stay NaN and only terms
+    # free of gaps are averaged, never interpolated or closed up.
+    curve = tdev(series.deltas(), series.epoch_length_s) if len(series) >= 4 else None
 
     alarms, detection_score = _run_detectors(scenario, series)
 

@@ -23,6 +23,7 @@ bit-identical stream.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -229,16 +230,39 @@ def _quantize(times, resolution_ps):
 
 
 def _apply_dead_time(times, pairs, dead_time_ps):
-    """Greedy dead-time filter on a time-sorted detector stream."""
-    if times.size == 0 or dead_time_ps <= 0:
+    """Dead-time filter on a time-sorted detector stream: exact greedy rule,
+    loop only over clusters.
+
+    The greedy rule drops a record closer than the dead time to the last
+    kept record.  A record at least one dead time after its predecessor is
+    always kept, so the stream splits into independent clusters: a kept
+    anchor followed by a maximal run of close records.  Only those runs go
+    through the rule, jumping from each kept record to the first one a dead
+    time later, so the loop runs once per kept record inside a cluster.
+    """
+    if times.size < 2 or dead_time_ps <= 0:
         return times, pairs
+    # For an integer gap d, d < dead_time_ps exactly when d < ceil(dead_time_ps);
+    # integer bounds also stay exact where float addition would round.
+    dead = math.ceil(dead_time_ps)
     keep = np.ones(times.size, dtype=bool)
-    last = times[0]
-    for i in range(1, times.size):
-        if times[i] - last < dead_time_ps:
-            keep[i] = False
-        else:
-            last = times[i]
+    np.greater_equal(np.diff(times), dead, out=keep[1:])
+    if keep.all():
+        return times, pairs
+    # Runs of close records (keep[1:] False) start after their anchor.
+    edges = np.flatnonzero(np.diff(keep[1:], prepend=True, append=True))
+    anchors, ends = edges[::2], edges[1::2]
+    # A lone close record lies within one dead time of its kept anchor and
+    # stays dropped; only longer runs can keep a record.
+    runs = ends - anchors > 1
+    for anchor, end in zip(anchors[runs].tolist(), ends[runs].tolist()):
+        cluster = times[anchor : end + 1].tolist()
+        k = 0
+        while True:
+            k = bisect.bisect_left(cluster, cluster[k] + dead, k + 1)
+            if k == len(cluster):
+                break
+            keep[anchor + k] = True
     return times[keep], pairs[keep]
 
 

@@ -9,7 +9,10 @@ factor m, the overlapping estimator used throughout is
 
 which vanishes on constants and exact linear ramps, scales like
 tau^{-1/2} on white phase noise, and equals the sample sigma at m = 1 for
-i.i.d. noise.  Gaps are refused, never interpolated: silent interpolation
+i.i.d. noise.  Gaps (NaN samples on the full epoch grid) are skipped term by
+term, never interpolated: only the outer-sum terms whose 3m samples are all
+present enter the average, as for stability estimators with missing data
+(NIST SP 1065).  Interpolating, or closing the series up over its gaps,
 would mask exactly the attack artifacts this statistic is meant to expose.
 """
 
@@ -79,16 +82,19 @@ def default_m_grid(n):
 
 
 def tdev(x, tau0_s, m_values=None):
-    """TDEV curve of an evenly spaced, gap-free phase series (ps in, ps out).
+    """TDEV curve of an evenly spaced phase series (ps in, ps out).
 
     Parameters
     ----------
-    x : sequence of phase values, picoseconds
+    x : sequence of phase values, picoseconds, on the full sampling grid
+        with NaN at gaps
     tau0_s : base sampling interval, seconds
     m_values : averaging factors; defaults to the octave grid
 
-    Raises ConfigurationError on a too-short series or an out-of-range m,
-    and GapError when the series contains NaN gaps.
+    Each point averages only the terms whose samples are all present;
+    ``n_terms`` counts them.  An ``m`` without any complete term is left
+    out of the curve.  Raises ConfigurationError on a too-short series or
+    an out-of-range m, and GapError when no ``m`` has a complete term.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -96,9 +102,7 @@ def tdev(x, tau0_s, m_values=None):
     n = x.size
     if n < 4:
         raise ConfigurationError("series must contain at least 4 samples")
-    if np.any(np.isnan(x)):
-        raise GapError("series contains gaps; TDEV refuses to interpolate")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x[~np.isnan(x)])):
         raise ConfigurationError("series must be finite")
     if not (tau0_s > 0 and math.isfinite(tau0_s)):
         raise ConfigurationError("tau0_s must be > 0")
@@ -112,13 +116,22 @@ def tdev(x, tau0_s, m_values=None):
         if not (1 <= m <= top):
             raise ConfigurationError(f"m={m} outside valid range [1, {top}] for N={n}")
         d = x[2 * m :] - 2.0 * x[m : n - m] + x[: n - 2 * m]
+        # A term is complete when none of its m second differences touches
+        # a gap; its sum then holds none of the zeros standing in for NaN.
+        missing = np.isnan(d)
+        d[missing] = 0.0
+        n_missing = np.concatenate(([0], np.cumsum(missing)))
         csum = np.concatenate(([0.0], np.cumsum(d)))
-        inner = csum[m:] - csum[: csum.size - m]
-        n_terms = n - 3 * m + 1
+        inner = (csum[m:] - csum[:-m])[n_missing[m:] == n_missing[:-m]]
+        n_terms = inner.size
+        if n_terms == 0:
+            continue
         tvar = float(np.dot(inner, inner)) / (6.0 * m * m * n_terms)
         points.append(
             TdevPoint(m=m, tau_s=m * tau0_s, tdev_ps=math.sqrt(tvar), n_terms=n_terms)
         )
+    if not points:
+        raise GapError("no averaging factor has a gap-free TDEV term")
     return TdevCurve(tau0_s=tau0_s, points=points)
 
 

@@ -98,11 +98,15 @@ def read_stream_csv(path, duration_s=None, seed=0):
         header = fh.readline().strip()
         if header != "detector,time_ps":
             raise ConfigurationError(f"unexpected stream CSV header: {header!r}")
-        for line in fh:
-            name, t = line.rstrip("\n").split(",")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                name, cell = line.rstrip("\n").split(",")
+                t = int(cell)
+            except ValueError as exc:
+                raise ConfigurationError(f"malformed stream CSV line {lineno}: {line!r}") from exc
             if name not in DETECTOR_IDS_BY_NAME:
                 raise ConfigurationError(f"unknown detector name: {name!r}")
-            rows[DETECTOR_IDS_BY_NAME[name]].append(int(t))
+            rows[DETECTOR_IDS_BY_NAME[name]].append(t)
     times = [np.asarray(rows[det], dtype=np.int64) for det in DetectorId]
     if duration_s is None:
         duration_s = max((float(t.max() + 1) * 1e-12 for t in times if t.size), default=0.0)

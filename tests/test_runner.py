@@ -82,18 +82,32 @@ class TestFailurePaths:
         with pytest.raises(GapRateError):
             run_scenario(doc)
 
-    def test_small_gap_fraction_tolerated(self):
-        # One starved epoch out of 200 (0.5% <= 1%): the gap is dropped,
-        # never interpolated, and TDEV still computes.
+    @staticmethod
+    def _one_gap_run():
+        # One starved epoch out of 200 (0.5% <= 1%).
         doc = builtin_scenario("baseline")
         doc["run"]["duration_s"] = 200.0
         doc["run"]["seed"] = 1
         doc["source"] = {"pair_rate_hz": 70.0}
         del doc["detection"]
-        result = run_scenario(doc)
+        return run_scenario(doc)
+
+    def test_small_gap_fraction_tolerated(self):
+        # The gap is never interpolated, and TDEV still computes.
+        result = self._one_gap_run()
         assert result.series.gap_count() == 1
         assert result.tdev is not None
         assert result.meta["gap_count"] == 1
+
+    def test_tdev_skips_gap_terms_on_full_epoch_grid(self):
+        # TDEV keeps the gap epoch on the grid: at m = 1 every term holds
+        # three consecutive epochs, and those touching the gap are skipped.
+        result = self._one_gap_run()
+        present = ~np.isnan(result.series.deltas())
+        complete = present[:-2] & present[1:-1] & present[2:]
+        first = result.tdev.points[0]
+        assert first.m == 1
+        assert first.n_terms == int(complete.sum()) < len(result.series) - 2
 
     def test_acquisition_failure_when_forward_channel_dark(self):
         doc = builtin_scenario("baseline")

@@ -199,6 +199,22 @@ class TestValidation:
         issues = validate_scenario_dict(json.loads(json.dumps(doc)))
         assert any(p in (section, path) for p, _ in issues), issues
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bin_width_ps", float("inf")),
+            ("window_halfwidth_ps", 0),
+            ("coarse_bin_ps", -1.0),
+            ("refine_bin_ps", 0.0),
+            ("refine_halfwidth_ps", 0),
+            ("acquire_max_events", 0),
+        ],
+    )
+    def test_estimator_error_names_field(self, key, value):
+        doc = minimal_doc(estimator={key: value})
+        issues = validate_scenario_dict(json.loads(json.dumps(doc)))
+        assert [p for p, _ in issues] == [f"estimator.{key}"], issues
+
     def test_validate_scenario_file(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_doc()))

@@ -24,6 +24,7 @@ from qcsync.simulation import (
     DetectorId,
     SourceConfig,
     TdcConfig,
+    _apply_dead_time,
     generate_pairs,
     propagate_and_detect,
     run_round_trip_sim,
@@ -51,6 +52,47 @@ def emission_lookup(pairs):
 def hits(stream, det):
     """(times, pair ids) of one detector."""
     return stream.times[det], stream.pair_ids[det]
+
+
+def greedy_dead_time(times, pairs, dead_time_ps):
+    """Per-record greedy dead-time loop (test oracle)."""
+    if times.size == 0 or dead_time_ps <= 0:
+        return times, pairs
+    keep = np.ones(times.size, dtype=bool)
+    last = times[0]
+    for i in range(1, times.size):
+        if times[i] - last < dead_time_ps:
+            keep[i] = False
+        else:
+            last = times[i]
+    return times[keep], pairs[keep]
+
+
+def dead_time_case(name):
+    """(sorted int64 times, dead time) of one seeded dead-time scenario."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+
+    def from_gaps(gaps, start=0):
+        return start + np.concatenate(([0], np.cumsum(gaps))).astype(np.int64)
+
+    if name == "no-close-pairs":
+        return from_gaps(rng.integers(5000, 10**6, 5000)), 5000.0
+    if name == "sparse-clusters":
+        return from_gaps(rng.exponential(10**6, 20_000).astype(np.int64)), 50_000.0
+    if name == "dense-cluster":
+        return from_gaps(np.full(5000, 2000)), 5000.0
+    if name == "dead-time-far-longer-than-spacing":
+        return from_gaps(rng.integers(1, 20, 20_000)), 10**5 + 0.25
+    if name == "equal-timestamps":
+        return np.sort(rng.integers(0, 3000, 20_000)), 3.0
+    if name == "fractional-dead-time-near-3.5e15":
+        gaps = rng.choice([0, 1, 49_999, 50_000, 50_001, 10**6], 20_000)
+        return from_gaps(gaps, start=3_500_000_000_000_000), 50_000.5
+    if name == "empty":
+        return np.empty(0, np.int64), 5000.0
+    if name == "single-record":
+        return np.array([123], np.int64), 5000.0
+    raise KeyError(name)
 
 
 class TestGeneratePairs:
@@ -234,6 +276,27 @@ class TestDetectorEffects:
             times = stream.times[det]
             if times.size > 1:
                 assert np.diff(times).min() >= 5000
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "no-close-pairs",
+            "sparse-clusters",
+            "dense-cluster",
+            "dead-time-far-longer-than-spacing",
+            "equal-timestamps",
+            "fractional-dead-time-near-3.5e15",
+            "empty",
+            "single-record",
+        ],
+    )
+    def test_dead_time_matches_greedy_oracle(self, case):
+        times, dead_time_ps = dead_time_case(case)
+        pairs = np.random.default_rng(7).permutation(times.size).astype(np.int64)
+        kept_times, kept_pairs = _apply_dead_time(times, pairs, dead_time_ps)
+        want_times, want_pairs = greedy_dead_time(times, pairs, dead_time_ps)
+        np.testing.assert_array_equal(kept_times, want_times)
+        np.testing.assert_array_equal(kept_pairs, want_pairs)
 
     def test_per_detector_monotonic_timestamps(self):
         pairs = generate_pairs(SourceConfig(pair_rate_hz=20_000.0), 5.0, 11)

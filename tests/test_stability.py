@@ -11,20 +11,30 @@ from qcsync.stability import default_m_grid, estimate_step_shift, tdev
 from conftest import make_series
 
 
+def complete_terms(x, m):
+    """Start indices of the outer-sum terms whose 3m samples are all present."""
+    return [i for i in range(x.size - 3 * m + 1) if not np.isnan(x[i : i + 3 * m]).any()]
+
+
 def tdev_brute(x, tau0_s, m_values):
-    """Direct triple-loop evaluation of the TDEV definition (test oracle)."""
+    """Direct triple-loop evaluation of the TDEV definition (test oracle).
+
+    Terms touching a NaN gap are skipped; an m without any complete term is
+    left out.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
     out = []
     for m in m_values:
-        n_terms = n - 3 * m + 1
+        terms = complete_terms(x, m)
+        if not terms:
+            continue
         total = 0.0
-        for i in range(n_terms):
+        for i in terms:
             inner = 0.0
             for j in range(i, i + m):
                 inner += x[j + 2 * m] - 2.0 * x[j + m] + x[j]
             total += inner * inner
-        out.append(math.sqrt(total / (6.0 * m * m * n_terms)))
+        out.append(math.sqrt(total / (6.0 * m * m * len(terms))))
     return out
 
 
@@ -44,6 +54,27 @@ class TestTdevOracle:
         np.testing.assert_allclose(
             tdev(x, 2.0, grid).values(), tdev_brute(x, 2.0, grid), rtol=1e-12
         )
+
+    def test_matches_brute_force_on_gapped_series(self, rng):
+        for _ in range(10):
+            n = int(rng.integers(40, 400))
+            x = rng.normal(0.0, rng.uniform(0.5, 50.0), n) + rng.uniform(-1e4, 1e4)
+            x[rng.integers(0, n, int(rng.integers(1, 6)))] = np.nan
+            start = int(rng.integers(0, n - 5))
+            x[start : start + int(rng.integers(1, 5))] = np.nan
+            grid = default_m_grid(n)
+            curve = tdev(x, 1.0, grid)
+            kept = [m for m in grid if complete_terms(x, m)]
+            assert [p.m for p in curve.points] == kept
+            assert [p.n_terms for p in curve.points] == [len(complete_terms(x, m)) for m in kept]
+            np.testing.assert_allclose(curve.values(), tdev_brute(x, 1.0, grid), rtol=1e-12)
+
+    def test_m_without_complete_term_left_out(self):
+        x = np.arange(13.0) ** 2
+        x[6] = np.nan
+        curve = tdev(x, 1.0, [1, 2, 4])
+        assert [p.m for p in curve.points] == [1, 2]
+        assert [p.n_terms for p in curve.points] == [8, 2]
 
     def test_constant_series_is_exactly_zero(self):
         curve = tdev(np.full(64, 17.25), 1.0)
@@ -117,9 +148,9 @@ class TestTdevErrors:
         with pytest.raises(ConfigurationError):
             tdev(np.zeros(100), 1.0, [34])
 
-    def test_gaps_refused(self):
+    def test_no_complete_term_refused(self):
         x = np.zeros(50)
-        x[10] = np.nan
+        x[::3] = np.nan
         with pytest.raises(GapError):
             tdev(x, 1.0)
 

@@ -148,3 +148,14 @@ class TestCsvFormat:
         path.write_text("detector,time_ps\nMystery,5\n")
         with pytest.raises(ConfigurationError):
             read_stream_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["IdlerA,10,7\n", "IdlerA,1.5e3\n", "\n"],
+        ids=["three-cells", "non-integer-time", "trailing-blank-line"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "s.csv"
+        path.write_text("detector,time_ps\nIdlerA,5\n" + row)
+        with pytest.raises(ConfigurationError, match="line 3"):
+            read_stream_csv(path)
