@@ -9,6 +9,15 @@ fiber, and detected at Alice (ReturnA).  Detector and TDC jitter, TDC
 quantization, channel loss, splitter routing, detection efficiency and
 dead-time suppression are applied per photon; losses are silent.
 
+Sampling is thinned: a photon costs work only if it is recorded.  One
+uniform per pair decides the idler hit (``efficiency``) and one routes the
+signal to SignalB (probability ``s*(1-l)*e``), to ReturnA (``s*l*s*e``) or
+to loss, with ``s`` the per-pass survival, ``l`` the loopback fraction and
+``e`` the efficiency.  Each recorded photon then draws one Gaussian whose
+sigma merges the independent jitter terms in quadrature: detector and TDC
+at Alice, plus Bob's white phase noise at Bob.  The attack trajectories
+are evaluated only for the photons that reach them.
+
 Clock model: Alice's clock is the time reference.  Bob's clock reads
 ``true + offset + drift * t + white phase noise``.
 
@@ -55,8 +64,9 @@ __all__ = [
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 # Vectorized propagation works on bounded slices of the pair array.  This
-# bounds only the per-slice random draws and temporaries: all pairs and all
-# detection records of the campaign are still held in memory at once.
+# bounds only the per-slice routing uniforms, the jitter draws of the
+# recorded photons and their temporaries: all pairs and all detection
+# records of the campaign are still held in memory at once.
 _PAIR_CHUNK = 1_000_000
 
 # int64 picosecond timestamps stay exact in float64 arithmetic up to 2**53.
@@ -215,12 +225,18 @@ def generate_pairs(source, duration_s, seed):
         raise ConfigurationError("duration_s must be > 0")
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(source.pair_rate_hz * duration_s))
-    t = np.sort(rng.uniform(0.0, duration_s * 1e12, n))
+    t = rng.uniform(0.0, duration_s * 1e12, n)
+    t.sort()
+    out = np.empty((n, 2))
     if source.intrinsic_correlation_jitter_ps > 0:
-        d = rng.normal(0.0, source.intrinsic_correlation_jitter_ps, n)
+        half = rng.normal(0.0, source.intrinsic_correlation_jitter_ps, n)
+        half *= 0.5
+        np.subtract(t, half, out=out[:, 0])
+        np.add(t, half, out=out[:, 1])
     else:
-        d = np.zeros(n)
-    return np.column_stack((t - 0.5 * d, t + 0.5 * d))
+        out[:, 0] = t
+        out[:, 1] = t
+    return out
 
 
 def _quantize(times, resolution_ps):
@@ -294,9 +310,19 @@ def propagate_and_detect(
     rng = np.random.default_rng(seed)
     L = channel.one_way_delay_ps
     eff = detectors.efficiency
-    s_det = detectors.jitter_sigma_ps
-    s_tdc = tdc.jitter_sigma_ps
-    s_wpn = clocks.white_phase_noise_sigma_ps
+    # One merged Gaussian per record: the independent jitter terms add in
+    # quadrature, detector and TDC at Alice, plus white phase noise at Bob.
+    sigma_alice = math.hypot(detectors.jitter_sigma_ps, tdc.jitter_sigma_ps)
+    sigma_bob = math.hypot(
+        detectors.jitter_sigma_ps, tdc.jitter_sigma_ps, clocks.white_phase_noise_sigma_ps
+    )
+    # A signal is recorded at Bob (forward pass, transmitted at the splitter,
+    # detected) or at Alice (forward pass, looped back, return pass,
+    # detected); any other outcome loses it.
+    s = channel.loss_survival_prob
+    loop = channel.splitter_loopback_prob
+    p_bob = s * (1.0 - loop) * eff
+    p_signal = p_bob + s * loop * s * eff
 
     out_times = {det: [np.empty(0, np.int64)] for det in DetectorId}
     out_pairs = {det: [np.empty(0, np.int64)] for det in DetectorId}
@@ -305,52 +331,54 @@ def propagate_and_detect(
         e_idler = pairs[lo : lo + _PAIR_CHUNK, 0]
         e_signal = pairs[lo : lo + _PAIR_CHUNK, 1]
         k = e_idler.size
-        ids = np.arange(lo, lo + k, dtype=np.int64)
 
-        # Draw order is fixed so results depend only on (config, seed).
-        idler_hit = rng.random(k) < eff
-        t_idler = e_idler + s_det * rng.standard_normal(k) + s_tdc * rng.standard_normal(k)
+        # Draw order is fixed so results depend only on (config, seed): two
+        # uniforms per pair, then one Gaussian per detected photon.
+        idler_idx = np.flatnonzero(rng.random(k) < eff)
+        u_signal = rng.random(k)
+        signal_idx = np.flatnonzero(u_signal < p_signal)
+        at_bob = u_signal[signal_idx] < p_bob
+        bob_idx = signal_idx[at_bob]
+        ret_idx = signal_idx[~at_bob]
+        z_idler = rng.standard_normal(idler_idx.size)
+        z_bob = rng.standard_normal(bob_idx.size)
+        z_ret = rng.standard_normal(ret_idx.size)
 
-        m_ps = eval_trajectory(m, e_signal * 1e-12)
-        arrive_bob = e_signal + L + m_ps
-        survive_fwd = rng.random(k) < channel.loss_survival_prob
-        looped = rng.random(k) < channel.splitter_loopback_prob
+        t_idler = e_idler[idler_idx] + sigma_alice * z_idler
 
-        bob_hit = rng.random(k) < eff
+        e_fwd = e_signal[signal_idx]
+        arrive_bob = e_fwd + L + eval_trajectory(m, e_fwd * 1e-12)
+        bob_time = arrive_bob[at_bob]
         bob_reading = (
-            arrive_bob
+            bob_time
             + clocks.offset_ps
-            + clocks.drift_ps_per_s * (arrive_bob * 1e-12)
-            + s_wpn * rng.standard_normal(k)
-            + s_det * rng.standard_normal(k)
-            + s_tdc * rng.standard_normal(k)
+            + clocks.drift_ps_per_s * (bob_time * 1e-12)
+            + sigma_bob * z_bob
         )
 
-        n_ps = eval_trajectory(n, arrive_bob * 1e-12)
-        arrive_alice = arrive_bob + L + n_ps
-        survive_ret = rng.random(k) < channel.loss_survival_prob
-        ret_hit = rng.random(k) < eff
-        ret_reading = (
-            arrive_alice + s_det * rng.standard_normal(k) + s_tdc * rng.standard_normal(k)
-        )
+        looped_time = arrive_bob[~at_bob]
+        arrive_alice = looped_time + L + eval_trajectory(n, looped_time * 1e-12)
+        ret_reading = arrive_alice + sigma_alice * z_ret
 
-        for det, reading, mask in (
-            (DetectorId.IDLER_A, t_idler, idler_hit),
-            (DetectorId.SIGNAL_B, bob_reading, survive_fwd & ~looped & bob_hit),
-            (DetectorId.RETURN_A, ret_reading, survive_fwd & looped & survive_ret & ret_hit),
+        for det, reading, idx in (
+            (DetectorId.IDLER_A, t_idler, idler_idx),
+            (DetectorId.SIGNAL_B, bob_reading, bob_idx),
+            (DetectorId.RETURN_A, ret_reading, ret_idx),
         ):
-            t = _quantize(reading[mask], tdc.resolution_ps)
-            pid = ids[mask]
+            t = _quantize(reading, tdc.resolution_ps)
             nonneg = t >= 0
             out_times[det].append(t[nonneg])
-            out_pairs[det].append(pid[nonneg])
+            out_pairs[det].append(idx[nonneg] + lo)
 
     times, pair_ids = [], []
     for det in DetectorId:
-        t = np.concatenate(out_times[det])
-        p = np.concatenate(out_pairs[det])
+        t = np.concatenate(out_times.pop(det))
+        p = np.concatenate(out_pairs.pop(det))
         order = np.lexsort((p, t))
-        t, p = _apply_dead_time(t[order], p[order], detectors.dead_time_ps)
+        t = t[order]
+        p = p[order]
+        del order
+        t, p = _apply_dead_time(t, p, detectors.dead_time_ps)
         times.append(t)
         pair_ids.append(p)
 

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, exit codes, output files."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import qcsync
 from qcsync.cli import main
 from qcsync.scenario import builtin_scenario
 
@@ -15,6 +18,15 @@ def analytic_scenario_file(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestVersion:
+    def test_package_version_matches_pyproject(self):
+        # Both are bumped by hand; a regex instead of tomllib runs on 3.10.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == qcsync.__version__
 
 
 class TestRun:

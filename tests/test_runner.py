@@ -18,6 +18,27 @@ def analytic_doc(**overrides):
     return doc
 
 
+def gap_doc(duration_s, spike_width_s):
+    """A 1 kHz campaign whose forward peak leaves its window for
+    ``spike_width_s`` whole epochs from 60 s on.
+
+    Under the default N = -M coordination a +20 ns spike of M moves the
+    forward coincidences 20 ns outside the +-2 ns histogram window while the
+    round trip stays put, so those epochs are gaps by construction, not by
+    counting luck (one gap for width 1 on seeds 0-19 and 101).  At 1 kHz an
+    accidental coincidence in the emptied window is rare, and a 1-5 s side
+    peak does not move acquisition off the main one.
+    """
+    doc = builtin_scenario("baseline")
+    doc["run"]["duration_s"] = duration_s
+    doc["source"] = {"pair_rate_hz": 1000.0}
+    doc["m_events"] = [
+        {"pattern": "spike", "amplitude_ps": 20_000.0, "start_s": 60.0, "width_s": spike_width_s}
+    ]
+    del doc["detection"]
+    return doc
+
+
 class TestAnalyticMode:
     def test_jump_appears_in_delta(self):
         result = run_scenario(analytic_doc())
@@ -74,23 +95,14 @@ class TestAnalyticMode:
 
 class TestFailurePaths:
     def test_gap_rate_failure(self):
-        # A starved source leaves most epochs without a loopback peak.
-        doc = builtin_scenario("baseline")
-        doc["run"]["duration_s"] = 120.0
-        doc["source"] = {"pair_rate_hz": 50.0}
-        del doc["detection"]
+        # Five gap epochs out of 120 (4% > 1%).
         with pytest.raises(GapRateError):
-            run_scenario(doc)
+            run_scenario(gap_doc(120.0, spike_width_s=5.0))
 
     @staticmethod
     def _one_gap_run():
-        # One starved epoch out of 200 (0.5% <= 1%).
-        doc = builtin_scenario("baseline")
-        doc["run"]["duration_s"] = 200.0
-        doc["run"]["seed"] = 1
-        doc["source"] = {"pair_rate_hz": 70.0}
-        del doc["detection"]
-        return run_scenario(doc)
+        # One gap epoch out of 200 (0.5% <= 1%).
+        return run_scenario(gap_doc(200.0, spike_width_s=1.0))
 
     def test_small_gap_fraction_tolerated(self):
         # The gap is never interpolated, and TDEV still computes.
@@ -126,12 +138,8 @@ class TestFailurePaths:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == 2
 
-        doc = builtin_scenario("baseline")
-        doc["run"]["duration_s"] = 120.0
-        doc["source"] = {"pair_rate_hz": 50.0}
-        del doc["detection"]
-        path = tmp_path / "starved.json"
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "gaps.json"
+        path.write_text(json.dumps(gap_doc(120.0, spike_width_s=5.0)))
         assert main(["run", str(path)]) == 3
 
 

@@ -1,11 +1,13 @@
 """Photon-pair generation and attacked propagation: counting statistics,
-ground-truth reciprocity/asymmetry, clocks, dead time and determinism."""
+jitter distributions, ground-truth reciprocity/asymmetry, clocks, dead time
+and determinism."""
 
 import math
 
 import numpy as np
 import pytest
 
+from qcsync import simulation
 from qcsync.attacks import (
     AttackEvent,
     AttackPattern,
@@ -68,6 +70,31 @@ def greedy_dead_time(times, pairs, dead_time_ps):
     return times[keep], pairs[keep]
 
 
+def column_stack_pairs(source, duration_s, seed):
+    """The ``column_stack`` form of ``generate_pairs`` (test oracle)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(source.pair_rate_hz * duration_s))
+    t = np.sort(rng.uniform(0.0, duration_s * 1e12, n))
+    if source.intrinsic_correlation_jitter_ps > 0:
+        d = rng.normal(0.0, source.intrinsic_correlation_jitter_ps, n)
+    else:
+        d = np.zeros(n)
+    return np.column_stack((t - 0.5 * d, t + 0.5 * d))
+
+
+def rounded_normal_ks(residuals, sigma):
+    """Kolmogorov-Smirnov distance between integer residuals and a zero-mean
+    normal of ``sigma`` rounded to the nearest integer picosecond."""
+    values, counts = np.unique(residuals, return_counts=True)
+    above = np.cumsum(counts) / residuals.size
+    below = above - counts / residuals.size
+    cdf = np.vectorize(lambda x: 0.5 * (1.0 + math.erf(x / (sigma * math.sqrt(2.0)))))
+    return max(
+        float(np.abs(above - cdf(values + 0.5)).max()),
+        float(np.abs(below - cdf(values - 0.5)).max()),
+    )
+
+
 def dead_time_case(name):
     """(sorted int64 times, dead time) of one seeded dead-time scenario."""
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -122,6 +149,13 @@ class TestGeneratePairs:
         b = generate_pairs(SourceConfig(), 3.0, 77)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("jitter_ps", [40.0, 0.0])
+    def test_bit_identical_to_column_stack(self, jitter_ps):
+        src = SourceConfig(pair_rate_hz=20_000.0, intrinsic_correlation_jitter_ps=jitter_ps)
+        pairs = generate_pairs(src, 5.0, 31)
+        assert pairs.shape == (len(pairs), 2) and pairs.flags.c_contiguous
+        assert pairs.tobytes() == column_stack_pairs(src, 5.0, 31).tobytes()
+
     def test_intrinsic_correlation_jitter(self):
         src = SourceConfig(pair_rate_hz=50_000.0, intrinsic_correlation_jitter_ps=40.0)
         pairs = generate_pairs(src, 4.0, 9)
@@ -150,6 +184,20 @@ class TestNoiselessPropagation:
         times, ids = hits(stream, DetectorId.RETURN_A)
         emitted = emission_lookup(pairs)[ids]
         np.testing.assert_array_equal(times - emitted.astype(np.int64), 2000)
+
+    def test_pair_ids_exact_across_chunks(self, monkeypatch):
+        # Records from every slice of the pair array keep their global ids.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        pairs = integer_pairs()
+        stream = propagate_and_detect(
+            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
+        )
+        for det, flight in ((DetectorId.SIGNAL_B, 1000 - 9900), (DetectorId.RETURN_A, 2000)):
+            times, ids = hits(stream, det)
+            emitted = emission_lookup(pairs)[ids]
+            np.testing.assert_array_equal(times - emitted.astype(np.int64), flight)
+        assert stream.counts()[DetectorId.IDLER_A] == len(pairs)
 
     def test_hidden_jump_shifts_forward_but_not_loopback(self):
         onset = 10.0001
@@ -262,6 +310,55 @@ class TestCountingAndClocks:
         np.testing.assert_array_equal(
             ret_times - emission_lookup(pairs)[ret_ids].astype(np.int64), 2000
         )
+
+
+class TestThinnedSampler:
+    def test_detector_counts_match_binomial_expectations(self):
+        # Default channel: idler hit e, SignalB s(1-l)e, ReturnA s*l*s*e.
+        channel, detector = ChannelConfig(), DetectorConfig()
+        pairs = integer_pairs(duration_s=20.0, spacing_ms=0.05)
+        stream = propagate_and_detect(
+            pairs, channel, DelayTrajectory(), DelayTrajectory(),
+            detector, TdcConfig(), ClockConfig(), 14, duration_s=20.0,
+        )
+        s, loop, e = (
+            channel.loss_survival_prob, channel.splitter_loopback_prob, detector.efficiency
+        )
+        expected = {
+            DetectorId.IDLER_A: e,
+            DetectorId.SIGNAL_B: s * (1.0 - loop) * e,
+            DetectorId.RETURN_A: s * loop * s * e,
+        }
+        n = len(pairs)
+        for det, p in expected.items():
+            sigma = math.sqrt(n * p * (1.0 - p))
+            assert abs(stream.counts()[det] - n * p) <= 4.0 * sigma
+
+    def test_jitter_residuals_follow_merged_sigma(self):
+        # Lossless, attack-free link: each record's residual against its
+        # emission is one Gaussian of the merged sigma, rounded by the TDC.
+        detector = DetectorConfig(efficiency=1.0, jitter_sigma_ps=40.0)
+        tdc = TdcConfig(resolution_ps=1.0, jitter_sigma_ps=15.0)
+        clock = ClockConfig(offset_ps=-9900.0, white_phase_noise_sigma_ps=30.0)
+        pairs = integer_pairs(duration_s=20.0, spacing_ms=0.2)
+        stream = propagate_and_detect(
+            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            detector, tdc, clock, 15, duration_s=20.0,
+        )
+        alice = math.hypot(40.0, 15.0)
+        bob = math.sqrt(40.0**2 + 15.0**2 + 30.0**2)
+        exact = {
+            DetectorId.IDLER_A: (pairs[:, 0], alice, bob),
+            DetectorId.SIGNAL_B: (pairs[:, 1] + 1000 - 9900, bob, alice),
+            DetectorId.RETURN_A: (pairs[:, 1] + 2000, alice, bob),
+        }
+        for det, (emitted, sigma, other_sigma) in exact.items():
+            times, ids = hits(stream, det)
+            residuals = times - emitted[ids].astype(np.int64)
+            critical = 1.95 / math.sqrt(residuals.size)  # 0.1% level
+            assert rounded_normal_ks(residuals, sigma) < critical
+            # The other side's sigma is rejected, so the test has power.
+            assert rounded_normal_ks(residuals, other_sigma) > critical
 
 
 class TestDetectorEffects:
