@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .attacks import (
     AttackEvent,
@@ -35,6 +35,7 @@ from .detection import (
     CusumConfig,
     DetectionScore,
     ThresholdConfig,
+    collect_alarms,
     cusum_drift,
     score,
     threshold_monitor,

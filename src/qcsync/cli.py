@@ -24,6 +24,7 @@ from . import __version__
 from .detection import (
     CusumConfig,
     ThresholdConfig,
+    collect_alarms,
     cusum_drift,
     score,
     threshold_monitor,
@@ -160,20 +161,18 @@ def _cmd_tdev(args):
 
 def _cmd_detect(args):
     series = ClockDifferenceSeries.from_csv(args.series)
-    alarms = []
+    threshold = cusum = None
     if args.threshold_ps is not None:
-        cfg = ThresholdConfig(
+        threshold = ThresholdConfig(
             baseline_window_epochs=args.baseline_window, threshold_ps=args.threshold_ps
         )
-        alarms.extend(threshold_monitor(series, cfg))
     if args.cusum_k is not None or args.cusum_h is not None:
         if args.cusum_k is None or args.cusum_h is None:
             raise ConfigurationError("--cusum-k and --cusum-h must be given together")
-        cfg = CusumConfig(reference_drift_ps=args.cusum_k, decision_limit_ps=args.cusum_h)
-        alarms.extend(cusum_drift(series, cfg))
-    if args.threshold_ps is None and args.cusum_k is None:
+        cusum = CusumConfig(reference_drift_ps=args.cusum_k, decision_limit_ps=args.cusum_h)
+    if threshold is None and cusum is None:
         raise ConfigurationError("nothing to do: give --threshold-ps and/or --cusum-k/--cusum-h")
-    alarms.sort(key=lambda a: (a.epoch_start_s, a.kind.value))
+    alarms = collect_alarms(series, ((threshold_monitor, threshold), (cusum_drift, cusum)))
 
     for a in alarms:
         print(f"alarm {a.kind.value} at {a.epoch_start_s:g} s, magnitude {a.magnitude_ps:.2f} ps")

@@ -28,6 +28,7 @@ __all__ = [
     "DetectionScore",
     "threshold_monitor",
     "cusum_drift",
+    "collect_alarms",
     "score",
     "write_alarms_csv",
 ]
@@ -134,6 +135,20 @@ def cusum_drift(series, cfg):
             alarms.append(Alarm(cur.epoch_start_s, AlarmKind.DRIFT, magnitude))
             s_pos = 0.0
             s_neg = 0.0
+    return alarms
+
+
+def collect_alarms(series, detectors):
+    """Alarms of every configured detector, in ``(epoch_start_s, kind)`` order.
+
+    ``detectors`` holds ``(detector, config)`` pairs such as
+    ``(threshold_monitor, ThresholdConfig(...))``; a pair whose config is
+    None is skipped.  Callers pass the detector functions themselves, so the
+    names they call are the ones that run (the benchmark tracer wraps the
+    runner's).
+    """
+    alarms = [a for detect, cfg in detectors if cfg is not None for a in detect(series, cfg)]
+    alarms.sort(key=lambda a: (a.epoch_start_s, a.kind.value))
     return alarms
 
 

@@ -2,15 +2,16 @@
 
 Pairwise detection-time differences between two detectors, histogrammed
 over a window, peak at the propagation delay (plus clock offset) of the
-photon path connecting them.  Per analysis epoch this module builds the
-forward (IdlerA x SignalB) and loopback (IdlerA x ReturnA) coincidence
-histograms, extracts both peak positions tau_AB and tau_ABA, and emits the
-clock difference ``delta = tau_AB - tau_ABA / 2``.
+photon path connecting them.  One kernel builds the forward (IdlerA x
+SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
+pass; acquisition runs it as a single epoch.  Per epoch both peak positions
+tau_AB and tau_ABA give the clock difference ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
-3*sqrt(background)`` seeds a fixed four-RMS integration span.  It is
-deterministic, fit-free, and returns a calibrated counting-statistics
+3*sqrt(background)`` seeds a fixed four-RMS integration span, and the
+maximum must be significant against the accidentals the singles predict.
+It is deterministic, fit-free, and returns a calibrated counting-statistics
 uncertainty.  Epochs where either peak cannot be found become explicit
 gaps rather than fabricated values.
 """
@@ -18,7 +19,7 @@ gaps rather than fabricated values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -52,13 +53,16 @@ class CorrelationHistogram:
     """Binned coincidence counts of ``t_b - t_a`` over a fixed window.
 
     Bin k spans ``[center - halfwidth + k*bw, center - halfwidth + (k+1)*bw)``
-    in absolute time-difference coordinates.
+    in absolute time-difference coordinates.  ``accidentals_per_bin`` is
+    the accidental-coincidence count per bin that the singles predict,
+    ``N_a * N_b * bw / span`` (0 when unknown).
     """
 
     bin_width_ps: float
     window_center_ps: int
     window_halfwidth_ps: int
     counts: np.ndarray
+    accidentals_per_bin: float = 0.0
 
     def bin_centers(self):
         lo = self.window_center_ps - self.window_halfwidth_ps
@@ -140,10 +144,21 @@ class ClockDifferenceSeries:
                     raise ConfigurationError(f"malformed series row: {line!r}")
                 values = (float(c) if c else None for c in cells[1:])
                 points.append(ClockDifferencePoint(float(cells[0]), *values))
+        # The epoch length is not stored: it is the spacing of the rows, and
+        # every row must sit on that grid, so a dropped row is refused rather
+        # than silently closed up.
         if len(points) < 2:
-            epoch = 1.0
-        else:
-            epoch = points[1].epoch_start_s - points[0].epoch_start_s
+            raise ConfigurationError(f"series needs two or more rows, got {len(points)}")
+        start = points[0].epoch_start_s
+        epoch = points[1].epoch_start_s - start
+        for k, p in enumerate(points):
+            expected = start + k * epoch
+            off = abs(p.epoch_start_s - expected)
+            if not (epoch > 0 and off <= 1e-9 * max(abs(expected), epoch)):
+                raise ConfigurationError(
+                    f"row {k + 1}: epoch start {p.epoch_start_s!r} is off the "
+                    f"{epoch!r} s grid from {start!r} s (rows missing or out of order)"
+                )
         return cls(epoch_length_s=epoch, points=points)
 
 
@@ -176,32 +191,65 @@ class AcquisitionResult:
     loopback_center_ps: int
 
 
+# A peak is accepted only when accidentals alone would fill its maximum bin
+# this high with at most this probability, summed over the histogram's bins.
+_PEAK_FALSE_ALARM_PROB = 1e-3
+
+
 def _check_sorted(name, arr):
     if arr.size > 1 and np.any(np.diff(arr) < 0):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
 
 
-def _window_pair_indices(a, b, lo_ps, hi_ps):
-    """Index arrays (ai, bj) of ordered pairs with b[j]-a[i] in [lo, hi)."""
-    left = np.searchsorted(b, a + lo_ps, side="left")
-    right = np.searchsorted(b, a + hi_ps, side="left")
-    counts = right - left
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    ai = np.repeat(np.arange(a.size, dtype=np.int64), counts)
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    bj = np.arange(total, dtype=np.int64) - np.repeat(cum, counts) + np.repeat(left, counts)
-    return ai, bj
+def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
+    """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
+
+    A pair counts only in the epoch holding both of its records.  Each
+    record of the sparser ``b`` is searched into ``a`` for its in-window
+    partners; one ``bincount`` over ``epoch * nbins + bin`` fills all epochs.
+    """
+    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
+    if nbins < 1:
+        raise ConfigurationError("window narrower than one bin")
+    lo = float(window_center_ps) - float(window_halfwidth_ps)
+    lo_key, hi_key = lo, lo + nbins * bin_width_ps
+    if a.dtype.kind == b.dtype.kind == "i":
+        # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
+        # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
+        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    # Accidentals per bin that each epoch's singles predict.
+    singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
+    accidentals = singles * bin_width_ps / np.diff(edges)
+    if a.size:
+        # Only the b records within the window of some a record can pair.
+        b = b[np.searchsorted(b, a[0] + lo_key) : np.searchsorted(b, a[-1] + hi_key)]
+    first = np.searchsorted(a, b - hi_key, side="right")
+    n = np.searchsorted(a, b - lo_key, side="right") - first
+    bj = np.repeat(np.arange(b.size), n)
+    ai = np.arange(bj.size) + np.repeat(first - (np.cumsum(n) - n), n)
+    n_epochs = edges.size - 1
+    epoch = np.searchsorted(edges, a[ai], side="right") - 1
+    same = epoch == np.searchsorted(edges, b[bj], side="right") - 1
+    keep = same & (epoch >= 0) & (epoch < n_epochs)
+    ai, bj, epoch = ai[keep], bj[keep], epoch[keep]
+    d = b[bj].astype(float) - a[ai].astype(float)
+    k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
+    np.clip(k, 0, nbins - 1, out=k)
+    counts = np.bincount(epoch * nbins + k, minlength=n_epochs * nbins)
+    return [
+        CorrelationHistogram(
+            float(bin_width_ps), int(window_center_ps), int(window_halfwidth_ps), row, float(mu)
+        )
+        for row, mu in zip(counts.reshape(n_epochs, nbins), accidentals)
+    ]
 
 
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Histogram of ordered time differences ``t_b - t_a`` within a window.
 
-    Both inputs must be sorted ascending; the sweep enumerates only pairs
-    whose difference falls inside the window, so cost is linear in the
-    number of in-window pairs (plus the merge of the two sorted streams).
+    Both inputs must be sorted ascending.  This is the one-epoch case of the
+    per-epoch kernel: only the ``b`` records within the window of some
+    ``a`` record are searched, so the cost follows ``a``, not ``b``.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -209,27 +257,26 @@ def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
         raise ConfigurationError("bin width and window halfwidth must be positive")
     _check_sorted("a", a)
     _check_sorted("b", b)
+    # One epoch over both inputs' time span, the span of their singles rates.
+    ends = np.concatenate((a[:1], a[-1:], b[:1], b[-1:]))
+    edges = np.array([ends.min(), ends.max() + 1]) if ends.size else np.array([0, 1])
+    return _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps)[0]
 
-    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
-    if nbins < 1:
-        raise ConfigurationError("window narrower than one bin")
-    lo = float(window_center_ps) - float(window_halfwidth_ps)
-    span = nbins * float(bin_width_ps)
 
-    ai, bj = _window_pair_indices(a, b, lo, lo + span)
-    if ai.size == 0:
-        counts = np.zeros(nbins, dtype=np.int64)
-    else:
-        d = b[bj].astype(float) - a[ai].astype(float)
-        k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
-        np.clip(k, 0, nbins - 1, out=k)
-        counts = np.bincount(k, minlength=nbins).astype(np.int64)
-    return CorrelationHistogram(
-        bin_width_ps=float(bin_width_ps),
-        window_center_ps=int(window_center_ps),
-        window_halfwidth_ps=int(window_halfwidth_ps),
-        counts=counts,
-    )
+def _poisson_tail(k, mu):
+    """``P(X >= k)`` for ``X ~ Poisson(mu)``; 1.0 for ``k <= mu``, where it is ~1/2 or more."""
+    if k <= mu:
+        return 1.0
+    if mu <= 0:
+        return 0.0
+    # From k on the terms fall by mu / i < 1 each, so the upward sum converges.
+    term = math.exp(k * math.log(mu) - mu - math.lgamma(k + 1))
+    tail = 0.0
+    while term > tail * 1e-16:
+        tail += term
+        k += 1
+        term *= mu / k
+    return tail
 
 
 def estimate_peak(histogram):
@@ -243,8 +290,14 @@ def estimate_peak(histogram):
     (RMS width, floored at the single-bin quantization width, over the
     square root of the net counts) is calibrated.
 
-    Raises NoPeakError when no bin clears the threshold, which signals a
-    broken channel or a mis-centered window.
+    The maximum bin must also be significant: the chance that accidentals
+    alone fill some bin that high (Poisson tail at the larger of the edge
+    background and ``histogram.accidentals_per_bin``, times the bin count)
+    must stay below ``_PEAK_FALSE_ALARM_PROB``.
+
+    Raises NoPeakError when no bin clears the threshold or the maximum is
+    not significant, which signals a broken channel, a mis-centered window
+    or a peak that left it.
     """
     counts = histogram.counts
     nbins = counts.size
@@ -258,6 +311,12 @@ def estimate_peak(histogram):
     if counts[peak_bin] <= threshold:
         raise NoPeakError(
             f"no bin above background threshold ({counts[peak_bin]} <= {threshold:.2f})"
+        )
+    accidentals = max(background, histogram.accidentals_per_bin)
+    if nbins * _poisson_tail(int(counts[peak_bin]), accidentals) >= _PEAK_FALSE_ALARM_PROB:
+        raise NoPeakError(
+            f"maximum bin ({counts[peak_bin]}) not significant over "
+            f"{accidentals:.3g} accidentals per bin"
         )
 
     left = peak_bin
@@ -343,10 +402,10 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     """Per-epoch clock-difference series from a timestamp stream.
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
-    timestamp, builds the forward and loopback histograms per epoch,
-    extracts both peaks and emits ``delta = tau_AB - tau_ABA/2``.  Epochs
-    where either peak estimation fails are emitted as gaps.  The combined
-    counting-statistics sigma of each delta is recorded alongside.
+    timestamp, builds all epochs' forward and loopback histograms in one
+    kernel pass each, and emits each epoch's ``delta = tau_AB - tau_ABA/2``.
+    Epochs where either peak estimation fails are emitted as gaps.  The
+    combined counting-statistics sigma of each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -357,38 +416,23 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     if len(stream) == 0:
         raise EmptySeriesError("stream contains no detection records")
 
-    if config.forward_center_ps is None or config.loopback_center_ps is None:
+    fwd_center, loop_center = config.forward_center_ps, config.loopback_center_ps
+    if fwd_center is None or loop_center is None:
         acq = coarse_acquire(stream, config)
-        config = replace(
-            config,
-            forward_center_ps=acq.forward_center_ps,
-            loopback_center_ps=acq.loopback_center_ps,
-        )
+        fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
 
     idler = stream.times[DetectorId.IDLER_A]
-    signal = stream.times[DetectorId.SIGNAL_B]
-    ret = stream.times[DetectorId.RETURN_A]
-
     epoch_ps = epoch_length_s * 1e12
     edges = np.rint(np.arange(n_epochs + 1) * epoch_ps).astype(np.int64)
-    idler_idx = np.searchsorted(idler, edges)
-    signal_idx = np.searchsorted(signal, edges)
-    ret_idx = np.searchsorted(ret, edges)
+    bw, hw = config.bin_width_ps, config.window_halfwidth_ps
+    forward = _histograms(idler, stream.times[DetectorId.SIGNAL_B], edges, bw, fwd_center, hw)
+    loopback = _histograms(idler, stream.times[DetectorId.RETURN_A], edges, bw, loop_center, hw)
 
     points = []
     usable = 0
-    for k in range(n_epochs):
+    for k, (fwd_hist, loop_hist) in enumerate(zip(forward, loopback)):
         epoch_start = k * epoch_length_s
-        a = idler[idler_idx[k] : idler_idx[k + 1]]
-        f = signal[signal_idx[k] : signal_idx[k + 1]]
-        r = ret[ret_idx[k] : ret_idx[k + 1]]
         try:
-            fwd_hist = build_histogram(
-                a, f, config.bin_width_ps, config.forward_center_ps, config.window_halfwidth_ps
-            )
-            loop_hist = build_histogram(
-                a, r, config.bin_width_ps, config.loopback_center_ps, config.window_halfwidth_ps
-            )
             fwd = estimate_peak(fwd_hist)
             loop = estimate_peak(loop_hist)
         except NoPeakError:

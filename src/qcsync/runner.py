@@ -36,6 +36,7 @@ from .detection import (
     Alarm,
     DetectionScore,
     ThresholdConfig,
+    collect_alarms,
     cusum_drift,
     score,
     threshold_monitor,
@@ -133,7 +134,7 @@ def _run_detectors(scenario, series):
     settings = scenario.detection
     if settings is None:
         return None, None
-    alarms = []
+    threshold = None
     if settings.threshold is not None:
         spec = settings.threshold
         level = spec.threshold_ps
@@ -144,13 +145,12 @@ def _run_detectors(scenario, series):
             level = 4.0 * float(np.std(window))
             if level <= 0:
                 level = 1.0
-        cfg = ThresholdConfig(
+        threshold = ThresholdConfig(
             baseline_window_epochs=spec.baseline_window_epochs, threshold_ps=level
         )
-        alarms.extend(threshold_monitor(series, cfg))
-    if settings.cusum is not None:
-        alarms.extend(cusum_drift(series, settings.cusum))
-    alarms.sort(key=lambda a: (a.epoch_start_s, a.kind.value))
+    alarms = collect_alarms(
+        series, ((threshold_monitor, threshold), (cusum_drift, settings.cusum))
+    )
 
     onset = scenario.first_attack_onset_s()
     detection_score = None

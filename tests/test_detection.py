@@ -7,6 +7,7 @@ from qcsync.detection import (
     AlarmKind,
     CusumConfig,
     ThresholdConfig,
+    collect_alarms,
     cusum_drift,
     score,
     threshold_monitor,
@@ -14,6 +15,28 @@ from qcsync.detection import (
 from qcsync.errors import ConfigurationError
 
 from conftest import make_series
+
+
+class TestCollectAlarms:
+    def test_both_detectors_merged_in_epoch_then_kind_order(self, rng):
+        values = rng.normal(-9900.0, 2.0, 400)
+        values[250:] -= 500.0
+        series = make_series(values)
+        threshold = ThresholdConfig(baseline_window_epochs=60, threshold_ps=200.0)
+        cusum = CusumConfig(reference_drift_ps=0.05, decision_limit_ps=25.0)
+        alarms = collect_alarms(series, ((threshold_monitor, threshold), (cusum_drift, cusum)))
+        separate = threshold_monitor(series, threshold) + cusum_drift(series, cusum)
+        assert {a.kind for a in alarms} == {AlarmKind.THRESHOLD, AlarmKind.DRIFT}
+        assert alarms == sorted(separate, key=lambda a: (a.epoch_start_s, a.kind.value))
+        # The drift alarm at the onset epoch sorts before the threshold one.
+        assert [a.kind for a in alarms[:2]] == [AlarmKind.DRIFT, AlarmKind.THRESHOLD]
+
+    def test_unconfigured_detector_skipped(self, rng):
+        series = make_series(rng.normal(-9900.0, 2.0, 100))
+        cusum = CusumConfig(reference_drift_ps=0.0, decision_limit_ps=1.0)
+        only = collect_alarms(series, ((threshold_monitor, None), (cusum_drift, cusum)))
+        assert only == cusum_drift(series, cusum)
+        assert collect_alarms(series, ((threshold_monitor, None), (cusum_drift, None))) == []
 
 
 class TestThresholdMonitor:

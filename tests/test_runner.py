@@ -10,32 +10,13 @@ from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError
 from qcsync.runner import reproduce, run_scenario
 from qcsync.scenario import builtin_scenario
 
+from conftest import gap_doc
+
 
 def analytic_doc(**overrides):
     doc = builtin_scenario("jump_-100ps")
     doc["mode"] = "analytic"
     doc.update(overrides)
-    return doc
-
-
-def gap_doc(duration_s, spike_width_s):
-    """A 1 kHz campaign whose forward peak leaves its window for
-    ``spike_width_s`` whole epochs from 60 s on.
-
-    Under the default N = -M coordination a +20 ns spike of M moves the
-    forward coincidences 20 ns outside the +-2 ns histogram window while the
-    round trip stays put, so those epochs are gaps by construction, not by
-    counting luck (one gap for width 1 on seeds 0-19 and 101).  At 1 kHz an
-    accidental coincidence in the emptied window is rare, and a 1-5 s side
-    peak does not move acquisition off the main one.
-    """
-    doc = builtin_scenario("baseline")
-    doc["run"]["duration_s"] = duration_s
-    doc["source"] = {"pair_rate_hz": 1000.0}
-    doc["m_events"] = [
-        {"pattern": "spike", "amplitude_ps": 20_000.0, "start_s": 60.0, "width_s": spike_width_s}
-    ]
-    del doc["detection"]
     return doc
 
 
