@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .attacks import (
     AttackEvent,
@@ -71,7 +71,6 @@ from .scenario import (
     RunConfig,
     RunMode,
     ScenarioDetection,
-    ThresholdSpec,
     builtin_names,
     builtin_scenario,
     figure_bundle,

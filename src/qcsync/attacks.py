@@ -9,7 +9,10 @@ superpositions of three event shapes:
 * spike: rectangular pulse supported on ``[start_s, start_s + width_s)``,
 * gradual: slow ramp (linear, logarithmic, exponential or polynomial)
   gated at the onset, optionally staircase-quantized in time, and
-  optionally frozen or direction-reversed after a hold point.
+  optionally frozen or direction-reversed after a hold point.  Each ramp
+  is one behaviour class of the ``GradualBehavior`` union that carries its
+  own schema tag (``kind``) and ramp function (``shape``), so adding a
+  behaviour means adding one class to the union.
 
 With directional delays ``m`` (forward) and ``n`` (backward) and scheme
 coefficients ``(alpha, beta)``, the victim computes the tampered clock
@@ -23,9 +26,10 @@ arrays of times and are pure.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -71,8 +75,9 @@ class CoordinationMode(str, Enum):
 
 
 # --------------------------------------------------------------------------
-# Gradual ramp shapes.  Every shape satisfies f(0) = 0 so the onset step is
-# controlled solely by the amplitude gate.
+# Gradual ramp shapes ``shape(u, basis_s)`` of elapsed time ``u`` (array,
+# seconds).  Every shape satisfies f(0) = 0 so the onset step is controlled
+# solely by the amplitude gate.
 # --------------------------------------------------------------------------
 
 
@@ -85,39 +90,52 @@ class LinearBehavior:
     rate the value grows by one amplitude unit per step (or per second).
     """
 
+    kind: ClassVar[str] = "linear"
     rate_per_step: float = 1.0
 
     def __post_init__(self):
         if not math.isfinite(self.rate_per_step):
             raise ConfigurationError("rate_per_step must be finite")
 
+    def shape(self, u, basis_s):
+        return self.rate_per_step * (u / basis_s)
+
 
 @dataclass(frozen=True)
 class LogarithmicBehavior:
     """Ramp ``log(1 + u / scale_s)`` of elapsed time ``u``."""
 
+    kind: ClassVar[str] = "logarithmic"
     scale_s: float = 1.0
 
     def __post_init__(self):
         if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
             raise ConfigurationError("scale_s must be > 0")
 
+    def shape(self, u, basis_s):
+        return np.log1p(u / self.scale_s)
+
 
 @dataclass(frozen=True)
 class ExponentialBehavior:
     """Ramp ``exp(rate_per_s * u) - 1`` of elapsed time ``u``."""
 
+    kind: ClassVar[str] = "exponential"
     rate_per_s: float = 0.01
 
     def __post_init__(self):
         if not math.isfinite(self.rate_per_s):
             raise ConfigurationError("rate_per_s must be finite")
 
+    def shape(self, u, basis_s):
+        return np.expm1(self.rate_per_s * u)
+
 
 @dataclass(frozen=True)
 class PolynomialBehavior:
     """Ramp ``sum_k c_k * u**(k+1)``; coefficients start at the linear term."""
 
+    kind: ClassVar[str] = "polynomial"
     coefficients: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
@@ -126,33 +144,18 @@ class PolynomialBehavior:
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ConfigurationError("coefficients must be finite")
 
+    def shape(self, u, basis_s):
+        out = np.zeros_like(u)
+        for k, c in enumerate(self.coefficients):
+            out += c * u ** (k + 1)
+        return out
+
 
 GradualBehavior = Union[
     LinearBehavior, LogarithmicBehavior, ExponentialBehavior, PolynomialBehavior
 ]
 
-_BEHAVIOR_TYPES = (
-    LinearBehavior,
-    LogarithmicBehavior,
-    ExponentialBehavior,
-    PolynomialBehavior,
-)
-
-
-def _shape(behavior, u, basis_s):
-    """Evaluate the ramp shape at elapsed time ``u`` (array, seconds)."""
-    if isinstance(behavior, LinearBehavior):
-        return behavior.rate_per_step * (u / basis_s)
-    if isinstance(behavior, LogarithmicBehavior):
-        return np.log1p(u / behavior.scale_s)
-    if isinstance(behavior, ExponentialBehavior):
-        return np.expm1(behavior.rate_per_s * u)
-    if isinstance(behavior, PolynomialBehavior):
-        out = np.zeros_like(u)
-        for k, c in enumerate(behavior.coefficients):
-            out += c * u ** (k + 1)
-        return out
-    raise ConfigurationError(f"unsupported gradual behavior: {behavior!r}")
+_BEHAVIOR_TYPES = typing.get_args(GradualBehavior)
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +318,7 @@ def _gradual_value(event, u):
     amp = event.amplitude_ps
 
     def g(v):
-        return amp * _shape(event.behavior, _quantize_elapsed(v, event.step_interval_s), basis)
+        return amp * event.behavior.shape(_quantize_elapsed(v, event.step_interval_s), basis)
 
     out = g(u)
     if event.end_s is not None:

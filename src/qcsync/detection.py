@@ -1,12 +1,13 @@
 """Baseline countermeasures: threshold monitoring and a CUSUM drift detector.
 
 Threshold monitoring flags any epoch whose clock difference deviates from a
-calibration-window baseline by more than a fixed amount; it is the
-mitigation that bounds how much clock drift an attack can cause, but small
-steps and slow ramps sail under it.  The two-sided CUSUM on per-epoch
-increments accumulates evidence of a persistent drift and catches the slow
-ramps the threshold misses.  Scoring compares alarms against the known
-attack onset of a simulated scenario.
+calibration-window baseline by more than a fixed amount (by default four
+times the scatter of that window); it is the mitigation that bounds how
+much clock drift an attack can cause, but small steps and slow ramps sail
+under it.  The two-sided CUSUM on per-epoch increments accumulates
+evidence of a persistent drift and catches the slow ramps the threshold
+misses.  Scoring compares alarms against the known attack onset of a
+simulated scenario.
 """
 
 from __future__ import annotations
@@ -41,13 +42,21 @@ class AlarmKind(str, Enum):
 
 @dataclass(frozen=True)
 class ThresholdConfig:
+    """Threshold monitor settings.
+
+    ``threshold_ps`` None sets the level to four times the std of the
+    calibration window (1 ps if that window has no scatter).
+    """
+
     baseline_window_epochs: int = 60
-    threshold_ps: float = 200.0
+    threshold_ps: Optional[float] = None
 
     def __post_init__(self):
         if self.baseline_window_epochs < 10:
             raise ConfigurationError("baseline_window_epochs must be >= 10")
-        if not (self.threshold_ps > 0 and math.isfinite(self.threshold_ps)):
+        if self.threshold_ps is not None and not (
+            self.threshold_ps > 0 and math.isfinite(self.threshold_ps)
+        ):
             raise ConfigurationError("threshold_ps must be > 0")
 
 
@@ -92,7 +101,8 @@ def threshold_monitor(series, cfg):
 
     The baseline is the mean clock difference over the first
     ``baseline_window_epochs`` usable epochs, so the monitor is invariant
-    to a constant offset of the whole series.
+    to a constant offset of the whole series.  Without a configured
+    ``threshold_ps`` the level is four times the std of that window.
     """
     points = _usable_points(series)
     if len(points) <= cfg.baseline_window_epochs:
@@ -100,11 +110,15 @@ def threshold_monitor(series, cfg):
             f"series has {len(points)} usable epochs, need more than "
             f"the {cfg.baseline_window_epochs}-epoch baseline window"
         )
-    baseline = float(np.mean([p.delta_ps for p in points[: cfg.baseline_window_epochs]]))
+    window = [p.delta_ps for p in points[: cfg.baseline_window_epochs]]
+    baseline = float(np.mean(window))
+    level = cfg.threshold_ps
+    if level is None:
+        level = 4.0 * float(np.std(window)) or 1.0
     alarms = []
     for p in points:
         deviation = p.delta_ps - baseline
-        if abs(deviation) > cfg.threshold_ps:
+        if abs(deviation) > level:
             alarms.append(Alarm(p.epoch_start_s, AlarmKind.THRESHOLD, deviation))
     return alarms
 

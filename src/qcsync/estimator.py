@@ -97,6 +97,16 @@ class ClockDifferencePoint:
         return self.delta_ps is None
 
 
+def _finite_cell(text, row):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"row {row}: {text!r} is not a finite number")
+    return value
+
+
 @dataclass
 class ClockDifferenceSeries:
     """Per-epoch clock-difference samples over contiguous epochs."""
@@ -142,8 +152,9 @@ class ClockDifferenceSeries:
                 cells = line.rstrip("\n").split(",")
                 if len(cells) != 4:
                     raise ConfigurationError(f"malformed series row: {line!r}")
-                values = (float(c) if c else None for c in cells[1:])
-                points.append(ClockDifferencePoint(float(cells[0]), *values))
+                row = len(points) + 1
+                values = (_finite_cell(c, row) if c else None for c in cells[1:])
+                points.append(ClockDifferencePoint(_finite_cell(cells[0], row), *values))
         # The epoch length is not stored: it is the spacing of the rows, and
         # every row must sit on that grid, so a dropped row is refused rather
         # than silently closed up.
@@ -279,6 +290,17 @@ def _poisson_tail(k, mu):
     return tail
 
 
+def _centroid(counts, background, centers, lo, hi):
+    """Net total, centroid and RMS width of ``counts[lo:hi]`` above ``background``."""
+    net = counts[lo:hi].astype(float) - background
+    total = float(net.sum())
+    if total <= 0:  # pragma: no cover - the seed is above background, the span holds it
+        raise NoPeakError("no net counts in the peak region")
+    tau = float(np.dot(net, centers[lo:hi]) / total)
+    rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / total), 0.0))
+    return total, tau, rms
+
+
 def estimate_peak(histogram):
     """Locate the coincidence peak of a correlation histogram.
 
@@ -319,30 +341,19 @@ def estimate_peak(histogram):
             f"{accidentals:.3g} accidentals per bin"
         )
 
-    left = peak_bin
-    while left > 0 and counts[left - 1] > threshold:
-        left -= 1
-    right = peak_bin
-    while right < nbins - 1 and counts[right + 1] > threshold:
-        right += 1
+    # The seed, counts[left:right], runs between the nearest bins at or below
+    # the threshold on each side of the maximum (which is above it).
+    low = np.flatnonzero(counts <= threshold)
+    i = int(np.searchsorted(low, peak_bin))
+    left = int(low[i - 1]) + 1 if i > 0 else 0
+    right = int(low[i]) if i < low.size else nbins
 
     centers = histogram.bin_centers()
-    seed_net = counts[left : right + 1].astype(float) - background
-    seed_total = float(seed_net.sum())
-    seed_tau = float(np.dot(seed_net, centers[left : right + 1]) / seed_total)
-    seed_rms = math.sqrt(
-        max(float(np.dot(seed_net, (centers[left : right + 1] - seed_tau) ** 2) / seed_total), 0.0)
-    )
-
+    _, seed_tau, seed_rms = _centroid(counts, background, centers, left, right)
     span = 4.0 * max(seed_rms, histogram.bin_width_ps)
     lo = int(np.searchsorted(centers, seed_tau - span, side="left"))
     hi = int(np.searchsorted(centers, seed_tau + span, side="right"))
-    net = counts[lo:hi].astype(float) - background
-    net_total = float(net.sum())
-    if net_total <= 0:  # pragma: no cover - span always contains the seed
-        raise NoPeakError("no net counts in the peak region")
-    tau = float(np.dot(net, centers[lo:hi]) / net_total)
-    rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / net_total), 0.0))
+    net_total, tau, rms = _centroid(counts, background, centers, lo, hi)
     floor = histogram.bin_width_ps / math.sqrt(12.0)
     uncertainty = max(rms, floor) / math.sqrt(net_total)
     return PeakEstimate(
@@ -375,15 +386,15 @@ def _acquire_one(a, b, nominal_ps, config):
     return int(round(refined.tau_ps))
 
 
-def coarse_acquire(stream, config=None, nominal_one_way_delay_ps=None):
+def coarse_acquire(stream, config=None):
     """Find histogram window centers for the forward and loopback pairs.
 
     Searches +-2x the nominal delay around it at coarse (1 ns) binning and
     refines the winning bin with a fine centroid.  The nominal one-way
-    delay is taken from the stream metadata unless given explicitly.
+    delay is taken from the stream metadata.
     """
     config = config or EstimatorConfig()
-    nominal = nominal_one_way_delay_ps or stream.nominal_one_way_delay_ps
+    nominal = stream.nominal_one_way_delay_ps
     if nominal is None or not (nominal > 0):
         raise ConfigurationError("nominal one-way delay required for acquisition")
 

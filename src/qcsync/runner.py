@@ -35,7 +35,6 @@ from .attacks import eval_trajectory, tampered_clock_difference
 from .detection import (
     Alarm,
     DetectionScore,
-    ThresholdConfig,
     collect_alarms,
     cusum_drift,
     score,
@@ -134,22 +133,8 @@ def _run_detectors(scenario, series):
     settings = scenario.detection
     if settings is None:
         return None, None
-    threshold = None
-    if settings.threshold is not None:
-        spec = settings.threshold
-        level = spec.threshold_ps
-        if level is None:
-            # Default policy: four times the calibration-window scatter.
-            deltas = [p.delta_ps for p in series.points if not p.is_gap]
-            window = deltas[: spec.baseline_window_epochs]
-            level = 4.0 * float(np.std(window))
-            if level <= 0:
-                level = 1.0
-        threshold = ThresholdConfig(
-            baseline_window_epochs=spec.baseline_window_epochs, threshold_ps=level
-        )
     alarms = collect_alarms(
-        series, ((threshold_monitor, threshold), (cusum_drift, settings.cusum))
+        series, ((threshold_monitor, settings.threshold), (cusum_drift, settings.cusum))
     )
 
     onset = scenario.first_attack_onset_s()

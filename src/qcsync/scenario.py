@@ -10,8 +10,9 @@ and optional detector settings.
 The schema is the config dataclasses themselves: every section is an
 object whose keys are exactly the fields of its dataclass (``run`` is
 ``RunConfig``, ``estimator`` is ``EstimatorConfig``, an event is
-``AttackEvent``, ...), typed by the field annotations, with the gradual
-``behavior`` union tagged by ``kind``.  One walker over ``fields()``
+``AttackEvent``, ``detection.threshold`` is ``ThresholdConfig``, ...),
+typed by the field annotations, with the gradual ``behavior`` union tagged
+by each member class's ``kind``.  One walker over ``fields()``
 parses documents and serializes scenarios, so ``to_dict`` writes every
 field and ``config_hash`` covers every setting.  Field names carry
 explicit units (_ps, _s, _hz).  Omitted (or null) fields take the
@@ -51,15 +52,11 @@ from .attacks import (
     CoordinationMode,
     CoordinationRule,
     DelayTrajectory,
-    ExponentialBehavior,
-    LinearBehavior,
-    LogarithmicBehavior,
-    PolynomialBehavior,
     QcsScheme,
     SchemeKind,
     derive_n_from_m,
 )
-from .detection import CusumConfig
+from .detection import CusumConfig, ThresholdConfig
 from .errors import ConfigurationError, SchemaError
 from .estimator import EstimatorConfig
 from .simulation import (
@@ -74,7 +71,6 @@ __all__ = [
     "RunMode",
     "RunConfig",
     "AnalyticConfig",
-    "ThresholdSpec",
     "ScenarioDetection",
     "AttackScenario",
     "validate_scenario_dict",
@@ -125,24 +121,8 @@ class AnalyticConfig:
 
 
 @dataclass(frozen=True)
-class ThresholdSpec:
-    """Threshold monitor settings; threshold defaults to 4x baseline std."""
-
-    baseline_window_epochs: int = 60
-    threshold_ps: Optional[float] = None
-
-    def __post_init__(self):
-        if self.baseline_window_epochs < 10:
-            raise ConfigurationError("baseline_window_epochs must be >= 10")
-        if self.threshold_ps is not None and not (
-            self.threshold_ps > 0 and math.isfinite(self.threshold_ps)
-        ):
-            raise ConfigurationError("threshold_ps must be > 0")
-
-
-@dataclass(frozen=True)
 class ScenarioDetection:
-    threshold: Optional[ThresholdSpec] = None
+    threshold: Optional[ThresholdConfig] = None
     cusum: Optional[CusumConfig] = None
 
 
@@ -233,14 +213,6 @@ class AttackScenario:
 # them back, both driven by the dataclass fields and their type hints.
 # --------------------------------------------------------------------------
 
-# Tags of the gradual ``behavior`` union, the one union in the schema.
-_KINDS = {
-    LinearBehavior: "linear",
-    LogarithmicBehavior: "logarithmic",
-    ExponentialBehavior: "exponential",
-    PolynomialBehavior: "polynomial",
-}
-
 # Returned in place of a value that failed and was reported as an issue.
 _BAD = object()
 
@@ -311,7 +283,7 @@ def _parse(tp, value, path, issues):
 def _parse_tagged(members, value, path, issues):
     if not isinstance(value, dict):
         return _fail(issues, path, "must be an object")
-    by_kind = {_KINDS[cls]: cls for cls in members}
+    by_kind = {cls.kind: cls for cls in members}
     kind = value.get("kind")
     if kind is None:
         return _fail(issues, _join(path, "kind"), "required field missing")
@@ -366,7 +338,7 @@ def _dump(tp, value):
         members = _members(tp)
         if len(members) == 1:
             return _dump(members[0], value)
-        return {"kind": _KINDS[type(value)], **_dump(type(value), value)}
+        return {"kind": value.kind, **_dump(type(value), value)}
     if origin is tuple:
         item = typing.get_args(tp)[0]
         return [_dump(item, v) for v in value]
@@ -409,12 +381,11 @@ def validate_scenario(path):
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"no such scenario file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            return [("", f"not valid JSON: {exc}")]
-    return validate_scenario_dict(doc)
+    try:
+        load_scenario_file(path)
+    except SchemaError as exc:
+        return exc.issues
+    return []
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple, TYPE_CHECKING
 
@@ -416,4 +416,6 @@ def run_round_trip_sim(scenario: "AttackScenario"):
         prop_seed,
         duration_s=run.duration_s,
     )
-    return replace(stream, seed=run.seed, config_hash=scenario.config_hash())
+    stream.seed = run.seed
+    stream.config_hash = scenario.config_hash()
+    return stream

@@ -80,6 +80,27 @@ class TestThresholdMonitor:
         cfg = ThresholdConfig(baseline_window_epochs=60, threshold_ps=200.0)
         assert threshold_monitor(make_series(values), cfg) == []
 
+    def test_omitted_level_is_four_calibration_stds(self):
+        # The first 60 usable epochs alternate +-10 ps about -9900 ps (a gap
+        # among them is skipped), so their std is 10 ps and the level 40 ps.
+        values = [-9900.0 + (10.0 if k % 2 else -10.0) for k in range(60)]
+        values[5:5] = [None]
+        values += [-9900.0] * 140
+        values[100] += 39.9
+        values[120] += 40.1
+        values[150] -= 40.1
+        cfg = ThresholdConfig(baseline_window_epochs=60)
+        assert cfg.threshold_ps is None
+        alarms = threshold_monitor(make_series(values), cfg)
+        assert [a.epoch_start_s for a in alarms] == [120.0, 150.0]
+
+    def test_omitted_level_without_calibration_scatter_is_1ps(self):
+        values = [-9900.0] * 100
+        values[70] += 0.9
+        values[80] -= 1.1
+        alarms = threshold_monitor(make_series(values), ThresholdConfig())
+        assert [a.epoch_start_s for a in alarms] == [80.0]
+
     def test_latency_within_one_epoch_above_margin(self):
         # Steps larger than threshold + 5 sigma are caught at the onset
         # epoch, for every seed.

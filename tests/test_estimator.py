@@ -16,15 +16,18 @@ from qcsync.errors import (
     NoPeakError,
 )
 from qcsync.estimator import (
+    _PEAK_FALSE_ALARM_PROB,
     ClockDifferencePoint,
     ClockDifferenceSeries,
     CorrelationHistogram,
     EstimatorConfig,
+    PeakEstimate,
     build_histogram,
     clock_difference,
     coarse_acquire,
     estimate_peak,
     per_epoch_series,
+    _poisson_tail,
 )
 from qcsync.cli import main
 from qcsync.runner import load_scenario
@@ -313,6 +316,98 @@ class TestBuildHistogram:
         np.testing.assert_array_equal(h0.counts, h1.counts)
 
 
+# Test oracle: ``estimate_peak`` with the per-bin loops that grow its seed
+# region, kept verbatim.
+def reference_estimate_peak(histogram):
+    """Locate the coincidence peak of a correlation histogram.
+
+    Background is the mean count of the outer 10% of bins at each window
+    edge.  The contiguous region around the maximum bin whose counts exceed
+    ``background + 3*sqrt(background)`` seeds a centroid; the integration
+    span is then fixed at four seed RMS widths around that centroid so the
+    tail cut is deterministic and the counting-statistics uncertainty
+    (RMS width, floored at the single-bin quantization width, over the
+    square root of the net counts) is calibrated.
+
+    The maximum bin must also be significant: the chance that accidentals
+    alone fill some bin that high (Poisson tail at the larger of the edge
+    background and ``histogram.accidentals_per_bin``, times the bin count)
+    must stay below ``_PEAK_FALSE_ALARM_PROB``.
+
+    Raises NoPeakError when no bin clears the threshold or the maximum is
+    not significant, which signals a broken channel, a mis-centered window
+    or a peak that left it.
+    """
+    counts = histogram.counts
+    nbins = counts.size
+    if nbins == 0:
+        raise NoPeakError("empty histogram")
+    edge = max(1, nbins // 10)
+    background = float(np.concatenate((counts[:edge], counts[-edge:])).mean())
+    threshold = background + 3.0 * math.sqrt(background)
+
+    peak_bin = int(np.argmax(counts))
+    if counts[peak_bin] <= threshold:
+        raise NoPeakError(
+            f"no bin above background threshold ({counts[peak_bin]} <= {threshold:.2f})"
+        )
+    accidentals = max(background, histogram.accidentals_per_bin)
+    if nbins * _poisson_tail(int(counts[peak_bin]), accidentals) >= _PEAK_FALSE_ALARM_PROB:
+        raise NoPeakError(
+            f"maximum bin ({counts[peak_bin]}) not significant over "
+            f"{accidentals:.3g} accidentals per bin"
+        )
+
+    left = peak_bin
+    while left > 0 and counts[left - 1] > threshold:
+        left -= 1
+    right = peak_bin
+    while right < nbins - 1 and counts[right + 1] > threshold:
+        right += 1
+
+    centers = histogram.bin_centers()
+    seed_net = counts[left : right + 1].astype(float) - background
+    seed_total = float(seed_net.sum())
+    seed_tau = float(np.dot(seed_net, centers[left : right + 1]) / seed_total)
+    seed_rms = math.sqrt(
+        max(float(np.dot(seed_net, (centers[left : right + 1] - seed_tau) ** 2) / seed_total), 0.0)
+    )
+
+    span = 4.0 * max(seed_rms, histogram.bin_width_ps)
+    lo = int(np.searchsorted(centers, seed_tau - span, side="left"))
+    hi = int(np.searchsorted(centers, seed_tau + span, side="right"))
+    net = counts[lo:hi].astype(float) - background
+    net_total = float(net.sum())
+    if net_total <= 0:  # pragma: no cover - span always contains the seed
+        raise NoPeakError("no net counts in the peak region")
+    tau = float(np.dot(net, centers[lo:hi]) / net_total)
+    rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / net_total), 0.0))
+    floor = histogram.bin_width_ps / math.sqrt(12.0)
+    uncertainty = max(rms, floor) / math.sqrt(net_total)
+    return PeakEstimate(
+        tau_ps=tau,
+        uncertainty_ps=uncertainty,
+        peak_counts=int(counts[peak_bin]),
+        background_per_bin=background,
+    )
+
+
+def random_histogram(gen):
+    """A histogram of 1-300 bins: Poisson background plus 0-2 Gaussian
+    peaks, centred anywhere from just outside the first bin to just outside
+    the last."""
+    nbins = int(gen.integers(1, 301))
+    counts = gen.poisson(gen.choice([0.0, 0.01, 0.3, 3.0, 30.0]), nbins)
+    x = np.arange(nbins)
+    for _ in range(int(gen.integers(0, 3))):
+        center = gen.uniform(-2.0, nbins + 1.0)
+        width = gen.uniform(0.1, 0.25 * nbins + 0.5)
+        counts += gen.poisson(gen.uniform(0.0, 500.0) * np.exp(-0.5 * ((x - center) / width) ** 2))
+    bw = float(gen.choice([1.0, 4.0, 10.0, 1000.0]))
+    accidentals = float(gen.choice([0.0, 1e-6, 1e-3, 0.1]))
+    return CorrelationHistogram(bw, int(gen.integers(-5000, 5000)), 2000, counts, accidentals)
+
+
 class TestEstimatePeak:
     def test_delta_like_histogram(self):
         counts = np.zeros(100, dtype=np.int64)
@@ -359,6 +454,50 @@ class TestEstimatePeak:
         peak = estimate_peak(h)
         assert peak.background_per_bin == pytest.approx(25.0, rel=0.2)
         assert peak.tau_ps == pytest.approx(truth, abs=5.0)
+
+
+class TestEstimatePeakOracle:
+    @staticmethod
+    def outcome(extract, histogram):
+        try:
+            return extract(histogram)
+        except NoPeakError as exc:
+            return f"NoPeakError: {exc}"
+
+    def assert_same(self, histogram):
+        want = self.outcome(reference_estimate_peak, histogram)
+        assert self.outcome(estimate_peak, histogram) == want
+        return want
+
+    def test_random_histograms(self):
+        gen = np.random.default_rng(4242)
+        outcomes = [self.assert_same(random_histogram(gen)) for _ in range(3000)]
+        peaks = sum(isinstance(o, PeakEstimate) for o in outcomes)
+        # Both outcomes are well represented.
+        assert 0.2 * len(outcomes) < peaks < 0.8 * len(outcomes)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # Peak in, or seed reaching, the first bin.
+            [100, 100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 5, 3, 2, 1, 0, 0, 0, 0, 0],
+            [500] + [0] * 19,
+            # Peak in, or seed reaching, the last bin.
+            [0] * 19 + [500],
+            [0, 0, 0, 0, 0, 1, 2, 3, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 100],
+            # Every bin above the threshold but one edge bin (the edges set
+            # the background, so one of them never clears it).
+            [0] + [100] * 9,
+            [100] * 9 + [0],
+            # One-bin, flat and empty histograms have no peak.
+            [7],
+            [0],
+            [50] * 100,
+            [],
+        ],
+    )
+    def test_edge_cases(self, counts):
+        self.assert_same(CorrelationHistogram(4.0, 0, 200, np.array(counts, dtype=np.int64)))
 
 
 class TestClockDifference:
@@ -523,6 +662,28 @@ class TestSeriesCsv:
         with pytest.raises(ConfigurationError, match="off the 0.1 s grid"):
             ClockDifferenceSeries.from_csv(path)
         assert main(["tdev", str(path)]) == 1
+
+
+    @pytest.mark.parametrize("column", [0, 3])
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", "-inf", "1e999"])
+    def test_bad_cell_refused(self, tmp_path, column, cell):
+        # A non-numeric cell must not escape as a raw ValueError, and a NaN
+        # or infinite one must not pass as a measurement (a NaN delta in the
+        # calibration window silences the threshold monitor).
+        from conftest import make_series
+
+        path = tmp_path / "series.csv"
+        make_series([-9900.0] * 30 + [-10400.0] * 30).to_csv(path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"row 2: '{cell}' is not a finite number"):
+            ClockDifferenceSeries.from_csv(path)
+        assert main(["tdev", str(path)]) == 1
+        detect = ["detect", str(path), "--threshold-ps", "200", "--baseline-window", "20"]
+        assert main(detect) == 1
 
 
 class TestSignificanceGate:

@@ -215,6 +215,13 @@ class TestValidation:
         issues = validate_scenario_dict(json.loads(json.dumps(doc)))
         assert [p for p, _ in issues] == [f"estimator.{key}"], issues
 
+    def test_readme_schema_example_validates(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads("\n".join(line.split("//", 1)[0] for line in block.splitlines()))
+        assert doc["m_events"] and doc["detection"]
+        assert validate_scenario_dict(doc) == []
+
     def test_validate_scenario_file(self, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_doc()))

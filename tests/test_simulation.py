@@ -2,6 +2,7 @@
 jitter distributions, ground-truth reciprocity/asymmetry, clocks, dead time
 and determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -434,6 +435,26 @@ class TestDeterminism:
             np.testing.assert_array_equal(s1.times[det], s2.times[det])
             np.testing.assert_array_equal(s1.pair_ids[det], s2.pair_ids[det])
         assert s1.seed == s2.seed == scenario.run.seed
+
+    def test_stream_validated_once(self, monkeypatch):
+        # The stream is validated where it is built; tagging it with the
+        # scenario's seed and hash must not rebuild and revalidate it.
+        calls = []
+        validate = simulation.TimestampStream.__post_init__
+
+        def counting(stream):
+            calls.append(stream)
+            validate(stream)
+
+        monkeypatch.setattr(simulation.TimestampStream, "__post_init__", counting)
+        scenario = load_scenario("baseline")
+        scenario = dataclasses.replace(
+            scenario, run=dataclasses.replace(scenario.run, duration_s=5.0, seed=9)
+        )
+        stream = run_round_trip_sim(scenario)
+        assert calls == [stream]
+        assert stream.seed == 9
+        assert stream.config_hash == scenario.config_hash()
 
     def test_same_seed_byte_identical_serialized_stream(self, tmp_path):
         from qcsync.streamio import write_stream
