@@ -92,7 +92,7 @@ def _build_parser():
     det = sub.add_parser("detect", help="apply detectors to a series CSV")
     det.add_argument("series", type=Path)
     det.add_argument("--threshold-ps", type=float, default=None)
-    det.add_argument("--baseline-window", type=int, default=60)
+    det.add_argument("--baseline-window", type=int, default=None, help="calibration epochs")
     det.add_argument("--cusum-k", type=float, default=None, help="reference drift per epoch, ps")
     det.add_argument("--cusum-h", type=float, default=None, help="decision limit, ps")
     det.add_argument("--onset-s", type=float, default=None, help="attack onset for scoring")
@@ -163,9 +163,9 @@ def _cmd_detect(args):
     series = ClockDifferenceSeries.from_csv(args.series)
     threshold = cusum = None
     if args.threshold_ps is not None:
-        threshold = ThresholdConfig(
-            baseline_window_epochs=args.baseline_window, threshold_ps=args.threshold_ps
-        )
+        threshold = ThresholdConfig(threshold_ps=args.threshold_ps)
+        if args.baseline_window is not None:
+            threshold = dataclasses.replace(threshold, baseline_window_epochs=args.baseline_window)
     if args.cusum_k is not None or args.cusum_h is not None:
         if args.cusum_k is None or args.cusum_h is None:
             raise ConfigurationError("--cusum-k and --cusum-h must be given together")

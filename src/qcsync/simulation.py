@@ -14,9 +14,10 @@ uniform per pair decides the idler hit (``efficiency``) and one routes the
 signal to SignalB (probability ``s*(1-l)*e``), to ReturnA (``s*l*s*e``) or
 to loss, with ``s`` the per-pass survival, ``l`` the loopback fraction and
 ``e`` the efficiency.  Each recorded photon then draws one Gaussian whose
-sigma merges the independent jitter terms in quadrature: detector and TDC
-at Alice, plus Bob's white phase noise at Bob.  The attack trajectories
-are evaluated only for the photons that reach them.
+sigma merges the independent jitter terms in quadrature: detector and TDC,
+plus Bob's white phase noise at Bob and the source's correlation jitter on
+the idler (a pair is one emission time, see ``SourceConfig``).  The attack
+trajectories are evaluated only for the photons that reach them.
 
 Clock model: Alice's clock is the time reference.  Bob's clock reads
 ``true + offset + drift * t + white phase noise``.
@@ -63,10 +64,10 @@ __all__ = [
 # Jitter specs are conventionally quoted as FWHM; convert to Gaussian sigma.
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-# Vectorized propagation works on bounded slices of the pair array.  This
-# bounds only the per-slice routing uniforms, the jitter draws of the
-# recorded photons and their temporaries: all pairs and all detection
-# records of the campaign are still held in memory at once.
+# Vectorized propagation works on bounded slices of the emission times.
+# This bounds only the per-slice routing uniforms, the jitter draws of the
+# recorded photons and their temporaries: all emission times (one float64
+# per pair) and all detection records are still held in memory at once.
 _PAIR_CHUNK = 1_000_000
 
 # int64 picosecond timestamps stay exact in float64 arithmetic up to 2**53.
@@ -78,7 +79,10 @@ class SourceConfig:
     """Photon-pair source: homogeneous Poisson emission.
 
     ``intrinsic_correlation_jitter_ps`` is the sigma of the signal-idler
-    emission-time difference (near zero for down-conversion pairs).
+    emission-time difference (near zero for down-conversion pairs).  A pair
+    yields at most one coincidence (its idler with SignalB or with ReturnA),
+    so the simulation draws the whole difference on the recorded idler: the
+    same coincidence statistics as splitting it between the two photons.
     """
 
     pair_rate_hz: float = 1.0e4
@@ -214,12 +218,12 @@ class TimestampStream:
 
 
 def generate_pairs(source, duration_s, seed):
-    """Emission-time pairs of a Poisson pair source over ``[0, duration_s)``.
+    """Emission times of a Poisson pair source over ``[0, duration_s)``.
 
-    Returns an ``(n, 2)`` float array of picosecond emission times in
-    Alice's timebase: column 0 the idler, column 1 the signal.  The two
-    differ by a zero-mean Gaussian of the configured intrinsic correlation
-    jitter.  Deterministic for a fixed seed.
+    Returns the sorted 1-D float array of pair emission times, ps, in
+    Alice's timebase; both photons of a pair leave at that time (the
+    correlation jitter is drawn by ``propagate_and_detect``).
+    Deterministic for a fixed seed.
     """
     if not (duration_s > 0 and math.isfinite(duration_s)):
         raise ConfigurationError("duration_s must be > 0")
@@ -227,16 +231,7 @@ def generate_pairs(source, duration_s, seed):
     n = int(rng.poisson(source.pair_rate_hz * duration_s))
     t = rng.uniform(0.0, duration_s * 1e12, n)
     t.sort()
-    out = np.empty((n, 2))
-    if source.intrinsic_correlation_jitter_ps > 0:
-        half = rng.normal(0.0, source.intrinsic_correlation_jitter_ps, n)
-        half *= 0.5
-        np.subtract(t, half, out=out[:, 0])
-        np.add(t, half, out=out[:, 1])
-    else:
-        out[:, 0] = t
-        out[:, 1] = t
-    return out
+    return t
 
 
 def _quantize(times, resolution_ps):
@@ -282,28 +277,27 @@ def _apply_dead_time(times, pairs, dead_time_ps):
     return times[keep], pairs[keep]
 
 
-def propagate_and_detect(
-    pairs, channel, m, n, detectors, tdc, clocks, seed, duration_s=None
-):
-    """Propagate emission pairs through the attacked link and detect.
+def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
+    """Propagate pair emissions through the attacked link and detect.
 
     Parameters
     ----------
-    pairs : (n, 2) array of idler/signal emission times, ps, Alice timebase
+    pairs : 1-D array of pair emission times, ps, Alice timebase
+    source : SourceConfig whose correlation jitter is drawn on the idler
     channel : ChannelConfig
     m, n : DelayTrajectory for the forward (Alice->Bob) and backward legs
     detectors : DetectorConfig applied to every detector
     tdc : TdcConfig applied to every timestamp
     clocks : ClockConfig for Bob's clock (Alice is the reference)
     seed : RNG seed; fixed seed reproduces the stream exactly
-    duration_s : stream duration metadata (inferred from data when omitted)
+    duration_s : stream duration metadata
 
     Returns a TimestampStream.  Records with negative local timestamps
     (possible for detections jittered before the clock origin) are dropped.
     """
     pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ConfigurationError("pairs must be an (n, 2) array")
+    if pairs.ndim != 1:
+        raise ConfigurationError("pairs must be a 1-D array of emission times")
     if pairs.size and float(np.max(pairs)) > _MAX_TIME_PS:
         raise ConfigurationError("emission times exceed the exact int64/float64 range")
 
@@ -311,11 +305,12 @@ def propagate_and_detect(
     L = channel.one_way_delay_ps
     eff = detectors.efficiency
     # One merged Gaussian per record: the independent jitter terms add in
-    # quadrature, detector and TDC at Alice, plus white phase noise at Bob.
-    sigma_alice = math.hypot(detectors.jitter_sigma_ps, tdc.jitter_sigma_ps)
-    sigma_bob = math.hypot(
-        detectors.jitter_sigma_ps, tdc.jitter_sigma_ps, clocks.white_phase_noise_sigma_ps
-    )
+    # quadrature, detector and TDC everywhere, plus the source's correlation
+    # jitter on the idler and white phase noise at Bob.
+    det_sigma, tdc_sigma = detectors.jitter_sigma_ps, tdc.jitter_sigma_ps
+    sigma_idler = math.hypot(det_sigma, tdc_sigma, source.intrinsic_correlation_jitter_ps)
+    sigma_bob = math.hypot(det_sigma, tdc_sigma, clocks.white_phase_noise_sigma_ps)
+    sigma_return = math.hypot(det_sigma, tdc_sigma)
     # A signal is recorded at Bob (forward pass, transmitted at the splitter,
     # detected) or at Alice (forward pass, looped back, return pass,
     # detected); any other outcome loses it.
@@ -327,10 +322,9 @@ def propagate_and_detect(
     out_times = {det: [np.empty(0, np.int64)] for det in DetectorId}
     out_pairs = {det: [np.empty(0, np.int64)] for det in DetectorId}
 
-    for lo in range(0, pairs.shape[0], _PAIR_CHUNK):
-        e_idler = pairs[lo : lo + _PAIR_CHUNK, 0]
-        e_signal = pairs[lo : lo + _PAIR_CHUNK, 1]
-        k = e_idler.size
+    for lo in range(0, pairs.size, _PAIR_CHUNK):
+        emitted = pairs[lo : lo + _PAIR_CHUNK]
+        k = emitted.size
 
         # Draw order is fixed so results depend only on (config, seed): two
         # uniforms per pair, then one Gaussian per detected photon.
@@ -344,9 +338,9 @@ def propagate_and_detect(
         z_bob = rng.standard_normal(bob_idx.size)
         z_ret = rng.standard_normal(ret_idx.size)
 
-        t_idler = e_idler[idler_idx] + sigma_alice * z_idler
+        t_idler = emitted[idler_idx] + sigma_idler * z_idler
 
-        e_fwd = e_signal[signal_idx]
+        e_fwd = emitted[signal_idx]
         arrive_bob = e_fwd + L + eval_trajectory(m, e_fwd * 1e-12)
         bob_time = arrive_bob[at_bob]
         bob_reading = (
@@ -358,7 +352,7 @@ def propagate_and_detect(
 
         looped_time = arrive_bob[~at_bob]
         arrive_alice = looped_time + L + eval_trajectory(n, looped_time * 1e-12)
-        ret_reading = arrive_alice + sigma_alice * z_ret
+        ret_reading = arrive_alice + sigma_return * z_ret
 
         for det, reading, idx in (
             (DetectorId.IDLER_A, t_idler, idler_idx),
@@ -374,7 +368,9 @@ def propagate_and_detect(
     for det in DetectorId:
         t = np.concatenate(out_times.pop(det))
         p = np.concatenate(out_pairs.pop(det))
-        order = np.lexsort((p, t))
+        # Chunks go in order and flatnonzero ids ascend, so p already
+        # ascends: a stable sort by time breaks time ties by pair id.
+        order = np.argsort(t, kind="stable")
         t = t[order]
         p = p[order]
         del order
@@ -382,8 +378,6 @@ def propagate_and_detect(
         times.append(t)
         pair_ids.append(p)
 
-    if duration_s is None:
-        duration_s = max((float(t[-1] + 1) * 1e-12 for t in times if t.size), default=0.0)
     return TimestampStream(
         times=times,
         pair_ids=pair_ids,
@@ -407,6 +401,7 @@ def run_round_trip_sim(scenario: "AttackScenario"):
     pairs = generate_pairs(scenario.source, run.duration_s, gen_seed)
     stream = propagate_and_detect(
         pairs,
+        scenario.source,
         scenario.channel,
         scenario.m_trajectory(),
         scenario.n_trajectory(),
@@ -414,7 +409,7 @@ def run_round_trip_sim(scenario: "AttackScenario"):
         scenario.tdc,
         scenario.clock,
         prop_seed,
-        duration_s=run.duration_s,
+        run.duration_s,
     )
     stream.seed = run.seed
     stream.config_hash = scenario.config_hash()

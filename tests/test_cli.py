@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import qcsync
+from qcsync import cli
 from qcsync.cli import main
+from qcsync.detection import ThresholdConfig
 from qcsync.scenario import builtin_scenario
 
 
@@ -135,6 +137,20 @@ class TestTdevAndDetect:
         captured = capsys.readouterr().out
         assert '"detected": true' in captured
         assert (tmp_path / "det" / "alarms.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "flags, window",
+        [([], ThresholdConfig().baseline_window_epochs), (["--baseline-window", "20"], 20)],
+    )
+    def test_detect_baseline_window(self, analytic_scenario_file, tmp_path, monkeypatch,
+                                    flags, window):
+        # Without the flag the window is ThresholdConfig's own default.
+        out = tmp_path / "out"
+        main(["run", str(analytic_scenario_file), "--out-dir", str(out)])
+        seen = []
+        monkeypatch.setattr(cli, "collect_alarms", lambda s, d: seen.extend(d) or [])
+        assert main(["detect", str(out / "series.csv"), "--threshold-ps", "50", *flags]) == 0
+        assert seen[0][1] == ThresholdConfig(baseline_window_epochs=window, threshold_ps=50.0)
 
     def test_detect_requires_a_detector(self, analytic_scenario_file, tmp_path):
         out = tmp_path / "out"

@@ -53,13 +53,10 @@ QUIET_CLOCK = ClockConfig(offset_ps=-9900.0, drift_ps_per_s=0.0, white_phase_noi
 
 
 def noiseless_stream(duration_s=20.0, rate=20_000.0, seed=7, m=None, n=None):
-    pairs = generate_pairs(
-        SourceConfig(pair_rate_hz=rate, intrinsic_correlation_jitter_ps=0.0),
-        duration_s,
-        seed,
-    )
+    source = SourceConfig(pair_rate_hz=rate, intrinsic_correlation_jitter_ps=0.0)
     return propagate_and_detect(
-        pairs,
+        generate_pairs(source, duration_s, seed),
+        source,
         LOSSLESS_CHANNEL,
         m or DelayTrajectory(),
         n or DelayTrajectory(),
@@ -554,9 +551,10 @@ class TestPerEpochSeries:
             assert p.delta_ps == clock_difference(p.tau_ab_ps, p.tau_aba_ps)
 
     def test_sample_std_matches_reported_sigma(self):
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=10_000.0), 60.0, 11)
+        source = SourceConfig(pair_rate_hz=10_000.0)
         stream = propagate_and_detect(
-            pairs,
+            generate_pairs(source, 60.0, 11),
+            source,
             ChannelConfig(),
             DelayTrajectory(),
             DelayTrajectory(),
@@ -586,9 +584,10 @@ class TestPerEpochSeries:
         assert abs(np.nanmean(tau_abas[10:]) - np.nanmean(tau_abas[:10])) <= 1.5
 
     def test_zero_efficiency_is_empty_series(self):
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=5_000.0), 5.0, 3)
+        source = SourceConfig(pair_rate_hz=5_000.0)
         stream = propagate_and_detect(
-            pairs,
+            generate_pairs(source, 5.0, 3),
+            source,
             LOSSLESS_CHANNEL,
             DelayTrajectory(),
             DelayTrajectory(),

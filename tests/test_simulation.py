@@ -33,6 +33,7 @@ from qcsync.simulation import (
     run_round_trip_sim,
 )
 
+NOISELESS_SOURCE = SourceConfig(intrinsic_correlation_jitter_ps=0.0)
 NOISELESS_DETECTOR = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dead_time_ps=0.0)
 NOISELESS_TDC = TdcConfig(resolution_ps=1.0, jitter_sigma_ps=0.0)
 LOSSLESS_CHANNEL = ChannelConfig(
@@ -44,12 +45,7 @@ QUIET_CLOCK = ClockConfig(offset_ps=-9900.0, drift_ps_per_s=0.0, white_phase_noi
 def integer_pairs(duration_s=20.0, spacing_ms=1.0):
     """Deterministic integer-grid emissions, exact in float64."""
     step = int(spacing_ms * 1e9)
-    t = np.arange(0, int(duration_s * 1e12), step, dtype=np.int64).astype(float)
-    return np.column_stack((t, t))
-
-
-def emission_lookup(pairs):
-    return pairs[:, 1]
+    return np.arange(0, int(duration_s * 1e12), step, dtype=np.int64).astype(float)
 
 
 def hits(stream, det):
@@ -69,18 +65,6 @@ def greedy_dead_time(times, pairs, dead_time_ps):
         else:
             last = times[i]
     return times[keep], pairs[keep]
-
-
-def column_stack_pairs(source, duration_s, seed):
-    """The ``column_stack`` form of ``generate_pairs`` (test oracle)."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.poisson(source.pair_rate_hz * duration_s))
-    t = np.sort(rng.uniform(0.0, duration_s * 1e12, n))
-    if source.intrinsic_correlation_jitter_ps > 0:
-        d = rng.normal(0.0, source.intrinsic_correlation_jitter_ps, n)
-    else:
-        d = np.zeros(n)
-    return np.column_stack((t - 0.5 * d, t + 0.5 * d))
 
 
 def rounded_normal_ks(residuals, sigma):
@@ -132,10 +116,10 @@ class TestGeneratePairs:
 
     def test_times_sorted_and_in_range(self):
         pairs = generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 5.0, 1)
-        mid = 0.5 * (pairs[:, 0] + pairs[:, 1])
-        assert np.all(np.diff(mid) >= 0)
-        assert mid.min() >= 0.0
-        assert mid.max() < 5.0 * 1e12
+        assert pairs.ndim == 1
+        assert np.all(np.diff(pairs) >= 0)
+        assert pairs.min() >= 0.0
+        assert pairs.max() < 5.0 * 1e12
 
     def test_vanishing_duration_yields_empty(self):
         pairs = generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 1e-9, 2)
@@ -150,40 +134,26 @@ class TestGeneratePairs:
         b = generate_pairs(SourceConfig(), 3.0, 77)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("jitter_ps", [40.0, 0.0])
-    def test_bit_identical_to_column_stack(self, jitter_ps):
-        src = SourceConfig(pair_rate_hz=20_000.0, intrinsic_correlation_jitter_ps=jitter_ps)
-        pairs = generate_pairs(src, 5.0, 31)
-        assert pairs.shape == (len(pairs), 2) and pairs.flags.c_contiguous
-        assert pairs.tobytes() == column_stack_pairs(src, 5.0, 31).tobytes()
-
-    def test_intrinsic_correlation_jitter(self):
-        src = SourceConfig(pair_rate_hz=50_000.0, intrinsic_correlation_jitter_ps=40.0)
-        pairs = generate_pairs(src, 4.0, 9)
-        d = pairs[:, 1] - pairs[:, 0]
-        assert np.std(d) == pytest.approx(40.0, rel=0.05)
-        assert np.mean(d) == pytest.approx(0.0, abs=4.0 * 40.0 / math.sqrt(len(pairs)))
-
 
 class TestNoiselessPropagation:
     def test_forward_path_is_exact(self):
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         times, ids = hits(stream, DetectorId.SIGNAL_B)
-        emitted = emission_lookup(pairs)[ids]
+        emitted = pairs[ids]
         np.testing.assert_array_equal(times - emitted.astype(np.int64), 1000 - 9900)
 
     def test_loopback_path_is_exact(self):
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         times, ids = hits(stream, DetectorId.RETURN_A)
-        emitted = emission_lookup(pairs)[ids]
+        emitted = pairs[ids]
         np.testing.assert_array_equal(times - emitted.astype(np.int64), 2000)
 
     def test_pair_ids_exact_across_chunks(self, monkeypatch):
@@ -191,14 +161,31 @@ class TestNoiselessPropagation:
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         for det, flight in ((DetectorId.SIGNAL_B, 1000 - 9900), (DetectorId.RETURN_A, 2000)):
             times, ids = hits(stream, det)
-            emitted = emission_lookup(pairs)[ids]
+            emitted = pairs[ids]
             np.testing.assert_array_equal(times - emitted.astype(np.int64), flight)
         assert stream.counts()[DetectorId.IDLER_A] == len(pairs)
+
+    def test_intrinsic_correlation_jitter(self):
+        # The estimator sees the source's jitter only as SignalB - IdlerA of
+        # one pair: sigma 40 ps about the flight time.
+        source = SourceConfig(intrinsic_correlation_jitter_ps=40.0)
+        pairs = integer_pairs(duration_s=20.0, spacing_ms=0.2)
+        stream = propagate_and_detect(
+            pairs, source, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
+        )
+        idler_times, idler_ids = hits(stream, DetectorId.IDLER_A)
+        bob_times, bob_ids = hits(stream, DetectorId.SIGNAL_B)
+        _, ia, ib = np.intersect1d(idler_ids, bob_ids, assume_unique=True, return_indices=True)
+        d = bob_times[ib] - idler_times[ia]
+        assert d.size > 0.45 * len(pairs)
+        assert np.std(d) == pytest.approx(40.0, rel=0.05)
+        assert np.mean(d) == pytest.approx(1000 - 9900, abs=4.0 * 40.0 / math.sqrt(d.size))
 
     def test_hidden_jump_shifts_forward_but_not_loopback(self):
         onset = 10.0001
@@ -206,18 +193,18 @@ class TestNoiselessPropagation:
         n = DelayTrajectory((AttackEvent(AttackPattern.JUMP, 100.0, onset),))
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, m, n,
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         fwd_times, fwd_ids = hits(stream, DetectorId.SIGNAL_B)
-        emitted = emission_lookup(pairs)[fwd_ids]
+        emitted = pairs[fwd_ids]
         flight = fwd_times - emitted.astype(np.int64) - (1000 - 9900)
         late = emitted * 1e-12 >= onset
         np.testing.assert_array_equal(flight[late], -100)
         np.testing.assert_array_equal(flight[~late], 0)
 
         ret_times, ret_ids = hits(stream, DetectorId.RETURN_A)
-        ret_emitted = emission_lookup(pairs)[ret_ids]
+        ret_emitted = pairs[ret_ids]
         np.testing.assert_array_equal(ret_times - ret_emitted.astype(np.int64), 2000)
 
     def test_ground_truth_asymmetry_matches_trajectory(self, rng):
@@ -232,11 +219,11 @@ class TestNoiselessPropagation:
         m = DelayTrajectory(events)
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, m, DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 6, duration_s=20.0,
         )
         times, ids = hits(stream, DetectorId.SIGNAL_B)
-        emitted = emission_lookup(pairs)[ids]
+        emitted = pairs[ids]
         excess = times - emitted.astype(np.int64) - (1000 - 9900)
         expected = eval_trajectory(m, emitted * 1e-12)
         np.testing.assert_array_equal(excess, expected.astype(np.int64))
@@ -252,11 +239,11 @@ class TestNoiselessPropagation:
         n = derive_n_from_m(m, CoordinationRule(CoordinationMode.PROPORTIONAL, -1.0))
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, m, n,
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 6, duration_s=20.0,
         )
         times, ids = hits(stream, DetectorId.RETURN_A)
-        emitted = emission_lookup(pairs)[ids]
+        emitted = pairs[ids]
         round_trip = times - emitted.astype(np.int64)
         assert round_trip.min() == round_trip.max() == 2000
 
@@ -277,7 +264,7 @@ class TestCountingAndClocks:
     def test_zero_efficiency_empty_streams(self):
         pairs = integer_pairs(duration_s=2.0)
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(efficiency=0.0, jitter_sigma_ps=0.0),
             NOISELESS_TDC, QUIET_CLOCK, 8, duration_s=2.0,
         )
@@ -287,11 +274,11 @@ class TestCountingAndClocks:
         clock = ClockConfig(offset_ps=0.0, drift_ps_per_s=5.0)
         pairs = integer_pairs(duration_s=20.0)
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 9, duration_s=20.0,
         )
         times, ids = hits(stream, DetectorId.SIGNAL_B)
-        emitted = emission_lookup(pairs)[ids]
+        emitted = pairs[ids]
         excess = times - emitted - 1000.0
         slope = np.polyfit(emitted * 1e-12, excess, 1)[0]
         assert slope == pytest.approx(5.0, abs=0.01)
@@ -300,16 +287,16 @@ class TestCountingAndClocks:
         clock = ClockConfig(offset_ps=0.0, white_phase_noise_sigma_ps=30.0)
         pairs = integer_pairs(duration_s=20.0, spacing_ms=0.1)
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 9, duration_s=20.0,
         )
         fwd_times, fwd_ids = hits(stream, DetectorId.SIGNAL_B)
-        emitted = emission_lookup(pairs)[fwd_ids]
+        emitted = pairs[fwd_ids]
         assert np.std(fwd_times - emitted - 1000.0) == pytest.approx(30.0, rel=0.1)
         # Alice-side detections stay exact.
         ret_times, ret_ids = hits(stream, DetectorId.RETURN_A)
         np.testing.assert_array_equal(
-            ret_times - emission_lookup(pairs)[ret_ids].astype(np.int64), 2000
+            ret_times - pairs[ret_ids].astype(np.int64), 2000
         )
 
 
@@ -319,7 +306,7 @@ class TestThinnedSampler:
         channel, detector = ChannelConfig(), DetectorConfig()
         pairs = integer_pairs(duration_s=20.0, spacing_ms=0.05)
         stream = propagate_and_detect(
-            pairs, channel, DelayTrajectory(), DelayTrajectory(),
+            pairs, SourceConfig(), channel, DelayTrajectory(), DelayTrajectory(),
             detector, TdcConfig(), ClockConfig(), 14, duration_s=20.0,
         )
         s, loop, e = (
@@ -341,17 +328,19 @@ class TestThinnedSampler:
         detector = DetectorConfig(efficiency=1.0, jitter_sigma_ps=40.0)
         tdc = TdcConfig(resolution_ps=1.0, jitter_sigma_ps=15.0)
         clock = ClockConfig(offset_ps=-9900.0, white_phase_noise_sigma_ps=30.0)
+        source = SourceConfig(intrinsic_correlation_jitter_ps=40.0)
         pairs = integer_pairs(duration_s=20.0, spacing_ms=0.2)
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, source, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             detector, tdc, clock, 15, duration_s=20.0,
         )
         alice = math.hypot(40.0, 15.0)
-        bob = math.sqrt(40.0**2 + 15.0**2 + 30.0**2)
+        idler = math.hypot(40.0, 15.0, 40.0)
+        bob = math.hypot(40.0, 15.0, 30.0)
         exact = {
-            DetectorId.IDLER_A: (pairs[:, 0], alice, bob),
-            DetectorId.SIGNAL_B: (pairs[:, 1] + 1000 - 9900, bob, alice),
-            DetectorId.RETURN_A: (pairs[:, 1] + 2000, alice, bob),
+            DetectorId.IDLER_A: (pairs, idler, alice),
+            DetectorId.SIGNAL_B: (pairs + 1000 - 9900, bob, alice),
+            DetectorId.RETURN_A: (pairs + 2000, alice, bob),
         }
         for det, (emitted, sigma, other_sigma) in exact.items():
             times, ids = hits(stream, det)
@@ -367,7 +356,7 @@ class TestDetectorEffects:
         detector = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dead_time_ps=5000.0)
         pairs = integer_pairs(duration_s=1.0, spacing_ms=0.002)  # 2 ns spacing
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             detector, NOISELESS_TDC, QUIET_CLOCK, 10, duration_s=1.0,
         )
         for det in DetectorId:
@@ -397,9 +386,10 @@ class TestDetectorEffects:
         np.testing.assert_array_equal(kept_pairs, want_pairs)
 
     def test_per_detector_monotonic_timestamps(self):
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=20_000.0), 5.0, 11)
+        source = SourceConfig(pair_rate_hz=20_000.0)
+        pairs = generate_pairs(source, 5.0, 11)
         stream = propagate_and_detect(
-            pairs, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            pairs, source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(), TdcConfig(), QUIET_CLOCK, 12, duration_s=5.0,
         )
         assert all(np.all(times >= 0) for times in stream.times)
@@ -412,7 +402,7 @@ class TestDetectorEffects:
         clock = ClockConfig(offset_ps=-5e9)
         pairs = integer_pairs(duration_s=1.0, spacing_ms=1.0)
         stream = propagate_and_detect(
-            pairs, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 13, duration_s=1.0,
         )
         assert all(np.all(times >= 0) for times in stream.times)
@@ -474,11 +464,11 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         pairs = generate_pairs(SourceConfig(), 2.0, 1)
         s1 = propagate_and_detect(
-            pairs, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            pairs, SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(), TdcConfig(), QUIET_CLOCK, 100, duration_s=2.0,
         )
         s2 = propagate_and_detect(
-            pairs, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            pairs, SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(), TdcConfig(), QUIET_CLOCK, 101, duration_s=2.0,
         )
         assert len(s1) != len(s2) or not all(map(np.array_equal, s1.times, s2.times))
