@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .attacks import (
     AttackEvent,
@@ -20,13 +20,10 @@ from .attacks import (
     LinearBehavior,
     LogarithmicBehavior,
     PolynomialBehavior,
-    QcsScheme,
     SchemeKind,
     derive_n_from_m,
     eval_event,
     eval_trajectory,
-    heaviside,
-    scheme_coefficients,
     tampered_clock_difference,
 )
 from .detection import (

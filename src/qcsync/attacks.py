@@ -14,9 +14,11 @@ superpositions of three event shapes:
   own schema tag (``kind``) and ramp function (``shape``), so adding a
   behaviour means adding one class to the union.
 
-With directional delays ``m`` (forward) and ``n`` (backward) and scheme
-coefficients ``(alpha, beta)``, the victim computes the tampered clock
-difference ``delta = raw_delta - (alpha * m + beta * n) / 2``.
+With directional delays ``m`` (forward) and ``n`` (backward), the victim
+computes the tampered clock difference
+``delta = raw_delta - (alpha * m + beta * n) / 2``, where each
+``SchemeKind`` carries its own coefficient pair ``(alpha, beta)``.  Every
+event is gated on at its onset by ``eval_event``, the one onset gate.
 
 Sign convention: positive delay values lengthen the optical path in the
 corresponding direction.  All evaluation functions accept scalars or numpy
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import ClassVar, Optional, Union
 
@@ -47,12 +49,9 @@ __all__ = [
     "AttackEvent",
     "DelayTrajectory",
     "CoordinationRule",
-    "QcsScheme",
-    "heaviside",
     "eval_event",
     "eval_trajectory",
     "derive_n_from_m",
-    "scheme_coefficients",
     "tampered_clock_difference",
 ]
 
@@ -64,9 +63,19 @@ class AttackPattern(str, Enum):
 
 
 class SchemeKind(str, Enum):
+    """Synchronization scheme with its coefficient pair ``(alpha, beta)``."""
+
     TWO_WAY = "two_way"
     HOM_INTERFERENCE = "hom_interference"
     ROUND_TRIP = "round_trip"
+
+    @property
+    def alpha(self):
+        return 1 if self is SchemeKind.TWO_WAY else -1
+
+    @property
+    def beta(self):
+        return -self.alpha
 
 
 class CoordinationMode(str, Enum):
@@ -263,47 +272,9 @@ class CoordinationRule:
             raise ConfigurationError("n only allowed for proportional coordination")
 
 
-_SCHEME_COEFFICIENTS = {
-    SchemeKind.TWO_WAY: (1, -1),
-    SchemeKind.HOM_INTERFERENCE: (-1, 1),
-    SchemeKind.ROUND_TRIP: (-1, 1),
-}
-
-
-def scheme_coefficients(kind):
-    """Return the ``(alpha, beta)`` coefficient pair for a scheme kind."""
-    try:
-        return _SCHEME_COEFFICIENTS[SchemeKind(kind)]
-    except ValueError:
-        raise ConfigurationError(f"unknown scheme kind: {kind!r}") from None
-
-
-@dataclass(frozen=True)
-class QcsScheme:
-    """Synchronization scheme with its fixed coefficient pair."""
-
-    kind: SchemeKind
-    alpha: int = field(init=False)
-    beta: int = field(init=False)
-
-    def __post_init__(self):
-        kind = SchemeKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        a, b = scheme_coefficients(kind)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-
 # --------------------------------------------------------------------------
 # Evaluation.
 # --------------------------------------------------------------------------
-
-
-def heaviside(t, t0):
-    """Unit step: 0 for t < t0, 1 for t >= t0 (boundary inclusive)."""
-    if not (math.isfinite(t) and math.isfinite(t0)):
-        raise ConfigurationError("heaviside arguments must be finite")
-    return 1 if t >= t0 else 0
 
 
 def _quantize_elapsed(u, step_s):
@@ -349,12 +320,19 @@ def eval_event(event, t_s):
 
 
 def eval_trajectory(traj, t_s):
-    """Sum of event contributions at time(s) ``t_s``; empty trajectory is 0."""
+    """Sum of event contributions at time(s) ``t_s``; empty trajectory is 0.
+
+    A ramp that overflows makes the delay infinite or NaN; that is refused
+    here with a ``ConfigurationError`` instead of reaching a timestamp.
+    """
     t = np.asarray(t_s, dtype=float)
     scalar = t.ndim == 0
     out = np.zeros_like(t)
-    for event in traj.events:
-        out = out + eval_event(event, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for event in traj.events:
+            out = out + eval_event(event, t)
+    if not np.all(np.isfinite(out)):
+        raise ConfigurationError("delay trajectory is not finite (a ramp overflows)")
     return float(out) if scalar else out
 
 
@@ -376,9 +354,14 @@ def derive_n_from_m(m, rule, independent_n=None):
 def tampered_clock_difference(delta_t_ps, m_ps, n_ps, scheme):
     """Clock difference the victim computes under directional delays.
 
-    Evaluates ``delta_t - (alpha * m + beta * n) / 2`` with the scheme's
-    coefficient pair.  Accepts scalars or arrays.
+    Evaluates ``delta_t - (alpha * m + beta * n) / 2`` with the coefficient
+    pair of ``scheme``, a ``SchemeKind`` or its value string.  Accepts
+    scalars or arrays.
     """
+    try:
+        scheme = SchemeKind(scheme)
+    except ValueError:
+        raise ConfigurationError(f"unknown scheme kind: {scheme!r}") from None
     delta_t = np.asarray(delta_t_ps, dtype=float)
     m = np.asarray(m_ps, dtype=float)
     n = np.asarray(n_ps, dtype=float)

@@ -161,17 +161,18 @@ def _cmd_tdev(args):
 
 def _cmd_detect(args):
     series = ClockDifferenceSeries.from_csv(args.series)
-    threshold = cusum = None
-    if args.threshold_ps is not None:
-        threshold = ThresholdConfig(threshold_ps=args.threshold_ps)
-        if args.baseline_window is not None:
-            threshold = dataclasses.replace(threshold, baseline_window_epochs=args.baseline_window)
+    given = {"threshold_ps": args.threshold_ps, "baseline_window_epochs": args.baseline_window}
+    given = {name: value for name, value in given.items() if value is not None}
+    threshold = ThresholdConfig(**given) if given else None
+    cusum = None
     if args.cusum_k is not None or args.cusum_h is not None:
         if args.cusum_k is None or args.cusum_h is None:
             raise ConfigurationError("--cusum-k and --cusum-h must be given together")
         cusum = CusumConfig(reference_drift_ps=args.cusum_k, decision_limit_ps=args.cusum_h)
     if threshold is None and cusum is None:
-        raise ConfigurationError("nothing to do: give --threshold-ps and/or --cusum-k/--cusum-h")
+        raise ConfigurationError(
+            "nothing to do: give --threshold-ps/--baseline-window and/or --cusum-k/--cusum-h"
+        )
     alarms = collect_alarms(series, ((threshold_monitor, threshold), (cusum_drift, cusum)))
 
     for a in alarms:

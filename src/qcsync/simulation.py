@@ -235,8 +235,14 @@ def generate_pairs(source, duration_s, seed):
 
 
 def _quantize(times, resolution_ps):
-    """Snap to the TDC grid and store as integer picoseconds."""
+    """Snap to the TDC grid and store as integer picoseconds.
+
+    Readings beyond the exact int64/float64 range are refused before the
+    cast, which would wrap them to arbitrary integers.
+    """
     q = np.rint(times / resolution_ps) * resolution_ps
+    if q.size and not np.max(np.abs(q)) <= _MAX_TIME_PS:
+        raise ConfigurationError("detector readings exceed the exact int64/float64 range")
     return np.rint(q).astype(np.int64)
 
 
@@ -359,10 +365,8 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
             (DetectorId.SIGNAL_B, bob_reading, bob_idx),
             (DetectorId.RETURN_A, ret_reading, ret_idx),
         ):
-            t = _quantize(reading, tdc.resolution_ps)
-            nonneg = t >= 0
-            out_times[det].append(t[nonneg])
-            out_pairs[det].append(idx[nonneg] + lo)
+            out_times[det].append(_quantize(reading, tdc.resolution_ps))
+            out_pairs[det].append(idx + lo)
 
     times, pair_ids = [], []
     for det in DetectorId:
@@ -370,7 +374,9 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         p = np.concatenate(out_pairs.pop(det))
         # Chunks go in order and flatnonzero ids ascend, so p already
         # ascends: a stable sort by time breaks time ties by pair id.
+        # Negative times sort first and are dropped with one slice.
         order = np.argsort(t, kind="stable")
+        order = order[np.searchsorted(t, 0, sorter=order) :]
         t = t[order]
         p = p[order]
         del order

@@ -19,12 +19,10 @@ from qcsync.attacks import (
     CoordinationRule,
     DelayTrajectory as _DT,
     LinearBehavior,
-    QcsScheme,
     SchemeKind,
     derive_n_from_m,
     eval_event,
     eval_trajectory,
-    heaviside,
     tampered_clock_difference,
 )
 from qcsync.detection import AlarmKind
@@ -182,7 +180,7 @@ class TestCriterion4GradualOrdering:
 class TestCriterion5AnalyticBridge:
     def test_full_sim_matches_closed_form(self, fig3_grid, report):
         runs, _ = fig3_grid
-        scheme = QcsScheme(SchemeKind.ROUND_TRIP)
+        scheme = SchemeKind.ROUND_TRIP
         total = 0
         within = 0
         for result in runs.values():
@@ -254,7 +252,7 @@ class TestCriterion7AttackAlgebra:
         rule = CoordinationRule(CoordinationMode.PROPORTIONAL, -1.0)
         for _ in range(cases):
             t0 = float(rng.uniform(0.0, 1e3))
-            if heaviside(t0, t0) != 1:
+            if eval_event(AttackEvent(AttackPattern.JUMP, 1.0, t0), t0) != 1.0:
                 failures += 1
 
             events = []

@@ -13,13 +13,10 @@ from qcsync.attacks import (
     LinearBehavior,
     LogarithmicBehavior,
     PolynomialBehavior,
-    QcsScheme,
     SchemeKind,
     derive_n_from_m,
     eval_event,
     eval_trajectory,
-    heaviside,
-    scheme_coefficients,
     tampered_clock_difference,
 )
 from qcsync.errors import ConfigurationError
@@ -35,21 +32,6 @@ def spike(amplitude, start, width):
 
 def gradual(amplitude, start, **kwargs):
     return AttackEvent(AttackPattern.GRADUAL, amplitude, start, **kwargs)
-
-
-class TestHeaviside:
-    def test_before_onset(self):
-        assert heaviside(99.0, 100.0) == 0
-
-    def test_boundary_is_inclusive(self):
-        assert heaviside(100.0, 100.0) == 1
-
-    def test_after_onset(self):
-        assert heaviside(500.0, 100.0) == 1
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ConfigurationError):
-            heaviside(float("nan"), 0.0)
 
 
 class TestJump:
@@ -224,6 +206,14 @@ class TestTrajectory:
             np.testing.assert_allclose(combined, split, rtol=1e-12, atol=1e-9)
 
 
+    def test_overflowing_ramp_refused(self):
+        ramp = gradual(-100.0, 20.0, behavior=ExponentialBehavior(rate_per_s=100.0))
+        traj = DelayTrajectory((ramp,))
+        assert eval_trajectory(traj, 21.0) == pytest.approx(-100.0 * np.expm1(100.0))
+        with pytest.raises(ConfigurationError, match="not finite"):
+            eval_trajectory(traj, np.array([10.0, 40.0]))
+
+
 class TestCoordination:
     def test_sign_flip_for_round_trip_hiding(self):
         m = DelayTrajectory((jump(-500.0, 10.0),))
@@ -274,32 +264,33 @@ class TestScheme:
         ],
     )
     def test_coefficients(self, kind, expected):
-        assert scheme_coefficients(kind) == expected
-        scheme = QcsScheme(kind)
-        assert (scheme.alpha, scheme.beta) == expected
+        assert (kind.alpha, kind.beta) == expected
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            scheme_coefficients("telepathy")
+        with pytest.raises(ConfigurationError, match="unknown scheme kind"):
+            tampered_clock_difference(0.0, 0.0, 0.0, "telepathy")
+
+    def test_value_string_accepted(self):
+        assert tampered_clock_difference(0.0, -100.0, 100.0, "round_trip") == -100.0
 
 
 class TestTamperedClockDifference:
     def test_round_trip_shift(self):
-        scheme = QcsScheme(SchemeKind.ROUND_TRIP)
+        scheme = SchemeKind.ROUND_TRIP
         delta = tampered_clock_difference(-9912.8, -100.0, 100.0, scheme)
         assert delta == pytest.approx(-10012.8)
 
     def test_no_attack_identity(self):
         for kind in SchemeKind:
-            assert tampered_clock_difference(42.0, 0.0, 0.0, QcsScheme(kind)) == 42.0
+            assert tampered_clock_difference(42.0, 0.0, 0.0, kind) == 42.0
 
     def test_two_way_symmetric_delays_cancel(self):
-        scheme = QcsScheme(SchemeKind.TWO_WAY)
+        scheme = SchemeKind.TWO_WAY
         assert tampered_clock_difference(-5.0, 321.0, 321.0, scheme) == -5.0
 
     def test_round_trip_hidden_attack_closed_form(self, rng):
         # With N = -M the round-trip scheme yields delta = raw + M.
-        scheme = QcsScheme(SchemeKind.ROUND_TRIP)
+        scheme = SchemeKind.ROUND_TRIP
         for _ in range(50):
             raw = float(rng.uniform(-1e4, 1e4))
             m = float(rng.uniform(-500.0, 500.0))
@@ -308,4 +299,4 @@ class TestTamperedClockDifference:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):
-            tampered_clock_difference(float("inf"), 0.0, 0.0, QcsScheme(SchemeKind.ROUND_TRIP))
+            tampered_clock_difference(float("inf"), 0.0, 0.0, SchemeKind.ROUND_TRIP)

@@ -140,17 +140,24 @@ class TestTdevAndDetect:
 
     @pytest.mark.parametrize(
         "flags, window",
-        [([], ThresholdConfig().baseline_window_epochs), (["--baseline-window", "20"], 20)],
+        [
+            (["--threshold-ps", "50"], ThresholdConfig().baseline_window_epochs),
+            (["--threshold-ps", "50", "--baseline-window", "20"], 20),
+            (["--baseline-window", "30", "--cusum-k", "0.02", "--cusum-h", "15"], 30),
+            (["--baseline-window", "30"], 30),
+        ],
     )
     def test_detect_baseline_window(self, analytic_scenario_file, tmp_path, monkeypatch,
                                     flags, window):
-        # Without the flag the window is ThresholdConfig's own default.
+        # Without the flag the window is ThresholdConfig's own default; without
+        # --threshold-ps the window still runs the monitor at its default level.
         out = tmp_path / "out"
         main(["run", str(analytic_scenario_file), "--out-dir", str(out)])
         seen = []
         monkeypatch.setattr(cli, "collect_alarms", lambda s, d: seen.extend(d) or [])
-        assert main(["detect", str(out / "series.csv"), "--threshold-ps", "50", *flags]) == 0
-        assert seen[0][1] == ThresholdConfig(baseline_window_epochs=window, threshold_ps=50.0)
+        assert main(["detect", str(out / "series.csv"), *flags]) == 0
+        level = 50.0 if "--threshold-ps" in flags else None
+        assert seen[0][1] == ThresholdConfig(baseline_window_epochs=window, threshold_ps=level)
 
     def test_detect_requires_a_detector(self, analytic_scenario_file, tmp_path):
         out = tmp_path / "out"

@@ -124,6 +124,43 @@ class TestFailurePaths:
         assert main(["run", str(path)]) == 3
 
 
+def unrepresentable_delay_doc(mode, event):
+    """A 40 s ``jump_-100ps`` variant whose M trajectory is ``event``."""
+    doc = builtin_scenario("jump_-100ps")
+    doc["mode"] = mode
+    doc["run"]["duration_s"] = 40.0
+    doc["m_events"] = [event]
+    return doc
+
+
+# exp(100/s * u) overflows float64 about 7 s after the onset.
+OVERFLOWING_RAMP = {
+    "pattern": "gradual",
+    "amplitude_ps": -100.0,
+    "start_s": 20.0,
+    "behavior": {"kind": "exponential", "rate_per_s": 100.0},
+}
+# Finite, but far beyond the exact int64 picosecond range of a timestamp.
+HUGE_JUMP = {"pattern": "jump", "amplitude_ps": 1e300, "start_s": 20.0}
+
+
+class TestUnrepresentableDelay:
+    @pytest.mark.parametrize("mode", ["full_sim", "analytic"])
+    def test_overflowing_ramp_refused(self, mode):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            run_scenario(unrepresentable_delay_doc(mode, OVERFLOWING_RAMP))
+
+    def test_huge_jump_refused_in_full_sim(self):
+        with pytest.raises(ConfigurationError, match="int64"):
+            run_scenario(unrepresentable_delay_doc("full_sim", HUGE_JUMP))
+
+    @pytest.mark.parametrize("event", [OVERFLOWING_RAMP, HUGE_JUMP], ids=["ramp", "jump"])
+    def test_cli_run_exits_config(self, tmp_path, event):
+        path = tmp_path / "unrepresentable.json"
+        path.write_text(json.dumps(unrepresentable_delay_doc("full_sim", event)))
+        assert main(["run", str(path)]) == 1
+
+
 class TestDetectionPolicies:
     def test_auto_threshold_from_baseline_std(self):
         # threshold_ps omitted: level is 4x the calibration-window scatter,

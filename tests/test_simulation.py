@@ -397,8 +397,10 @@ class TestDetectorEffects:
             times = stream.times[det]
             assert np.all(np.diff(times) >= 0)
 
-    def test_negative_timestamps_dropped(self):
-        # A large negative clock offset pushes early Bob readings below zero.
+    def test_negative_timestamps_dropped(self, monkeypatch):
+        # A large negative clock offset pushes early Bob readings below zero;
+        # tiny chunks put those records in several slices of the pair array.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 3)
         clock = ClockConfig(offset_ps=-5e9)
         pairs = integer_pairs(duration_s=1.0, spacing_ms=1.0)
         stream = propagate_and_detect(
@@ -408,6 +410,13 @@ class TestDetectorEffects:
         assert all(np.all(times >= 0) for times in stream.times)
         n_bob = stream.counts()[DetectorId.SIGNAL_B]
         assert n_bob < len(pairs)
+        # Lossless and noiseless: every pair not looped back reaches Bob, and
+        # exactly those whose reading falls below zero are missing.
+        looped = set(stream.pair_ids[DetectorId.RETURN_A].tolist())
+        at_bob = [i for i in range(len(pairs)) if i not in looped]
+        negative = {i for i in at_bob if pairs[i] + 1000.0 - 5e9 < 0}
+        missing = set(at_bob) - set(stream.pair_ids[DetectorId.SIGNAL_B].tolist())
+        assert negative and missing == negative
 
 
 class TestDeterminism:
