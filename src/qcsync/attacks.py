@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 
+# Picosecond values stay exact in float64 arithmetic, and as int64
+# timestamps, up to 2**53: the one bound for every delay and reading.
+MAX_EXACT_PS = float(2**53)
+
+
 class AttackPattern(str, Enum):
     JUMP = "jump"
     SPIKE = "spike"
@@ -322,8 +327,10 @@ def eval_event(event, t_s):
 def eval_trajectory(traj, t_s):
     """Sum of event contributions at time(s) ``t_s``; empty trajectory is 0.
 
-    A ramp that overflows makes the delay infinite or NaN; that is refused
-    here with a ``ConfigurationError`` instead of reaching a timestamp.
+    A delay no timestamp or clock difference can carry is refused here
+    with a ``ConfigurationError``: an overflowing ramp (infinite or NaN),
+    or a finite value beyond ``MAX_EXACT_PS``.  Full simulation and
+    analytic runs both evaluate their trajectories here.
     """
     t = np.asarray(t_s, dtype=float)
     scalar = t.ndim == 0
@@ -333,6 +340,8 @@ def eval_trajectory(traj, t_s):
             out = out + eval_event(event, t)
     if not np.all(np.isfinite(out)):
         raise ConfigurationError("delay trajectory is not finite (a ramp overflows)")
+    if out.size and not np.max(np.abs(out)) <= MAX_EXACT_PS:
+        raise ConfigurationError("delay trajectory exceeds the exact int64/float64 range")
     return float(out) if scalar else out
 
 

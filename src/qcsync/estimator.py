@@ -206,9 +206,14 @@ class AcquisitionResult:
 # this high with at most this probability, summed over the histogram's bins.
 _PEAK_FALSE_ALARM_PROB = 1e-3
 
+# The histogram kernel pairs the ``b`` records in slices of this many, so
+# its temporaries stay slice-sized however long the stream is; the counts
+# of all slices add up to the same histograms.
+_B_SLICE = 1 << 16
+
 
 def _check_sorted(name, arr):
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    if np.any(arr[1:] < arr[:-1]):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
 
 
@@ -217,7 +222,8 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
 
     A pair counts only in the epoch holding both of its records.  Each
     record of the sparser ``b`` is searched into ``a`` for its in-window
-    partners; one ``bincount`` over ``epoch * nbins + bin`` fills all epochs.
+    partners, ``_B_SLICE`` records of ``b`` at a time; a ``bincount`` over
+    ``epoch * nbins + bin`` adds each slice's pairs into all epochs' counts.
     """
     nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
     if nbins < 1:
@@ -234,19 +240,27 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     if a.size:
         # Only the b records within the window of some a record can pair.
         b = b[np.searchsorted(b, a[0] + lo_key) : np.searchsorted(b, a[-1] + hi_key)]
-    first = np.searchsorted(a, b - hi_key, side="right")
-    n = np.searchsorted(a, b - lo_key, side="right") - first
-    bj = np.repeat(np.arange(b.size), n)
-    ai = np.arange(bj.size) + np.repeat(first - (np.cumsum(n) - n), n)
     n_epochs = edges.size - 1
-    epoch = np.searchsorted(edges, a[ai], side="right") - 1
-    same = epoch == np.searchsorted(edges, b[bj], side="right") - 1
-    keep = same & (epoch >= 0) & (epoch < n_epochs)
-    ai, bj, epoch = ai[keep], bj[keep], epoch[keep]
-    d = b[bj].astype(float) - a[ai].astype(float)
-    k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
-    np.clip(k, 0, nbins - 1, out=k)
-    counts = np.bincount(epoch * nbins + k, minlength=n_epochs * nbins)
+    counts = np.zeros(n_epochs * nbins, dtype=np.int64)
+    for start in range(0, b.size, _B_SLICE):
+        bs = b[start : start + _B_SLICE]
+        first = np.searchsorted(a, bs - hi_key, side="right")
+        n = np.searchsorted(a, bs - lo_key, side="right") - first
+        bj = np.repeat(np.arange(bs.size), n)
+        ai = np.arange(bj.size) + np.repeat(first - (np.cumsum(n) - n), n)
+        epoch = np.searchsorted(edges, a[ai], side="right") - 1
+        same = epoch == np.searchsorted(edges, bs[bj], side="right") - 1
+        keep = same & (epoch >= 0) & (epoch < n_epochs)
+        if not keep.any():
+            continue
+        ai, bj, epoch = ai[keep], bj[keep], epoch[keep]
+        d = bs[bj].astype(float) - a[ai].astype(float)
+        k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
+        np.clip(k, 0, nbins - 1, out=k)
+        # The slice's pairs span a few epochs: count only that stretch.
+        offset = int(epoch.min()) * nbins
+        slice_counts = np.bincount(epoch * nbins + k - offset)
+        counts[offset : offset + slice_counts.size] += slice_counts
     return [
         CorrelationHistogram(
             float(bin_width_ps), int(window_center_ps), int(window_halfwidth_ps), row, float(mu)

@@ -26,6 +26,13 @@ Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
+Memory: pairs are propagated in bounded chunks (``_PAIR_CHUNK``), and
+each chunk's records are written straight into one time buffer and one
+pair-id buffer per detector, so every temporary is chunk-sized.  What
+grows with the run is the emission times (8 B per pair) and the stream
+itself (16 B per record): about 26 B per pair at the default 1.1 records
+per pair.
+
 All randomness flows from a single integer seed through
 ``numpy.random.default_rng``; identical configuration and seed reproduce a
 bit-identical stream.
@@ -41,7 +48,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .attacks import eval_trajectory
+from .attacks import MAX_EXACT_PS, eval_trajectory
 from .errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,13 +72,12 @@ __all__ = [
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 # Vectorized propagation works on bounded slices of the emission times.
-# This bounds only the per-slice routing uniforms, the jitter draws of the
-# recorded photons and their temporaries: all emission times (one float64
-# per pair) and all detection records are still held in memory at once.
+# This bounds the per-slice routing uniforms, the jitter draws of the
+# recorded photons, their quantized readings and the sort that orders them:
+# every temporary is chunk-sized.  What still grows with the run is held
+# once: all emission times (one float64 per pair) and the assembled stream
+# (one int64 time and one int64 pair id per record).
 _PAIR_CHUNK = 1_000_000
-
-# int64 picosecond timestamps stay exact in float64 arithmetic up to 2**53.
-_MAX_TIME_PS = float(2**53)
 
 
 @dataclass(frozen=True)
@@ -207,7 +213,7 @@ class TimestampStream:
                 raise ConfigurationError(f"{name} times and pair ids must have equal length")
             if t.size and t[0] < 0:
                 raise ConfigurationError(f"{name} timestamps must be >= 0")
-            if np.any(np.diff(t) < 0):
+            if np.any(t[1:] < t[:-1]):
                 raise ConfigurationError(f"{name} timestamps must be sorted ascending")
 
     def __len__(self):
@@ -241,7 +247,7 @@ def _quantize(times, resolution_ps):
     cast, which would wrap them to arbitrary integers.
     """
     q = np.rint(times / resolution_ps) * resolution_ps
-    if q.size and not np.max(np.abs(q)) <= _MAX_TIME_PS:
+    if q.size and not np.max(np.abs(q)) <= MAX_EXACT_PS:
         raise ConfigurationError("detector readings exceed the exact int64/float64 range")
     return np.rint(q).astype(np.int64)
 
@@ -283,6 +289,63 @@ def _apply_dead_time(times, pairs, dead_time_ps):
     return times[keep], pairs[keep]
 
 
+def _expected_capacity(n_pairs, prob):
+    """Initial buffer length of a detector that records each of ``n_pairs``
+    with probability ``prob``: the mean count plus six standard deviations,
+    so a buffer grows only in rare runs."""
+    mean = n_pairs * prob
+    return int(mean + 6.0 * math.sqrt(mean)) + 1
+
+
+class _DetectorRecords:
+    """One detector's records, assembled in place chunk by chunk.
+
+    Each chunk's records are stably sorted by time within the chunk (pair
+    ids arrive ascending, so ties stay in pair-id order), negative times
+    are dropped, and the rest is written into the two privately owned
+    buffers.  They start at ``capacity`` and are trimmed by ``finish``; one
+    that fills up is resized in place, which lets the allocator remap a
+    large block rather than copy it (glibc does).  When chunk time ranges
+    overlap the assembly is out of order, and ``finish`` sorts it once
+    more: the result is the same (time, pair id) order as one stable sort
+    of all records.
+    """
+
+    def __init__(self, capacity):
+        self.times = np.empty(capacity, np.int64)
+        self.pair_ids = np.empty(capacity, np.int64)
+        self.size = 0
+        self.ordered = True
+
+    def append(self, times, pair_ids):
+        if np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            times, pair_ids = times[order], pair_ids[order]
+        start = np.searchsorted(times, 0)
+        times, pair_ids = times[start:], pair_ids[start:]
+        if times.size == 0:
+            return
+        if self.size and times[0] < self.times[self.size - 1]:
+            self.ordered = False
+        end = self.size + times.size
+        if end > self.times.size:
+            self.times.resize(end, refcheck=False)
+            self.pair_ids.resize(end, refcheck=False)
+        self.times[self.size : end] = times
+        self.pair_ids[self.size : end] = pair_ids
+        self.size = end
+
+    def finish(self):
+        """The (times, pair ids) arrays, trimmed and in global order."""
+        self.times.resize(self.size, refcheck=False)
+        self.pair_ids.resize(self.size, refcheck=False)
+        times, pair_ids = self.times, self.pair_ids
+        if not self.ordered:
+            order = np.argsort(times, kind="stable")
+            times, pair_ids = times[order], pair_ids[order]
+        return times, pair_ids
+
+
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
     """Propagate pair emissions through the attacked link and detect.
 
@@ -304,7 +367,7 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 1:
         raise ConfigurationError("pairs must be a 1-D array of emission times")
-    if pairs.size and float(np.max(pairs)) > _MAX_TIME_PS:
+    if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
         raise ConfigurationError("emission times exceed the exact int64/float64 range")
 
     rng = np.random.default_rng(seed)
@@ -325,8 +388,14 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     p_bob = s * (1.0 - loop) * eff
     p_signal = p_bob + s * loop * s * eff
 
-    out_times = {det: [np.empty(0, np.int64)] for det in DetectorId}
-    out_pairs = {det: [np.empty(0, np.int64)] for det in DetectorId}
+    records = {
+        det: _DetectorRecords(_expected_capacity(pairs.size, prob))
+        for det, prob in (
+            (DetectorId.IDLER_A, eff),
+            (DetectorId.SIGNAL_B, p_bob),
+            (DetectorId.RETURN_A, p_signal - p_bob),
+        )
+    }
 
     for lo in range(0, pairs.size, _PAIR_CHUNK):
         emitted = pairs[lo : lo + _PAIR_CHUNK]
@@ -365,22 +434,11 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
             (DetectorId.SIGNAL_B, bob_reading, bob_idx),
             (DetectorId.RETURN_A, ret_reading, ret_idx),
         ):
-            out_times[det].append(_quantize(reading, tdc.resolution_ps))
-            out_pairs[det].append(idx + lo)
+            records[det].append(_quantize(reading, tdc.resolution_ps), idx + lo)
 
     times, pair_ids = [], []
     for det in DetectorId:
-        t = np.concatenate(out_times.pop(det))
-        p = np.concatenate(out_pairs.pop(det))
-        # Chunks go in order and flatnonzero ids ascend, so p already
-        # ascends: a stable sort by time breaks time ties by pair id.
-        # Negative times sort first and are dropped with one slice.
-        order = np.argsort(t, kind="stable")
-        order = order[np.searchsorted(t, 0, sorter=order) :]
-        t = t[order]
-        p = p[order]
-        del order
-        t, p = _apply_dead_time(t, p, detectors.dead_time_ps)
+        t, p = _apply_dead_time(*records.pop(det).finish(), detectors.dead_time_ps)
         times.append(t)
         pair_ids.append(p)
 

@@ -209,7 +209,10 @@ class TestTrajectory:
     def test_overflowing_ramp_refused(self):
         ramp = gradual(-100.0, 20.0, behavior=ExponentialBehavior(rate_per_s=100.0))
         traj = DelayTrajectory((ramp,))
-        assert eval_trajectory(traj, 21.0) == pytest.approx(-100.0 * np.expm1(100.0))
+        assert eval_trajectory(traj, 20.1) == pytest.approx(-100.0 * np.expm1(10.0))
+        # Finite but beyond 2**53 ps, where timestamps stop being exact.
+        with pytest.raises(ConfigurationError, match="int64"):
+            eval_trajectory(traj, 21.0)
         with pytest.raises(ConfigurationError, match="not finite"):
             eval_trajectory(traj, np.array([10.0, 40.0]))
 

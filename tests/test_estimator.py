@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import gap_doc
+from qcsync import estimator
 from qcsync.attacks import AttackEvent, AttackPattern, DelayTrajectory
 from qcsync.errors import (
     AcquisitionError,
@@ -269,6 +270,41 @@ class TestEpochKernelOracle:
             np.testing.assert_array_equal(
                 build_histogram(*args).counts, reference_build_histogram(*args).counts
             )
+
+
+class TestKernelSlices:
+    """The kernel pairs ``b`` in slices; the slice size never shows."""
+
+    @staticmethod
+    def histograms():
+        source = SourceConfig(pair_rate_hz=5_000.0)
+        stream = propagate_and_detect(
+            generate_pairs(source, 3.0, 31), source, ChannelConfig(), DelayTrajectory(),
+            DelayTrajectory(), DetectorConfig(), TdcConfig(), QUIET_CLOCK, 32, duration_s=3.0,
+        )
+        edges = np.array([0, 10**12, 2 * 10**12, 3 * 10**12])
+        delay = int(LOSSLESS_CHANNEL.one_way_delay_ps)
+        idler = stream.times[DetectorId.IDLER_A]
+        return [
+            estimator._histograms(idler, stream.times[det], edges, 4.0, center, 2000)
+            for det, center in (
+                (DetectorId.SIGNAL_B, delay - 9900),
+                (DetectorId.RETURN_A, 2 * delay),
+            )
+        ]
+
+    @pytest.mark.parametrize("slice_size", [1, 7, estimator._B_SLICE])
+    def test_counts_and_accidentals_independent_of_slice(self, monkeypatch, slice_size):
+        want = self.histograms()
+        monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
+        got = self.histograms()
+        for got_epochs, want_epochs in zip(got, want):
+            assert len(got_epochs) == len(want_epochs) == 3
+            for g, w in zip(got_epochs, want_epochs):
+                assert g.total() > 100
+                np.testing.assert_array_equal(g.counts, w.counts)
+                assert g.counts.dtype == w.counts.dtype
+                assert g.accidentals_per_bin == w.accidentals_per_bin
 
 
 class TestBuildHistogram:

@@ -1,0 +1,86 @@
+"""Memory bounds of the campaign path that do not depend on the machine.
+
+numpy reports its array allocations to ``tracemalloc``, so a traced peak
+counts the bytes the program asked for, not what the allocator or the
+kernel made of them.  The stream and the emission times grow with the run;
+everything else must stay within a multiple of the simulation's chunk or
+the histogram kernel's slice, which both tests shrink so that a single
+full-length temporary of a 1 M-pair run would exceed the bound many times.
+"""
+
+import dataclasses
+import tracemalloc
+
+import pytest
+
+from qcsync import estimator, simulation
+from qcsync.runner import load_scenario
+from qcsync.scenario import builtin_scenario
+
+CHUNK = 10_000
+CHUNK_BYTES = 8 * CHUNK
+
+
+def million_pair_scenario():
+    doc = builtin_scenario("baseline")
+    doc["source"] = {"pair_rate_hz": 1.0e5}
+    doc["run"]["duration_s"] = 10.0
+    return load_scenario(doc)
+
+
+def traced_peak(func, *args):
+    """``(value, bytes)``: what ``func(*args)`` returns, and how far the traced
+    memory peaked above where it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = func(*args)
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def stream_bytes(stream):
+    return sum(t.nbytes + p.nbytes for t, p in zip(stream.times, stream.pair_ids))
+
+
+def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
+    monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
+    pair_bytes = []
+    generate = simulation.generate_pairs
+
+    def recording(*args):
+        pairs = generate(*args)
+        pair_bytes.append(pairs.nbytes)
+        return pairs
+
+    monkeypatch.setattr(simulation, "generate_pairs", recording)
+    stream, peak = traced_peak(simulation.run_round_trip_sim, million_pair_scenario())
+    assert pair_bytes[0] >= 8 * 1_000_000
+    excess = peak - pair_bytes[0] - stream_bytes(stream)
+    # Chunk temporaries, buffer slack and the validation's one-byte-per-record
+    # sortedness mask come to ~21 chunks; one full-length copy of the
+    # IdlerA times alone is 80.
+    assert excess < 40 * CHUNK_BYTES
+
+
+def test_per_epoch_series_holds_slice_temporaries(monkeypatch):
+    monkeypatch.setattr(estimator, "_B_SLICE", CHUNK, raising=False)
+    scenario = million_pair_scenario()
+    stream = simulation.run_round_trip_sim(scenario)
+    # Acquisition reads at most ``acquire_max_events`` idlers however long
+    # the run is, so the bound is taken with the centres already known.
+    acq = estimator.coarse_acquire(stream, scenario.estimator)
+    config = dataclasses.replace(
+        scenario.estimator,
+        forward_center_ps=acq.forward_center_ps,
+        loopback_center_ps=acq.loopback_center_ps,
+    )
+    series, peak = traced_peak(estimator.per_epoch_series, stream, scenario.run.epoch_s, config)
+    assert series.gap_count() == 0
+    # ~11 slices here; each full-length temporary of SignalB is 20.
+    assert peak < 30 * CHUNK_BYTES

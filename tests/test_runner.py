@@ -160,6 +160,23 @@ class TestUnrepresentableDelay:
         path.write_text(json.dumps(unrepresentable_delay_doc("full_sim", event)))
         assert main(["run", str(path)]) == 1
 
+    @staticmethod
+    def analytic_huge_jump_doc():
+        # Without a detection section nothing after TDEV would notice its
+        # overflow: the run would return an infinite TDEV curve.
+        doc = unrepresentable_delay_doc("analytic", HUGE_JUMP)
+        del doc["detection"]
+        return doc
+
+    def test_huge_jump_refused_in_analytic(self):
+        with pytest.raises(ConfigurationError, match="int64"):
+            run_scenario(self.analytic_huge_jump_doc())
+
+    def test_cli_run_analytic_huge_jump_exits_config(self, tmp_path):
+        path = tmp_path / "unrepresentable.json"
+        path.write_text(json.dumps(self.analytic_huge_jump_doc()))
+        assert main(["run", str(path)]) == 1
+
 
 class TestDetectionPolicies:
     def test_auto_threshold_from_baseline_std(self):

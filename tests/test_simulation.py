@@ -419,6 +419,112 @@ class TestDetectorEffects:
         assert negative and missing == negative
 
 
+def reference_finalize(out_times, out_pairs, dead_time_ps):
+    """One detector's chunk outputs, concatenated and globally sorted the way
+    ``propagate_and_detect`` did before it assembled them in place (test
+    oracle)."""
+    t = np.concatenate([np.empty(0, np.int64), *out_times])
+    p = np.concatenate([np.empty(0, np.int64), *out_pairs])
+    # Chunks go in order and flatnonzero ids ascend, so p already
+    # ascends: a stable sort by time breaks time ties by pair id.
+    # Negative times sort first and are dropped with one slice.
+    order = np.argsort(t, kind="stable")
+    order = order[np.searchsorted(t, 0, sorter=order) :]
+    t = t[order]
+    p = p[order]
+    del order
+    return _apply_dead_time(t, p, dead_time_ps)
+
+
+@pytest.fixture
+def recorded_assembly(monkeypatch):
+    """Per-detector assemblies of the next runs, in ``DetectorId`` order, each
+    with a copy of every chunk it was given."""
+    made = []
+
+    class Recording(simulation._DetectorRecords):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            self.chunks = []
+            made.append(self)
+
+        def append(self, times, pair_ids):
+            self.chunks.append((times.copy(), pair_ids.copy()))
+            super().append(times, pair_ids)
+
+    monkeypatch.setattr(simulation, "_DetectorRecords", Recording)
+    return made
+
+
+class TestInPlaceAssembly:
+    """Chunk-by-chunk assembly is bit-equal to one global stable sort."""
+
+    RATE_HZ = 1e5  # 10 us pair spacing
+
+    def run(self, recorded, jitter_ps=10.0, dead_time_ps=0.0, offset_ps=-9900.0,
+            tdc=NOISELESS_TDC):
+        source = SourceConfig(pair_rate_hz=self.RATE_HZ)
+        pairs = generate_pairs(source, 0.1, 21)
+        detector = DetectorConfig(jitter_sigma_ps=jitter_ps, dead_time_ps=dead_time_ps)
+        stream = propagate_and_detect(
+            pairs, source, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            detector, tdc, ClockConfig(offset_ps=offset_ps), 22, duration_s=0.1,
+        )
+        assert len(recorded) == len(DetectorId)
+        for det, records in zip(DetectorId, recorded):
+            want_times, want_ids = reference_finalize(
+                [t for t, _ in records.chunks], [p for _, p in records.chunks], dead_time_ps
+            )
+            assert stream.times[det].dtype == stream.pair_ids[det].dtype == np.int64
+            np.testing.assert_array_equal(stream.times[det], want_times)
+            np.testing.assert_array_equal(stream.pair_ids[det], want_ids)
+        return pairs, stream
+
+    @pytest.mark.parametrize("chunk", [3, 997, None], ids=["3", "997", "default"])
+    @pytest.mark.parametrize("jitter_ps", [1e8, 10.0], ids=["above-spacing", "below-spacing"])
+    def test_equals_global_stable_sort(self, monkeypatch, recorded_assembly, chunk, jitter_ps):
+        if chunk is not None:
+            monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
+        pairs, _ = self.run(recorded_assembly, jitter_ps=jitter_ps)
+        several_chunks = pairs.size > simulation._PAIR_CHUNK
+        # Jitter of ten pair spacings makes neighbouring chunks overlap in
+        # time, so the final sort runs; a 10 ps jitter never does.
+        overlapped = not all(records.ordered for records in recorded_assembly)
+        assert overlapped == (several_chunks and jitter_ps > 1e6)
+
+    def test_grown_from_capacity_one(self, monkeypatch, recorded_assembly):
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        monkeypatch.setattr(simulation, "_expected_capacity", lambda n_pairs, prob: 1)
+        self.run(recorded_assembly, jitter_ps=1e8)
+
+    @pytest.mark.parametrize("jitter_ps", [1e8, 10.0], ids=["above-spacing", "below-spacing"])
+    def test_dead_time_50ns(self, monkeypatch, recorded_assembly, jitter_ps):
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        _, stream = self.run(recorded_assembly, jitter_ps=jitter_ps, dead_time_ps=50_000.0)
+        dropped = sum(r.size for r in recorded_assembly) - len(stream)
+        assert dropped > 0
+
+    def test_time_ties_keep_pair_id_order(self, monkeypatch, recorded_assembly):
+        # A 0.1 ms TDC grid puts about ten records on each tick.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        _, stream = self.run(recorded_assembly, jitter_ps=1e8, tdc=TdcConfig(resolution_ps=1e8))
+        times, ids = hits(stream, DetectorId.IDLER_A)
+        tied = times[1:] == times[:-1]
+        assert tied.mean() > 0.5
+        assert np.all(ids[1:][tied] > ids[:-1][tied])
+
+    def test_negative_times(self, monkeypatch, recorded_assembly):
+        # Bob's clock reads 50 ms behind: half his records fall below zero,
+        # and the jitter pushes the first idlers there too.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        self.run(recorded_assembly, jitter_ps=1e8, offset_ps=-5e10)
+        negative = [
+            sum(int((t < 0).sum()) for t, _ in records.chunks) for records in recorded_assembly
+        ]
+        assert negative[DetectorId.IDLER_A] > 0
+        assert negative[DetectorId.SIGNAL_B] > 1000
+
+
 class TestDeterminism:
     def test_same_seed_identical_stream(self):
         scenario = load_scenario("jump_-100ps")
