@@ -4,23 +4,28 @@ Pairwise detection-time differences between two detectors, histogrammed
 over a window, peak at the propagation delay (plus clock offset) of the
 photon path connecting them.  One kernel builds the forward (IdlerA x
 SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
-pass; acquisition runs it as a single epoch.  Per epoch both peak positions
-tau_AB and tau_ABA give the clock difference ``delta = tau_AB - tau_ABA / 2``.
+pass, as an ``(epochs, bins)`` count matrix; acquisition runs it as a
+single epoch.  Each slice of far-end records is searched only into the
+stretch of idlers it can reach, and a pair's two records get their epochs
+by division.  Per epoch both peak positions tau_AB and tau_ABA give the
+clock difference ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
 3*sqrt(background)`` seeds a fixed four-RMS integration span, and the
 maximum must be significant against the accidentals the singles predict.
 It is deterministic, fit-free, and returns a calibrated counting-statistics
-uncertainty.  Epochs where either peak cannot be found become explicit
-gaps rather than fabricated values.
+uncertainty.  One extractor finds the peaks of every row of the count
+matrix at once, each row's result independent of the others;
+``estimate_peak`` is its one-row case.  Epochs where either peak cannot be
+found become explicit gaps rather than fabricated values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,8 +70,9 @@ class CorrelationHistogram:
     accidentals_per_bin: float = 0.0
 
     def bin_centers(self):
-        lo = self.window_center_ps - self.window_halfwidth_ps
-        return lo + (np.arange(self.counts.size) + 0.5) * self.bin_width_ps
+        return _bin_centers(
+            self.window_center_ps, self.window_halfwidth_ps, self.bin_width_ps, self.counts.size
+        )
 
     def total(self):
         return int(self.counts.sum())
@@ -206,10 +212,14 @@ class AcquisitionResult:
 # this high with at most this probability, summed over the histogram's bins.
 _PEAK_FALSE_ALARM_PROB = 1e-3
 
-# The histogram kernel pairs the ``b`` records in slices of this many, so
-# its temporaries stay slice-sized however long the stream is; the counts
-# of all slices add up to the same histograms.
+# The histogram kernel pairs the ``b`` records in slices of this many, and
+# splits a slice wherever its candidate pairs pass another this many, so
+# its temporaries stay slice-sized however long the stream is and however
+# wide the window; the counts of all slices add up to the same histograms.
 _B_SLICE = 1 << 16
+
+# Outcome of ``_peaks`` for one histogram: a peak, or why there is none.
+_PEAK, _BELOW_THRESHOLD, _NOT_SIGNIFICANT, _EMPTY, _NO_NET_COUNTS = range(5)
 
 
 def _check_sorted(name, arr):
@@ -217,13 +227,89 @@ def _check_sorted(name, arr):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
 
 
+def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
+    """``lo + (k + 0.5) * bin_width_ps`` for each bin k, in one array."""
+    centers = np.arange(nbins, dtype=float)
+    centers += 0.5
+    centers *= bin_width_ps
+    centers += window_center_ps - window_halfwidth_ps
+    return centers
+
+
+def _epochs(t, edges):
+    """Index k of the epoch ``[edges[k], edges[k+1])`` holding each time in
+    ``t``: -1 before the first edge, ``edges.size - 1`` from the last on.
+
+    The grid is even to within a few ps (whole-ps epochs, ``rint(k*E)``
+    edges of any E, or a single epoch), so one division puts a time at most
+    one epoch from its own, and one comparison with each edge of that epoch
+    settles it exactly.
+    """
+    n_epochs = edges.size - 1
+    k = ((t - edges[0]) / ((edges[-1] - edges[0]) / n_epochs)).astype(np.int64)
+    np.clip(k, 0, n_epochs - 1, out=k)
+    k -= t < edges[k]
+    k += t >= edges[k + 1]
+    return k
+
+
+def _partner_counts(a, first, stop):
+    """``searchsorted(a, stop, side="right") - first`` for a non-empty ``a``:
+    how many of ``a[first:]`` lie at or below each ``stop``.
+
+    A window narrower than the spacing of ``a`` mostly holds no partner or
+    one, which two comparisons settle; only the records that hold two or
+    more are searched.
+    """
+    last = a.size - 1
+    n = (a[np.minimum(first, last)] <= stop) & (first <= last)
+    more = n & (first < last)
+    more &= a[np.minimum(first + 1, last)] <= stop
+    n = n.astype(np.int64)
+    if more.any():
+        more = np.flatnonzero(more)
+        n[more] = np.searchsorted(a, stop[more], side="right") - first[more]
+    return n
+
+
+def _window_pairs(a, b, lo_key, hi_key):
+    """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``.
+
+    Each record of ``b`` is searched into ``a`` for its first partner,
+    ``_B_SLICE`` records at a time and only into the stretch of ``a`` that
+    the slice can reach.  A slice is yielded in pieces cut wherever its
+    pair count passes a multiple of ``_B_SLICE``, so a piece holds at most
+    ``_B_SLICE`` pairs plus one record's.
+    """
+    for start in range(0, b.size, _B_SLICE):
+        bs = b[start : start + _B_SLICE]
+        reach_start = np.searchsorted(a, bs[0] - hi_key, side="right")
+        reach = a[reach_start : np.searchsorted(a, bs[-1] - lo_key, side="right")]
+        if reach.size == 0:
+            continue
+        first = np.searchsorted(reach, bs - hi_key, side="right")
+        n = _partner_counts(reach, first, bs - lo_key)
+        # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
+        bounds = np.concatenate(([0], np.cumsum(n)))
+        offset = first - bounds[:-1]
+        cuts = np.searchsorted(
+            bounds[1:], np.arange(_B_SLICE, bounds[-1], _B_SLICE), side="right"
+        ).tolist()
+        for j0, j1 in zip([0] + cuts, cuts + [bs.size]):
+            if bounds[j1] == bounds[j0]:
+                continue
+            ai = np.arange(bounds[j0], bounds[j1])
+            ai += np.repeat(offset[j0:j1], n[j0:j1])
+            yield reach[ai], np.repeat(bs[j0:j1], n[j0:j1])
+
+
 def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
 
-    A pair counts only in the epoch holding both of its records.  Each
-    record of the sparser ``b`` is searched into ``a`` for its in-window
-    partners, ``_B_SLICE`` records of ``b`` at a time; a ``bincount`` over
-    ``epoch * nbins + bin`` adds each slice's pairs into all epochs' counts.
+    Returns the ``(n_epochs, nbins)`` count matrix and the accidentals per
+    bin that each epoch's singles predict.  A pair counts only in the epoch
+    holding both of its records; a ``bincount`` over ``epoch * nbins +
+    bin`` adds each piece of pairs into all epochs' counts.
     """
     nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
     if nbins < 1:
@@ -234,7 +320,6 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
         # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
         lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
-    # Accidentals per bin that each epoch's singles predict.
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     if a.size:
@@ -242,31 +327,29 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         b = b[np.searchsorted(b, a[0] + lo_key) : np.searchsorted(b, a[-1] + hi_key)]
     n_epochs = edges.size - 1
     counts = np.zeros(n_epochs * nbins, dtype=np.int64)
-    for start in range(0, b.size, _B_SLICE):
-        bs = b[start : start + _B_SLICE]
-        first = np.searchsorted(a, bs - hi_key, side="right")
-        n = np.searchsorted(a, bs - lo_key, side="right") - first
-        bj = np.repeat(np.arange(bs.size), n)
-        ai = np.arange(bj.size) + np.repeat(first - (np.cumsum(n) - n), n)
-        epoch = np.searchsorted(edges, a[ai], side="right") - 1
-        same = epoch == np.searchsorted(edges, bs[bj], side="right") - 1
-        keep = same & (epoch >= 0) & (epoch < n_epochs)
-        if not keep.any():
-            continue
-        ai, bj, epoch = ai[keep], bj[keep], epoch[keep]
-        d = bs[bj].astype(float) - a[ai].astype(float)
+    for ta, tb in _window_pairs(a, b, lo_key, hi_key):
+        span = np.array([min(ta.min(), tb[0]), max(ta.max(), tb[-1])])
+        first_epoch, last_epoch = _epochs(span, edges).tolist()
+        if first_epoch == last_epoch:
+            # The piece lies within one epoch: its pairs need no division.
+            if not 0 <= first_epoch < n_epochs:
+                continue
+            epoch = first_epoch
+        else:
+            epoch = _epochs(ta, edges)
+            keep = (epoch == _epochs(tb, edges)) & (epoch >= 0) & (epoch < n_epochs)
+            if not keep.all():
+                ta, tb, epoch = ta[keep], tb[keep], epoch[keep]
+            if epoch.size == 0:
+                continue
+        d = tb.astype(float) - ta.astype(float)
         k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
         np.clip(k, 0, nbins - 1, out=k)
-        # The slice's pairs span a few epochs: count only that stretch.
-        offset = int(epoch.min()) * nbins
-        slice_counts = np.bincount(epoch * nbins + k - offset)
-        counts[offset : offset + slice_counts.size] += slice_counts
-    return [
-        CorrelationHistogram(
-            float(bin_width_ps), int(window_center_ps), int(window_halfwidth_ps), row, float(mu)
-        )
-        for row, mu in zip(counts.reshape(n_epochs, nbins), accidentals)
-    ]
+        # The piece's pairs span a few epochs: count only that stretch.
+        offset = int(np.min(epoch)) * nbins
+        piece_counts = np.bincount(epoch * nbins + k - offset)
+        counts[offset : offset + piece_counts.size] += piece_counts
+    return counts.reshape(n_epochs, nbins), accidentals
 
 
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
@@ -285,7 +368,16 @@ def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     # One epoch over both inputs' time span, the span of their singles rates.
     ends = np.concatenate((a[:1], a[-1:], b[:1], b[-1:]))
     edges = np.array([ends.min(), ends.max() + 1]) if ends.size else np.array([0, 1])
-    return _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps)[0]
+    counts, accidentals = _histograms(
+        a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
+    )
+    return CorrelationHistogram(
+        float(bin_width_ps),
+        int(window_center_ps),
+        int(window_halfwidth_ps),
+        counts[0],
+        float(accidentals[0]),
+    )
 
 
 def _poisson_tail(k, mu):
@@ -304,15 +396,109 @@ def _poisson_tail(k, mu):
     return tail
 
 
-def _centroid(counts, background, centers, lo, hi):
-    """Net total, centroid and RMS width of ``counts[lo:hi]`` above ``background``."""
-    net = counts[lo:hi].astype(float) - background
-    total = float(net.sum())
-    if total <= 0:  # pragma: no cover - the seed is above background, the span holds it
-        raise NoPeakError("no net counts in the peak region")
-    tau = float(np.dot(net, centers[lo:hi]) / total)
-    rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / total), 0.0))
+def _centroids(counts, rows, background, centers, lo, hi):
+    """Net totals, centroids and RMS widths above ``background[i]`` of each
+    span ``counts[rows[i], lo[i]:hi[i]]`` (every span one bin or wider).
+
+    Each span is summed on its own by ``np.add.reduceat``, so a row's
+    result does not depend on the other rows.
+    """
+    width = hi - lo
+    start = np.cumsum(width) - width
+    span = np.repeat(np.arange(rows.size), width)
+    col = np.arange(start[-1] + width[-1])
+    col += np.repeat(lo - start, width)
+    net = counts[rows[span], col] - background[span]
+    x = centers[col]
+    total = np.add.reduceat(net, start)
+    tau = np.add.reduceat(net * x, start) / total
+    x -= tau[span]
+    rms = np.sqrt(np.maximum(np.add.reduceat(net * x**2, start) / total, 0.0))
     return total, tau, rms
+
+
+class _PeakArrays(NamedTuple):
+    tau: np.ndarray
+    uncertainty: np.ndarray
+    peak_counts: np.ndarray
+    background: np.ndarray
+    code: np.ndarray
+
+
+def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth_ps):
+    """The peak of each row of a ``(rows, nbins)`` count matrix, as arrays.
+
+    ``accidentals[r]`` is row r's accidentals per bin.  ``code`` is
+    ``_PEAK`` where a row has a peak, and otherwise why it has none; tau
+    and uncertainty are NaN there.  A row's result is the same, bit for
+    bit, whichever rows share the matrix.  See ``estimate_peak`` for the
+    method.
+    """
+    rows, nbins = counts.shape
+    tau = np.full(rows, np.nan)
+    uncertainty = np.full(rows, np.nan)
+    if nbins == 0:
+        empty = np.full(rows, _EMPTY)
+        return _PeakArrays(tau, uncertainty, np.zeros(rows, np.int64), tau.copy(), empty)
+    edge = max(1, nbins // 10)
+    # Integer sums over one division: the mean of the edge bins, exactly.
+    background = (counts[:, :edge].sum(axis=1) + counts[:, -edge:].sum(axis=1)) / (2 * edge)
+    threshold = background + 3.0 * np.sqrt(background)
+    peak_bin = counts.argmax(axis=1)
+    peak_counts = counts[np.arange(rows), peak_bin]
+    code = np.where(peak_counts > threshold, _PEAK, _BELOW_THRESHOLD)
+    mu = np.maximum(background, accidentals)
+    for r in np.flatnonzero(code == _PEAK).tolist():
+        if nbins * _poisson_tail(int(peak_counts[r]), float(mu[r])) >= _PEAK_FALSE_ALARM_PROB:
+            code[r] = _NOT_SIGNIFICANT
+    found = np.flatnonzero(code == _PEAK)
+    if found.size == 0:
+        return _PeakArrays(tau, uncertainty, peak_counts, background, code)
+
+    # The seed, counts[r, left:right], is the run of above-threshold bins
+    # holding the maximum.  Runs break between rows as well as at bins at
+    # or below the threshold.
+    above = np.flatnonzero(counts > threshold[:, np.newaxis])
+    breaks = np.flatnonzero((np.diff(above) != 1) | (above[1:] % nbins == 0)) + 1
+    run_starts = above[np.concatenate(([0], breaks))]
+    run_stops = above[np.concatenate((breaks - 1, [above.size - 1]))] + 1
+    origin = found * nbins
+    run = np.searchsorted(run_starts, origin + peak_bin[found], side="right") - 1
+    left, right = run_starts[run] - origin, run_stops[run] - origin
+
+    centers = _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins)
+    bg = background[found]
+    _, seed_tau, seed_rms = _centroids(counts, found, bg, centers, left, right)
+    span = 4.0 * np.maximum(seed_rms, bin_width_ps)
+    lo = np.searchsorted(centers, seed_tau - span, side="left")
+    hi = np.searchsorted(centers, seed_tau + span, side="right")
+    # The span can hold more bins under the background than the seed holds
+    # above it; such a row has no net counts and no peak.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        net_total, found_tau, rms = _centroids(counts, found, bg, centers, lo, hi)
+    net = net_total > 0
+    code[found[~net]] = _NO_NET_COUNTS
+    found = found[net]
+    tau[found] = found_tau[net]
+    floor = bin_width_ps / math.sqrt(12.0)
+    uncertainty[found] = np.maximum(rms[net], floor) / np.sqrt(net_total[net])
+    return _PeakArrays(tau, uncertainty, peak_counts, background, code)
+
+
+def _no_peak_message(code, peak_counts, background, accidentals_per_bin):
+    """Why a histogram with this ``_peaks`` outcome has no peak."""
+    if code == _EMPTY:
+        return "empty histogram"
+    if code == _BELOW_THRESHOLD:
+        threshold = background + 3.0 * math.sqrt(background)
+        return f"no bin above background threshold ({peak_counts} <= {threshold:.2f})"
+    if code == _NOT_SIGNIFICANT:
+        accidentals = max(background, accidentals_per_bin)
+        return (
+            f"maximum bin ({peak_counts}) not significant over "
+            f"{accidentals:.3g} accidentals per bin"
+        )
+    return "no net counts in the peak region"
 
 
 def estimate_peak(histogram):
@@ -331,49 +517,27 @@ def estimate_peak(histogram):
     background and ``histogram.accidentals_per_bin``, times the bin count)
     must stay below ``_PEAK_FALSE_ALARM_PROB``.
 
-    Raises NoPeakError when no bin clears the threshold or the maximum is
-    not significant, which signals a broken channel, a mis-centered window
-    or a peak that left it.
+    Raises NoPeakError when no bin clears the threshold, the maximum is not
+    significant or the span holds no net counts, which signals a broken
+    channel, a mis-centered window or a peak that left it.  This is the
+    one-row case of ``_peaks``, which extracts every epoch's peak at once.
     """
-    counts = histogram.counts
-    nbins = counts.size
-    if nbins == 0:
-        raise NoPeakError("empty histogram")
-    edge = max(1, nbins // 10)
-    background = float(np.concatenate((counts[:edge], counts[-edge:])).mean())
-    threshold = background + 3.0 * math.sqrt(background)
-
-    peak_bin = int(np.argmax(counts))
-    if counts[peak_bin] <= threshold:
+    found = _peaks(
+        np.asarray(histogram.counts)[np.newaxis],
+        np.array([histogram.accidentals_per_bin], dtype=float),
+        histogram.bin_width_ps,
+        histogram.window_center_ps,
+        histogram.window_halfwidth_ps,
+    )
+    tau, uncertainty, peak_counts, background, code = (v[0].item() for v in found)
+    if code != _PEAK:
         raise NoPeakError(
-            f"no bin above background threshold ({counts[peak_bin]} <= {threshold:.2f})"
+            _no_peak_message(code, peak_counts, background, histogram.accidentals_per_bin)
         )
-    accidentals = max(background, histogram.accidentals_per_bin)
-    if nbins * _poisson_tail(int(counts[peak_bin]), accidentals) >= _PEAK_FALSE_ALARM_PROB:
-        raise NoPeakError(
-            f"maximum bin ({counts[peak_bin]}) not significant over "
-            f"{accidentals:.3g} accidentals per bin"
-        )
-
-    # The seed, counts[left:right], runs between the nearest bins at or below
-    # the threshold on each side of the maximum (which is above it).
-    low = np.flatnonzero(counts <= threshold)
-    i = int(np.searchsorted(low, peak_bin))
-    left = int(low[i - 1]) + 1 if i > 0 else 0
-    right = int(low[i]) if i < low.size else nbins
-
-    centers = histogram.bin_centers()
-    _, seed_tau, seed_rms = _centroid(counts, background, centers, left, right)
-    span = 4.0 * max(seed_rms, histogram.bin_width_ps)
-    lo = int(np.searchsorted(centers, seed_tau - span, side="left"))
-    hi = int(np.searchsorted(centers, seed_tau + span, side="right"))
-    net_total, tau, rms = _centroid(counts, background, centers, lo, hi)
-    floor = histogram.bin_width_ps / math.sqrt(12.0)
-    uncertainty = max(rms, floor) / math.sqrt(net_total)
     return PeakEstimate(
         tau_ps=tau,
         uncertainty_ps=uncertainty,
-        peak_counts=int(counts[peak_bin]),
+        peak_counts=peak_counts,
         background_per_bin=background,
     )
 
@@ -428,9 +592,10 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
     timestamp, builds all epochs' forward and loopback histograms in one
-    kernel pass each, and emits each epoch's ``delta = tau_AB - tau_ABA/2``.
-    Epochs where either peak estimation fails are emitted as gaps.  The
-    combined counting-statistics sigma of each delta is recorded alongside.
+    kernel pass each, extracts all their peaks at once, and emits each
+    epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where either peak
+    estimation fails are emitted as gaps.  The combined counting-statistics
+    sigma of each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -450,34 +615,33 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     epoch_ps = epoch_length_s * 1e12
     edges = np.rint(np.arange(n_epochs + 1) * epoch_ps).astype(np.int64)
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
-    forward = _histograms(idler, stream.times[DetectorId.SIGNAL_B], edges, bw, fwd_center, hw)
-    loopback = _histograms(idler, stream.times[DetectorId.RETURN_A], edges, bw, loop_center, hw)
-
-    points = []
-    usable = 0
-    for k, (fwd_hist, loop_hist) in enumerate(zip(forward, loopback)):
-        epoch_start = k * epoch_length_s
-        try:
-            fwd = estimate_peak(fwd_hist)
-            loop = estimate_peak(loop_hist)
-        except NoPeakError:
-            points.append(ClockDifferencePoint(epoch_start, None, None, None))
-            continue
-        delta = clock_difference(fwd.tau_ps, loop.tau_ps)
-        delta_sigma = math.sqrt(fwd.uncertainty_ps**2 + 0.25 * loop.uncertainty_ps**2)
-        points.append(
-            ClockDifferencePoint(
-                epoch_start_s=epoch_start,
-                tau_ab_ps=fwd.tau_ps,
-                tau_aba_ps=loop.tau_ps,
-                delta_ps=delta,
-                tau_ab_sigma_ps=fwd.uncertainty_ps,
-                tau_aba_sigma_ps=loop.uncertainty_ps,
-                delta_sigma_ps=delta_sigma,
-            )
-        )
-        usable += 1
-
-    if usable == 0:
+    fwd, loop = (
+        _peaks(*_histograms(idler, stream.times[det], edges, bw, center, hw), bw, center, hw)
+        for det, center in ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
+    )
+    usable = (fwd.code == _PEAK) & (loop.code == _PEAK)
+    if not usable.any():
         raise EmptySeriesError("no epoch produced a usable clock-difference sample")
+
+    delta = fwd.tau - loop.tau / 2.0
+    points = []
+    for start, ok, tau_ab, tau_aba, d, sigma_ab, sigma_aba in zip(
+        (np.arange(n_epochs) * epoch_length_s).tolist(),
+        usable.tolist(),
+        fwd.tau.tolist(),
+        loop.tau.tolist(),
+        delta.tolist(),
+        fwd.uncertainty.tolist(),
+        loop.uncertainty.tolist(),
+    ):
+        if not ok:
+            points.append(ClockDifferencePoint(start, None, None, None))
+            continue
+        # Python's ``**`` squares with libm's pow, which for ~0.1% of values
+        # rounds differently from numpy's multiply: kept, so that every
+        # sigma is the same as the one-epoch formula gives.
+        delta_sigma = math.sqrt(sigma_ab**2 + 0.25 * sigma_aba**2)
+        points.append(
+            ClockDifferencePoint(start, tau_ab, tau_aba, d, sigma_ab, sigma_aba, delta_sigma)
+        )
     return ClockDifferenceSeries(epoch_length_s=epoch_length_s, points=points)

@@ -241,15 +241,18 @@ def generate_pairs(source, duration_s, seed):
 
 
 def _quantize(times, resolution_ps):
-    """Snap to the TDC grid and store as integer picoseconds.
+    """Snap to the TDC grid and store as integer picoseconds; ``times`` is
+    overwritten on the way.
 
-    Readings beyond the exact int64/float64 range are refused before the
-    cast, which would wrap them to arbitrary integers.
+    Readings beyond the exact int64/float64 range, or NaN, are refused
+    before the cast, which would wrap them to arbitrary integers.
     """
-    q = np.rint(times / resolution_ps) * resolution_ps
-    if q.size and not np.max(np.abs(q)) <= MAX_EXACT_PS:
+    q = np.divide(times, resolution_ps, out=times)
+    np.rint(q, out=q)
+    q *= resolution_ps
+    if q.size and not (q.max() <= MAX_EXACT_PS and q.min() >= -MAX_EXACT_PS):
         raise ConfigurationError("detector readings exceed the exact int64/float64 range")
-    return np.rint(q).astype(np.int64)
+    return np.rint(q, out=q).astype(np.int64)
 
 
 def _apply_dead_time(times, pairs, dead_time_ps):
@@ -407,34 +410,47 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         u_signal = rng.random(k)
         signal_idx = np.flatnonzero(u_signal < p_signal)
         at_bob = u_signal[signal_idx] < p_bob
+        del u_signal
         bob_idx = signal_idx[at_bob]
         ret_idx = signal_idx[~at_bob]
-        z_idler = rng.standard_normal(idler_idx.size)
-        z_bob = rng.standard_normal(bob_idx.size)
-        z_ret = rng.standard_normal(ret_idx.size)
+        idler = rng.standard_normal(idler_idx.size)
+        bob = rng.standard_normal(bob_idx.size)
+        ret = rng.standard_normal(ret_idx.size)
 
-        t_idler = emitted[idler_idx] + sigma_idler * z_idler
-
-        e_fwd = emitted[signal_idx]
-        arrive_bob = e_fwd + L + eval_trajectory(m, e_fwd * 1e-12)
-        bob_time = arrive_bob[at_bob]
-        bob_reading = (
-            bob_time
-            + clocks.offset_ps
-            + clocks.drift_ps_per_s * (bob_time * 1e-12)
-            + sigma_bob * z_bob
-        )
-
-        looped_time = arrive_bob[~at_bob]
-        arrive_alice = looped_time + L + eval_trajectory(n, looped_time * 1e-12)
-        ret_reading = arrive_alice + sigma_return * z_ret
+        # Each reading is built in its Gaussian's array, in place, one step
+        # at a time in the order of the formula above it: bit-identical to
+        # evaluating the formula, without a fresh array per step.
+        # idler = emitted + sigma_idler * z
+        idler *= sigma_idler
+        idler += emitted[idler_idx]
+        # arrive = emitted + L + M(emitted)
+        arrive = emitted[signal_idx]
+        delay = eval_trajectory(m, arrive * 1e-12)
+        arrive += L
+        arrive += delay
+        # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z
+        t = arrive[at_bob]
+        drift = t * 1e-12
+        drift *= clocks.drift_ps_per_s
+        t += clocks.offset_ps
+        t += drift
+        bob *= sigma_bob
+        bob += t
+        # ret = arrive + L + N(arrive) + sigma_return * z
+        t = arrive[~at_bob]
+        delay = eval_trajectory(n, t * 1e-12)
+        t += L
+        t += delay
+        ret *= sigma_return
+        ret += t
 
         for det, reading, idx in (
-            (DetectorId.IDLER_A, t_idler, idler_idx),
-            (DetectorId.SIGNAL_B, bob_reading, bob_idx),
-            (DetectorId.RETURN_A, ret_reading, ret_idx),
+            (DetectorId.IDLER_A, idler, idler_idx),
+            (DetectorId.SIGNAL_B, bob, bob_idx),
+            (DetectorId.RETURN_A, ret, ret_idx),
         ):
-            records[det].append(_quantize(reading, tdc.resolution_ps), idx + lo)
+            idx += lo
+            records[det].append(_quantize(reading, tdc.resolution_ps), idx)
 
     times, pair_ids = [], []
     for det in DetectorId:

@@ -32,6 +32,7 @@ from qcsync.estimator import (
 )
 from qcsync.cli import main
 from qcsync.runner import load_scenario
+from qcsync.scenario import builtin_scenario
 from qcsync.simulation import (
     ChannelConfig,
     ClockConfig,
@@ -272,6 +273,68 @@ class TestEpochKernelOracle:
             )
 
 
+def third_second_stream():
+    """Nine 1/3 s epochs of exact forward and loopback pairs, plus forward
+    probes at every inner epoch edge ``rint(k * 1e12 / 3)`` (10 ns delay,
+    4 ps bins): a pair whose idler sits on the edge counts in the later
+    epoch, one whose signal sits one picosecond before it in the earlier
+    epoch, and the two pairs that straddle it in neither.  The edges fall
+    a third of a picosecond off the ``k * E`` grid, so an epoch taken from
+    the division alone misplaces the probes on them.
+    """
+    delay = 10_000
+    rng = np.random.default_rng(23)
+    edges = np.rint(np.arange(10) * (1e12 / 3)).astype(np.int64)
+    idler = np.sort(np.concatenate([rng.integers(lo + 10**10, hi - 10**10, 300)
+                                    for lo, hi in zip(edges[:-1], edges[1:])]))
+    inner = edges[1:-1]
+    probes = np.concatenate((inner, inner - delay - 1, inner - delay, inner - 1))
+    offsets = np.concatenate((np.full(inner.size * 3, delay), np.full(inner.size, delay + 4)))
+    times = [
+        np.sort(np.concatenate((idler, probes))),
+        np.sort(np.concatenate((idler + delay, probes + offsets))),
+        idler + 2 * delay,
+    ]
+    stream = TimestampStream(
+        times=times,
+        pair_ids=[np.zeros(t.size, dtype=np.int64) for t in times],
+        duration_s=3.0,
+        seed=0,
+        nominal_one_way_delay_ps=float(delay),
+    )
+    return stream, EstimatorConfig(forward_center_ps=delay, loopback_center_ps=2 * delay)
+
+
+class TestFractionalEpochs:
+    """Epochs of a length that is not a whole number of picoseconds."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: (noiseless_stream(), EstimatorConfig()), third_second_stream],
+        ids=["noiseless", "edge_probes"],
+    )
+    def test_points_equal_slicing_loop(self, make):
+        stream, config = make()
+        got = per_epoch_series(stream, 1.0 / 3.0, config).points
+        want = reference_per_epoch_series(stream, 1.0 / 3.0, config).points
+        assert len(got) == round(3 * stream.duration_s)
+        assert got == want
+
+    def test_build_histogram_with_negative_origin_equals_reference(self, rng):
+        a = np.sort(rng.integers(-3 * 10**9, 10**9, 20_000))
+        b = np.sort(np.concatenate((a[::2] + 700 + rng.integers(-90, 90, 10_000),
+                                    rng.integers(-2 * 10**9, 2 * 10**9, 5000))))
+        for args in (
+            (a, b, 4.0, 700, 400),
+            (a - 10**12, b - 10**12, 1.0, 650, 200),
+            (a.astype(float) - 0.25, b.astype(float), 10.0, 0, 2000),
+            (a, a - 5, 3.0, -5, 30),
+        ):
+            got = build_histogram(*args)
+            np.testing.assert_array_equal(got.counts, reference_build_histogram(*args).counts)
+            assert got.total() > 0
+
+
 class TestKernelSlices:
     """The kernel pairs ``b`` in slices; the slice size never shows."""
 
@@ -298,13 +361,24 @@ class TestKernelSlices:
         want = self.histograms()
         monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
         got = self.histograms()
-        for got_epochs, want_epochs in zip(got, want):
-            assert len(got_epochs) == len(want_epochs) == 3
-            for g, w in zip(got_epochs, want_epochs):
-                assert g.total() > 100
-                np.testing.assert_array_equal(g.counts, w.counts)
-                assert g.counts.dtype == w.counts.dtype
-                assert g.accidentals_per_bin == w.accidentals_per_bin
+        for (got_counts, got_acc), (want_counts, want_acc) in zip(got, want):
+            assert len(got_counts) == len(want_counts) == len(got_acc) == len(want_acc) == 3
+            for g, w, g_acc, w_acc in zip(got_counts, want_counts, got_acc, want_acc):
+                assert g.sum() > 100
+                np.testing.assert_array_equal(g, w)
+                assert g.dtype == w.dtype
+                assert g_acc == w_acc
+
+
+    def test_records_beyond_the_last_epoch_count_nowhere(self, monkeypatch):
+        # 3.5 s of records make 3 epochs.  In slices of 7 records whole
+        # pieces of pairs lie past the last edge, and none may count.
+        monkeypatch.setattr(estimator, "_B_SLICE", 7)
+        stream = noiseless_stream(duration_s=3.5, rate=5_000.0)
+        config = EstimatorConfig(forward_center_ps=48_990_100, loopback_center_ps=98_000_000)
+        got = per_epoch_series(stream, 1.0, config).points
+        assert len(got) == 3
+        assert got == reference_per_epoch_series(stream, 1.0, config).points
 
 
 class TestBuildHistogram:
@@ -498,8 +572,19 @@ class TestEstimatePeakOracle:
             return f"NoPeakError: {exc}"
 
     def assert_same(self, histogram):
+        # The outcome, the NoPeakError text, the peak counts and the
+        # background are exact; tau and its uncertainty are sums taken in
+        # another order, so they may differ in the last bits.
         want = self.outcome(reference_estimate_peak, histogram)
-        assert self.outcome(estimate_peak, histogram) == want
+        got = self.outcome(estimate_peak, histogram)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.peak_counts == want.peak_counts
+            assert got.background_per_bin == want.background_per_bin
+            assert got.tau_ps == pytest.approx(want.tau_ps, rel=1e-13, abs=1e-9)
+            assert got.uncertainty_ps == pytest.approx(want.uncertainty_ps, rel=1e-13, abs=1e-9)
         return want
 
     def test_random_histograms(self):
@@ -531,6 +616,97 @@ class TestEstimatePeakOracle:
     )
     def test_edge_cases(self, counts):
         self.assert_same(CorrelationHistogram(4.0, 0, 200, np.array(counts, dtype=np.int64)))
+
+
+def matrix_outcomes(counts, accidentals, bin_width_ps, center, halfwidth):
+    """Each row's ``_peaks`` result, as ``estimate_peak`` would give it."""
+    found = estimator._peaks(counts, accidentals, bin_width_ps, center, halfwidth)
+    outcomes = []
+    for tau, sigma, peak, background, code, acc in zip(
+        *(v.tolist() for v in found), accidentals.tolist()
+    ):
+        if code == estimator._PEAK:
+            outcomes.append(PeakEstimate(tau, sigma, peak, background))
+        else:
+            message = estimator._no_peak_message(code, peak, background, acc)
+            outcomes.append(f"NoPeakError: {message}")
+    return outcomes
+
+
+def alone_outcomes(counts, accidentals, bin_width_ps, center, halfwidth):
+    return [
+        TestEstimatePeakOracle.outcome(
+            estimate_peak, CorrelationHistogram(bin_width_ps, center, halfwidth, row, acc)
+        )
+        for row, acc in zip(counts, accidentals.tolist())
+    ]
+
+
+class TestPeakMatrix:
+    """``_peaks`` over a matrix gives each row what ``estimate_peak`` gives it alone."""
+
+    def test_random_histograms_stacked_by_bin_count(self):
+        gen = np.random.default_rng(4242)
+        groups = {}
+        for _ in range(3000):
+            h = random_histogram(gen)
+            groups.setdefault(h.counts.size, []).append(h)
+        rows = 0
+        for group in groups.values():
+            first = group[0]
+            geometry = (first.bin_width_ps, first.window_center_ps, first.window_halfwidth_ps)
+            counts = np.array([h.counts for h in group])
+            accidentals = np.array([h.accidentals_per_bin for h in group])
+            want = alone_outcomes(counts, accidentals, *geometry)
+            assert matrix_outcomes(counts, accidentals, *geometry) == want
+            # Reversed, each row shares the matrix with other neighbours.
+            assert matrix_outcomes(counts[::-1], accidentals[::-1], *geometry) == want[::-1]
+            rows += len(group)
+        assert rows == 3000 and len(groups) > 250
+
+    def test_gradual_reversing_epochs(self):
+        doc = builtin_scenario("gradual_fast_reversing")
+        doc["run"]["duration_s"] = 120.0
+        scenario = load_scenario(doc)
+        stream = run_round_trip_sim(scenario)
+        config = scenario.estimator
+        acq = coarse_acquire(stream, config)
+        edges = np.arange(121, dtype=np.int64) * 10**12
+        idler = stream.times[DetectorId.IDLER_A]
+        peaks = 0
+        for det, center in (
+            (DetectorId.SIGNAL_B, acq.forward_center_ps),
+            (DetectorId.RETURN_A, acq.loopback_center_ps),
+        ):
+            bw, hw = config.bin_width_ps, config.window_halfwidth_ps
+            counts, accidentals = estimator._histograms(
+                idler, stream.times[det], edges, bw, center, hw
+            )
+            want = alone_outcomes(counts, accidentals, bw, center, hw)
+            assert matrix_outcomes(counts, accidentals, bw, center, hw) == want
+            peaks += sum(isinstance(o, PeakEstimate) for o in want)
+        assert peaks == 240
+
+    @pytest.mark.parametrize(
+        "counts, accidentals, code",
+        [
+            ([], 0.0, "_EMPTY"),
+            ([50] * 100, 0.0, "_BELOW_THRESHOLD"),
+            ([0] * 500 + [1] + [0] * 499, 1e-5, "_NOT_SIGNIFICANT"),
+            # One significant bin whose four-bin-width span holds eight
+            # empty bins under a background of 100: no net counts.
+            ([100, 100] + [0] * 8 + [160] + [0] * 7 + [100, 100], 0.0, "_NO_NET_COUNTS"),
+        ],
+    )
+    def test_failure_codes_give_oracle_messages(self, counts, accidentals, code):
+        h = CorrelationHistogram(4.0, 0, 200, np.array(counts, dtype=np.int64), accidentals)
+        found = estimator._peaks(h.counts[np.newaxis], np.array([accidentals]), 4.0, 0, 200)
+        assert found.code.tolist() == [getattr(estimator, code)]
+        with pytest.raises(NoPeakError) as want:
+            reference_estimate_peak(h)
+        with pytest.raises(NoPeakError) as got:
+            estimate_peak(h)
+        assert str(got.value) == str(want.value)
 
 
 class TestClockDifference:

@@ -63,9 +63,9 @@ def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
     assert pair_bytes[0] >= 8 * 1_000_000
     excess = peak - pair_bytes[0] - stream_bytes(stream)
     # Chunk temporaries, buffer slack and the validation's one-byte-per-record
-    # sortedness mask come to ~21 chunks; one full-length copy of the
+    # sortedness mask come to ~19 chunks; one full-length copy of the
     # IdlerA times alone is 80.
-    assert excess < 40 * CHUNK_BYTES
+    assert excess < 20 * CHUNK_BYTES
 
 
 def test_per_epoch_series_holds_slice_temporaries(monkeypatch):
@@ -84,3 +84,19 @@ def test_per_epoch_series_holds_slice_temporaries(monkeypatch):
     assert series.gap_count() == 0
     # ~11 slices here; each full-length temporary of SignalB is 20.
     assert peak < 30 * CHUNK_BYTES
+
+
+def test_acquisition_holds_histograms_plus_slice_temporaries(monkeypatch):
+    monkeypatch.setattr(estimator, "_B_SLICE", CHUNK, raising=False)
+    scenario = million_pair_scenario()
+    stream = simulation.run_round_trip_sim(scenario)
+    acq, peak = traced_peak(estimator.coarse_acquire, stream, scenario.estimator)
+    assert acq.forward_center_ps > 0
+    # The loopback search spans +-4x the one-way delay at coarse binning:
+    # the largest histogram, held twice (the counts and one slice's).  The
+    # +-2x nominal forward window pairs each SignalB record with ~16 of the
+    # 100 kHz idlers, so the kernel must bound its slices by candidate pairs
+    # too: records alone let a slice hold ~16 chunks of pairs.
+    nominal = stream.nominal_one_way_delay_ps
+    histogram_bytes = 8 * round(8.0 * nominal / scenario.estimator.coarse_bin_ps)
+    assert peak < 2 * histogram_bytes + 60 * CHUNK_BYTES
