@@ -338,10 +338,12 @@ def eval_trajectory(traj, t_s):
     with np.errstate(over="ignore", invalid="ignore"):
         for event in traj.events:
             out = out + eval_event(event, t)
-    if not np.all(np.isfinite(out)):
-        raise ConfigurationError("delay trajectory is not finite (a ramp overflows)")
-    if out.size and not np.max(np.abs(out)) <= MAX_EXACT_PS:
-        raise ConfigurationError("delay trajectory exceeds the exact int64/float64 range")
+    # One comparison refuses NaN and infinities too, so which of the two
+    # shows first in an array cannot change the message.
+    if not np.all(np.abs(out) <= MAX_EXACT_PS):
+        raise ConfigurationError(
+            "delay trajectory is not finite or exceeds the exact int64/float64 range"
+        )
     return float(out) if scalar else out
 
 

@@ -36,7 +36,7 @@ from .errors import (
     EmptySeriesError,
     NoPeakError,
 )
-from .simulation import DetectorId
+from .simulation import DetectorId, is_sorted
 
 __all__ = [
     "CorrelationHistogram",
@@ -223,7 +223,7 @@ _PEAK, _BELOW_THRESHOLD, _NOT_SIGNIFICANT, _EMPTY, _NO_NET_COUNTS = range(5)
 
 
 def _check_sorted(name, arr):
-    if np.any(arr[1:] < arr[:-1]):
+    if not is_sorted(arr):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
 
 

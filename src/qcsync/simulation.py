@@ -26,16 +26,22 @@ Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
-Memory: pairs are propagated in bounded chunks (``_PAIR_CHUNK``), and
-each chunk's records are written straight into one time buffer and one
-pair-id buffer per detector, so every temporary is chunk-sized.  What
-grows with the run is the emission times (8 B per pair) and the stream
-itself (16 B per record): about 26 B per pair at the default 1.1 records
-per pair.
+Memory: what grows with the run is the emission times (8 B per pair) and
+the stream itself (16 B per record), about 26 B per pair at the default
+1.1 records per pair; every other array is bounded by ``_PAIR_CHUNK``.
+Pairs are propagated in chunks of that many, and each chunk's records are
+written straight into one time buffer and one pair-id buffer per detector.
+The dead time is applied in those buffers, slice by slice, and the stream
+check reads them in windows of the same length.  Two cases exceed the
+bound: a slice never splits a run of records closer than the dead time,
+so such a run longer than a chunk makes a slice of its own length; and if
+chunks overlap in time (a jitter or delay step wider than the gap across
+a chunk edge), the detector is sorted once more as a whole.
 
 All randomness flows from a single integer seed through
 ``numpy.random.default_rng``; identical configuration and seed reproduce a
-bit-identical stream.
+bit-identical stream.  The chunk length belongs to that contract, because
+the generator draws chunk by chunk.
 """
 
 from __future__ import annotations
@@ -71,13 +77,12 @@ __all__ = [
 # Jitter specs are conventionally quoted as FWHM; convert to Gaussian sigma.
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-# Vectorized propagation works on bounded slices of the emission times.
-# This bounds the per-slice routing uniforms, the jitter draws of the
-# recorded photons, their quantized readings and the sort that orders them:
-# every temporary is chunk-sized.  What still grows with the run is held
-# once: all emission times (one float64 per pair) and the assembled stream
-# (one int64 time and one int64 pair id per record).
-_PAIR_CHUNK = 1_000_000
+# Vectorized propagation works on slices of this many emission times, and
+# the dead-time pass and the stream's order check on slices of about this
+# many records: one 8-byte array of a slice is 512 kB and fits in cache.
+# The length is part of the determinism contract: the RNG draws chunk by
+# chunk, so another chunk length gives another stream from the same seed.
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,7 @@ class TimestampStream:
                 raise ConfigurationError(f"{name} times and pair ids must have equal length")
             if t.size and t[0] < 0:
                 raise ConfigurationError(f"{name} timestamps must be >= 0")
-            if np.any(t[1:] < t[:-1]):
+            if not is_sorted(t):
                 raise ConfigurationError(f"{name} timestamps must be sorted ascending")
 
     def __len__(self):
@@ -221,6 +226,16 @@ class TimestampStream:
 
     def counts(self):
         return {det: int(self.times[det].size) for det in DetectorId}
+
+
+def is_sorted(values):
+    """Whether the 1-D ``values`` ascend, compared in ``_PAIR_CHUNK`` windows
+    that overlap by one element, so no full-length mask is made."""
+    for lo in range(0, values.size - 1, _PAIR_CHUNK):
+        window = values[lo : lo + _PAIR_CHUNK + 1]
+        if np.any(window[1:] < window[:-1]):
+            return False
+    return True
 
 
 def generate_pairs(source, duration_s, seed):
@@ -306,12 +321,12 @@ class _DetectorRecords:
     Each chunk's records are stably sorted by time within the chunk (pair
     ids arrive ascending, so ties stay in pair-id order), negative times
     are dropped, and the rest is written into the two privately owned
-    buffers.  They start at ``capacity`` and are trimmed by ``finish``; one
-    that fills up is resized in place, which lets the allocator remap a
-    large block rather than copy it (glibc does).  When chunk time ranges
-    overlap the assembly is out of order, and ``finish`` sorts it once
-    more: the result is the same (time, pair id) order as one stable sort
-    of all records.
+    buffers.  They start at ``capacity``; one that fills up is resized in
+    place, which lets the allocator remap a large block rather than copy it
+    (glibc does).  When chunk time ranges overlap the assembly is out of
+    order, and ``finish`` sorts it once more: the result is the same (time,
+    pair id) order as one stable sort of all records.  ``finish`` then
+    applies the dead time in the buffers and trims them once.
     """
 
     def __init__(self, capacity):
@@ -321,7 +336,7 @@ class _DetectorRecords:
         self.ordered = True
 
     def append(self, times, pair_ids):
-        if np.any(times[1:] < times[:-1]):
+        if not is_sorted(times):
             order = np.argsort(times, kind="stable")
             times, pair_ids = times[order], pair_ids[order]
         start = np.searchsorted(times, 0)
@@ -338,15 +353,48 @@ class _DetectorRecords:
         self.pair_ids[self.size : end] = pair_ids
         self.size = end
 
-    def finish(self):
-        """The (times, pair ids) arrays, trimmed and in global order."""
-        self.times.resize(self.size, refcheck=False)
-        self.pair_ids.resize(self.size, refcheck=False)
-        times, pair_ids = self.times, self.pair_ids
+    def finish(self, dead_time_ps):
+        """The (times, pair ids) arrays in global order, with the dead time
+        applied in place, trimmed once."""
+        n = self.size
         if not self.ordered:
-            order = np.argsort(times, kind="stable")
-            times, pair_ids = times[order], pair_ids[order]
-        return times, pair_ids
+            order = np.argsort(self.times[:n], kind="stable")
+            self.times = self.times[:n][order]
+            self.pair_ids = self.pair_ids[:n][order]
+            del order
+        if dead_time_ps > 0:
+            n = self._filter_dead_time(n, math.ceil(dead_time_ps))
+        self.times.resize(n, refcheck=False)
+        self.pair_ids.resize(n, refcheck=False)
+        return self.times, self.pair_ids
+
+    def _filter_dead_time(self, n, dead):
+        """Filter the first ``n`` records through ``_apply_dead_time`` slice by
+        slice, moving the kept ones to the front; returns how many are kept.
+
+        A slice of about ``_PAIR_CHUNK`` records ends only before a record at
+        least ``dead`` after its predecessor: greedy keeps that record
+        whatever came before, so the slices are independent.
+        """
+        times, pair_ids = self.times, self.pair_ids
+        kept = lo = 0
+        while lo < n:
+            hi = lo + _PAIR_CHUNK
+            while hi < n:
+                # The first cut at or after ``hi``, searched a window at a time.
+                stop = min(hi + _PAIR_CHUNK, n)
+                far = np.flatnonzero(np.diff(times[hi - 1 : stop]) >= dead)
+                if far.size:
+                    hi += int(far[0])
+                    break
+                hi = stop
+            hi = min(hi, n)
+            t, p = _apply_dead_time(times[lo:hi], pair_ids[lo:hi], dead)
+            times[kept : kept + t.size] = t
+            pair_ids[kept : kept + p.size] = p
+            kept += t.size
+            lo = hi
+        return kept
 
 
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
@@ -408,11 +456,13 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         # uniforms per pair, then one Gaussian per detected photon.
         idler_idx = np.flatnonzero(rng.random(k) < eff)
         u_signal = rng.random(k)
-        signal_idx = np.flatnonzero(u_signal < p_signal)
-        at_bob = u_signal[signal_idx] < p_bob
-        del u_signal
-        bob_idx = signal_idx[at_bob]
-        ret_idx = signal_idx[~at_bob]
+        at_bob = u_signal < p_bob
+        bob_idx = np.flatnonzero(at_bob)
+        # at_bob implies u < p_signal, so the exclusive or is p_bob <= u < p_signal.
+        at_return = u_signal < p_signal
+        at_return ^= at_bob
+        ret_idx = np.flatnonzero(at_return)
+        del u_signal, at_bob, at_return
         idler = rng.standard_normal(idler_idx.size)
         bob = rng.standard_normal(bob_idx.size)
         ret = rng.standard_normal(ret_idx.size)
@@ -423,13 +473,12 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         # idler = emitted + sigma_idler * z
         idler *= sigma_idler
         idler += emitted[idler_idx]
-        # arrive = emitted + L + M(emitted)
-        arrive = emitted[signal_idx]
-        delay = eval_trajectory(m, arrive * 1e-12)
-        arrive += L
-        arrive += delay
-        # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z
-        t = arrive[at_bob]
+        # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z,
+        # with arrive = emitted + L + M(emitted)
+        t = emitted[bob_idx]
+        delay = eval_trajectory(m, t * 1e-12)
+        t += L
+        t += delay
         drift = t * 1e-12
         drift *= clocks.drift_ps_per_s
         t += clocks.offset_ps
@@ -437,7 +486,10 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         bob *= sigma_bob
         bob += t
         # ret = arrive + L + N(arrive) + sigma_return * z
-        t = arrive[~at_bob]
+        t = emitted[ret_idx]
+        delay = eval_trajectory(m, t * 1e-12)
+        t += L
+        t += delay
         delay = eval_trajectory(n, t * 1e-12)
         t += L
         t += delay
@@ -454,7 +506,7 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
 
     times, pair_ids = [], []
     for det in DetectorId:
-        t, p = _apply_dead_time(*records.pop(det).finish(), detectors.dead_time_ps)
+        t, p = records.pop(det).finish(detectors.dead_time_ps)
         times.append(t)
         pair_ids.append(p)
 

@@ -216,6 +216,16 @@ class TestTrajectory:
         with pytest.raises(ConfigurationError, match="not finite"):
             eval_trajectory(traj, np.array([10.0, 40.0]))
 
+    def test_one_refusal_for_every_unrepresentable_delay(self):
+        # Full simulation evaluates a trajectory chunk by chunk, so which
+        # kind of bad value a call meets first depends on the chunk length.
+        ramp = gradual(-100.0, 20.0, behavior=ExponentialBehavior(rate_per_s=100.0))
+        traj = DelayTrajectory((ramp,))
+        message = "not finite or exceeds the exact int64/float64 range"
+        for t_s in (21.0, 40.0, np.array([21.0]), np.array([40.0, 21.0]), np.nan):
+            with pytest.raises(ConfigurationError, match=message):
+                eval_trajectory(traj, t_s)
+
 
 class TestCoordination:
     def test_sign_flip_for_round_trip_hiding(self):

@@ -48,8 +48,18 @@ def stream_bytes(stream):
     return sum(t.nbytes + p.nbytes for t, p in zip(stream.times, stream.pair_ids))
 
 
-def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
+def simulation_excess(monkeypatch, dead_time_ps):
+    """How far a million-pair simulation's traced peak exceeds its emission
+    times and its stream, in bytes."""
     monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
+    scenario = million_pair_scenario()
+    scenario = dataclasses.replace(
+        scenario, detectors=dataclasses.replace(scenario.detectors, dead_time_ps=dead_time_ps)
+    )
+    # A first, tiny run imports what numpy imports lazily (numpy.random's
+    # submodules, ~7 chunk-sizes), which no later run pays again.
+    tiny = dataclasses.replace(scenario.run, duration_s=0.01)
+    simulation.run_round_trip_sim(dataclasses.replace(scenario, run=tiny))
     pair_bytes = []
     generate = simulation.generate_pairs
 
@@ -59,13 +69,23 @@ def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
         return pairs
 
     monkeypatch.setattr(simulation, "generate_pairs", recording)
-    stream, peak = traced_peak(simulation.run_round_trip_sim, million_pair_scenario())
+    stream, peak = traced_peak(simulation.run_round_trip_sim, scenario)
     assert pair_bytes[0] >= 8 * 1_000_000
-    excess = peak - pair_bytes[0] - stream_bytes(stream)
-    # Chunk temporaries, buffer slack and the validation's one-byte-per-record
-    # sortedness mask come to ~19 chunks; one full-length copy of the
-    # IdlerA times alone is 80.
-    assert excess < 20 * CHUNK_BYTES
+    return peak - pair_bytes[0] - stream_bytes(stream)
+
+
+# Chunk temporaries and the buffers' slack come to 8-9 chunk-sizes, with or
+# without dead time; one full-length copy of the IdlerA times alone is 80.
+SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
+
+
+def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
+    assert simulation_excess(monkeypatch, 0.0) < SIMULATION_EXCESS_BOUND
+
+
+def test_dead_time_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
+    # ~0.4% of the 80 kHz idlers fall within 50 ns of their predecessor.
+    assert simulation_excess(monkeypatch, 50_000.0) < SIMULATION_EXCESS_BOUND
 
 
 def test_per_epoch_series_holds_slice_temporaries(monkeypatch):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsync import simulation
 from qcsync.attacks import (
@@ -105,6 +107,33 @@ def dead_time_case(name):
     if name == "single-record":
         return np.array([123], np.int64), 5000.0
     raise KeyError(name)
+
+
+DEAD_TIME_CASES = [
+    "no-close-pairs",
+    "sparse-clusters",
+    "dense-cluster",
+    "dead-time-far-longer-than-spacing",
+    "equal-timestamps",
+    "fractional-dead-time-near-3.5e15",
+    "empty",
+    "single-record",
+]
+
+
+class TestSortedCheck:
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_inversion_found_at_every_position(self, monkeypatch, window):
+        # The windows overlap by one element, so an inversion across a window
+        # edge is seen as well as one inside a window.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", window)
+        values = np.arange(12)
+        assert simulation.is_sorted(values)
+        assert simulation.is_sorted(values[:1]) and simulation.is_sorted(values[:0])
+        for i in range(values.size - 1):
+            swapped = values.copy()
+            swapped[[i, i + 1]] = swapped[[i + 1, i]]
+            assert not simulation.is_sorted(swapped)
 
 
 class TestGeneratePairs:
@@ -364,19 +393,7 @@ class TestDetectorEffects:
             if times.size > 1:
                 assert np.diff(times).min() >= 5000
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "no-close-pairs",
-            "sparse-clusters",
-            "dense-cluster",
-            "dead-time-far-longer-than-spacing",
-            "equal-timestamps",
-            "fractional-dead-time-near-3.5e15",
-            "empty",
-            "single-record",
-        ],
-    )
+    @pytest.mark.parametrize("case", DEAD_TIME_CASES)
     def test_dead_time_matches_greedy_oracle(self, case):
         times, dead_time_ps = dead_time_case(case)
         pairs = np.random.default_rng(7).permutation(times.size).astype(np.int64)
@@ -384,6 +401,35 @@ class TestDetectorEffects:
         want_times, want_pairs = greedy_dead_time(times, pairs, dead_time_ps)
         np.testing.assert_array_equal(kept_times, want_times)
         np.testing.assert_array_equal(kept_pairs, want_pairs)
+
+    @pytest.mark.parametrize("case", DEAD_TIME_CASES)
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(slice_records=st.integers(1, 64))
+    def test_in_place_dead_time_matches_greedy_oracle(self, case, slice_records):
+        # Slices of 1-64 records put cuts inside the clusters of most cases,
+        # and the one-cluster cases span hundreds of slices.
+        times, dead_time_ps = dead_time_case(case)
+        pairs = np.random.default_rng(7).permutation(times.size).astype(np.int64)
+        want_times, want_pairs = greedy_dead_time(times, pairs, dead_time_ps)
+        records = simulation._DetectorRecords(times.size)
+        records.append(times, pairs)
+        slices = []
+
+        def recording(t, p, dead):
+            slices.append(t.size)
+            return _apply_dead_time(t, p, dead)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_PAIR_CHUNK", slice_records)
+            patch.setattr(simulation, "_apply_dead_time", recording)
+            kept_times, kept_pairs = records.finish(dead_time_ps)
+        np.testing.assert_array_equal(kept_times, want_times)
+        np.testing.assert_array_equal(kept_pairs, want_pairs)
+        # The slices cover the stream, and each starts at a record at least
+        # one dead time after its predecessor.
+        assert sum(slices) == times.size
+        starts = np.cumsum(slices, dtype=np.int64)[:-1]
+        assert np.all(times[starts] - times[starts - 1] >= dead_time_ps)
 
     def test_per_detector_monotonic_timestamps(self):
         source = SourceConfig(pair_rate_hz=20_000.0)
