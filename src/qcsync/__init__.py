@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .attacks import (
     AttackEvent,

@@ -36,7 +36,7 @@ from .errors import (
     EmptySeriesError,
     NoPeakError,
 )
-from .simulation import DetectorId, is_sorted
+from .simulation import DetectorId, _pipeline, is_sorted
 
 __all__ = [
     "CorrelationHistogram",
@@ -592,10 +592,10 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
     timestamp, builds all epochs' forward and loopback histograms in one
-    kernel pass each, extracts all their peaks at once, and emits each
-    epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where either peak
-    estimation fails are emitted as gaps.  The combined counting-statistics
-    sigma of each delta is recorded alongside.
+    kernel pass each (the two at once), extracts all their peaks at once,
+    and emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where
+    either peak estimation fails are emitted as gaps.  The combined
+    counting-statistics sigma of each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -615,10 +615,17 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     epoch_ps = epoch_length_s * 1e12
     edges = np.rint(np.arange(n_epochs + 1) * epoch_ps).astype(np.int64)
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
-    fwd, loop = (
-        _peaks(*_histograms(idler, stream.times[det], edges, bw, center, hw), bw, center, hw)
-        for det, center in ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
-    )
+    paths = ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
+
+    def path_peaks(i):
+        det, center = paths[i]
+        return _peaks(*_histograms(idler, stream.times[det], edges, bw, center, hw), bw, center, hw)
+
+    # The forward and loopback kernels share no state, so running them at
+    # once changes no result.
+    results = []
+    _pipeline(path_peaks, len(paths), results.append)
+    fwd, loop = results
     usable = (fwd.code == _PEAK) & (loop.code == _PEAK)
     if not usable.any():
         raise EmptySeriesError("no epoch produced a usable clock-difference sample")

@@ -29,24 +29,28 @@ mid-flight approximation error is far below a femtosecond at these rates.
 Memory: what grows with the run is the emission times (8 B per pair) and
 the stream itself (16 B per record), about 26 B per pair at the default
 1.1 records per pair; every other array is bounded by ``_PAIR_CHUNK``.
-Pairs are propagated in chunks of that many, and each chunk's records are
-written straight into one time buffer and one pair-id buffer per detector.
-The dead time is applied in those buffers, slice by slice, and the stream
-check reads them in windows of the same length.  Two cases exceed the
-bound: a slice never splits a run of records closer than the dead time,
-so such a run longer than a chunk makes a slice of its own length; and if
-chunks overlap in time (a jitter or delay step wider than the gap across
-a chunk edge), the detector is sorted once more as a whole.
+Pairs are generated in blocks and propagated in chunks of about that many,
+two chunks in flight at once, and each chunk's records are written
+straight into one time buffer and one pair-id buffer per detector.  When
+chunks overlap in time (a jitter or delay step wider than the gap across a
+chunk edge), only the overlapping tail of a buffer is merged with the new
+chunk.  The dead time is applied in those buffers, slice by slice, and the
+stream check reads them in windows of the same length.  One case exceeds
+the bound: a slice never splits a run of records closer than the dead
+time, so such a run longer than a chunk makes a slice of its own length.
 
-All randomness flows from a single integer seed through
-``numpy.random.default_rng``; identical configuration and seed reproduce a
-bit-identical stream.  The chunk length belongs to that contract, because
-the generator draws chunk by chunk.
+All randomness flows from a single integer seed.  Each block of the pair
+generator and each propagation chunk draws from its own generator, seeded
+by its index through ``numpy.random.SeedSequence`` spawn keys, so
+identical configuration and seed reproduce a bit-identical stream however
+many chunks run at once.  The chunk length belongs to that contract; the
+number of threads (``_WORKERS``) does not.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -77,12 +81,51 @@ __all__ = [
 # Jitter specs are conventionally quoted as FWHM; convert to Gaussian sigma.
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-# Vectorized propagation works on slices of this many emission times, and
-# the dead-time pass and the stream's order check on slices of about this
-# many records: one 8-byte array of a slice is 512 kB and fits in cache.
-# The length is part of the determinism contract: the RNG draws chunk by
-# chunk, so another chunk length gives another stream from the same seed.
+# Vectorized propagation works on slices of this many emission times, the
+# pair generator on blocks of this many expected pairs, and the dead-time
+# pass and the stream's order check on slices of about this many records:
+# one 8-byte array of a slice is 512 kB and fits in cache.  The length is
+# part of the determinism contract: each block and chunk has its own
+# generator, so another length gives another stream from the same seed.
 _PAIR_CHUNK = 1 << 16
+
+# How many chunks ``_pipeline`` runs at once, one thread each.  numpy
+# releases the interpreter lock in its array loops, so two threads keep
+# both cores of a small machine busy.  Not part of the determinism
+# contract: a chunk's result depends only on its index.
+_WORKERS = 2
+
+
+def _chunk_rng(seed, index):
+    """Generator of block or chunk ``index``: the ``index``-th child that
+    ``SeedSequence(seed).spawn`` would make."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _pipeline(produce, count, consume):
+    """``consume(produce(i))`` for ``i`` in ``range(count)``, consumed in index
+    order on the calling thread while ``produce`` runs on ``_WORKERS``
+    threads.
+
+    Chunk ``i + _WORKERS`` is started only once chunk ``i`` is consumed, so
+    at most ``_WORKERS`` chunks are alive at once.  An exception in
+    ``produce`` is raised here, after the chunks already started finish.
+    """
+    if _WORKERS < 2 or count < 2:
+        for i in range(count):
+            consume(produce(i))
+        return
+    # Imported here: the module's import stays free of it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        pending = collections.deque()
+        for i in range(count):
+            if len(pending) == _WORKERS:
+                consume(pending.popleft().result())
+            pending.append(pool.submit(produce, i))
+        while pending:
+            consume(pending.popleft().result())
 
 
 @dataclass(frozen=True)
@@ -244,20 +287,45 @@ def generate_pairs(source, duration_s, seed):
     Returns the sorted 1-D float array of pair emission times, ps, in
     Alice's timebase; both photons of a pair leave at that time (the
     correlation jitter is drawn by ``propagate_and_detect``).
-    Deterministic for a fixed seed.
+    Deterministic for a fixed integer seed.
+
+    The run is cut into blocks of ``_PAIR_CHUNK / pair_rate_hz`` seconds
+    (the last one shorter).  The generator of ``seed`` draws every block's
+    Poisson count first; block ``i`` then fills its slice of the output
+    with uniform times from its own generator (``_chunk_rng(seed, i)``) and
+    sorts only that slice.  Times stay below their block's end, so the
+    blocks' slices are in order.
     """
     if not (duration_s > 0 and math.isfinite(duration_s)):
         raise ConfigurationError("duration_s must be > 0")
-    rng = np.random.default_rng(seed)
-    n = int(rng.poisson(source.pair_rate_hz * duration_s))
-    t = rng.uniform(0.0, duration_s * 1e12, n)
-    t.sort()
+    rate = source.pair_rate_hz
+    end_ps = duration_s * 1e12
+    n_blocks = max(1, math.ceil(duration_s * rate / _PAIR_CHUNK))
+    # The last block ends at the end of the run, whichever side of it the
+    # rounded multiple of the block length falls.
+    edges = np.minimum(np.arange(n_blocks + 1) * (_PAIR_CHUNK / rate * 1e12), end_ps)
+    edges[-1] = end_ps
+    counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate * 1e-12))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    t = np.empty(int(starts[-1]))
+
+    def fill(i):
+        block = t[starts[i] : starts[i + 1]]
+        lo, hi = edges[i], edges[i + 1]
+        _chunk_rng(seed, i).random(out=block)
+        block *= hi - lo
+        block += lo
+        # lo + (hi - lo) * u can round up to hi.
+        np.minimum(block, np.nextafter(hi, lo), out=block)
+        block.sort()
+
+    _pipeline(fill, n_blocks, lambda _: None)
     return t
 
 
 def _quantize(times, resolution_ps):
-    """Snap to the TDC grid and store as integer picoseconds; ``times`` is
-    overwritten on the way.
+    """Snap the float64 ``times`` to the TDC grid and return them as integer
+    picoseconds: an int64 view of ``times``'s own buffer, cast in place.
 
     Readings beyond the exact int64/float64 range, or NaN, are refused
     before the cast, which would wrap them to arbitrary integers.
@@ -267,7 +335,11 @@ def _quantize(times, resolution_ps):
     q *= resolution_ps
     if q.size and not (q.max() <= MAX_EXACT_PS and q.min() >= -MAX_EXACT_PS):
         raise ConfigurationError("detector readings exceed the exact int64/float64 range")
-    return np.rint(q, out=q).astype(np.int64)
+    np.rint(q, out=q)
+    # Element k is read before it is written, so the cast needs no copy.
+    ints = q.view(np.int64)
+    np.copyto(ints, q, casting="unsafe")
+    return ints
 
 
 def _apply_dead_time(times, pairs, dead_time_ps):
@@ -315,6 +387,25 @@ def _expected_capacity(n_pairs, prob):
     return int(mean + 6.0 * math.sqrt(mean)) + 1
 
 
+def _sort_by_time(times, pair_ids):
+    """Stably sort ``times`` in place, moving ``pair_ids`` along with them.
+
+    Jitter below the record spacing swaps only a few neighbours, so only
+    the span from the first record out of place to the last one is sorted.
+    """
+    down = np.flatnonzero(times[1:] < times[:-1])
+    if down.size == 0:
+        return
+    first, last = int(down[0]) + 1, int(down[-1]) + 1
+    # times[:first] and times[last:] ascend; the span takes in every record
+    # of them that the rest of the chunk must pass.
+    lo = int(np.searchsorted(times[:first], times[first:].min(), side="right"))
+    hi = last + int(np.searchsorted(times[last:], times[:last].max(), side="left"))
+    order = np.argsort(times[lo:hi], kind="stable")
+    times[lo:hi] = times[lo:hi][order]
+    pair_ids[lo:hi] = pair_ids[lo:hi][order]
+
+
 class _DetectorRecords:
     """One detector's records, assembled in place chunk by chunk.
 
@@ -323,45 +414,42 @@ class _DetectorRecords:
     are dropped, and the rest is written into the two privately owned
     buffers.  They start at ``capacity``; one that fills up is resized in
     place, which lets the allocator remap a large block rather than copy it
-    (glibc does).  When chunk time ranges overlap the assembly is out of
-    order, and ``finish`` sorts it once more: the result is the same (time,
-    pair id) order as one stable sort of all records.  ``finish`` then
-    applies the dead time in the buffers and trims them once.
+    (glibc does).  A chunk that starts before the records already held end
+    is written after them all the same, and then only the span where the
+    two overlap is sorted, held records first on equal times.  So the
+    buffers always hold the same (time, pair id) order as one stable sort
+    of all records.  ``finish`` applies the dead time in the buffers and
+    trims them once.
     """
 
     def __init__(self, capacity):
         self.times = np.empty(capacity, np.int64)
         self.pair_ids = np.empty(capacity, np.int64)
         self.size = 0
-        self.ordered = True
 
     def append(self, times, pair_ids):
-        if not is_sorted(times):
-            order = np.argsort(times, kind="stable")
-            times, pair_ids = times[order], pair_ids[order]
+        """Add one chunk's records, pair ids ascending; the two arrays are
+        put in time order in place."""
+        _sort_by_time(times, pair_ids)
         start = np.searchsorted(times, 0)
         times, pair_ids = times[start:], pair_ids[start:]
-        if times.size == 0:
-            return
-        if self.size and times[0] < self.times[self.size - 1]:
-            self.ordered = False
-        end = self.size + times.size
+        held = self.size
+        end = held + times.size
         if end > self.times.size:
             self.times.resize(end, refcheck=False)
             self.pair_ids.resize(end, refcheck=False)
-        self.times[self.size : end] = times
-        self.pair_ids[self.size : end] = pair_ids
+        self.times[held:end] = times
+        self.pair_ids[held:end] = pair_ids
         self.size = end
+        if held and times.size and times[0] < self.times[held - 1]:
+            # Held records up to the chunk's first time keep their place.
+            lo = int(np.searchsorted(self.times[:held], times[0], side="right"))
+            _sort_by_time(self.times[lo:end], self.pair_ids[lo:end])
 
     def finish(self, dead_time_ps):
-        """The (times, pair ids) arrays in global order, with the dead time
-        applied in place, trimmed once."""
+        """The (times, pair ids) arrays with the dead time applied in place,
+        trimmed once."""
         n = self.size
-        if not self.ordered:
-            order = np.argsort(self.times[:n], kind="stable")
-            self.times = self.times[:n][order]
-            self.pair_ids = self.pair_ids[:n][order]
-            del order
         if dead_time_ps > 0:
             n = self._filter_dead_time(n, math.ceil(dead_time_ps))
         self.times.resize(n, refcheck=False)
@@ -421,7 +509,6 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
         raise ConfigurationError("emission times exceed the exact int64/float64 range")
 
-    rng = np.random.default_rng(seed)
     L = channel.one_way_delay_ps
     eff = detectors.efficiency
     # One merged Gaussian per record: the independent jitter terms add in
@@ -448,12 +535,17 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         )
     }
 
-    for lo in range(0, pairs.size, _PAIR_CHUNK):
+    def detect(chunk):
+        """Chunk ``chunk``'s (int64 times, pair ids) per detector, from its
+        own generator alone."""
+        rng = _chunk_rng(seed, chunk)
+        lo = chunk * _PAIR_CHUNK
         emitted = pairs[lo : lo + _PAIR_CHUNK]
         k = emitted.size
 
         # Draw order is fixed so results depend only on (config, seed): two
-        # uniforms per pair, then one Gaussian per detected photon.
+        # uniforms per pair, then one Gaussian per detected photon, IdlerA's
+        # first, then SignalB's, then ReturnA's.
         idler_idx = np.flatnonzero(rng.random(k) < eff)
         u_signal = rng.random(k)
         at_bob = u_signal < p_bob
@@ -463,18 +555,20 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         at_return ^= at_bob
         ret_idx = np.flatnonzero(at_return)
         del u_signal, at_bob, at_return
-        idler = rng.standard_normal(idler_idx.size)
-        bob = rng.standard_normal(bob_idx.size)
-        ret = rng.standard_normal(ret_idx.size)
 
         # Each reading is built in its Gaussian's array, in place, one step
         # at a time in the order of the formula above it: bit-identical to
-        # evaluating the formula, without a fresh array per step.
+        # evaluating the formula, without a fresh array per step.  It is
+        # quantized before the next Gaussians are drawn, so the chunk holds
+        # one reading's temporaries at a time.
         # idler = emitted + sigma_idler * z
+        idler = rng.standard_normal(idler_idx.size)
         idler *= sigma_idler
         idler += emitted[idler_idx]
+        idler = _quantize(idler, tdc.resolution_ps)
         # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z,
         # with arrive = emitted + L + M(emitted)
+        bob = rng.standard_normal(bob_idx.size)
         t = emitted[bob_idx]
         delay = eval_trajectory(m, t * 1e-12)
         t += L
@@ -485,7 +579,10 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         t += drift
         bob *= sigma_bob
         bob += t
+        del t, delay, drift
+        bob = _quantize(bob, tdc.resolution_ps)
         # ret = arrive + L + N(arrive) + sigma_return * z
+        ret = rng.standard_normal(ret_idx.size)
         t = emitted[ret_idx]
         delay = eval_trajectory(m, t * 1e-12)
         t += L
@@ -495,14 +592,18 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         t += delay
         ret *= sigma_return
         ret += t
+        del t, delay
+        ret = _quantize(ret, tdc.resolution_ps)
 
-        for det, reading, idx in (
-            (DetectorId.IDLER_A, idler, idler_idx),
-            (DetectorId.SIGNAL_B, bob, bob_idx),
-            (DetectorId.RETURN_A, ret, ret_idx),
-        ):
+        for idx in (idler_idx, bob_idx, ret_idx):
             idx += lo
-            records[det].append(_quantize(reading, tdc.resolution_ps), idx)
+        return (idler, idler_idx), (bob, bob_idx), (ret, ret_idx)
+
+    def assemble(readings):
+        for det, (t, idx) in zip(DetectorId, readings):
+            records[det].append(t, idx)
+
+    _pipeline(detect, (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK, assemble)
 
     times, pair_ids = [], []
     for det in DetectorId:

@@ -48,18 +48,20 @@ def stream_bytes(stream):
     return sum(t.nbytes + p.nbytes for t, p in zip(stream.times, stream.pair_ids))
 
 
-def simulation_excess(monkeypatch, dead_time_ps):
+def simulation_excess(monkeypatch, **detectors):
     """How far a million-pair simulation's traced peak exceeds its emission
-    times and its stream, in bytes."""
+    times and its stream, in bytes, with the ``detectors`` fields changed."""
     monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
     scenario = million_pair_scenario()
     scenario = dataclasses.replace(
-        scenario, detectors=dataclasses.replace(scenario.detectors, dead_time_ps=dead_time_ps)
+        scenario, detectors=dataclasses.replace(scenario.detectors, **detectors)
     )
-    # A first, tiny run imports what numpy imports lazily (numpy.random's
-    # submodules, ~7 chunk-sizes), which no later run pays again.
-    tiny = dataclasses.replace(scenario.run, duration_s=0.01)
-    simulation.run_round_trip_sim(dataclasses.replace(scenario, run=tiny))
+    # A first, short run imports what the simulation imports lazily
+    # (numpy.random's submodules, ~7 chunk-sizes, and the thread pool's
+    # modules, ~1), which no later run pays again.  It spans a few chunks,
+    # so it runs on the thread pool as the measured run does.
+    short = dataclasses.replace(scenario.run, duration_s=0.25)
+    simulation.run_round_trip_sim(dataclasses.replace(scenario, run=short))
     pair_bytes = []
     generate = simulation.generate_pairs
 
@@ -74,18 +76,27 @@ def simulation_excess(monkeypatch, dead_time_ps):
     return peak - pair_bytes[0] - stream_bytes(stream)
 
 
-# Chunk temporaries and the buffers' slack come to 8-9 chunk-sizes, with or
-# without dead time; one full-length copy of the IdlerA times alone is 80.
+# The buffers' slack (~2 chunk-sizes) and the temporaries of the two chunks
+# in flight (~3 each) come to 8-9 chunk-sizes, with or without dead time;
+# one full-length copy of the IdlerA times alone is 80.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 
 def test_simulation_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
-    assert simulation_excess(monkeypatch, 0.0) < SIMULATION_EXCESS_BOUND
+    assert simulation_excess(monkeypatch, dead_time_ps=0.0) < SIMULATION_EXCESS_BOUND
 
 
 def test_dead_time_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
     # ~0.4% of the 80 kHz idlers fall within 50 ns of their predecessor.
-    assert simulation_excess(monkeypatch, 50_000.0) < SIMULATION_EXCESS_BOUND
+    assert simulation_excess(monkeypatch, dead_time_ps=50_000.0) < SIMULATION_EXCESS_BOUND
+
+
+def test_overlapping_chunks_hold_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
+    # A 100 us jitter is ten pair spacings: every chunk comes out of order
+    # and overlaps the records before it.  Sorting each chunk whole and the
+    # overlaps adds a chunk-size or two; one stable sort of a whole detector
+    # (an index and two gathered copies) came to 163.
+    assert simulation_excess(monkeypatch, jitter_sigma_ps=1e8) < 12 * CHUNK_BYTES
 
 
 def test_per_epoch_series_holds_slice_temporaries(monkeypatch):

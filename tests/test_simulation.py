@@ -3,14 +3,17 @@ jitter distributions, ground-truth reciprocity/asymmetry, clocks, dead time
 and determinism."""
 
 import dataclasses
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsync import simulation
+from qcsync import estimator, simulation
 from qcsync.attacks import (
     AttackEvent,
     AttackPattern,
@@ -21,7 +24,8 @@ from qcsync.attacks import (
     eval_trajectory,
 )
 from qcsync.errors import ConfigurationError
-from qcsync.runner import load_scenario
+from qcsync.runner import load_scenario, run_scenario
+from qcsync.scenario import builtin_scenario
 from qcsync.simulation import (
     ChannelConfig,
     ClockConfig,
@@ -80,6 +84,14 @@ def rounded_normal_ks(residuals, sigma):
         float(np.abs(above - cdf(values + 0.5)).max()),
         float(np.abs(below - cdf(values - 0.5)).max()),
     )
+
+
+def uniform_ks(u):
+    """Kolmogorov-Smirnov distance between samples ``u`` and the uniform
+    distribution on [0, 1)."""
+    u = np.sort(u)
+    n = u.size
+    return max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
 
 
 def dead_time_case(name):
@@ -162,6 +174,42 @@ class TestGeneratePairs:
         a = generate_pairs(SourceConfig(), 3.0, 77)
         b = generate_pairs(SourceConfig(), 3.0, 77)
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        chunk=st.integers(1, 40),
+        rate_hz=st.floats(10.0, 5000.0),
+        duration_s=st.floats(1e-3, 1.0),
+        seed=st.integers(0, 2**63),
+    )
+    def test_blocks_sorted_in_range_and_counted(self, chunk, rate_hz, duration_s, seed):
+        # Blocks of ``chunk / rate_hz`` seconds, the last one cut at the end
+        # of the run: each holds exactly the Poisson count drawn for it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_PAIR_CHUNK", chunk)
+            pairs = generate_pairs(SourceConfig(pair_rate_hz=rate_hz), duration_s, seed)
+        end_ps = duration_s * 1e12
+        assert np.all(pairs[1:] >= pairs[:-1])
+        assert pairs.size == 0 or (pairs[0] >= 0.0 and pairs[-1] < end_ps)
+        n_blocks = max(1, math.ceil(duration_s * rate_hz / chunk))
+        edges = np.minimum(np.arange(n_blocks + 1) * (chunk / rate_hz * 1e12), end_ps)
+        edges[-1] = end_ps
+        counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate_hz * 1e-12))
+        assert pairs.size == counts.sum()
+        np.testing.assert_array_equal(np.diff(np.searchsorted(pairs, edges)), counts)
+
+    def test_times_uniform_across_blocks(self, monkeypatch):
+        # ~300 blocks of 64 expected pairs: the times are uniform over the
+        # run, and their phases within their blocks are uniform too.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 64)
+        pairs = generate_pairs(SourceConfig(pair_rate_hz=10_000.0), 2.0, 5)
+        critical = 1.95 / math.sqrt(pairs.size)  # 0.1% level
+        block_ps = 64 / 10_000.0 * 1e12
+        phase = pairs % block_ps / block_ps
+        assert uniform_ks(pairs / 2e12) < critical
+        assert uniform_ks(phase) < critical
+        # The test has power: phases squeezed into 90% of a block fail.
+        assert uniform_ks(0.9 * phase) > critical
 
 
 class TestNoiselessPropagation:
@@ -485,17 +533,22 @@ def reference_finalize(out_times, out_pairs, dead_time_ps):
 @pytest.fixture
 def recorded_assembly(monkeypatch):
     """Per-detector assemblies of the next runs, in ``DetectorId`` order, each
-    with a copy of every chunk it was given."""
+    with a copy of every chunk it was given and, as ``ordered``, whether no
+    chunk's kept records started before the records already held ended."""
     made = []
 
     class Recording(simulation._DetectorRecords):
         def __init__(self, capacity):
             super().__init__(capacity)
             self.chunks = []
+            self.ordered = True
             made.append(self)
 
         def append(self, times, pair_ids):
             self.chunks.append((times.copy(), pair_ids.copy()))
+            kept = times[times >= 0]
+            if self.size and kept.size and kept.min() < self.times[self.size - 1]:
+                self.ordered = False
             super().append(times, pair_ids)
 
     monkeypatch.setattr(simulation, "_DetectorRecords", Recording)
@@ -534,7 +587,8 @@ class TestInPlaceAssembly:
         pairs, _ = self.run(recorded_assembly, jitter_ps=jitter_ps)
         several_chunks = pairs.size > simulation._PAIR_CHUNK
         # Jitter of ten pair spacings makes neighbouring chunks overlap in
-        # time, so the final sort runs; a 10 ps jitter never does.
+        # time, so a chunk is merged with the held tail; a 10 ps jitter
+        # never does.
         overlapped = not all(records.ordered for records in recorded_assembly)
         assert overlapped == (several_chunks and jitter_ps > 1e6)
 
@@ -569,6 +623,154 @@ class TestInPlaceAssembly:
         ]
         assert negative[DetectorId.IDLER_A] > 0
         assert negative[DetectorId.SIGNAL_B] > 1000
+
+
+def reversed_pipeline(produce, count, consume):
+    """``simulation._pipeline`` with every chunk computed first, last chunk
+    first, and then consumed in index order."""
+    results = [produce(i) for i in reversed(range(count))]
+    for result in reversed(results):
+        consume(result)
+
+
+class TestScheduling:
+    """Each chunk draws from its own generator, so how many chunks run at
+    once, and in which order, cannot change a stream or a bundle."""
+
+    @staticmethod
+    def schedule(monkeypatch, name):
+        if name == "one-wide":
+            monkeypatch.setattr(simulation, "_WORKERS", 1)
+        elif name == "reversed":
+            monkeypatch.setattr(simulation, "_pipeline", reversed_pipeline)
+            monkeypatch.setattr(estimator, "_pipeline", reversed_pipeline)
+
+    @staticmethod
+    def streams(jitter_ps, dead_time_ps):
+        source = SourceConfig(pair_rate_hz=1e5)
+        pairs = generate_pairs(source, 0.2, 31)
+        detector = DetectorConfig(jitter_sigma_ps=jitter_ps, dead_time_ps=dead_time_ps)
+        return propagate_and_detect(
+            pairs, source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            detector, TdcConfig(), ClockConfig(), 32, duration_s=0.2,
+        )
+
+    @pytest.mark.parametrize("schedule", ["one-wide", "reversed"])
+    @pytest.mark.parametrize("dead_time_ps", [0.0, 50_000.0], ids=["no-dead-time", "dead-time"])
+    @pytest.mark.parametrize("jitter_ps", [50.0, 1e8], ids=["in-order", "overlapping"])
+    def test_streams_match_two_wide(self, monkeypatch, schedule, dead_time_ps, jitter_ps):
+        # 20 000 pairs in 20 blocks and chunks of 997.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        assert simulation._WORKERS == 2
+        want = self.streams(jitter_ps, dead_time_ps)
+        self.schedule(monkeypatch, schedule)
+        got = self.streams(jitter_ps, dead_time_ps)
+        assert len(want) > 20_000
+        for det in DetectorId:
+            assert want.times[det].tobytes() == got.times[det].tobytes()
+            assert want.pair_ids[det].tobytes() == got.pair_ids[det].tobytes()
+
+    def test_four_wide_with_fast_switching(self, monkeypatch):
+        # More threads than cores, switching every microsecond: a chunk
+        # consumed out of turn or written over another would show.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        want = self.streams(1e8, 50_000.0)
+        monkeypatch.setattr(simulation, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.streams(1e8, 50_000.0)
+        finally:
+            sys.setswitchinterval(interval)
+        for det in DetectorId:
+            assert want.times[det].tobytes() == got.times[det].tobytes()
+            assert want.pair_ids[det].tobytes() == got.pair_ids[det].tobytes()
+
+    @pytest.mark.parametrize("schedule", ["one-wide", "reversed"])
+    def test_bundle_matches_two_wide(self, monkeypatch, tmp_path, schedule):
+        # 20 s at 10 kHz: four default chunks and both estimator kernels.
+        doc = builtin_scenario("jump_-100ps")
+        doc["run"]["duration_s"] = 20.0
+        del doc["detection"]
+        run_scenario(doc, tmp_path / "two-wide")
+        self.schedule(monkeypatch, schedule)
+        run_scenario(doc, tmp_path / schedule)
+        names = sorted(p.name for p in (tmp_path / "two-wide").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / schedule).iterdir())
+        assert "series.csv" in names
+        for name in names:
+            want = (tmp_path / "two-wide" / name).read_bytes()
+            got = (tmp_path / schedule / name).read_bytes()
+            if name == "meta.json":
+                want, got = (
+                    {k: v for k, v in json.loads(b).items() if k != "wall_time_s"}
+                    for b in (want, got)
+                )
+            assert want == got, name
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        # A delay too large for any timestamp from 0.15 s on: the chunks
+        # after that refuse it on a worker thread.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        refused_on = []
+
+        def recording(traj, t_s):
+            try:
+                return eval_trajectory(traj, t_s)
+            except ConfigurationError:
+                refused_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(simulation, "eval_trajectory", recording)
+        source = SourceConfig(pair_rate_hz=1e5)
+        m = DelayTrajectory((AttackEvent(AttackPattern.JUMP, 1e17, 0.15),))
+        with pytest.raises(ConfigurationError, match="not finite or exceeds the exact"):
+            propagate_and_detect(
+                generate_pairs(source, 0.2, 33), source, ChannelConfig(), m, DelayTrajectory(),
+                DetectorConfig(), TdcConfig(), ClockConfig(), 34, duration_s=0.2,
+            )
+        assert refused_on and threading.main_thread() not in refused_on
+
+    def test_kernel_error_reaches_caller(self, monkeypatch):
+        def refusing(*args):
+            raise ConfigurationError(f"refused on {threading.current_thread().name}")
+
+        monkeypatch.setattr(estimator, "_histograms", refusing)
+        stream = self.streams(50.0, 0.0)
+        config = estimator.EstimatorConfig(forward_center_ps=49e6, loopback_center_ps=98e6)
+        with pytest.raises(ConfigurationError, match="refused on ThreadPoolExecutor"):
+            estimator.per_epoch_series(stream, 0.1, config)
+
+
+class TestSortByTime:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(times=st.lists(st.integers(0, 30), max_size=40), swaps=st.lists(st.integers(0, 39)))
+    def test_equals_stable_argsort(self, times, swaps):
+        # Sorted times with a few neighbours swapped, and arbitrary ones.
+        times = np.array(times, dtype=np.int64)
+        for case in (np.sort(times), times):
+            case = case.copy()
+            for i in swaps:
+                if i + 1 < case.size:
+                    case[[i, i + 1]] = case[[i + 1, i]]
+            pair_ids = np.arange(case.size, dtype=np.int64)
+            order = np.argsort(case, kind="stable")
+            want_times, want_ids = case[order], pair_ids[order]
+            simulation._sort_by_time(case, pair_ids)
+            np.testing.assert_array_equal(case, want_times)
+            np.testing.assert_array_equal(pair_ids, want_ids)
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("size", [0, 1, 8191, 8193, 100_000])
+    @pytest.mark.parametrize("resolution_ps", [1.0, 3.0, 0.5, 1e8])
+    def test_in_place_cast_equals_astype(self, size, resolution_ps):
+        readings = np.random.default_rng(size).normal(5e11, 1e11, size)
+        want = np.rint(np.rint(readings / resolution_ps) * resolution_ps).astype(np.int64)
+        got = simulation._quantize(readings, resolution_ps)
+        assert got.dtype == np.int64
+        assert size == 0 or np.shares_memory(got, readings)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDeterminism:
