@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .attacks import (
     AttackEvent,
@@ -63,7 +63,6 @@ from .estimator import (
 )
 from .runner import CampaignResult, load_scenario, reproduce, run_scenario, write_campaign
 from .scenario import (
-    AnalyticConfig,
     AttackScenario,
     RunConfig,
     RunMode,

@@ -12,8 +12,9 @@ clock difference ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
-3*sqrt(background)`` seeds a fixed four-RMS integration span, and the
-maximum must be significant against the accidentals the singles predict.
+3*sqrt(background)`` seeds a four-RMS integration span, which is
+re-centred on its own centroid until it stops moving, and the maximum
+must be significant against the accidentals the singles predict.
 It is deterministic, fit-free, and returns a calibrated counting-statistics
 uncertainty.  One extractor finds the peaks of every row of the count
 matrix at once, each row's result independent of the others;
@@ -218,8 +219,20 @@ _PEAK_FALSE_ALARM_PROB = 1e-3
 # wide the window; the counts of all slices add up to the same histograms.
 _B_SLICE = 1 << 16
 
+# The integration span is re-centred on its own centroid until it stops
+# moving, at most this many times; a span still moving then is no peak.
+_RECENTRE_ROUNDS = 20
+
 # Outcome of ``_peaks`` for one histogram: a peak, or why there is none.
-_PEAK, _BELOW_THRESHOLD, _NOT_SIGNIFICANT, _EMPTY, _NO_NET_COUNTS = range(5)
+(
+    _PEAK,
+    _BELOW_THRESHOLD,
+    _NOT_SIGNIFICANT,
+    _EMPTY,
+    _NO_NET_COUNTS,
+    _SPAN_LEFT_WINDOW,
+    _SPAN_UNSETTLED,
+) = range(7)
 
 
 def _check_sorted(name, arr):
@@ -468,21 +481,52 @@ def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth
 
     centers = _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins)
     bg = background[found]
-    _, seed_tau, seed_rms = _centroids(counts, found, bg, centers, left, right)
-    span = 4.0 * np.maximum(seed_rms, bin_width_ps)
-    lo = np.searchsorted(centers, seed_tau - span, side="left")
-    hi = np.searchsorted(centers, seed_tau + span, side="right")
-    # The span can hold more bins under the background than the seed holds
-    # above it; such a row has no net counts and no peak.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        net_total, found_tau, rms = _centroids(counts, found, bg, centers, lo, hi)
-    net = net_total > 0
-    code[found[~net]] = _NO_NET_COUNTS
-    found = found[net]
-    tau[found] = found_tau[net]
+    _, span_tau, span_rms = _centroids(counts, found, bg, centers, left, right)
+    lo, hi = _span(centers, span_tau, span_rms, bin_width_ps)
     floor = bin_width_ps / math.sqrt(12.0)
-    uncertainty[found] = np.maximum(rms[net], floor) / np.sqrt(net_total[net])
+    # Each round takes the centroid of every unsettled row's span, and a row
+    # whose span that centroid reproduces has its peak.  The seed can be a
+    # fragment cut off the peak by one empty bin, and its span then lies off
+    # the peak's centre; re-centring walks it onto the peak.
+    prev_lo = prev_hi = np.full(found.size, -1)
+    final = np.zeros(found.size, dtype=bool)
+    for _ in range(_RECENTRE_ROUNDS):
+        # A span can hold more bins under the background than above it;
+        # such a row has no net counts and no peak.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            net_total, span_tau, span_rms = _centroids(counts, found, bg, centers, lo, hi)
+        net = net_total > 0
+        code[found[~net]] = _NO_NET_COUNTS
+        next_lo, next_hi = _span(centers, span_tau, span_rms, bin_width_ps)
+        settled = net & (final | ((next_lo == lo) & (next_hi == hi)))
+        tau[found[settled]] = span_tau[settled]
+        rms = np.maximum(span_rms[settled], floor)
+        uncertainty[found[settled]] = rms / np.sqrt(net_total[settled])
+        # A centroid that sends its row back to the previous span sits on the
+        # edge between two spans; the row takes the centroid of their union.
+        final = (next_lo == prev_lo) & (next_hi == prev_hi)
+        next_lo = np.where(final, np.minimum(lo, next_lo), next_lo)
+        next_hi = np.where(final, np.maximum(hi, next_hi), next_hi)
+        moving = net & ~settled
+        left_window = moving & (next_lo >= next_hi)
+        code[found[left_window]] = _SPAN_LEFT_WINDOW
+        moving &= ~left_window
+        found, bg, final = found[moving], bg[moving], final[moving]
+        prev_lo, prev_hi, lo, hi = lo[moving], hi[moving], next_lo[moving], next_hi[moving]
+        if found.size == 0:
+            break
+    code[found] = _SPAN_UNSETTLED
     return _PeakArrays(tau, uncertainty, peak_counts, background, code)
+
+
+def _span(centers, tau, rms, bin_width_ps):
+    """Bins ``[lo, hi)`` whose centres lie within four RMS widths, and at
+    least four bin widths, of each ``tau``."""
+    half = 4.0 * np.maximum(rms, bin_width_ps)
+    return (
+        np.searchsorted(centers, tau - half, side="left"),
+        np.searchsorted(centers, tau + half, side="right"),
+    )
 
 
 def _no_peak_message(code, peak_counts, background, accidentals_per_bin):
@@ -498,6 +542,10 @@ def _no_peak_message(code, peak_counts, background, accidentals_per_bin):
             f"maximum bin ({peak_counts}) not significant over "
             f"{accidentals:.3g} accidentals per bin"
         )
+    if code == _SPAN_LEFT_WINDOW:
+        return "peak span left the window while re-centring"
+    if code == _SPAN_UNSETTLED:
+        return f"peak span still moving after {_RECENTRE_ROUNDS} re-centring rounds"
     return "no net counts in the peak region"
 
 
@@ -506,11 +554,16 @@ def estimate_peak(histogram):
 
     Background is the mean count of the outer 10% of bins at each window
     edge.  The contiguous region around the maximum bin whose counts exceed
-    ``background + 3*sqrt(background)`` seeds a centroid; the integration
-    span is then fixed at four seed RMS widths around that centroid so the
-    tail cut is deterministic and the counting-statistics uncertainty
-    (RMS width, floored at the single-bin quantization width, over the
-    square root of the net counts) is calibrated.
+    ``background + 3*sqrt(background)`` seeds a centroid, and the
+    integration span starts at four seed RMS widths (at least four bin
+    widths) around it.  The span is then re-centred on its own centroid,
+    with four of its own RMS widths, until that centroid reproduces it; a
+    centroid that sends it back to its previous span settles on the union
+    of the two.  So a seed cut off the peak's flank by one empty bin still
+    finds the peak's centre, the tail cut is deterministic, and the
+    counting-statistics uncertainty (RMS width, floored at the single-bin
+    quantization width, over the square root of the net counts) is
+    calibrated.
 
     The maximum bin must also be significant: the chance that accidentals
     alone fill some bin that high (Poisson tail at the larger of the edge
@@ -518,7 +571,8 @@ def estimate_peak(histogram):
     must stay below ``_PEAK_FALSE_ALARM_PROB``.
 
     Raises NoPeakError when no bin clears the threshold, the maximum is not
-    significant or the span holds no net counts, which signals a broken
+    significant, a span holds no net counts, leaves the window or still
+    moves after ``_RECENTRE_ROUNDS`` rounds, which signals a broken
     channel, a mis-centered window or a peak that left it.  This is the
     one-row case of ``_peaks``, which extracts every epoch's peak at once.
     """

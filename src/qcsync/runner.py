@@ -3,8 +3,8 @@
 A full-simulation run chains photon generation, attacked propagation,
 per-epoch clock-difference estimation, TDEV and (optionally) the
 detectors.  An analytic run replaces the photon chain with the closed-form
-tampered clock difference plus per-epoch Gaussian noise, which makes the
-two modes directly comparable on the same scenario.
+tampered clock difference plus the Gaussian noise that the scenario's own
+photon chain gives, so the two modes of one scenario agree by construction.
 
 Per-run outputs (all deterministic given scenario + seed):
 
@@ -16,13 +16,14 @@ Per-run outputs (all deterministic given scenario + seed):
     alarms.csv           epoch_start_s, kind, magnitude_ps  (when detection
                          is configured)
     score.json           detection score vs the first attack onset
-    meta.json            seed, config hash, resolved scenario echo, version
+    meta.json            seed, config hash, scenario echo, version, analytic_sigma_ps
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +52,7 @@ from .scenario import (
     figure_bundle,
     load_scenario_file,
 )
-from .simulation import run_round_trip_sim
+from .simulation import chain_model, run_round_trip_sim
 from .stability import TdevCurve, tdev
 
 __all__ = ["CampaignResult", "load_scenario", "run_scenario", "reproduce", "write_campaign"]
@@ -104,29 +105,38 @@ def _apply_overrides(scenario, seed=None, mode=None, epoch_s=None):
 
 
 def _run_analytic(scenario):
+    """The closed-form delta at each epoch midpoint (Bob's clock offset and
+    drift, tampered by the attack) plus Gaussian noise, and the noise sigma:
+    ``sigma**2 = (s_i**2 + s_b**2)/N_f + (s_i**2 + s_r**2)/(4*N_l)``, as the
+    photon chain (``chain_model``) gives one epoch's ``tau_ab - tau_aba/2``
+    from ``N_f = R*T*eff*p_bob`` forward and ``N_l = R*T*eff*(p_signal -
+    p_bob)`` loopback coincidences, each peak centroid having its pair
+    differences' sigma over ``sqrt(N)``."""
     run = scenario.run
     n_epochs = int(run.duration_s / run.epoch_s + 1e-9)
     if n_epochs < 1:
         raise ConfigurationError("run shorter than one epoch")
+    s_i, s_b, s_r, eff, p_bob, p_signal = chain_model(
+        scenario.source, scenario.channel, scenario.detectors, scenario.tdc, scenario.clock
+    )
+    idlers = scenario.source.pair_rate_hz * run.epoch_s * eff
+    n_f, n_l = idlers * p_bob, idlers * (p_signal - p_bob)
+    empty = " and ".join(path for path, n in (("forward", n_f), ("loopback", n_l)) if not n > 0)
+    if empty:
+        raise ConfigurationError(f"analytic mode: no coincidences on the {empty} path")
+    sigma = math.sqrt((s_i**2 + s_b**2) / n_f + 0.25 * (s_i**2 + s_r**2) / n_l)
     rng = np.random.default_rng(run.seed)
-    sigma = scenario.analytic.noise_sigma_ps
     noise = rng.normal(0.0, sigma, n_epochs) if sigma > 0 else np.zeros(n_epochs)
     t_mid = (np.arange(n_epochs) + 0.5) * run.epoch_s
     m_vals = eval_trajectory(scenario.m_trajectory(), t_mid)
     n_vals = eval_trajectory(scenario.n_trajectory(), t_mid)
-    base = scenario.analytic.baseline_delta_ps + noise
+    base = scenario.clock.offset_ps + scenario.clock.drift_ps_per_s * t_mid + noise
     delta = tampered_clock_difference(base, m_vals, n_vals, scenario.scheme)
     points = [
-        ClockDifferencePoint(
-            epoch_start_s=k * run.epoch_s,
-            tau_ab_ps=None,
-            tau_aba_ps=None,
-            delta_ps=float(delta[k]),
-            delta_sigma_ps=sigma,
-        )
-        for k in range(n_epochs)
+        ClockDifferencePoint(k * run.epoch_s, None, None, d, delta_sigma_ps=sigma)
+        for k, d in enumerate(delta.tolist())
     ]
-    return ClockDifferenceSeries(epoch_length_s=run.epoch_s, points=points)
+    return ClockDifferenceSeries(epoch_length_s=run.epoch_s, points=points), sigma
 
 
 def _run_detectors(scenario, series):
@@ -150,8 +160,9 @@ def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
     scenario = _apply_overrides(load_scenario(source), seed=seed, mode=mode, epoch_s=epoch_s)
     started = time.perf_counter()
 
+    sigma = None
     if scenario.mode is RunMode.ANALYTIC:
-        series = _run_analytic(scenario)
+        series, sigma = _run_analytic(scenario)
     else:
         stream = run_round_trip_sim(scenario)
         series = per_epoch_series(stream, scenario.run.epoch_s, scenario.estimator)
@@ -182,6 +193,8 @@ def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
         "wall_time_s": time.perf_counter() - started,
         "scenario": scenario.to_dict(),
     }
+    if sigma is not None:
+        meta["analytic_sigma_ps"] = sigma
     result = CampaignResult(
         scenario=scenario,
         series=series,

@@ -3,9 +3,9 @@
 A scenario is a JSON object (version field ``schema_version: 1``) that
 fully determines one campaign: the synchronization scheme, run length and
 seed, the attack events on each channel direction (or a coordination rule
-deriving one from the other), the photon-chain configuration for full
-simulation, a per-epoch noise model for analytic runs, estimator settings
-and optional detector settings.
+deriving one from the other), the photon-chain configuration (analytic
+runs derive their noise and baseline from it too), estimator settings and
+optional detector settings.
 
 The schema is the config dataclasses themselves: every section is an
 object whose keys are exactly the fields of its dataclass (``run`` is
@@ -69,7 +69,6 @@ from .simulation import (
 __all__ = [
     "RunMode",
     "RunConfig",
-    "AnalyticConfig",
     "ScenarioDetection",
     "AttackScenario",
     "validate_scenario_dict",
@@ -106,20 +105,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class AnalyticConfig:
-    """Per-epoch Gaussian noise model replacing the photon chain."""
-
-    noise_sigma_ps: float
-    baseline_delta_ps: float = -9900.0
-
-    def __post_init__(self):
-        if not (self.noise_sigma_ps >= 0 and math.isfinite(self.noise_sigma_ps)):
-            raise ConfigurationError("noise_sigma_ps must be >= 0")
-        if not math.isfinite(self.baseline_delta_ps):
-            raise ConfigurationError("baseline_delta_ps must be finite")
-
-
-@dataclass(frozen=True)
 class ScenarioDetection:
     threshold: Optional[ThresholdConfig] = None
     cusum: Optional[CusumConfig] = None
@@ -141,7 +126,6 @@ class AttackScenario:
     tdc: TdcConfig = field(default_factory=TdcConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     clock: ClockConfig = field(default_factory=ClockConfig)
-    analytic: Optional[AnalyticConfig] = None
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     reference_ps: float = 0.0
     detection: Optional[ScenarioDetection] = None
@@ -159,11 +143,6 @@ class AttackScenario:
                 self.mode == RunMode.FULL_SIM and self.scheme != SchemeKind.ROUND_TRIP,
                 "scheme",
                 "full_sim mode supports round_trip only (others are analytic-only)",
-            ),
-            (
-                self.mode == RunMode.ANALYTIC and self.analytic is None,
-                "analytic",
-                "analytic mode requires a noise model section",
             ),
             (
                 self.coordination.mode is CoordinationMode.PROPORTIONAL and bool(self.n_events),
@@ -411,7 +390,6 @@ def _base_scenario(name, duration_s, seed, pair_rate_hz=None):
         "run": {"duration_s": duration_s, "epoch_s": 1.0, "seed": seed},
         "coordination": {"mode": "proportional", "n": -1.0},
         "m_events": [],
-        "analytic": {"noise_sigma_ps": 2.0, "baseline_delta_ps": -9900.0},
         "reference_ps": -9900.0,
         "detection": copy.deepcopy(_DETECTION_DEFAULT),
     }

@@ -16,8 +16,9 @@ to loss, with ``s`` the per-pass survival, ``l`` the loopback fraction and
 ``e`` the efficiency.  Each recorded photon then draws one Gaussian whose
 sigma merges the independent jitter terms in quadrature: detector and TDC,
 plus Bob's white phase noise at Bob and the source's correlation jitter on
-the idler (a pair is one emission time, see ``SourceConfig``).  The attack
-trajectories are evaluated only for the photons that reach them.
+the idler (a pair is one emission time, see ``SourceConfig``).  Analytic
+runs read these sigmas and probabilities from the same ``chain_model``.
+The attack trajectories are evaluated only for the photons that reach them.
 
 Clock model: Alice's clock is the time reference.  Bob's clock reads
 ``true + offset + drift * t + white phase noise``.
@@ -73,6 +74,7 @@ __all__ = [
     "DetectorId",
     "DETECTOR_NAMES",
     "TimestampStream",
+    "chain_model",
     "generate_pairs",
     "propagate_and_detect",
     "run_round_trip_sim",
@@ -485,6 +487,25 @@ class _DetectorRecords:
         return kept
 
 
+def chain_model(source, channel, detectors, tdc, clocks):
+    """``(sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal)``: the
+    merged Gaussian sigma of each detector's records, and the chance that a
+    pair is recorded as an idler, at Bob or at either signal detector, as
+    ``propagate_and_detect`` draws them (see the module docstring)."""
+    eff = detectors.efficiency
+    det_sigma, tdc_sigma = detectors.jitter_sigma_ps, tdc.jitter_sigma_ps
+    s, loop = channel.loss_survival_prob, channel.splitter_loopback_prob
+    p_bob = s * (1.0 - loop) * eff
+    return (
+        math.hypot(det_sigma, tdc_sigma, source.intrinsic_correlation_jitter_ps),
+        math.hypot(det_sigma, tdc_sigma, clocks.white_phase_noise_sigma_ps),
+        math.hypot(det_sigma, tdc_sigma),
+        eff,
+        p_bob,
+        p_bob + s * loop * s * eff,
+    )
+
+
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
     """Propagate pair emissions through the attacked link and detect.
 
@@ -510,21 +531,9 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         raise ConfigurationError("emission times exceed the exact int64/float64 range")
 
     L = channel.one_way_delay_ps
-    eff = detectors.efficiency
-    # One merged Gaussian per record: the independent jitter terms add in
-    # quadrature, detector and TDC everywhere, plus the source's correlation
-    # jitter on the idler and white phase noise at Bob.
-    det_sigma, tdc_sigma = detectors.jitter_sigma_ps, tdc.jitter_sigma_ps
-    sigma_idler = math.hypot(det_sigma, tdc_sigma, source.intrinsic_correlation_jitter_ps)
-    sigma_bob = math.hypot(det_sigma, tdc_sigma, clocks.white_phase_noise_sigma_ps)
-    sigma_return = math.hypot(det_sigma, tdc_sigma)
-    # A signal is recorded at Bob (forward pass, transmitted at the splitter,
-    # detected) or at Alice (forward pass, looped back, return pass,
-    # detected); any other outcome loses it.
-    s = channel.loss_survival_prob
-    loop = channel.splitter_loopback_prob
-    p_bob = s * (1.0 - loop) * eff
-    p_signal = p_bob + s * loop * s * eff
+    sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
+        source, channel, detectors, tdc, clocks
+    )
 
     records = {
         det: _DetectorRecords(_expected_capacity(pairs.size, prob))

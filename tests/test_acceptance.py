@@ -177,6 +177,18 @@ class TestCriterion4GradualOrdering:
         )
 
 
+def closed_form(result, t_mid):
+    """The noise-free clock difference of ``result``'s scenario at ``t_mid``."""
+    scenario = result.scenario
+    clock = scenario.clock
+    return tampered_clock_difference(
+        clock.offset_ps + clock.drift_ps_per_s * t_mid,
+        eval_trajectory(scenario.m_trajectory(), t_mid),
+        eval_trajectory(scenario.n_trajectory(), t_mid),
+        scenario.scheme,
+    )
+
+
 class TestCriterion5AnalyticBridge:
     def test_full_sim_matches_closed_form(self, fig3_grid, report):
         runs, _ = fig3_grid
@@ -377,3 +389,41 @@ class TestCriterion9Determinism:
         }
         ok = all(same.values())
         report(9, "determinism", ok, f"byte-identical: {same}")
+
+
+class TestCriterion10SigmaBridge:
+    def test_full_sim_scatter_matches_analytic_sigma(self, fig4_results, fig5_results, report):
+        """Full simulation scatters about the closed form as analytic runs do.
+
+        The five runs share the default photon chain at 5 kHz.  An epoch
+        then holds N_f = 5e3 * 0.8 * (0.5 * 0.5 * 0.8) = 800 forward and
+        N_l = 5e3 * 0.8 * (0.5 * 0.5 * 0.5 * 0.8) = 400 loopback
+        coincidences.  Detector (110 ps FWHM) and TDC (8 ps FWHM) jitter
+        give every record s**2 = 2193.64 ps**2, and the idler adds the 1 ps
+        correlation jitter, so delta = tau_ab - tau_aba / 2 has
+        sigma**2 = (2 s**2 + 1) / N_f + (2 s**2 + 1) / (4 N_l) = 8.2278 ps**2,
+        sigma = 2.868 ps.
+        """
+        fwhm = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        pair_sigma2 = 2.0 * ((110.0 * fwhm) ** 2 + (8.0 * fwhm) ** 2) + 1.0
+        n_f = 5e3 * 0.8 * (0.5 * 0.5 * 0.8)
+        n_l = 5e3 * 0.8 * (0.5 * 0.5 * 0.5 * 0.8)
+        expected = math.sqrt(pair_sigma2 / n_f + pair_sigma2 / (4.0 * n_l))
+        ok = abs(expected - 2.868) <= 1e-3
+        details = [f"formula sigma {expected:.4f} ps"]
+        for name, result in {**fig4_results, **fig5_results}.items():
+            analytic = run_scenario(name, mode="analytic")
+            sigma = analytic.meta["analytic_sigma_ps"]
+            usable = [p for p in result.series.points if not p.is_gap]
+            t_mid = np.array([p.epoch_start_s for p in usable]) + 0.5
+            residuals = np.array([p.delta_ps for p in usable]) - closed_form(result, t_mid)
+            worst_z = float(np.max(np.abs(residuals) / [p.delta_sigma_ps for p in usable]))
+            scatter = float(np.std(residuals)) / sigma
+            tdev_ratio = analytic.tdev.points[0].tdev_ps / result.tdev.points[0].tdev_ps
+            ok = ok and abs(sigma - 2.868) <= 1e-3 and worst_z <= 5.5
+            ok = ok and abs(scatter - 1.0) <= 0.05 and abs(tdev_ratio - 1.0) <= 0.05
+            details.append(
+                f"{name}: max |z| {worst_z:.1f}, residual std / sigma {scatter:.3f}, "
+                f"TDEV(1 s) analytic / full {tdev_ratio:.3f}"
+            )
+        report(10, "sigma-level bridge", ok, "; ".join(details))

@@ -18,6 +18,7 @@ from qcsync.errors import (
 )
 from qcsync.estimator import (
     _PEAK_FALSE_ALARM_PROB,
+    _bin_centers,
     ClockDifferencePoint,
     ClockDifferenceSeries,
     CorrelationHistogram,
@@ -424,26 +425,29 @@ class TestBuildHistogram:
 
 
 # Test oracle: ``estimate_peak`` with the per-bin loops that grow its seed
-# region, kept verbatim.
+# region, kept verbatim, and the span's re-centring as a scalar loop.
 def reference_estimate_peak(histogram):
     """Locate the coincidence peak of a correlation histogram.
 
     Background is the mean count of the outer 10% of bins at each window
     edge.  The contiguous region around the maximum bin whose counts exceed
     ``background + 3*sqrt(background)`` seeds a centroid; the integration
-    span is then fixed at four seed RMS widths around that centroid so the
-    tail cut is deterministic and the counting-statistics uncertainty
-    (RMS width, floored at the single-bin quantization width, over the
-    square root of the net counts) is calibrated.
+    span is four seed RMS widths around that centroid, then re-centred on
+    its own centroid with four of its own RMS widths until it reproduces
+    itself or the span before it, so the tail cut is deterministic and the
+    counting-statistics uncertainty (RMS width, floored at the single-bin
+    quantization width, over the square root of the net counts) is
+    calibrated.
 
     The maximum bin must also be significant: the chance that accidentals
     alone fill some bin that high (Poisson tail at the larger of the edge
     background and ``histogram.accidentals_per_bin``, times the bin count)
     must stay below ``_PEAK_FALSE_ALARM_PROB``.
 
-    Raises NoPeakError when no bin clears the threshold or the maximum is
-    not significant, which signals a broken channel, a mis-centered window
-    or a peak that left it.
+    Raises NoPeakError when no bin clears the threshold, the maximum is not
+    significant, a span holds no net counts, leaves the window or is still
+    moving after ``_RECENTRE_ROUNDS`` rounds, which signals a broken
+    channel, a mis-centered window or a peak that left it.
     """
     counts = histogram.counts
     nbins = counts.size
@@ -480,15 +484,35 @@ def reference_estimate_peak(histogram):
         max(float(np.dot(seed_net, (centers[left : right + 1] - seed_tau) ** 2) / seed_total), 0.0)
     )
 
-    span = 4.0 * max(seed_rms, histogram.bin_width_ps)
-    lo = int(np.searchsorted(centers, seed_tau - span, side="left"))
-    hi = int(np.searchsorted(centers, seed_tau + span, side="right"))
-    net = counts[lo:hi].astype(float) - background
-    net_total = float(net.sum())
-    if net_total <= 0:  # pragma: no cover - span always contains the seed
-        raise NoPeakError("no net counts in the peak region")
-    tau = float(np.dot(net, centers[lo:hi]) / net_total)
-    rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / net_total), 0.0))
+    def span(tau, rms):
+        half = 4.0 * max(rms, histogram.bin_width_ps)
+        lo = int(np.searchsorted(centers, tau - half, side="left"))
+        return lo, int(np.searchsorted(centers, tau + half, side="right"))
+
+    # A centroid that sends the span back to the one before it takes the
+    # union of the two as its final span.
+    previous, current, final = None, span(seed_tau, seed_rms), False
+    for _ in range(estimator._RECENTRE_ROUNDS):
+        lo, hi = current
+        net = counts[lo:hi].astype(float) - background
+        net_total = float(net.sum())
+        if net_total <= 0:
+            raise NoPeakError("no net counts in the peak region")
+        tau = float(np.dot(net, centers[lo:hi]) / net_total)
+        rms = math.sqrt(max(float(np.dot(net, (centers[lo:hi] - tau) ** 2) / net_total), 0.0))
+        following = span(tau, rms)
+        if final or following == current:
+            break
+        final = following == previous
+        if final:
+            following = (min(lo, following[0]), max(hi, following[1]))
+        if following[0] >= following[1]:
+            raise NoPeakError("peak span left the window while re-centring")
+        previous, current = current, following
+    else:
+        raise NoPeakError(
+            f"peak span still moving after {estimator._RECENTRE_ROUNDS} re-centring rounds"
+        )
     floor = histogram.bin_width_ps / math.sqrt(12.0)
     uncertainty = max(rms, floor) / math.sqrt(net_total)
     return PeakEstimate(
@@ -561,6 +585,21 @@ class TestEstimatePeak:
         peak = estimate_peak(h)
         assert peak.background_per_bin == pytest.approx(25.0, rel=0.2)
         assert peak.tau_ps == pytest.approx(truth, abs=5.0)
+
+
+    def test_seed_fragment_cut_off_by_an_empty_bin(self):
+        # A loopback peak at 5 kHz (400 counts, sigma 66 ps) over no
+        # background, where one empty bin cuts a fragment holding the
+        # maximum off its flank 27 bins left of centre.  The seed is that
+        # fragment, and a span fixed around it reads ~100 ps off the peak.
+        x = _bin_centers(0, 2000, 4.0, 1000)
+        density = np.exp(-0.5 * (x / 66.0) ** 2) / (66.0 * math.sqrt(2.0 * math.pi))
+        counts = np.rint(400.0 * 4.0 * density).astype(np.int64)
+        counts[471:477] = [0, 2, 13, 3, 2, 0]
+        assert counts.argmax() == 473 and counts[477:].max() < 13
+        peak = estimate_peak(CorrelationHistogram(4.0, 0, 2000, counts))
+        assert peak.uncertainty_ps == pytest.approx(66.0 / math.sqrt(400.0), rel=0.1)
+        assert abs(peak.tau_ps) <= 3.0 * peak.uncertainty_ps
 
 
 class TestEstimatePeakOracle:
@@ -696,6 +735,11 @@ class TestPeakMatrix:
             # One significant bin whose four-bin-width span holds eight
             # empty bins under a background of 100: no net counts.
             ([100, 100] + [0] * 8 + [160] + [0] * 7 + [100, 100], 0.0, "_NO_NET_COUNTS"),
+            # Peaks at the window edge, whose edge bins set a background
+            # they rise out of: the net counts' centroid leaves the window,
+            # or the span cycles through three positions.
+            ([60, 77, 28, 2, 2], 0.0, "_SPAN_LEFT_WINDOW"),
+            ([86, 79, 97, 53, 73, 45], 0.0, "_SPAN_UNSETTLED"),
         ],
     )
     def test_failure_codes_give_oracle_messages(self, counts, accidentals, code):

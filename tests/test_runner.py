@@ -20,6 +20,15 @@ def analytic_doc(**overrides):
     return doc
 
 
+def noise_free(doc):
+    """``doc`` with every jitter of its photon chain at zero."""
+    doc["source"] = {"intrinsic_correlation_jitter_ps": 0.0}
+    doc["detectors"] = {"jitter_sigma_ps": 0.0}
+    doc["tdc"] = {"jitter_sigma_ps": 0.0}
+    doc["clock"] = {"white_phase_noise_sigma_ps": 0.0}
+    return doc
+
+
 class TestAnalyticMode:
     def test_jump_appears_in_delta(self):
         result = run_scenario(analytic_doc())
@@ -29,12 +38,48 @@ class TestAnalyticMode:
         )
 
     def test_noise_free_equals_closed_form(self):
-        doc = analytic_doc()
-        doc["analytic"]["noise_sigma_ps"] = 0.0
-        result = run_scenario(doc)
+        result = run_scenario(noise_free(analytic_doc()))
         deltas = result.series.deltas()
+        assert result.meta["analytic_sigma_ps"] == 0.0
         assert deltas[0] == -9900.0
         assert deltas[-1] == -10000.0
+
+    def test_baseline_follows_clock_offset_and_drift(self):
+        doc = noise_free(analytic_doc())
+        doc["clock"].update(offset_ps=-500.0, drift_ps_per_s=0.25)
+        deltas = run_scenario(doc).series.deltas()
+        t_mid = np.arange(500) + 0.5
+        expected = -500.0 + 0.25 * t_mid - np.where(t_mid >= 250.0, 100.0, 0.0)
+        np.testing.assert_array_equal(deltas, expected)
+
+    def test_sigma_from_photon_chain(self):
+        # 10 kHz pairs, efficiency 0.8, survival 0.5, loopback 0.5: an epoch
+        # holds N_f = 1e4*0.8*0.2 = 1600 forward and N_l = 1e4*0.8*0.1 = 800
+        # loopback coincidences.  Detector (110 ps FWHM) and TDC (8 ps FWHM)
+        # jitter and the 1 ps correlation jitter give s_i**2 = 2194.64 and
+        # s_b**2 = s_r**2 = 2193.64 ps**2, so sigma**2 = (s_i**2 + s_b**2)/N_f
+        # + (s_i**2 + s_r**2)/(4*N_l) = 4.1139 ps**2.
+        result = run_scenario(analytic_doc())
+        assert result.meta["analytic_sigma_ps"] == pytest.approx(2.028, abs=1e-3)
+        assert {p.delta_sigma_ps for p in result.series.points} == {
+            result.meta["analytic_sigma_ps"]
+        }
+        steps = np.diff(result.series.deltas())
+        steps = np.delete(steps, 249)  # the jump
+        assert np.std(steps) / np.sqrt(2.0) == pytest.approx(2.028, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "chain, path",
+        [
+            ({"detectors": {"efficiency": 0.0}}, "forward and loopback"),
+            ({"channel": {"splitter_loopback_prob": 0.0}}, "loopback"),
+            ({"channel": {"splitter_loopback_prob": 1.0}}, "forward"),
+        ],
+        ids=["efficiency_0", "loopback_0", "loopback_1"],
+    )
+    def test_empty_path_refused(self, chain, path):
+        with pytest.raises(ConfigurationError, match=f"no coincidences on the {path} path"):
+            run_scenario(analytic_doc(**chain))
 
     def test_deterministic_per_seed(self):
         r1 = run_scenario(analytic_doc(), seed=5)
@@ -51,12 +96,6 @@ class TestAnalyticMode:
         assert [p.delta_ps for p in back.points] == list(result.series.deltas())
         assert all(p.tau_ab_ps is None and p.tau_aba_ps is None for p in back.points)
 
-    def test_mode_override_needs_noise_model(self):
-        doc = builtin_scenario("baseline")
-        del doc["analytic"]
-        with pytest.raises(ConfigurationError):
-            run_scenario(doc, mode="analytic")
-
     def test_epoch_override(self):
         result = run_scenario(analytic_doc(), epoch_s=2.0)
         assert len(result.series) == 250
@@ -68,8 +107,7 @@ class TestAnalyticMode:
         doc = analytic_doc(scheme="two_way")
         doc["coordination"] = {"mode": "independent"}
         doc["n_events"] = [dict(e) for e in doc["m_events"]]
-        doc["analytic"]["noise_sigma_ps"] = 0.0
-        result = run_scenario(doc)
+        result = run_scenario(noise_free(doc))
         deltas = result.series.deltas()
         assert np.all(deltas == -9900.0)
 
@@ -254,3 +292,5 @@ class TestMetadata:
         assert echoed["tdc"]["resolution_ps"] == 1.0
         assert meta["config_hash"] == result.scenario.config_hash()
         assert meta["reference_ps"] == -9900.0
+        assert "analytic" not in echoed
+        assert meta["analytic_sigma_ps"] == result.series.points[0].delta_sigma_ps

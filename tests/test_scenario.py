@@ -32,7 +32,6 @@ def minimal_doc(**overrides):
         "run": {"duration_s": 100.0, "epoch_s": 1.0, "seed": 3},
         "coordination": {"mode": "proportional", "n": -1.0},
         "m_events": [],
-        "analytic": {"noise_sigma_ps": 2.0, "baseline_delta_ps": -9900.0},
     }
     doc.update(overrides)
     return doc
@@ -144,11 +143,11 @@ class TestValidation:
         issues = validate_scenario_dict(doc)
         assert any(path == "scheme" for path, _ in issues)
 
-    def test_analytic_mode_requires_noise_model(self):
-        doc = minimal_doc()
-        del doc["analytic"]
-        issues = validate_scenario_dict(doc)
-        assert any(path == "analytic" for path, _ in issues)
+    def test_analytic_section_refused(self):
+        # Analytic runs take their noise and baseline from the photon chain
+        # and the clock, so no section sets them.
+        doc = minimal_doc(analytic={"noise_sigma_ps": 2.0, "baseline_delta_ps": -9900.0})
+        assert validate_scenario_dict(doc) == [("analytic", "unknown field")]
 
     def test_bad_schema_version(self):
         issues = validate_scenario_dict(minimal_doc(schema_version=99))
@@ -302,8 +301,12 @@ class TestScenarioObject:
         from qcsync.runner import run_scenario
 
         doc = minimal_doc()
-        doc["analytic"]["noise_sigma_ps"] = 0.0
-        doc["analytic"]["baseline_delta_ps"] = 0.0
+        # No jitter in the photon chain and no clock offset: delta is the
+        # attack's closed form alone.
+        doc["source"] = {"intrinsic_correlation_jitter_ps": 0.0}
+        doc["detectors"] = {"jitter_sigma_ps": 0.0}
+        doc["tdc"] = {"jitter_sigma_ps": 0.0}
+        doc["clock"] = {"offset_ps": 0.0}
         doc["run"]["duration_s"] = 300.0
         doc["m_events"] = [
             {
