@@ -131,8 +131,15 @@ def cusum_drift(series, cfg):
     limit, after which both sides reset.  Because increments of a series
     with white measurement noise telescope, noise does not accumulate and
     a sub-noise per-epoch drift still integrates to a detection.
+
+    Gap epochs are closed up: an increment spans from one usable epoch to
+    the next, and one that spans ``s`` epochs is charged ``s * k``, the
+    allowance of the ``s`` per-epoch increments it sums.  So the sums still
+    telescope across a gap: the drift a gap hides still counts, and a drift
+    below ``k`` per epoch does not add up to an alarm because gaps lengthen
+    its steps.
     """
-    points = _usable_points(series)
+    points = [(i, p.delta_ps) for i, p in enumerate(series.points) if not p.is_gap]
     if len(points) < 2:
         return []
     k = cfg.reference_drift_ps
@@ -140,13 +147,14 @@ def cusum_drift(series, cfg):
     s_pos = 0.0
     s_neg = 0.0
     alarms = []
-    for prev, cur in zip(points, points[1:]):
-        d = cur.delta_ps - prev.delta_ps
-        s_pos = max(0.0, s_pos + (d - k))
-        s_neg = max(0.0, s_neg - (d + k))
+    for (i, prev), (j, cur) in zip(points, points[1:]):
+        d = cur - prev
+        allowance = (j - i) * k
+        s_pos = max(0.0, s_pos + (d - allowance))
+        s_neg = max(0.0, s_neg - (d + allowance))
         if s_pos > h or s_neg > h:
             magnitude = s_pos if s_pos > h else -s_neg
-            alarms.append(Alarm(cur.epoch_start_s, AlarmKind.DRIFT, magnitude))
+            alarms.append(Alarm(series.points[j].epoch_start_s, AlarmKind.DRIFT, magnitude))
             s_pos = 0.0
             s_neg = 0.0
     return alarms

@@ -28,17 +28,17 @@ sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
 Memory: what grows with the run is the emission times (8 B per pair) and
-the stream itself (16 B per record), about 26 B per pair at the default
+the stream itself (8 B per record), about 17 B per pair at the default
 1.1 records per pair; every other array is bounded by ``_PAIR_CHUNK``.
 Pairs are generated in blocks and propagated in chunks of about that many,
-two chunks in flight at once, and each chunk's records are written
-straight into one time buffer and one pair-id buffer per detector.  When
-chunks overlap in time (a jitter or delay step wider than the gap across a
-chunk edge), only the overlapping tail of a buffer is merged with the new
-chunk.  The dead time is applied in those buffers, slice by slice, and the
-stream check reads them in windows of the same length.  One case exceeds
-the bound: a slice never splits a run of records closer than the dead
-time, so such a run longer than a chunk makes a slice of its own length.
+two chunks in flight at once, and each chunk's times are written straight
+into one buffer per detector.  When chunks overlap in time (a jitter or
+delay step wider than the gap across a chunk edge), only the overlapping
+tail of a buffer is sorted with the new chunk.  The dead time is applied
+in those buffers, slice by slice, and the stream check reads them in
+windows of the same length.  One case exceeds the bound: a slice never
+splits a run of records closer than the dead time, so such a run longer
+than a chunk makes a slice of its own length.
 
 All randomness flows from a single integer seed.  Each block of the pair
 generator and each propagation chunk draws from its own generator, seeded
@@ -242,25 +242,20 @@ class TimestampStream:
     """Detection records stored per detector, indexed by ``DetectorId``.
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
-    ps) in ascending order; ``pair_ids[det]`` the emission index of each,
-    simulation-only ground truth that estimators must not consume.
+    ps) in ascending order: all a time tagger would record.
     """
 
     times: Tuple[np.ndarray, ...]
-    pair_ids: Tuple[np.ndarray, ...]
     duration_s: float
     seed: int
     config_hash: Optional[str] = None
     nominal_one_way_delay_ps: Optional[float] = None
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.pair_ids) == len(DetectorId)):
+        if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         self.times = tuple(np.asarray(t, dtype=np.int64) for t in self.times)
-        self.pair_ids = tuple(np.asarray(p, dtype=np.int64) for p in self.pair_ids)
-        for name, t, p in zip(DETECTOR_NAMES.values(), self.times, self.pair_ids):
-            if t.shape != p.shape:
-                raise ConfigurationError(f"{name} times and pair ids must have equal length")
+        for name, t in zip(DETECTOR_NAMES.values(), self.times):
             if t.size and t[0] < 0:
                 raise ConfigurationError(f"{name} timestamps must be >= 0")
             if not is_sorted(t):
@@ -344,7 +339,7 @@ def _quantize(times, resolution_ps):
     return ints
 
 
-def _apply_dead_time(times, pairs, dead_time_ps):
+def _apply_dead_time(times, dead_time_ps):
     """Dead-time filter on a time-sorted detector stream: exact greedy rule,
     loop only over clusters.
 
@@ -356,14 +351,14 @@ def _apply_dead_time(times, pairs, dead_time_ps):
     time later, so the loop runs once per kept record inside a cluster.
     """
     if times.size < 2 or dead_time_ps <= 0:
-        return times, pairs
+        return times
     # For an integer gap d, d < dead_time_ps exactly when d < ceil(dead_time_ps);
     # integer bounds also stay exact where float addition would round.
     dead = math.ceil(dead_time_ps)
     keep = np.ones(times.size, dtype=bool)
     np.greater_equal(np.diff(times), dead, out=keep[1:])
     if keep.all():
-        return times, pairs
+        return times
     # Runs of close records (keep[1:] False) start after their anchor.
     edges = np.flatnonzero(np.diff(keep[1:], prepend=True, append=True))
     anchors, ends = edges[::2], edges[1::2]
@@ -378,7 +373,7 @@ def _apply_dead_time(times, pairs, dead_time_ps):
             if k == len(cluster):
                 break
             keep[anchor + k] = True
-    return times[keep], pairs[keep]
+    return times[keep]
 
 
 def _expected_capacity(n_pairs, prob):
@@ -389,11 +384,12 @@ def _expected_capacity(n_pairs, prob):
     return int(mean + 6.0 * math.sqrt(mean)) + 1
 
 
-def _sort_by_time(times, pair_ids):
-    """Stably sort ``times`` in place, moving ``pair_ids`` along with them.
+def _sort_by_time(times):
+    """Sort ``times`` in place.
 
     Jitter below the record spacing swaps only a few neighbours, so only
     the span from the first record out of place to the last one is sorted.
+    Equal times are indistinguishable, so the sort need not be stable.
     """
     down = np.flatnonzero(times[1:] < times[:-1])
     if down.size == 0:
@@ -403,70 +399,58 @@ def _sort_by_time(times, pair_ids):
     # of them that the rest of the chunk must pass.
     lo = int(np.searchsorted(times[:first], times[first:].min(), side="right"))
     hi = last + int(np.searchsorted(times[last:], times[:last].max(), side="left"))
-    order = np.argsort(times[lo:hi], kind="stable")
-    times[lo:hi] = times[lo:hi][order]
-    pair_ids[lo:hi] = pair_ids[lo:hi][order]
+    times[lo:hi].sort()
 
 
 class _DetectorRecords:
-    """One detector's records, assembled in place chunk by chunk.
+    """One detector's timestamps, assembled in place chunk by chunk.
 
-    Each chunk's records are stably sorted by time within the chunk (pair
-    ids arrive ascending, so ties stay in pair-id order), negative times
-    are dropped, and the rest is written into the two privately owned
-    buffers.  They start at ``capacity``; one that fills up is resized in
-    place, which lets the allocator remap a large block rather than copy it
-    (glibc does).  A chunk that starts before the records already held end
-    is written after them all the same, and then only the span where the
-    two overlap is sorted, held records first on equal times.  So the
-    buffers always hold the same (time, pair id) order as one stable sort
-    of all records.  ``finish`` applies the dead time in the buffers and
-    trims them once.
+    Each chunk's times are sorted within the chunk, negative times are
+    dropped, and the rest is written into one privately owned buffer.  It
+    starts at ``capacity``; when it fills up it is resized in place, which
+    lets the allocator remap a large block rather than copy it (glibc
+    does).  A chunk that starts before the times already held end is
+    written after them all the same, and then only the span where the two
+    overlap is sorted.  So the buffer always holds all times in ascending
+    order.  ``finish`` applies the dead time in the buffer and trims it once.
     """
 
     def __init__(self, capacity):
         self.times = np.empty(capacity, np.int64)
-        self.pair_ids = np.empty(capacity, np.int64)
         self.size = 0
 
-    def append(self, times, pair_ids):
-        """Add one chunk's records, pair ids ascending; the two arrays are
-        put in time order in place."""
-        _sort_by_time(times, pair_ids)
-        start = np.searchsorted(times, 0)
-        times, pair_ids = times[start:], pair_ids[start:]
+    def append(self, times):
+        """Add one chunk's times, which are put in order in place."""
+        _sort_by_time(times)
+        times = times[np.searchsorted(times, 0) :]
         held = self.size
         end = held + times.size
         if end > self.times.size:
             self.times.resize(end, refcheck=False)
-            self.pair_ids.resize(end, refcheck=False)
         self.times[held:end] = times
-        self.pair_ids[held:end] = pair_ids
         self.size = end
         if held and times.size and times[0] < self.times[held - 1]:
-            # Held records up to the chunk's first time keep their place.
+            # Held times up to the chunk's first one keep their place.
             lo = int(np.searchsorted(self.times[:held], times[0], side="right"))
-            _sort_by_time(self.times[lo:end], self.pair_ids[lo:end])
+            _sort_by_time(self.times[lo:end])
 
     def finish(self, dead_time_ps):
-        """The (times, pair ids) arrays with the dead time applied in place,
-        trimmed once."""
+        """The times with the dead time applied in place, trimmed once."""
         n = self.size
         if dead_time_ps > 0:
             n = self._filter_dead_time(n, math.ceil(dead_time_ps))
         self.times.resize(n, refcheck=False)
-        self.pair_ids.resize(n, refcheck=False)
-        return self.times, self.pair_ids
+        return self.times
 
     def _filter_dead_time(self, n, dead):
-        """Filter the first ``n`` records through ``_apply_dead_time`` slice by
+        """Filter the first ``n`` times through ``_apply_dead_time`` slice by
         slice, moving the kept ones to the front; returns how many are kept.
 
         A slice of about ``_PAIR_CHUNK`` records ends only before a record at
         least ``dead`` after its predecessor: greedy keeps that record
         whatever came before, so the slices are independent.
         """
-        times, pair_ids = self.times, self.pair_ids
+        times = self.times
         kept = lo = 0
         while lo < n:
             hi = lo + _PAIR_CHUNK
@@ -479,9 +463,8 @@ class _DetectorRecords:
                     break
                 hi = stop
             hi = min(hi, n)
-            t, p = _apply_dead_time(times[lo:hi], pair_ids[lo:hi], dead)
+            t = _apply_dead_time(times[lo:hi], dead)
             times[kept : kept + t.size] = t
-            pair_ids[kept : kept + p.size] = p
             kept += t.size
             lo = hi
         return kept
@@ -545,8 +528,8 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     }
 
     def detect(chunk):
-        """Chunk ``chunk``'s (int64 times, pair ids) per detector, from its
-        own generator alone."""
+        """Chunk ``chunk``'s int64 times per detector, from its own generator
+        alone."""
         rng = _chunk_rng(seed, chunk)
         lo = chunk * _PAIR_CHUNK
         emitted = pairs[lo : lo + _PAIR_CHUNK]
@@ -602,27 +585,16 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         ret *= sigma_return
         ret += t
         del t, delay
-        ret = _quantize(ret, tdc.resolution_ps)
-
-        for idx in (idler_idx, bob_idx, ret_idx):
-            idx += lo
-        return (idler, idler_idx), (bob, bob_idx), (ret, ret_idx)
+        return idler, bob, _quantize(ret, tdc.resolution_ps)
 
     def assemble(readings):
-        for det, (t, idx) in zip(DetectorId, readings):
-            records[det].append(t, idx)
+        for det, t in zip(DetectorId, readings):
+            records[det].append(t)
 
     _pipeline(detect, (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK, assemble)
 
-    times, pair_ids = [], []
-    for det in DetectorId:
-        t, p = records.pop(det).finish(detectors.dead_time_ps)
-        times.append(t)
-        pair_ids.append(p)
-
     return TimestampStream(
-        times=times,
-        pair_ids=pair_ids,
+        times=[records.pop(det).finish(detectors.dead_time_ps) for det in DetectorId],
         duration_s=float(duration_s),
         seed=int(seed),
         nominal_one_way_delay_ps=L,

@@ -2,26 +2,29 @@
 
 Binary layout (all little-endian):
 
-    bytes 0..7   magic ``QCSTMP02``
+    bytes 0..7   magic ``QCSTMP03``
     bytes 8..11  u32 header length H
     bytes 12..   H bytes of UTF-8 JSON header:
                  {"seed", "duration_s", "config_hash",
                   "nominal_one_way_delay_ps", "n_records"}
                  n_records lists each detector's record count
-    then per detector, in DetectorId order: its i64 time_ps, then its u64
-    pair ids.  Nothing follows.  Truncated files, trailing bytes and older
-    ``QCSTMP01`` files (one record list with a u8 detector column) are refused.
+    then per detector, in DetectorId order, its i64 time_ps.  Nothing
+    follows.  Truncated files, trailing bytes and the older ``QCSTMP02``
+    (each detector's times followed by ground-truth pair ids) and
+    ``QCSTMP01`` (one record list with a u8 detector column) files are
+    refused.
 
 The CSV form is two columns, ``detector,time_ps``, with detector names
-IdlerA / SignalB / ReturnA; ground-truth pair ids are deliberately absent
-so CSV exports are safe estimator inputs.  It is written one detector block
-after another.  The reader takes rows in any interleaving, such as a time
-tagger's global time order, but each detector's own times must ascend.
+IdlerA / SignalB / ReturnA: the same records as the binary file, without
+its metadata.  It is written one detector block after another.  The reader
+takes rows in any interleaving, such as a time tagger's global time order,
+but each detector's own times must ascend.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -31,7 +34,7 @@ from .simulation import DETECTOR_IDS_BY_NAME, DETECTOR_NAMES, DetectorId, Timest
 
 __all__ = ["write_stream", "read_stream", "write_stream_csv", "read_stream_csv"]
 
-_MAGIC = b"QCSTMP02"
+_MAGIC = b"QCSTMP03"
 
 
 def write_stream(stream, path):
@@ -48,34 +51,39 @@ def write_stream(stream, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for times, pair_ids in zip(stream.times, stream.pair_ids):
-            fh.write(times.astype("<i8").tobytes())
-            fh.write(pair_ids.astype("<u8").tobytes())
+        for times in stream.times:
+            # No copy of a contiguous little-endian array: the file gets its buffer.
+            fh.write(np.ascontiguousarray(times, "<i8"))
 
 
 def read_stream(path):
+    """Read a ``QCSTMP03`` file, each detector's block straight into its array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _MAGIC:
-        raise ConfigurationError(f"not a {_MAGIC.decode()} timestamp stream file: {data[:8]!r}")
-    try:
-        (hlen,) = struct.unpack_from("<I", data, 8)
-        header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-        counts = [int(n) for n in header["n_records"]]
-        duration_s, seed = float(header["duration_s"]), int(header["seed"])
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        raise ConfigurationError(f"malformed timestamp stream header: {exc!r}") from exc
-    body = memoryview(data)[12 + hlen :]
-    if min(counts, default=0) < 0 or len(body) != 16 * sum(counts):
-        raise ConfigurationError(f"payload of {len(body)} bytes does not hold {counts} records")
-    times, pair_ids, offset = [], [], 0
-    for n in counts:
-        times.append(np.frombuffer(body, "<i8", n, offset).astype(np.int64))
-        pair_ids.append(np.frombuffer(body, "<u8", n, offset + 8 * n).astype(np.int64))
-        offset += 16 * n
+        magic = fh.read(8)
+        if magic in (b"QCSTMP01", b"QCSTMP02"):
+            raise ConfigurationError(f"{magic.decode()} stream files are no longer read")
+        if magic != _MAGIC:
+            raise ConfigurationError(f"not a {_MAGIC.decode()} timestamp stream file: {magic!r}")
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            counts = [int(n) for n in header["n_records"]]
+            duration_s, seed = float(header["duration_s"]), int(header["seed"])
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError(f"malformed timestamp stream header: {exc!r}") from exc
+        # Sized before anything is allocated, so a bad count cannot ask for
+        # more memory than the file holds.
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if min(counts, default=0) < 0 or body != 8 * sum(counts):
+            raise ConfigurationError(f"payload of {body} bytes does not hold {counts} records")
+        times = []
+        for n in counts:
+            t = np.empty(n, "<i8")
+            if fh.readinto(t) != t.nbytes:
+                raise ConfigurationError(f"{path} ended inside its records")
+            times.append(t)
     return TimestampStream(
         times=times,
-        pair_ids=pair_ids,
         duration_s=duration_s,
         seed=seed,
         config_hash=header.get("config_hash"),
@@ -92,7 +100,7 @@ def write_stream_csv(stream, path):
 
 
 def read_stream_csv(path, duration_s=None, seed=0):
-    """Parse the two-column CSV back into a stream (pair ids lost)."""
+    """Parse the two-column CSV back into a stream."""
     rows = {det: [] for det in DetectorId}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -112,7 +120,6 @@ def read_stream_csv(path, duration_s=None, seed=0):
         duration_s = max((float(t.max() + 1) * 1e-12 for t in times if t.size), default=0.0)
     return TimestampStream(
         times=times,
-        pair_ids=[np.full(t.size, -1, dtype=np.int64) for t in times],
         duration_s=duration_s,
         seed=seed,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,22 @@ def gap_doc(duration_s, spike_width_s, start_s=60.0, pair_rate_hz=1000.0):
     doc["m_events"] = [dict(spike, start_s=start_s, width_s=spike_width_s)]
     del doc["detection"]
     return doc
+
+
+def traced_peak(func, *args):
+    """``(value, bytes)``: what ``func(*args)`` returns, and how far the traced
+    memory peaked above where it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = func(*args)
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @pytest.fixture

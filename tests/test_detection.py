@@ -152,6 +152,32 @@ class TestCusumDrift:
         alarms = cusum_drift(make_series(values), cfg)
         assert len(alarms) <= 1
 
+    @staticmethod
+    def every_other_epoch_a_gap(values):
+        return [None if i % 2 else v for i, v in enumerate(values)]
+
+    def test_gaps_do_not_steepen_a_sub_reference_drift(self):
+        # 0.05 ps/epoch under k = 0.06: an increment across a gap spans two
+        # epochs and is charged 2k, as its two per-epoch steps would be.
+        # Charging it k alone lets the 0.1 ps steps accumulate to 2 alarms.
+        values = -9900.0 + 0.05 * np.arange(3000)
+        cfg = CusumConfig(reference_drift_ps=0.06, decision_limit_ps=25.0)
+        assert cusum_drift(make_series(values), cfg) == []
+        assert cusum_drift(make_series(self.every_other_epoch_a_gap(values)), cfg) == []
+
+    def test_drift_above_reference_alarms_across_gaps(self):
+        # 0.1 ps/epoch under k = 0.06 accumulates 0.04 ps per epoch either
+        # way.  An alarm can fire only on a usable epoch, so each one waits
+        # at most an epoch longer, and the n-th at most n epochs.
+        values = -9900.0 + 0.1 * np.arange(3000)
+        cfg = CusumConfig(reference_drift_ps=0.06, decision_limit_ps=25.0)
+        plain = cusum_drift(make_series(values), cfg)
+        gapped = cusum_drift(make_series(self.every_other_epoch_a_gap(values)), cfg)
+        assert len(plain) == len(gapped) == 4
+        for n, (a, b) in enumerate(zip(plain, gapped), start=1):
+            assert 0.0 <= b.epoch_start_s - a.epoch_start_s <= n
+            assert a.magnitude_ps > 25.0 and b.magnitude_ps > 25.0
+
     def test_short_series_no_alarms(self):
         series = make_series([0.0])
         assert cusum_drift(series, CusumConfig(0.01, 5.0)) == []

@@ -202,7 +202,6 @@ def straddle_stream():
     ]
     stream = TimestampStream(
         times=times,
-        pair_ids=[np.zeros(t.size, dtype=np.int64) for t in times],
         duration_s=3.0,
         seed=0,
         nominal_one_way_delay_ps=float(delay),
@@ -298,7 +297,6 @@ def third_second_stream():
     ]
     stream = TimestampStream(
         times=times,
-        pair_ids=[np.zeros(t.size, dtype=np.int64) for t in times],
         duration_s=3.0,
         seed=0,
         nominal_one_way_delay_ps=float(delay),
@@ -784,7 +782,6 @@ class TestCoarseAcquire:
     def test_empty_stream_fails(self):
         stream = TimestampStream(
             times=[np.empty(0, np.int64)] * 3,
-            pair_ids=[np.empty(0, np.int64)] * 3,
             duration_s=10.0,
             seed=0,
             nominal_one_way_delay_ps=49e6,
@@ -866,7 +863,6 @@ class TestPerEpochSeries:
         )
         stream = TimestampStream(
             times=[idler, idler + delay, idler + 2 * delay],
-            pair_ids=[np.zeros(idler.size, dtype=np.int64)] * 3,
             duration_s=3.0,
             seed=0,
             nominal_one_way_delay_ps=float(delay),

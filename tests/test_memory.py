@@ -9,13 +9,14 @@ full-length temporary of a 1 M-pair run would exceed the bound many times.
 """
 
 import dataclasses
-import tracemalloc
 
 import pytest
 
 from qcsync import estimator, simulation
 from qcsync.runner import load_scenario
 from qcsync.scenario import builtin_scenario
+
+from conftest import traced_peak
 
 CHUNK = 10_000
 CHUNK_BYTES = 8 * CHUNK
@@ -28,24 +29,8 @@ def million_pair_scenario():
     return load_scenario(doc)
 
 
-def traced_peak(func, *args):
-    """``(value, bytes)``: what ``func(*args)`` returns, and how far the traced
-    memory peaked above where it started."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        value = func(*args)
-        return value, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 def stream_bytes(stream):
-    return sum(t.nbytes + p.nbytes for t, p in zip(stream.times, stream.pair_ids))
+    return sum(t.nbytes for t in stream.times)
 
 
 def simulation_excess(monkeypatch, **detectors):
@@ -76,9 +61,9 @@ def simulation_excess(monkeypatch, **detectors):
     return peak - pair_bytes[0] - stream_bytes(stream)
 
 
-# The buffers' slack (~2 chunk-sizes) and the temporaries of the two chunks
-# in flight (~3 each) come to 8-9 chunk-sizes, with or without dead time;
-# one full-length copy of the IdlerA times alone is 80.
+# The buffers' slack and the temporaries of the two chunks in flight come
+# to about 7 chunk-sizes, with or without dead time; one full-length copy
+# of the IdlerA times alone is 80.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 
@@ -93,9 +78,9 @@ def test_dead_time_holds_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
 
 def test_overlapping_chunks_hold_pairs_and_stream_plus_chunk_temporaries(monkeypatch):
     # A 100 us jitter is ten pair spacings: every chunk comes out of order
-    # and overlaps the records before it.  Sorting each chunk whole and the
-    # overlaps adds a chunk-size or two; one stable sort of a whole detector
-    # (an index and two gathered copies) came to 163.
+    # and overlaps the records before it.  Sorting each chunk's span and the
+    # overlaps in place keeps it near the in-order runs; one stable sort of
+    # a whole detector (an index and two gathered copies) came to 163.
     assert simulation_excess(monkeypatch, jitter_sigma_ps=1e8) < 12 * CHUNK_BYTES
 
 

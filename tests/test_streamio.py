@@ -6,17 +6,19 @@ import struct
 import numpy as np
 import pytest
 
+from qcsync import simulation
 from qcsync.errors import ConfigurationError
 from qcsync.simulation import DetectorId, TimestampStream
 from qcsync.streamio import read_stream, read_stream_csv, write_stream, write_stream_csv
 
+from conftest import traced_peak
+
 
 @pytest.fixture
 def stream():
-    # Records (detector, time, pair): (0,10,0) (1,20,0) (2,30,0) (0,40,1) (1,50,1).
+    # Records (detector, time): (0,10) (1,20) (2,30) (0,40) (1,50).
     return TimestampStream(
         times=[np.array([10, 40]), np.array([20, 50]), np.array([30])],
-        pair_ids=[np.array([0, 1]), np.array([0, 1]), np.array([0])],
         duration_s=1.0,
         seed=321,
         config_hash="abc123",
@@ -24,28 +26,45 @@ def stream():
     )
 
 
-def assert_same_records(a, b, pair_ids=True):
+def assert_same_records(a, b):
     assert a.counts() == b.counts()
     for det in DetectorId:
         np.testing.assert_array_equal(a.times[det], b.times[det])
-        if pair_ids:
-            np.testing.assert_array_equal(a.pair_ids[det], b.pair_ids[det])
+
+
+@pytest.fixture
+def million_records(tmp_path):
+    """A written stream of 1 M records and its path."""
+    rng = np.random.default_rng(16)
+    stream = TimestampStream(
+        times=[np.sort(rng.integers(0, 10**13, n)) for n in (600_000, 250_000, 150_000)],
+        duration_s=10.0,
+        seed=16,
+    )
+    path = tmp_path / "million.bin"
+    write_stream(stream, path)
+    return stream, path
+
+
+# Headroom for the interpreter's own small objects: the header, the file
+# object and its buffer, the stream's tuples.  A copy of the smallest
+# detector's block alone is 1.2 MB.
+SMALL_CONSTANT = 64 * 1024
 
 
 class TestStreamLayout:
     @pytest.mark.parametrize(
-        "times,pair_ids",
+        "times",
         [
-            ([[1], [2]], [[1], [2]]),  # two detector arrays, not three
-            ([[5, 1], [0], [0]], [[0, 0], [0], [0]]),  # IdlerA out of order
-            ([[1, 2], [0], [0]], [[1], [0], [0]]),  # IdlerA lengths differ
-            ([[-1], [0], [0]], [[0], [0], [0]]),  # negative timestamp
+            [[1], [2]],  # two detector arrays, not three
+            [[5, 1], [0], [0]],  # IdlerA out of order
+            [[-1], [0], [0]],  # negative timestamp
         ],
-        ids=["two_detectors", "unsorted", "length_mismatch", "negative_time"],
+        ids=["two_detectors", "unsorted", "negative_time"],
     )
-    def test_malformed_layout_rejected(self, times, pair_ids):
+    def test_malformed_layout_rejected(self, times):
         with pytest.raises(ConfigurationError):
-            TimestampStream(times=times, pair_ids=pair_ids, duration_s=1.0, seed=0)
+            TimestampStream(times=times, duration_s=1.0, seed=0)
 
 
 class TestBinaryFormat:
@@ -84,7 +103,20 @@ class TestBinaryFormat:
             + np.array([10, 20], "<i8").tobytes()
             + np.array([0, 0], "<u8").tobytes()
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="QCSTMP01"):
+            read_stream(path)
+
+    def test_version_two_file_refused(self, tmp_path):
+        # QCSTMP02: each detector's i64 times, then its u64 pair ids.
+        blob = json.dumps({"seed": 0, "duration_s": 1.0, "n_records": [1, 1, 0]}).encode()
+        path = tmp_path / "v2.bin"
+        path.write_bytes(
+            b"QCSTMP02"
+            + struct.pack("<I", len(blob))
+            + blob
+            + np.array([10, 0, 20, 0], "<i8").tobytes()
+        )
+        with pytest.raises(ConfigurationError, match="QCSTMP02"):
             read_stream(path)
 
     def test_truncated_file_refused(self, stream, tmp_path):
@@ -101,6 +133,29 @@ class TestBinaryFormat:
         with pytest.raises(ConfigurationError):
             read_stream(path)
 
+    def test_huge_count_refused_before_allocating(self, tmp_path):
+        blob = json.dumps({"seed": 0, "duration_s": 1.0, "n_records": [10**15, 0, 0]}).encode()
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"QCSTMP03" + struct.pack("<I", len(blob)) + blob + bytes(8))
+        with pytest.raises(ConfigurationError, match="does not hold"):
+            read_stream(path)
+
+    def test_reader_holds_only_its_arrays(self, million_records):
+        # Each block is read straight into its array: no bytes of the whole
+        # file and no second copy of a block.
+        stream, path = million_records
+        back, peak = traced_peak(read_stream, path)
+        assert_same_records(back, stream)
+        # The stream's order check compares one window of records at a time.
+        window = simulation._PAIR_CHUNK
+        assert peak < 8 * len(stream) + window + SMALL_CONSTANT
+
+    def test_writer_copies_nothing(self, million_records, tmp_path):
+        stream, path = million_records
+        _, peak = traced_peak(write_stream, stream, tmp_path / "again.bin")
+        assert peak < SMALL_CONSTANT
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
 
 class TestCsvFormat:
     def test_roundtrip(self, stream, tmp_path):
@@ -110,9 +165,12 @@ class TestCsvFormat:
         assert text[0] == "detector,time_ps"
         assert text[1] == "IdlerA,10"
         back = read_stream_csv(path, duration_s=1.0)
-        assert_same_records(back, stream, pair_ids=False)
-        # Ground-truth pair ids are deliberately absent from CSV.
-        assert all(np.all(p == -1) for p in back.pair_ids)
+        assert_same_records(back, stream)
+
+    def test_csv_and_binary_hold_the_same_records(self, stream, tmp_path):
+        write_stream(stream, tmp_path / "s.bin")
+        write_stream_csv(stream, tmp_path / "s.csv")
+        assert_same_records(read_stream_csv(tmp_path / "s.csv"), read_stream(tmp_path / "s.bin"))
 
     def test_writer_emits_one_block_per_detector(self, stream, tmp_path):
         path = tmp_path / "s.csv"
