@@ -32,13 +32,13 @@ the stream itself (8 B per record), about 17 B per pair at the default
 1.1 records per pair; every other array is bounded by ``_PAIR_CHUNK``.
 Pairs are generated in blocks and propagated in chunks of about that many,
 two chunks in flight at once, and each chunk's times are written straight
-into one buffer per detector.  When chunks overlap in time (a jitter or
-delay step wider than the gap across a chunk edge), only the overlapping
-tail of a buffer is sorted with the new chunk.  The dead time is applied
-in those buffers, slice by slice, and the stream check reads them in
-windows of the same length.  One case exceeds the bound: a slice never
-splits a run of records closer than the dead time, so such a run longer
-than a chunk makes a slice of its own length.
+into one buffer per detector.  Each buffer is sorted in place once, with
+numpy's stable sort (a timsort), which merges only where chunks overlap in
+time (a jitter or delay step wider than the gap across a chunk edge), so
+its merge buffer holds only overlapping records.  The dead time is applied
+in those buffers in slices of that length, each filtered behind the last
+record kept before it, and the stream check reads them in windows of the
+same length.
 
 All randomness flows from a single integer seed.  Each block of the pair
 generator and each propagation chunk draws from its own generator, seeded
@@ -53,6 +53,7 @@ from __future__ import annotations
 import bisect
 import collections
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple, TYPE_CHECKING
@@ -242,7 +243,9 @@ class TimestampStream:
     """Detection records stored per detector, indexed by ``DetectorId``.
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
-    ps) in ascending order: all a time tagger would record.
+    ps) in ascending order: all a time tagger would record.  ``duration_s``
+    is finite and >= 0; ``nominal_one_way_delay_ps`` is None or finite and
+    > 0.
     """
 
     times: Tuple[np.ndarray, ...]
@@ -252,6 +255,13 @@ class TimestampStream:
     nominal_one_way_delay_ps: Optional[float] = None
 
     def __post_init__(self):
+        if not (_is_finite_number(self.duration_s) and self.duration_s >= 0):
+            raise ConfigurationError(f"duration_s must be finite and >= 0: {self.duration_s!r}")
+        nominal = self.nominal_one_way_delay_ps
+        if nominal is not None and not (_is_finite_number(nominal) and nominal > 0):
+            raise ConfigurationError(
+                f"nominal_one_way_delay_ps must be None or finite and > 0: {nominal!r}"
+            )
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         self.times = tuple(np.asarray(t, dtype=np.int64) for t in self.times)
@@ -266,6 +276,10 @@ class TimestampStream:
 
     def counts(self):
         return {det: int(self.times[det].size) for det in DetectorId}
+
+
+def _is_finite_number(value):
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def is_sorted(values):
@@ -384,35 +398,17 @@ def _expected_capacity(n_pairs, prob):
     return int(mean + 6.0 * math.sqrt(mean)) + 1
 
 
-def _sort_by_time(times):
-    """Sort ``times`` in place.
-
-    Jitter below the record spacing swaps only a few neighbours, so only
-    the span from the first record out of place to the last one is sorted.
-    Equal times are indistinguishable, so the sort need not be stable.
-    """
-    down = np.flatnonzero(times[1:] < times[:-1])
-    if down.size == 0:
-        return
-    first, last = int(down[0]) + 1, int(down[-1]) + 1
-    # times[:first] and times[last:] ascend; the span takes in every record
-    # of them that the rest of the chunk must pass.
-    lo = int(np.searchsorted(times[:first], times[first:].min(), side="right"))
-    hi = last + int(np.searchsorted(times[last:], times[:last].max(), side="left"))
-    times[lo:hi].sort()
-
-
 class _DetectorRecords:
     """One detector's timestamps, assembled in place chunk by chunk.
 
-    Each chunk's times are sorted within the chunk, negative times are
-    dropped, and the rest is written into one privately owned buffer.  It
-    starts at ``capacity``; when it fills up it is resized in place, which
-    lets the allocator remap a large block rather than copy it (glibc
-    does).  A chunk that starts before the times already held end is
-    written after them all the same, and then only the span where the two
-    overlap is sorted.  So the buffer always holds all times in ascending
-    order.  ``finish`` applies the dead time in the buffer and trims it once.
+    Each chunk's times, negative ones dropped, are copied as they come into
+    one privately owned buffer.  It starts at ``capacity``; when it fills up
+    it is resized in place, which lets the allocator remap a large block
+    rather than copy it (glibc does).  ``finish`` sorts the buffer once,
+    applies the dead time in it and trims it once.  The sort is stable, a
+    timsort for int64: in-order chunks with jitter below the record spacing
+    leave long ascending runs, which it finds and merges only where they
+    overlap.
     """
 
     def __init__(self, capacity):
@@ -420,53 +416,47 @@ class _DetectorRecords:
         self.size = 0
 
     def append(self, times):
-        """Add one chunk's times, which are put in order in place."""
-        _sort_by_time(times)
-        times = times[np.searchsorted(times, 0) :]
+        """Add one chunk's times after those already held."""
+        # Most chunks hold no time below zero and are copied without a mask.
+        if times.min(initial=0) < 0:
+            times = times[times >= 0]
         held = self.size
         end = held + times.size
         if end > self.times.size:
             self.times.resize(end, refcheck=False)
         self.times[held:end] = times
         self.size = end
-        if held and times.size and times[0] < self.times[held - 1]:
-            # Held times up to the chunk's first one keep their place.
-            lo = int(np.searchsorted(self.times[:held], times[0], side="right"))
-            _sort_by_time(self.times[lo:end])
 
     def finish(self, dead_time_ps):
-        """The times with the dead time applied in place, trimmed once."""
+        """The times sorted, with the dead time applied in place, trimmed once."""
         n = self.size
+        self.times[:n].sort(kind="stable")
         if dead_time_ps > 0:
             n = self._filter_dead_time(n, math.ceil(dead_time_ps))
         self.times.resize(n, refcheck=False)
         return self.times
 
     def _filter_dead_time(self, n, dead):
-        """Filter the first ``n`` times through ``_apply_dead_time`` slice by
-        slice, moving the kept ones to the front; returns how many are kept.
+        """Filter the first ``n`` times through ``_apply_dead_time`` in slices
+        of ``_PAIR_CHUNK`` records, moving the kept ones to the front; returns
+        how many are kept.
 
-        A slice of about ``_PAIR_CHUNK`` records ends only before a record at
-        least ``dead`` after its predecessor: greedy keeps that record
-        whatever came before, so the slices are independent.
+        Each slice after the first is filtered behind the last record kept so
+        far, copied into the already consumed slot before it and dropped from
+        the result: greedy keeps that anchor, so the slices continue one
+        greedy pass.
         """
         times = self.times
-        kept = lo = 0
-        while lo < n:
-            hi = lo + _PAIR_CHUNK
-            while hi < n:
-                # The first cut at or after ``hi``, searched a window at a time.
-                stop = min(hi + _PAIR_CHUNK, n)
-                far = np.flatnonzero(np.diff(times[hi - 1 : stop]) >= dead)
-                if far.size:
-                    hi += int(far[0])
-                    break
-                hi = stop
-            hi = min(hi, n)
-            t = _apply_dead_time(times[lo:hi], dead)
+        kept = 0
+        for lo in range(0, n, _PAIR_CHUNK):
+            hi = min(lo + _PAIR_CHUNK, n)
+            if lo:
+                times[lo - 1] = times[kept - 1]
+                t = _apply_dead_time(times[lo - 1 : hi], dead)[1:]
+            else:
+                t = _apply_dead_time(times[:hi], dead)
             times[kept : kept + t.size] = t
             kept += t.size
-            lo = hi
         return kept
 
 

@@ -133,6 +133,33 @@ class TestBinaryFormat:
         with pytest.raises(ConfigurationError):
             read_stream(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("duration_s", -1.0),
+            ("nominal_one_way_delay_ps", "abc"),
+            ("nominal_one_way_delay_ps", 0.0),
+            ("nominal_one_way_delay_ps", float("inf")),
+        ],
+        ids=["nan-duration", "infinite-duration", "negative-duration", "text-delay",
+             "zero-delay", "infinite-delay"],
+    )
+    def test_bad_metadata_refused(self, stream, tmp_path, field, value):
+        # Written from a stream changed after it was built, refused when read.
+        setattr(stream, field, value)
+        path = tmp_path / "s.bin"
+        write_stream(stream, path)
+        with pytest.raises(ConfigurationError, match=field):
+            read_stream(path)
+        with pytest.raises(ConfigurationError, match=field):
+            TimestampStream(times=stream.times, seed=0, **{"duration_s": 1.0, field: value})
+        if field == "duration_s":
+            write_stream_csv(stream, tmp_path / "s.csv")
+            with pytest.raises(ConfigurationError, match=field):
+                read_stream_csv(tmp_path / "s.csv", duration_s=value)
+
     def test_huge_count_refused_before_allocating(self, tmp_path):
         blob = json.dumps({"seed": 0, "duration_s": 1.0, "n_records": [10**15, 0, 0]}).encode()
         path = tmp_path / "huge.bin"
