@@ -4,7 +4,7 @@ Pairwise detection-time differences between two detectors, histogrammed
 over a window, peak at the propagation delay (plus clock offset) of the
 photon path connecting them.  One kernel builds the forward (IdlerA x
 SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
-pass, as an ``(epochs, bins)`` count matrix; acquisition runs it as a
+pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
 single epoch.  Each slice of far-end records is searched only into the
 stretch of idlers it can reach, and a pair's two records get their epochs
 by division.  Per epoch both peak positions tau_AB and tau_ABA give the
@@ -16,8 +16,8 @@ region around the maximum that rises above ``background +
 re-centred on its own centroid until it stops moving, and the maximum
 must be significant against the accidentals the singles predict.
 It is deterministic, fit-free, and returns a calibrated counting-statistics
-uncertainty.  One extractor finds the peaks of every row of the count
-matrix at once, each row's result independent of the others;
+uncertainty.  One extractor finds the peaks of a block of rows of the
+count matrix at once, each row's result independent of the others;
 ``estimate_peak`` is its one-row case.  Epochs where either peak cannot be
 found become explicit gaps rather than fabricated values.
 """
@@ -219,6 +219,10 @@ _PEAK_FALSE_ALARM_PROB = 1e-3
 # wide the window; the counts of all slices add up to the same histograms.
 _B_SLICE = 1 << 16
 
+# The count matrix is int32, exact as long as it counts no more pairs than
+# this; a kernel call that would count more fails closed rather than wrap.
+_MAX_COUNTED_PAIRS = np.iinfo(np.int32).max
+
 # The integration span is re-centred on its own centroid until it stops
 # moving, at most this many times; a span still moving then is no peak.
 _RECENTRE_ROUNDS = 20
@@ -319,10 +323,12 @@ def _window_pairs(a, b, lo_key, hi_key):
 def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
 
-    Returns the ``(n_epochs, nbins)`` count matrix and the accidentals per
-    bin that each epoch's singles predict.  A pair counts only in the epoch
-    holding both of its records; a ``bincount`` over ``epoch * nbins +
-    bin`` adds each piece of pairs into all epochs' counts.
+    Returns the ``(n_epochs, nbins)`` int32 count matrix and the
+    accidentals per bin that each epoch's singles predict.  A pair counts
+    only in the epoch holding both of its records; a ``bincount`` over
+    ``epoch * nbins + bin`` adds each piece of pairs into all epochs'
+    counts.  No bin can exceed the pairs counted, so a running total above
+    ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a count wraps.
     """
     nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
     if nbins < 1:
@@ -339,7 +345,8 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         # Only the b records within the window of some a record can pair.
         b = b[np.searchsorted(b, a[0] + lo_key) : np.searchsorted(b, a[-1] + hi_key)]
     n_epochs = edges.size - 1
-    counts = np.zeros(n_epochs * nbins, dtype=np.int64)
+    counts = np.zeros(n_epochs * nbins, dtype=np.int32)
+    counted = 0
     for ta, tb in _window_pairs(a, b, lo_key, hi_key):
         span = np.array([min(ta.min(), tb[0]), max(ta.max(), tb[-1])])
         first_epoch, last_epoch = _epochs(span, edges).tolist()
@@ -355,13 +362,28 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
                 ta, tb, epoch = ta[keep], tb[keep], epoch[keep]
             if epoch.size == 0:
                 continue
-        d = tb.astype(float) - ta.astype(float)
-        k = np.floor((d - lo) / bin_width_ps).astype(np.int64)
-        np.clip(k, 0, nbins - 1, out=k)
-        # The piece's pairs span a few epochs: count only that stretch.
+        counted += ta.size
+        if counted > _MAX_COUNTED_PAIRS:
+            raise ContractViolation(
+                f"more than {_MAX_COUNTED_PAIRS} pairs in one histogram kernel: "
+                "its int32 counts could wrap"
+            )
+        # floor((tb - ta - lo) / bin_width_ps), step by step in one array.
+        d = tb.astype(float)
+        d -= ta
+        d -= lo
+        d /= bin_width_ps
+        cells = np.floor(d, out=d).astype(np.int64)
+        del d
+        np.clip(cells, 0, nbins - 1, out=cells)
+        # The piece's pairs span a few epochs: count only that stretch, and
+        # drop its counts before the next piece's are made.
         offset = int(np.min(epoch)) * nbins
-        piece_counts = np.bincount(epoch * nbins + k - offset)
+        cells += epoch * nbins - offset
+        piece_counts = np.bincount(cells)
+        del cells
         counts[offset : offset + piece_counts.size] += piece_counts
+        del piece_counts
     return counts.reshape(n_epochs, nbins), accidentals
 
 
@@ -444,8 +466,9 @@ def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth
     ``accidentals[r]`` is row r's accidentals per bin.  ``code`` is
     ``_PEAK`` where a row has a peak, and otherwise why it has none; tau
     and uncertainty are NaN there.  A row's result is the same, bit for
-    bit, whichever rows share the matrix.  See ``estimate_peak`` for the
-    method.
+    bit, whichever rows share the matrix, so a long matrix can be passed in
+    row blocks whose results are concatenated; integer counts of any width
+    give the same result.  See ``estimate_peak`` for the method.
     """
     rows, nbins = counts.shape
     tau = np.full(rows, np.nan)
@@ -636,8 +659,12 @@ def coarse_acquire(stream, config=None):
     if idler.size == 0 or signal.size == 0 or ret.size == 0:
         raise AcquisitionError("one or more detector streams are empty")
 
-    forward = _acquire_one(idler, signal, nominal, config)
-    loopback = _acquire_one(idler, ret, 2.0 * nominal, config)
+    searches = ((signal, nominal), (ret, 2.0 * nominal))
+    # The forward and loopback searches share no state, so running them at
+    # once changes no result; a forward failure is still the one raised.
+    centers = []
+    _pipeline(lambda i: _acquire_one(idler, *searches[i], config), len(searches), centers.append)
+    forward, loopback = centers
     return AcquisitionResult(forward_center_ps=forward, loopback_center_ps=loopback)
 
 
@@ -646,9 +673,9 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
     timestamp, builds all epochs' forward and loopback histograms in one
-    kernel pass each (the two at once), extracts all their peaks at once,
-    and emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where
-    either peak estimation fails are emitted as gaps.  The combined
+    kernel pass each (the two at once), extracts their peaks in blocks of
+    epochs, and emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs
+    where either peak estimation fails are emitted as gaps.  The combined
     counting-statistics sigma of each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
@@ -673,7 +700,17 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     def path_peaks(i):
         det, center = paths[i]
-        return _peaks(*_histograms(idler, stream.times[det], edges, bw, center, hw), bw, center, hw)
+        counts, accidentals = _histograms(idler, stream.times[det], edges, bw, center, hw)
+        # Blocks of rows holding about eight kernel slices of bins (524
+        # epochs of the default 1000 bins): the temporaries of ``_peaks``
+        # follow the rows' peak spans, so they stay bounded however many
+        # epochs there are.
+        rows = max(1, 8 * _B_SLICE // counts.shape[1])
+        blocks = [
+            _peaks(counts[lo : lo + rows], accidentals[lo : lo + rows], bw, center, hw)
+            for lo in range(0, n_epochs, rows)
+        ]
+        return _PeakArrays(*map(np.concatenate, zip(*blocks)))
 
     # The forward and loopback kernels share no state, so running them at
     # once changes no result.

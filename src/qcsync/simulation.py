@@ -28,11 +28,14 @@ sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
 Memory: what grows with the run is the emission times (8 B per pair) and
-the stream itself (8 B per record), about 17 B per pair at the default
-1.1 records per pair; every other array is bounded by ``_PAIR_CHUNK``.
-Pairs are generated in blocks and propagated in chunks of about that many,
-two chunks in flight at once, and each chunk's times are written straight
-into one buffer per detector.  Each buffer is sorted in place once, with
+the SignalB and ReturnA records (8 B per record), about 10.4 B per pair at
+the default 0.3 signal records per pair; every other array is bounded by
+``_PAIR_CHUNK``.  Pairs are generated in blocks and propagated in chunks of
+about that many, two chunks in flight at once, and each chunk's times are
+written straight into one buffer per detector.  A campaign's IdlerA buffer
+is its consumed emission times: a pair gives at most one idler, so the
+idlers of the chunks consumed so far fit in those chunks' slots, ahead of
+every chunk still in flight.  Each buffer is sorted in place once, with
 numpy's stable sort (a timsort), which merges only where chunks overlap in
 time (a jitter or delay step wider than the gap across a chunk edge), so
 its merge buffer holds only overlapping records.  The dead time is applied
@@ -61,7 +64,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .attacks import MAX_EXACT_PS, eval_trajectory
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AttackScenario
@@ -402,17 +405,19 @@ class _DetectorRecords:
     """One detector's timestamps, assembled in place chunk by chunk.
 
     Each chunk's times, negative ones dropped, are copied as they come into
-    one privately owned buffer.  It starts at ``capacity``; when it fills up
-    it is resized in place, which lets the allocator remap a large block
-    rather than copy it (glibc does).  ``finish`` sorts the buffer once,
-    applies the dead time in it and trims it once.  The sort is stable, a
-    timsort for int64: in-order chunks with jitter below the record spacing
-    leave long ascending runs, which it finds and merges only where they
-    overlap.
+    the int64 ``buffer``.  A buffer that owns its memory is resized in place
+    when it fills up, which lets the allocator remap a large block rather
+    than copy it (glibc does), and is trimmed once by ``finish``.  A
+    borrowed buffer (a view into another array) is never resized: filling
+    it up fails closed, and ``finish`` returns a view of its records.
+    ``finish`` sorts the records once and applies the dead time in place.
+    The sort is stable, a timsort for int64: in-order chunks with jitter
+    below the record spacing leave long ascending runs, which it finds and
+    merges only where they overlap.
     """
 
-    def __init__(self, capacity):
-        self.times = np.empty(capacity, np.int64)
+    def __init__(self, buffer):
+        self.times = buffer
         self.size = 0
 
     def append(self, times):
@@ -423,16 +428,23 @@ class _DetectorRecords:
         held = self.size
         end = held + times.size
         if end > self.times.size:
+            if not self.times.flags.owndata:
+                raise ContractViolation(
+                    f"a borrowed buffer of {self.times.size} records cannot hold {end}"
+                )
             self.times.resize(end, refcheck=False)
         self.times[held:end] = times
         self.size = end
 
     def finish(self, dead_time_ps):
-        """The times sorted, with the dead time applied in place, trimmed once."""
+        """The times sorted, with the dead time applied in place: the owned
+        buffer trimmed once, or a view of the borrowed one."""
         n = self.size
         self.times[:n].sort(kind="stable")
         if dead_time_ps > 0:
             n = self._filter_dead_time(n, math.ceil(dead_time_ps))
+        if not self.times.flags.owndata:
+            return self.times[:n]
         self.times.resize(n, refcheck=False)
         return self.times
 
@@ -482,6 +494,12 @@ def chain_model(source, channel, detectors, tdc, clocks):
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
     """Propagate pair emissions through the attacked link and detect.
 
+    ``pairs`` is consumed, as numpy's ``overwrite_input`` would: it becomes
+    IdlerA's buffer, each consumed chunk's emission times overwritten by
+    idler records, and the stream's IdlerA array is a view of it.  Input
+    that is not a writeable, contiguous float64 array is copied first and
+    left unchanged; pass a copy to keep the emission times.
+
     Parameters
     ----------
     pairs : 1-D array of pair emission times, ps, Alice timebase
@@ -497,7 +515,7 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     Returns a TimestampStream.  Records with negative local timestamps
     (possible for detections jittered before the clock origin) are dropped.
     """
-    pairs = np.asarray(pairs, dtype=float)
+    pairs = np.require(pairs, np.float64, ["C", "W"])
     if pairs.ndim != 1:
         raise ConfigurationError("pairs must be a 1-D array of emission times")
     if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
@@ -508,13 +526,16 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         source, channel, detectors, tdc, clocks
     )
 
+    def buffer(prob):
+        return np.empty(_expected_capacity(pairs.size, prob), np.int64)
+
+    # Chunk j's idlers land in the first (j + 1) * _PAIR_CHUNK slots of
+    # ``pairs`` as it is consumed, and the chunks still in flight read only
+    # from there on: a pair gives at most one idler.
     records = {
-        det: _DetectorRecords(_expected_capacity(pairs.size, prob))
-        for det, prob in (
-            (DetectorId.IDLER_A, eff),
-            (DetectorId.SIGNAL_B, p_bob),
-            (DetectorId.RETURN_A, p_signal - p_bob),
-        )
+        DetectorId.IDLER_A: _DetectorRecords(pairs.view(np.int64)),
+        DetectorId.SIGNAL_B: _DetectorRecords(buffer(p_bob)),
+        DetectorId.RETURN_A: _DetectorRecords(buffer(p_signal - p_bob)),
     }
 
     def detect(chunk):
@@ -594,9 +615,10 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
 def run_round_trip_sim(scenario: "AttackScenario"):
     """End-to-end simulation of one scenario: pairs, attack, detection.
 
-    Composes generate_pairs, the coordination rule and propagate_and_detect;
-    the returned stream carries the scenario seed, config hash and nominal
-    fiber delay as metadata.
+    Composes generate_pairs, the coordination rule and propagate_and_detect,
+    which assembles IdlerA in the emission times it consumes; the returned
+    stream carries the scenario seed, config hash and nominal fiber delay as
+    metadata.
     """
     run = scenario.run
     gen_seed, prop_seed = (

@@ -380,7 +380,33 @@ class TestKernelSlices:
         assert got == reference_per_epoch_series(stream, 1.0, config).points
 
 
+    @pytest.mark.parametrize("slice_size", [7, 2000, 3500])
+    def test_short_epochs_in_row_blocks(self, monkeypatch, slice_size):
+        # 10 ms epochs hold ~100 pairs of each path, so a piece of pairs
+        # spans many epochs, and the peaks are extracted in blocks of
+        # 8 * slice_size // 1000 rows (1, 16 and 28 here).
+        stream = noiseless_stream(duration_s=2.0, rate=20_000.0)
+        config = EstimatorConfig(forward_center_ps=48_990_100, loopback_center_ps=98_000_000)
+        want = per_epoch_series(stream, 0.01, config).points
+        monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
+        got = per_epoch_series(stream, 0.01, config).points
+        assert len(got) == 200
+        assert got == want == reference_per_epoch_series(stream, 0.01, config).points
+
+
 class TestBuildHistogram:
+    def test_count_total_past_int32_limit_fails_closed(self, monkeypatch):
+        # Ten pairs, each record with its own partner, in pieces of three:
+        # counted at a limit of ten, refused at nine rather than wrapped.
+        monkeypatch.setattr(estimator, "_B_SLICE", 3)
+        a = np.arange(0, 100, 10)
+        monkeypatch.setattr(estimator, "_MAX_COUNTED_PAIRS", 10)
+        h = build_histogram(a, a + 3, 1.0, 3, 4)
+        assert h.counts.dtype == np.int32 and h.total() == 10
+        monkeypatch.setattr(estimator, "_MAX_COUNTED_PAIRS", 9)
+        with pytest.raises(ContractViolation, match="int32 counts could wrap"):
+            build_histogram(a, a + 3, 1.0, 3, 4)
+
     def test_single_pair_in_center_bin(self):
         h = build_histogram(np.array([0]), np.array([1000]), 1.0, 1000, 500)
         assert h.counts.sum() == 1

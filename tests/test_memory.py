@@ -2,21 +2,25 @@
 
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts the bytes the program asked for, not what the allocator or the
-kernel made of them.  The stream and the emission times grow with the run;
-everything else must stay within a multiple of the simulation's chunk or
-the histogram kernel's slice, which both tests shrink so that a single
-full-length temporary of a 1 M-pair run would exceed the bound many times.
+kernel made of them.  The emission times, which IdlerA's records are
+written into, and the SignalB and ReturnA records grow with the run; the
+estimator's count matrices grow with its epochs; everything else must stay
+within a multiple of the simulation's chunk or the histogram kernel's
+slice, which both tests shrink so that a single full-length temporary of a
+1 M-pair run would exceed the bound many times.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from qcsync import estimator, simulation
 from qcsync.runner import load_scenario
 from qcsync.scenario import builtin_scenario
+from qcsync.simulation import DetectorId
 
-from conftest import traced_peak
+from conftest import recorded_pairs, traced_peak
 
 CHUNK = 10_000
 CHUNK_BYTES = 8 * CHUNK
@@ -29,13 +33,22 @@ def million_pair_scenario():
     return load_scenario(doc)
 
 
-def stream_bytes(stream):
-    return sum(t.nbytes for t in stream.times)
+def held_bytes(*arrays):
+    """Bytes of the buffers behind ``arrays``, each buffer counted once
+    however many of the arrays view it."""
+    buffers = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
 
 
 def simulation_peak(monkeypatch, **detectors):
     """A million-pair simulation's traced peak, and the bytes of its emission
-    times and its stream, with the ``detectors`` fields changed."""
+    times and its SignalB and ReturnA records, with the ``detectors`` fields
+    changed.  IdlerA's records live in the emission times' buffer, so they
+    are not counted again."""
     monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
     scenario = million_pair_scenario()
     scenario = dataclasses.replace(
@@ -47,30 +60,25 @@ def simulation_peak(monkeypatch, **detectors):
     # so it runs on the thread pool as the measured run does.
     short = dataclasses.replace(scenario.run, duration_s=0.25)
     simulation.run_round_trip_sim(dataclasses.replace(scenario, run=short))
-    pair_bytes = []
-    generate = simulation.generate_pairs
-
-    def recording(*args):
-        pairs = generate(*args)
-        pair_bytes.append(pairs.nbytes)
-        return pairs
-
-    monkeypatch.setattr(simulation, "generate_pairs", recording)
+    made = recorded_pairs(monkeypatch)
     stream, peak = traced_peak(simulation.run_round_trip_sim, scenario)
-    assert pair_bytes[0] >= 8 * 1_000_000
-    return peak, pair_bytes[0] + stream_bytes(stream)
+    (pairs,) = made
+    assert pairs.nbytes >= 8 * 1_000_000
+    signals = (stream.times[DetectorId.SIGNAL_B], stream.times[DetectorId.RETURN_A])
+    return peak, held_bytes(pairs, *signals)
 
 
 def simulation_excess(monkeypatch, **detectors):
     """How far a million-pair simulation's traced peak exceeds its emission
-    times and its stream, in bytes, with the ``detectors`` fields changed."""
+    times and its signal records, in bytes, with the ``detectors`` fields
+    changed."""
     peak, grown = simulation_peak(monkeypatch, **detectors)
     return peak - grown
 
 
 # The buffers' slack and the temporaries of the two chunks in flight come
-# to about 7 chunk-sizes, with or without dead time; one full-length copy
-# of the IdlerA times alone is 80.
+# to about 7 chunk-sizes, with or without dead time; an IdlerA buffer of
+# its own, or one full-length copy of the IdlerA times, is 80.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 
@@ -102,22 +110,56 @@ def test_overlapping_chunks_hold_pairs_and_stream_plus_chunk_temporaries(monkeyp
     assert simulation_excess(monkeypatch, jitter_sigma_ps=1e8) < 12 * CHUNK_BYTES
 
 
-def test_per_epoch_series_holds_slice_temporaries(monkeypatch):
+def acquired_series_inputs(monkeypatch):
+    """A million-pair stream, its scenario and an estimator config with the
+    window centres already acquired, ``_B_SLICE`` shrunk to ``CHUNK``.
+
+    Acquisition reads at most ``acquire_max_events`` idlers however long the
+    run is, so per-epoch bounds are taken with the centres already known.
+    """
     monkeypatch.setattr(estimator, "_B_SLICE", CHUNK, raising=False)
     scenario = million_pair_scenario()
     stream = simulation.run_round_trip_sim(scenario)
-    # Acquisition reads at most ``acquire_max_events`` idlers however long
-    # the run is, so the bound is taken with the centres already known.
     acq = estimator.coarse_acquire(stream, scenario.estimator)
     config = dataclasses.replace(
         scenario.estimator,
         forward_center_ps=acq.forward_center_ps,
         loopback_center_ps=acq.loopback_center_ps,
     )
+    return stream, scenario, config
+
+
+def test_per_epoch_series_holds_slice_temporaries(monkeypatch):
+    stream, scenario, config = acquired_series_inputs(monkeypatch)
     series, peak = traced_peak(estimator.per_epoch_series, stream, scenario.run.epoch_s, config)
     assert series.gap_count() == 0
     # ~11 slices here; each full-length temporary of SignalB is 20.
     assert peak < 30 * CHUNK_BYTES
+
+
+def piece_count_bytes(times, epoch_ps, nbins):
+    """Bytes of the int64 counts of a piece of pairs whose far-end records,
+    a slice of at most ``CHUNK`` of ``times``, span the most epochs."""
+    span = np.max(times[CHUNK - 1 :] - times[: times.size - CHUNK + 1])
+    return 8 * nbins * (int(span // epoch_ps) + 2)
+
+
+def test_many_epochs_hold_two_count_matrices_plus_slice_temporaries(monkeypatch):
+    # 2000 epochs of 5 ms: the forward and loopback count matrices, built at
+    # once, grow with the epochs, and so does each piece's bincount, which
+    # spans the epochs of its slice of far-end records.  The peaks are
+    # extracted in row blocks; int64 matrices alone would be four int32 ones.
+    stream, scenario, config = acquired_series_inputs(monkeypatch)
+    epochs = 2000
+    epoch_s = scenario.run.duration_s / epochs
+    series, peak = traced_peak(estimator.per_epoch_series, stream, epoch_s, config)
+    assert len(series) == epochs
+    nbins = round(2.0 * config.window_halfwidth_ps / config.bin_width_ps)
+    pieces = sum(
+        piece_count_bytes(stream.times[det], epoch_s * 1e12, nbins)
+        for det in (DetectorId.SIGNAL_B, DetectorId.RETURN_A)
+    )
+    assert peak < 2 * 4 * epochs * nbins + pieces + 30 * CHUNK_BYTES
 
 
 def test_acquisition_holds_histograms_plus_slice_temporaries(monkeypatch):
@@ -127,7 +169,8 @@ def test_acquisition_holds_histograms_plus_slice_temporaries(monkeypatch):
     acq, peak = traced_peak(estimator.coarse_acquire, stream, scenario.estimator)
     assert acq.forward_center_ps > 0
     # The loopback search spans +-4x the one-way delay at coarse binning:
-    # the largest histogram, held twice (the counts and one slice's).  The
+    # the largest histogram, held as its int32 counts and one piece's int64
+    # counts, while the forward search, half its size, runs beside it.  The
     # +-2x nominal forward window pairs each SignalB record with ~16 of the
     # 100 kHz idlers, so the kernel must bound its slices by candidate pairs
     # too: records alone let a slice hold ~16 chunks of pairs.

@@ -24,7 +24,7 @@ from qcsync.attacks import (
     derive_n_from_m,
     eval_trajectory,
 )
-from qcsync.errors import ConfigurationError
+from qcsync.errors import ConfigurationError, ContractViolation
 from qcsync.runner import load_scenario, run_scenario
 from qcsync.scenario import builtin_scenario
 from qcsync.simulation import (
@@ -39,6 +39,8 @@ from qcsync.simulation import (
     propagate_and_detect,
     run_round_trip_sim,
 )
+
+from conftest import recorded_pairs
 
 NOISELESS_SOURCE = SourceConfig(intrinsic_correlation_jitter_ps=0.0)
 NOISELESS_DETECTOR = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dead_time_ps=0.0)
@@ -226,7 +228,7 @@ class TestNoiselessPropagation:
     def test_forward_path_is_exact(self):
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         # Every SignalB reading, less the flight, is an emission exactly.
@@ -237,7 +239,7 @@ class TestNoiselessPropagation:
     def test_loopback_path_is_exact(self):
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         times = stream.times[DetectorId.RETURN_A]
@@ -250,7 +252,7 @@ class TestNoiselessPropagation:
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         emissions = np.concatenate(
@@ -286,7 +288,7 @@ class TestNoiselessPropagation:
         n = DelayTrajectory((AttackEvent(AttackPattern.JUMP, 100.0, onset),))
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 5, duration_s=20.0,
         )
         fwd_times = stream.times[DetectorId.SIGNAL_B]
@@ -312,7 +314,7 @@ class TestNoiselessPropagation:
         m = DelayTrajectory(events)
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 6, duration_s=20.0,
         )
         times = stream.times[DetectorId.SIGNAL_B]
@@ -332,7 +334,7 @@ class TestNoiselessPropagation:
         n = derive_n_from_m(m, CoordinationRule(CoordinationMode.PROPORTIONAL, -1.0))
         pairs = integer_pairs()
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, m, n,
             NOISELESS_DETECTOR, NOISELESS_TDC, QUIET_CLOCK, 6, duration_s=20.0,
         )
         times = stream.times[DetectorId.RETURN_A]
@@ -366,7 +368,7 @@ class TestCountingAndClocks:
         clock = ClockConfig(offset_ps=0.0, drift_ps_per_s=5.0)
         pairs = integer_pairs(duration_s=20.0)
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 9, duration_s=20.0,
         )
         times = stream.times[DetectorId.SIGNAL_B]
@@ -379,7 +381,7 @@ class TestCountingAndClocks:
         clock = ClockConfig(offset_ps=0.0, white_phase_noise_sigma_ps=30.0)
         pairs = integer_pairs(duration_s=20.0, spacing_ms=0.1)
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 9, duration_s=20.0,
         )
         fwd_times = stream.times[DetectorId.SIGNAL_B]
@@ -421,7 +423,7 @@ class TestThinnedSampler:
         source = SourceConfig(intrinsic_correlation_jitter_ps=40.0)
         pairs = integer_pairs(duration_s=20.0, spacing_ms=0.2)
         stream = propagate_and_detect(
-            pairs, source, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), source, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             detector, tdc, clock, 15, duration_s=20.0,
         )
         alice = math.hypot(40.0, 15.0)
@@ -469,7 +471,7 @@ class TestDetectorEffects:
         # and the one-cluster cases span hundreds of slices.
         times, dead_time_ps = dead_time_case(case)
         want = greedy_dead_time(times, dead_time_ps)
-        records = simulation._DetectorRecords(times.size)
+        records = simulation._DetectorRecords(np.empty(times.size, np.int64))
         records.append(times)
         slices = []
 
@@ -507,7 +509,7 @@ class TestDetectorEffects:
         clock = ClockConfig(offset_ps=-5e9)
         pairs = integer_pairs(duration_s=1.0, spacing_ms=1.0)
         stream = propagate_and_detect(
-            pairs, NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), NOISELESS_SOURCE, LOSSLESS_CHANNEL, DelayTrajectory(), DelayTrajectory(),
             NOISELESS_DETECTOR, NOISELESS_TDC, clock, 13, duration_s=1.0,
         )
         assert all(np.all(times >= 0) for times in stream.times)
@@ -542,8 +544,8 @@ def recorded_assembly(monkeypatch):
     made = []
 
     class Recording(simulation._DetectorRecords):
-        def __init__(self, capacity):
-            super().__init__(capacity)
+        def __init__(self, buffer):
+            super().__init__(buffer)
             self.chunks = []
             self.ordered = True
             made.append(self)
@@ -739,6 +741,126 @@ class TestScheduling:
             estimator.per_epoch_series(stream, 0.1, config)
 
 
+def own_idler_buffer(monkeypatch):
+    """From now on IdlerA is assembled in a buffer of its own, the size of
+    the emission times it would otherwise be written into."""
+
+    class OwnBuffer(simulation._DetectorRecords):
+        def __init__(self, buffer):
+            super().__init__(buffer if buffer.flags.owndata else np.empty_like(buffer))
+
+    monkeypatch.setattr(simulation, "_DetectorRecords", OwnBuffer)
+
+
+class TestIdlerInPairs:
+    """IdlerA assembled in the consumed emission times is the IdlerA that a
+    buffer of its own gives, and input that cannot hold it is copied."""
+
+    RATE_HZ = 1e5  # 10 us pair spacing
+
+    @classmethod
+    def pairs(cls):
+        return generate_pairs(SourceConfig(pair_rate_hz=cls.RATE_HZ), 0.02, 41)
+
+    @classmethod
+    def stream(cls, pairs, offset_ps=-9900.0, **detector):
+        # Every pair gives an idler, so the idlers written so far reach the
+        # end of the last consumed chunk.
+        detector = DetectorConfig(efficiency=1.0, **detector)
+        return propagate_and_detect(
+            pairs, SourceConfig(pair_rate_hz=cls.RATE_HZ), ChannelConfig(),
+            DelayTrajectory(), DelayTrajectory(), detector, TdcConfig(),
+            ClockConfig(offset_ps=offset_ps), 42, duration_s=0.02,
+        )
+
+    @staticmethod
+    def assert_same(want, got):
+        for det in DetectorId:
+            assert want.times[det].tobytes() == got.times[det].tobytes()
+
+    CASES = {
+        # Bob's clock 5 ms behind drops a quarter of SignalB, and a 100 us
+        # jitter (ten pair spacings) drops early idlers and overlaps chunks.
+        "negative-times": dict(offset_ps=-5e9, jitter_sigma_ps=1e8),
+        # A 20 us dead time against the 10 us idler spacing drops idlers
+        # all over the buffer.
+        "dead-time": dict(dead_time_ps=2e7),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("chunk", [3, 7])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streams_match_own_buffer(self, monkeypatch, case, chunk, workers):
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        pairs = self.pairs()
+        got = self.stream(pairs, **self.CASES[case])
+        assert np.shares_memory(got.times[DetectorId.IDLER_A], pairs)
+        own_idler_buffer(monkeypatch)
+        want = self.stream(self.pairs(), **self.CASES[case])
+        assert pairs.size - want.times[DetectorId.IDLER_A].size > 0
+        self.assert_same(want, got)
+
+    def test_four_wide_with_fast_switching(self, monkeypatch):
+        # More threads than cores, switching every microsecond: an idler
+        # written over an emission time that a chunk in flight has yet to
+        # read would show.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(simulation, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.stream(self.pairs(), **self.CASES["dead-time"])
+        finally:
+            sys.setswitchinterval(interval)
+        own_idler_buffer(monkeypatch)
+        self.assert_same(self.stream(self.pairs(), **self.CASES["dead-time"]), got)
+
+    @pytest.mark.parametrize("kind", ["read-only", "float32", "strided"])
+    def test_unsuitable_pairs_are_copied(self, kind):
+        pairs = self.pairs()
+        if kind == "read-only":
+            pairs.flags.writeable = False
+        elif kind == "float32":
+            pairs = pairs.astype(np.float32)
+        else:
+            pairs = np.repeat(pairs, 2)[::2]
+        held = pairs.base if kind == "strided" else pairs
+        kept = held.copy()
+        got = self.stream(pairs)
+        assert held.tobytes() == kept.tobytes()
+        assert not np.shares_memory(got.times[DetectorId.IDLER_A], held)
+        self.assert_same(self.stream(np.array(pairs, np.float64)), got)
+
+    def test_round_trip_idler_lives_in_emission_times(self, monkeypatch):
+        made = recorded_pairs(monkeypatch)
+        doc = builtin_scenario("baseline")
+        doc["run"]["duration_s"] = 2.0
+        stream = run_round_trip_sim(load_scenario(doc))
+        (pairs,) = made
+        idler = stream.times[DetectorId.IDLER_A]
+        assert idler.size > 0.7 * pairs.size
+        assert np.shares_memory(idler, pairs)
+
+    def test_borrowed_buffer_fails_closed_instead_of_growing(self):
+        buffer = np.zeros(4).view(np.int64)
+        records = simulation._DetectorRecords(buffer)
+        records.append(np.array([30, -1, 10, 20], np.int64))
+        with pytest.raises(ContractViolation, match="cannot hold 5"):
+            records.append(np.array([40, 50], np.int64))
+        kept = records.finish(0.0)
+        np.testing.assert_array_equal(kept, [10, 20, 30])
+        assert np.shares_memory(kept, buffer) and buffer.size == 4
+
+    def test_owned_buffer_grows_and_is_trimmed(self):
+        records = simulation._DetectorRecords(np.empty(1, np.int64))
+        records.append(np.array([30, 10], np.int64))
+        records.append(np.array([20, 40, 50], np.int64))
+        kept = records.finish(15.0)
+        np.testing.assert_array_equal(kept, [10, 30, 50])
+        assert kept.flags.owndata and kept.size == 3
+
+
 class TestQuantize:
     @pytest.mark.parametrize("size", [0, 1, 8191, 8193, 100_000])
     @pytest.mark.parametrize("resolution_ps", [1.0, 3.0, 0.5, 1e8])
@@ -839,7 +961,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         pairs = generate_pairs(SourceConfig(), 2.0, 1)
         s1 = propagate_and_detect(
-            pairs, SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            pairs.copy(), SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(), TdcConfig(), QUIET_CLOCK, 100, duration_s=2.0,
         )
         s2 = propagate_and_detect(
