@@ -5,10 +5,11 @@ over a window, peak at the propagation delay (plus clock offset) of the
 photon path connecting them.  One kernel builds the forward (IdlerA x
 SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
 pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
-single epoch.  Each slice of far-end records is searched only into the
-stretch of idlers it can reach, and a pair's two records get their epochs
-by division.  Per epoch both peak positions tau_AB and tau_ABA give the
-clock difference ``delta = tau_AB - tau_ABA / 2``.
+single epoch.  Each slice of far-end records is searched into the whole
+idler array, and a pair takes the epoch that the grid's edges give its
+far-end record, counting only if its idler lies in that epoch too.  Per
+epoch both peak positions tau_AB and tau_ABA give the clock difference
+``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
@@ -253,23 +254,6 @@ def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
     return centers
 
 
-def _epochs(t, edges):
-    """Index k of the epoch ``[edges[k], edges[k+1])`` holding each time in
-    ``t``: -1 before the first edge, ``edges.size - 1`` from the last on.
-
-    The grid is even to within a few ps (whole-ps epochs, ``rint(k*E)``
-    edges of any E, or a single epoch), so one division puts a time at most
-    one epoch from its own, and one comparison with each edge of that epoch
-    settles it exactly.
-    """
-    n_epochs = edges.size - 1
-    k = ((t - edges[0]) / ((edges[-1] - edges[0]) / n_epochs)).astype(np.int64)
-    np.clip(k, 0, n_epochs - 1, out=k)
-    k -= t < edges[k]
-    k += t >= edges[k + 1]
-    return k
-
-
 def _partner_counts(a, first, stop):
     """``searchsorted(a, stop, side="right") - first`` for a non-empty ``a``:
     how many of ``a[first:]`` lie at or below each ``stop``.
@@ -292,20 +276,15 @@ def _partner_counts(a, first, stop):
 def _window_pairs(a, b, lo_key, hi_key):
     """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``.
 
-    Each record of ``b`` is searched into ``a`` for its first partner,
-    ``_B_SLICE`` records at a time and only into the stretch of ``a`` that
-    the slice can reach.  A slice is yielded in pieces cut wherever its
-    pair count passes a multiple of ``_B_SLICE``, so a piece holds at most
-    ``_B_SLICE`` pairs plus one record's.
+    Each record of ``b`` is searched into the non-empty ``a`` for its first
+    partner, ``_B_SLICE`` records at a time.  A slice is yielded in pieces
+    cut wherever its pair count passes a multiple of ``_B_SLICE``, so a
+    piece holds at most ``_B_SLICE`` pairs plus one record's.
     """
     for start in range(0, b.size, _B_SLICE):
         bs = b[start : start + _B_SLICE]
-        reach_start = np.searchsorted(a, bs[0] - hi_key, side="right")
-        reach = a[reach_start : np.searchsorted(a, bs[-1] - lo_key, side="right")]
-        if reach.size == 0:
-            continue
-        first = np.searchsorted(reach, bs - hi_key, side="right")
-        n = _partner_counts(reach, first, bs - lo_key)
+        first = np.searchsorted(a, bs - hi_key, side="right")
+        n = _partner_counts(a, first, bs - lo_key)
         # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
         bounds = np.concatenate(([0], np.cumsum(n)))
         offset = first - bounds[:-1]
@@ -317,18 +296,20 @@ def _window_pairs(a, b, lo_key, hi_key):
                 continue
             ai = np.arange(bounds[j0], bounds[j1])
             ai += np.repeat(offset[j0:j1], n[j0:j1])
-            yield reach[ai], np.repeat(bs[j0:j1], n[j0:j1])
+            yield a[ai], np.repeat(bs[j0:j1], n[j0:j1])
 
 
 def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
 
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
-    accidentals per bin that each epoch's singles predict.  A pair counts
-    only in the epoch holding both of its records; a ``bincount`` over
-    ``epoch * nbins + bin`` adds each piece of pairs into all epochs'
-    counts.  No bin can exceed the pairs counted, so a running total above
-    ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a count wraps.
+    accidentals per bin that each epoch's singles predict; ``edges`` may be
+    any ascending grid.  A pair counts only in the epoch holding both of its
+    records, found among the edges by a search for its ``b`` record; a
+    ``bincount`` over ``epoch * nbins + bin`` adds each piece of pairs into
+    all epochs' counts.  No bin can exceed the pairs counted, so a running
+    total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a
+    count wraps.
     """
     nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
     if nbins < 1:
@@ -341,25 +322,20 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
-    if a.size:
-        # Only the b records within the window of some a record can pair.
-        b = b[np.searchsorted(b, a[0] + lo_key) : np.searchsorted(b, a[-1] + hi_key)]
     n_epochs = edges.size - 1
     counts = np.zeros(n_epochs * nbins, dtype=np.int32)
+    if a.size == 0:
+        return counts.reshape(n_epochs, nbins), accidentals
+    # Only the b records inside the grid can count, and only those within
+    # the window of some a record can pair: each one left has an epoch.
+    first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
+    b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
     counted = 0
     for ta, tb in _window_pairs(a, b, lo_key, hi_key):
-        span = np.array([min(ta.min(), tb[0]), max(ta.max(), tb[-1])])
-        first_epoch, last_epoch = _epochs(span, edges).tolist()
-        if first_epoch == last_epoch:
-            # The piece lies within one epoch: its pairs need no division.
-            if not 0 <= first_epoch < n_epochs:
-                continue
-            epoch = first_epoch
-        else:
-            epoch = _epochs(ta, edges)
-            keep = (epoch == _epochs(tb, edges)) & (epoch >= 0) & (epoch < n_epochs)
-            if not keep.all():
-                ta, tb, epoch = ta[keep], tb[keep], epoch[keep]
+        epoch = np.searchsorted(edges, tb, side="right") - 1
+        keep = (edges[epoch] <= ta) & (ta < edges[epoch + 1])
+        if not keep.all():
+            ta, tb, epoch = ta[keep], tb[keep], epoch[keep]
             if epoch.size == 0:
                 continue
         counted += ta.size
@@ -376,9 +352,9 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
         np.clip(cells, 0, nbins - 1, out=cells)
-        # The piece's pairs span a few epochs: count only that stretch, and
-        # drop its counts before the next piece's are made.
-        offset = int(np.min(epoch)) * nbins
+        # The piece's epochs never decrease and span a few epochs: count only
+        # that stretch, and drop its counts before the next piece's are made.
+        offset = int(epoch[0]) * nbins
         cells += epoch * nbins - offset
         piece_counts = np.bincount(cells)
         del cells

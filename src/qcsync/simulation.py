@@ -247,8 +247,8 @@ class TimestampStream:
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
     ps) in ascending order: all a time tagger would record.  ``duration_s``
-    is finite and >= 0; ``nominal_one_way_delay_ps`` is None or finite and
-    > 0.
+    is finite and >= 0; ``seed`` is an integer >= 0; ``config_hash`` is None
+    or a string; ``nominal_one_way_delay_ps`` is None or finite and > 0.
     """
 
     times: Tuple[np.ndarray, ...]
@@ -265,6 +265,11 @@ class TimestampStream:
             raise ConfigurationError(
                 f"nominal_one_way_delay_ps must be None or finite and > 0: {nominal!r}"
             )
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0: {seed!r}")
+        if not (self.config_hash is None or isinstance(self.config_hash, str)):
+            raise ConfigurationError(f"config_hash must be None or a string: {self.config_hash!r}")
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         self.times = tuple(np.asarray(t, dtype=np.int64) for t in self.times)
@@ -282,7 +287,7 @@ class TimestampStream:
 
 
 def _is_finite_number(value):
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def is_sorted(values):

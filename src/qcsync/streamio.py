@@ -67,14 +67,18 @@ def read_stream(path):
         try:
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen).decode("utf-8"))
-            counts = [int(n) for n in header["n_records"]]
-            duration_s, seed = float(header["duration_s"]), int(header["seed"])
+            counts = list(header["n_records"])
+            duration_s, seed = header["duration_s"], header["seed"]
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed timestamp stream header: {exc!r}") from exc
+        # The header's values reach the stream as written, each checked there
+        # or here, never coerced: a JSON bool or a string is no count.
+        if not all(type(n) is int and n >= 0 for n in counts):
+            raise ConfigurationError(f"n_records must list integers >= 0: {counts!r}")
         # Sized before anything is allocated, so a bad count cannot ask for
         # more memory than the file holds.
         body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if min(counts, default=0) < 0 or body != 8 * sum(counts):
+        if body != 8 * sum(counts):
             raise ConfigurationError(f"payload of {body} bytes does not hold {counts} records")
         times = []
         for n in counts:

@@ -369,6 +369,24 @@ class TestKernelSlices:
                 assert g_acc == w_acc
 
 
+    @pytest.mark.parametrize("slice_size", [1, 7, estimator._B_SLICE])
+    def test_uneven_grid_rows_equal_each_epochs_own_histogram(self, monkeypatch, slice_size):
+        # Three 1 ms epochs, then 0.997 s, 1.5 s and 0.5 s: no division by
+        # a mean epoch width finds these epochs, only the edges do.
+        monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
+        stream = noiseless_stream(duration_s=3.0, rate=5_000.0)
+        edges = np.array([0, 10**9, 2 * 10**9, 3 * 10**9, 10**12, 25 * 10**11, 3 * 10**12])
+        idler = stream.times[DetectorId.IDLER_A]
+        for det, center in ((DetectorId.SIGNAL_B, 48_990_100), (DetectorId.RETURN_A, 98_000_000)):
+            far = stream.times[det]
+            counts, _ = estimator._histograms(idler, far, edges, 4.0, center, 2000)
+            assert counts.shape == (6, 1000) and counts.sum() > 1000
+            for row, lo, hi in zip(counts, edges[:-1], edges[1:]):
+                a = idler[np.searchsorted(idler, lo) : np.searchsorted(idler, hi)]
+                b = far[np.searchsorted(far, lo) : np.searchsorted(far, hi)]
+                want = reference_build_histogram(a, b, 4.0, center, 2000).counts
+                np.testing.assert_array_equal(row, want)
+
     def test_records_beyond_the_last_epoch_count_nowhere(self, monkeypatch):
         # 3.5 s of records make 3 epochs.  In slices of 7 records whole
         # pieces of pairs lie past the last edge, and none may count.
@@ -406,6 +424,11 @@ class TestBuildHistogram:
         monkeypatch.setattr(estimator, "_MAX_COUNTED_PAIRS", 9)
         with pytest.raises(ContractViolation, match="int32 counts could wrap"):
             build_histogram(a, a + 3, 1.0, 3, 4)
+
+    def test_empty_idlers_count_nothing(self):
+        h = build_histogram(np.array([], dtype=np.int64), np.array([5, 10, 20]), 1.0, 10, 10)
+        assert h.counts.shape == (20,) and h.total() == 0
+        assert h.accidentals_per_bin == 0.0
 
     def test_single_pair_in_center_bin(self):
         h = build_histogram(np.array([0]), np.array([1000]), 1.0, 1000, 500)

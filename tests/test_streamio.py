@@ -160,6 +160,40 @@ class TestBinaryFormat:
             with pytest.raises(ConfigurationError, match=field):
                 read_stream_csv(tmp_path / "s.csv", duration_s=value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 2.9),
+            ("seed", "7"),
+            ("seed", True),
+            ("seed", -3),
+            ("config_hash", 5),
+            ("duration_s", "1.0"),
+            ("duration_s", True),
+            ("n_records", ["1", 1, 0]),
+            ("n_records", [1.0, 1, 0]),
+            ("n_records", [True, 1, 0]),
+        ],
+        ids=["fractional-seed", "text-seed", "bool-seed", "negative-seed", "number-hash",
+             "text-duration", "bool-duration", "text-count", "float-count", "bool-count"],
+    )
+    def test_header_values_not_coerced(self, tmp_path, field, value):
+        # Each header is otherwise valid for its two records; the one value
+        # is refused as written rather than converted.
+        header = {"seed": 0, "duration_s": 1.0, "config_hash": None, "n_records": [1, 1, 0]}
+        header[field] = value
+        blob = json.dumps(header).encode()
+        path = tmp_path / "s.bin"
+        path.write_bytes(
+            b"QCSTMP03" + struct.pack("<I", len(blob)) + blob + np.array([10, 20], "<i8").tobytes()
+        )
+        with pytest.raises(ConfigurationError, match=field):
+            read_stream(path)
+        if field != "n_records":
+            kwargs = {"duration_s": 1.0, "seed": 0, field: value}
+            with pytest.raises(ConfigurationError, match=field):
+                TimestampStream(times=[[10], [20], []], **kwargs)
+
     def test_huge_count_refused_before_allocating(self, tmp_path):
         blob = json.dumps({"seed": 0, "duration_s": 1.0, "n_records": [10**15, 0, 0]}).encode()
         path = tmp_path / "huge.bin"
