@@ -665,8 +665,12 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     fwd_center, loop_center = config.forward_center_ps, config.loopback_center_ps
     if fwd_center is None or loop_center is None:
+        # Acquisition supplies only the centre the configuration leaves unset.
         acq = coarse_acquire(stream, config)
-        fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
+        if fwd_center is None:
+            fwd_center = acq.forward_center_ps
+        if loop_center is None:
+            loop_center = acq.loopback_center_ps
 
     idler = stream.times[DetectorId.IDLER_A]
     epoch_ps = epoch_length_s * 1e12

@@ -94,9 +94,9 @@ def _apply_overrides(scenario, seed=None, mode=None, epoch_s=None):
     # validated exactly like scenario documents.
     run = scenario.run
     if seed is not None:
-        run = dataclasses.replace(run, seed=int(seed))
+        run = dataclasses.replace(run, seed=seed)
     if epoch_s is not None:
-        run = dataclasses.replace(run, epoch_s=float(epoch_s))
+        run = dataclasses.replace(run, epoch_s=epoch_s)
     if run is not scenario.run:
         scenario = dataclasses.replace(scenario, run=run)
     if mode is not None:

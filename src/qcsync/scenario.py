@@ -40,7 +40,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
+import numbers
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,6 +64,7 @@ from .simulation import (
     DetectorConfig,
     SourceConfig,
     TdcConfig,
+    _is_finite_number,
 )
 
 __all__ = [
@@ -96,12 +97,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
-            raise ConfigurationError("duration_s must be > 0")
-        if not (self.epoch_s > 0 and math.isfinite(self.epoch_s)):
-            raise ConfigurationError("epoch_s must be > 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        # Refused, never rounded or parsed; stored as float and int for JSON.
+        for name in ("duration_s", "epoch_s"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and value > 0):
+                raise ConfigurationError(f"{name} must be > 0 and finite: {value!r}")
+            object.__setattr__(self, name, float(value))
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0: {seed!r}")
+        object.__setattr__(self, "seed", int(seed))
 
 
 @dataclass(frozen=True)
@@ -371,113 +376,81 @@ def validate_scenario(path):
 # Builtin scenarios.
 # --------------------------------------------------------------------------
 
-# Long campaigns halve the source rate so multi-kilosecond runs stay within
+# Runs longer than 500 s halve the source rate so they stay within
 # desk-scale memory and runtime; everything else uses module defaults.
 _LONG_RUN_RATE_HZ = 5.0e3
 
-_DETECTION_DEFAULT = {
-    "threshold": {"baseline_window_epochs": 60, "threshold_ps": 200.0},
-    "cusum": {"reference_drift_ps": 0.02, "decision_limit_ps": 15.0},
+
+def _staircase(amplitude_ps, end_s, reverse):
+    return [
+        {
+            "pattern": "gradual",
+            "amplitude_ps": amplitude_ps,
+            "start_s": 0.0,
+            "behavior": {"kind": "linear", "rate_per_step": 1.0},
+            "step_interval_s": 35.0,
+            "end_s": end_s,
+            "reverse_after_end": reverse,
+        }
+    ]
+
+
+def _jump(amplitude_ps):
+    return [{"pattern": "jump", "amplitude_ps": amplitude_ps, "start_s": 250.0}]
+
+
+# name -> (duration_s, seed, m_events[, coordination]); the event dicts are
+# shared, so ``builtin_scenario`` hands out deep copies.
+_BUILTINS = {
+    "baseline": (500.0, 101, []),
+    "baseline_1800s": (1800.0, 141, []),
+    "baseline_3500s": (3500.0, 152, []),
+    "jump_-10ps": (500.0, 111, _jump(-10.0)),
+    "jump_-50ps": (500.0, 112, _jump(-50.0)),
+    "jump_-100ps": (500.0, 113, _jump(-100.0)),
+    "jump_-200ps": (500.0, 114, _jump(-200.0)),
+    "jump_-500ps": (500.0, 115, _jump(-500.0)),
+    "spike_train": (
+        1800.0,
+        140,
+        [
+            {"pattern": "spike", "amplitude_ps": a, "start_s": t, "width_s": 1.0}
+            for t, a in zip(
+                (330.0, 662.0, 1022.0, 1376.0, 1709.0),
+                (-500.0, -400.0, -300.0, -200.0, -100.0),
+            )
+        ],
+    ),
+    # One-way ramp only: the backward path is untouched, so the measured
+    # clock difference drifts at half the injected rate.
+    "gradual_slow": (3500.0, 150, _staircase(-2.0, 2100.0, False), {"mode": "independent"}),
+    # Faster two-sided ramp with N = -M; the reversal flag sends the ramp
+    # back toward zero after the hold point.  An alternative reading of the
+    # reference description keeps ramping positive instead; flip
+    # reverse_after_end off and add a second event to model that.
+    "gradual_fast_reversing": (3500.0, 151, _staircase(-4.0, 1750.0, True)),
 }
 
 
-def _base_scenario(name, duration_s, seed, pair_rate_hz=None):
+def _builtin_doc(name, duration_s, seed, m_events, coordination=None):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "scheme": "round_trip",
         "mode": "full_sim",
         "run": {"duration_s": duration_s, "epoch_s": 1.0, "seed": seed},
-        "coordination": {"mode": "proportional", "n": -1.0},
-        "m_events": [],
+        "coordination": coordination or {"mode": "proportional", "n": -1.0},
+        "m_events": m_events,
         "reference_ps": -9900.0,
-        "detection": copy.deepcopy(_DETECTION_DEFAULT),
+        "detection": {
+            "threshold": {"baseline_window_epochs": 60, "threshold_ps": 200.0},
+            "cusum": {"reference_drift_ps": 0.02, "decision_limit_ps": 15.0},
+        },
     }
-    if pair_rate_hz is not None:
-        doc["source"] = {"pair_rate_hz": pair_rate_hz}
+    if duration_s > 500.0:
+        doc["source"] = {"pair_rate_hz": _LONG_RUN_RATE_HZ}
     return doc
 
-
-def _jump_scenario(amplitude_ps, seed):
-    doc = _base_scenario(f"jump_{int(amplitude_ps)}ps", 500.0, seed)
-    doc["m_events"] = [
-        {"pattern": "jump", "amplitude_ps": amplitude_ps, "start_s": 250.0}
-    ]
-    return doc
-
-
-def _spike_train_scenario():
-    doc = _base_scenario("spike_train", 1800.0, 140, pair_rate_hz=_LONG_RUN_RATE_HZ)
-    onsets = [330.0, 662.0, 1022.0, 1376.0, 1709.0]
-    amplitudes = [-500.0, -400.0, -300.0, -200.0, -100.0]
-    doc["m_events"] = [
-        {"pattern": "spike", "amplitude_ps": a, "start_s": t, "width_s": 1.0}
-        for t, a in zip(onsets, amplitudes)
-    ]
-    return doc
-
-
-def _gradual_slow_scenario():
-    # One-way ramp only: the backward path is untouched, so the measured
-    # clock difference drifts at half the injected rate.
-    doc = _base_scenario("gradual_slow", 3500.0, 150, pair_rate_hz=_LONG_RUN_RATE_HZ)
-    doc["coordination"] = {"mode": "independent"}
-    doc["m_events"] = [
-        {
-            "pattern": "gradual",
-            "amplitude_ps": -2.0,
-            "start_s": 0.0,
-            "behavior": {"kind": "linear", "rate_per_step": 1.0},
-            "step_interval_s": 35.0,
-            "end_s": 2100.0,
-            "reverse_after_end": False,
-        }
-    ]
-    return doc
-
-
-def _gradual_fast_reversing_scenario():
-    # Faster two-sided ramp with N = -M; the reversal flag sends the ramp
-    # back toward zero after the hold point.  An alternative reading of the
-    # reference description keeps ramping positive instead; flip
-    # reverse_after_end off and add a second event to model that.
-    doc = _base_scenario(
-        "gradual_fast_reversing", 3500.0, 151, pair_rate_hz=_LONG_RUN_RATE_HZ
-    )
-    doc["m_events"] = [
-        {
-            "pattern": "gradual",
-            "amplitude_ps": -4.0,
-            "start_s": 0.0,
-            "behavior": {"kind": "linear", "rate_per_step": 1.0},
-            "step_interval_s": 35.0,
-            "end_s": 1750.0,
-            "reverse_after_end": True,
-        }
-    ]
-    return doc
-
-
-_JUMP_AMPLITUDES = (-10.0, -50.0, -100.0, -200.0, -500.0)
-
-_BUILTIN_FACTORIES = {
-    "baseline": lambda: _base_scenario("baseline", 500.0, 101),
-    "baseline_1800s": lambda: _base_scenario(
-        "baseline_1800s", 1800.0, 141, pair_rate_hz=_LONG_RUN_RATE_HZ
-    ),
-    "baseline_3500s": lambda: _base_scenario(
-        "baseline_3500s", 3500.0, 152, pair_rate_hz=_LONG_RUN_RATE_HZ
-    ),
-    "spike_train": _spike_train_scenario,
-    "gradual_slow": _gradual_slow_scenario,
-    "gradual_fast_reversing": _gradual_fast_reversing_scenario,
-}
-for _i, _amp in enumerate(_JUMP_AMPLITUDES):
-    _BUILTIN_FACTORIES[f"jump_{int(_amp)}ps"] = (
-        lambda amp=_amp, seed=111 + _i: _jump_scenario(amp, seed)
-    )
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")
 
 _FIGURE_BUNDLES = {
     # TDEV overlay of the four regimes.
@@ -497,20 +470,22 @@ _FIGURE_BUNDLES = {
     "fig5": ("baseline_3500s", "gradual_slow", "gradual_fast_reversing"),
 }
 
+FIGURE_IDS = tuple(_FIGURE_BUNDLES)
+
 
 def builtin_names():
-    return sorted(_BUILTIN_FACTORIES)
+    return sorted(_BUILTINS)
 
 
 def builtin_scenario(name):
     """Builtin scenario document (deep copy) by name."""
     try:
-        factory = _BUILTIN_FACTORIES[name]
+        entry = _BUILTINS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown builtin scenario {name!r}; available: {', '.join(builtin_names())}"
         ) from None
-    return copy.deepcopy(factory())
+    return copy.deepcopy(_builtin_doc(name, *entry))
 
 
 def figure_bundle(figure_id):

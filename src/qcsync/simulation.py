@@ -246,7 +246,8 @@ class TimestampStream:
     """Detection records stored per detector, indexed by ``DetectorId``.
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
-    ps) in ascending order: all a time tagger would record.  ``duration_s``
+    ps) in ascending order: all a time tagger would record.  Times that
+    are not exact int64 integers are refused, never converted.  ``duration_s``
     is finite and >= 0; ``seed`` is an integer >= 0; ``config_hash`` is None
     or a string; ``nominal_one_way_delay_ps`` is None or finite and > 0.
     """
@@ -272,8 +273,9 @@ class TimestampStream:
             raise ConfigurationError(f"config_hash must be None or a string: {self.config_hash!r}")
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
-        self.times = tuple(np.asarray(t, dtype=np.int64) for t in self.times)
-        for name, t in zip(DETECTOR_NAMES.values(), self.times):
+        names = DETECTOR_NAMES.values()
+        self.times = tuple(_exact_int64(t, name) for name, t in zip(names, self.times))
+        for name, t in zip(names, self.times):
             if t.size and t[0] < 0:
                 raise ConfigurationError(f"{name} timestamps must be >= 0")
             if not is_sorted(t):
@@ -284,6 +286,30 @@ class TimestampStream:
 
     def counts(self):
         return {det: int(self.times[det].size) for det in DetectorId}
+
+
+def _exact_int64(values, name):
+    """``values`` as an int64 array, refusing any value it would change.
+
+    An int64 array passes through uncopied; other integers, and floats
+    that are finite whole numbers, are converted when every value fits
+    int64.  Bools and anything else are refused.
+    """
+    t = np.asarray(values)
+    if t.dtype == np.int64:
+        return t
+    if t.dtype.kind == "f":
+        exact = np.all((t >= -(2.0**63)) & (t < 2.0**63) & (np.floor(t) == t))
+    elif t.dtype.kind in "iu":
+        # Only uint64 holds values beyond int64; compared as uint64, exactly.
+        exact = np.can_cast(t.dtype, np.int64) or not t.size or t.max() < np.uint64(2**63)
+    else:
+        exact = False
+    if not exact:
+        raise ConfigurationError(
+            f"{name} timestamps must be exact integers within the int64 range, not {t.dtype}"
+        )
+    return t.astype(np.int64)
 
 
 def _is_finite_number(value):
@@ -556,45 +582,42 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         # first, then SignalB's, then ReturnA's.
         idler_idx = np.flatnonzero(rng.random(k) < eff)
         u_signal = rng.random(k)
-        at_bob = u_signal < p_bob
-        bob_idx = np.flatnonzero(at_bob)
-        # at_bob implies u < p_signal, so the exclusive or is p_bob <= u < p_signal.
-        at_return = u_signal < p_signal
-        at_return ^= at_bob
-        ret_idx = np.flatnonzero(at_return)
-        del u_signal, at_bob, at_return
+        signal_idx = np.flatnonzero(u_signal < p_signal)
+        # A recorded signal photon reaches SignalB when u < p_bob, else ReturnA.
+        at_bob = u_signal[signal_idx] < p_bob
+        del u_signal
 
         # Each reading is built in its Gaussian's array, in place, one step
         # at a time in the order of the formula above it: bit-identical to
         # evaluating the formula, without a fresh array per step.  It is
         # quantized before the next Gaussians are drawn, so the chunk holds
-        # one reading's temporaries at a time.
+        # one reading's temporaries at a time, besides the signal photons'
+        # shared forward leg.
         # idler = emitted + sigma_idler * z
         idler = rng.standard_normal(idler_idx.size)
         idler *= sigma_idler
         idler += emitted[idler_idx]
         idler = _quantize(idler, tdc.resolution_ps)
-        # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z,
-        # with arrive = emitted + L + M(emitted)
-        bob = rng.standard_normal(bob_idx.size)
-        t = emitted[bob_idx]
-        delay = eval_trajectory(m, t * 1e-12)
-        t += L
-        t += delay
+        # arrive = emitted + L + M(emitted), once for every signal photon
+        arrive = emitted[signal_idx]
+        delay = eval_trajectory(m, arrive * 1e-12)
+        arrive += L
+        arrive += delay
+        # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z
+        t = arrive[at_bob]
+        bob = rng.standard_normal(t.size)
         drift = t * 1e-12
         drift *= clocks.drift_ps_per_s
         t += clocks.offset_ps
         t += drift
         bob *= sigma_bob
         bob += t
-        del t, delay, drift
+        del t, drift
         bob = _quantize(bob, tdc.resolution_ps)
         # ret = arrive + L + N(arrive) + sigma_return * z
-        ret = rng.standard_normal(ret_idx.size)
-        t = emitted[ret_idx]
-        delay = eval_trajectory(m, t * 1e-12)
-        t += L
-        t += delay
+        t = arrive[~at_bob]
+        del arrive
+        ret = rng.standard_normal(t.size)
         delay = eval_trajectory(n, t * 1e-12)
         t += L
         t += delay

@@ -19,6 +19,7 @@ would mask exactly the attack artifacts this statistic is meant to expose.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -89,12 +90,13 @@ def tdev(x, tau0_s, m_values=None):
     x : sequence of phase values, picoseconds, on the full sampling grid
         with NaN at gaps
     tau0_s : base sampling interval, seconds
-    m_values : averaging factors; defaults to the octave grid
+    m_values : integer averaging factors; defaults to the octave grid
 
     Each point averages only the terms whose samples are all present;
     ``n_terms`` counts them.  An ``m`` without any complete term is left
     out of the curve.  Raises ConfigurationError on a too-short series or
-    an out-of-range m, and GapError when no ``m`` has a complete term.
+    a non-integral or out-of-range m, and GapError when no ``m`` has a
+    complete term.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -109,10 +111,15 @@ def tdev(x, tau0_s, m_values=None):
 
     if m_values is None:
         m_values = default_m_grid(n)
-    m_values = [int(m) for m in m_values]
     top = (n - 1) // 3
     points = []
     for m in m_values:
+        integral = isinstance(m, numbers.Integral) or (
+            isinstance(m, numbers.Real) and float(m).is_integer()
+        )
+        if isinstance(m, bool) or not integral:
+            raise ConfigurationError(f"m={m!r} is not an integer")
+        m = int(m)
         if not (1 <= m <= top):
             raise ConfigurationError(f"m={m} outside valid range [1, {top}] for N={n}")
         d = x[2 * m :] - 2.0 * x[m : n - m] + x[: n - 2 * m]

@@ -923,6 +923,24 @@ class TestPerEpochSeries:
         assert [p.is_gap for p in series.points] == [False, True, False]
         assert series.gap_count() == 1
 
+    @pytest.mark.parametrize(
+        "centre",
+        [{"forward_center_ps": 49_000_100}, {"loopback_center_ps": 98_010_000}],
+        ids=["forward", "loopback"],
+    )
+    def test_lone_window_centre_is_used(self, centre):
+        # The one configured centre sits 10 ns off its peak, outside the
+        # +-2 ns window, so no epoch is usable: acquisition supplies only
+        # the centre left unset.
+        stream = noiseless_stream(duration_s=5.0)
+        with pytest.raises(EmptySeriesError):
+            per_epoch_series(stream, 1.0, EstimatorConfig(**centre))
+
+    def test_unset_centre_still_acquired(self):
+        stream = noiseless_stream(duration_s=5.0)
+        series = per_epoch_series(stream, 1.0, EstimatorConfig(forward_center_ps=48_990_100))
+        assert series.gap_count() == 0
+
     def test_stream_shorter_than_epoch(self):
         stream = noiseless_stream(duration_s=0.5)
         with pytest.raises(ConfigurationError):

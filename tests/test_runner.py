@@ -101,6 +101,16 @@ class TestAnalyticMode:
         assert len(result.series) == 250
         assert result.series.epoch_length_s == 2.0
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"seed": 2.9}, {"seed": True}, {"seed": "7"}, {"epoch_s": "0.5"}, {"epoch_s": True}],
+        ids=["fractional-seed", "bool-seed", "text-seed", "text-epoch", "bool-epoch"],
+    )
+    def test_inexact_override_refused(self, override):
+        # Refused as given, never rounded or parsed: 2.9 is not seed 2.
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            run_scenario(analytic_doc(), **override)
+
     def test_two_way_scheme_symmetric_attack_cancels(self):
         # Identical delays on both directions preserve reciprocity in the
         # two-way scheme (alpha=1, beta=-1), so delta stays at baseline.

@@ -15,12 +15,29 @@ from qcsync.runner import load_scenario
 from qcsync.scenario import (
     FIGURE_IDS,
     AttackScenario,
+    RunConfig,
     builtin_names,
     builtin_scenario,
     figure_bundle,
     validate_scenario,
     validate_scenario_dict,
 )
+
+
+# Every setting of every reference campaign, as 0.18.0 resolved it.
+BUILTIN_DIGESTS = {
+    "baseline": "142c516148f93fd27add28c14b74f687e1ddb491c1262b2014a1fd41b846c22d",
+    "baseline_1800s": "6033d88cc4006efd556f00373f44ffaed69ce97ab93f91c65b54d32a4003ecda",
+    "baseline_3500s": "a4f76a622886a5c4fcdaa376a784accb64bb5790b3cb581d1d4081a7bdeefd65",
+    "jump_-10ps": "2fc04e9a60075c84639a26c3414d78e015b167e9e09dbfd81bf706cede1aee3e",
+    "jump_-50ps": "6acf8162ea3a00fca6ce353d2fa97db5528e20bac9542306a00d048bbeaacd53",
+    "jump_-100ps": "6240c51ceaece4f54b521d96cce7caad0b9b4da3d93ebabe06032b2f1724da11",
+    "jump_-200ps": "3fe422cb68f8c4ae73244c69313469ce8f55cf0e7e8cecc8638d8babe6ba41ba",
+    "jump_-500ps": "4eadb95d66acdcfdaecc759fd998c9234e5264d5f92f02686acd0cc3d5432bef",
+    "spike_train": "47dd303e2c54b8c0d07975639e72d8f206bd4aa0f78c5ff57706ef3cadb98d64",
+    "gradual_slow": "cdecd2d3b2e4b9d0cdd3ac4dc4d4a2174041032c98d5ed643e3059298c9b4e6b",
+    "gradual_fast_reversing": "5a64acfa01a120409312eba43feefb46c1a2036722105b9aa45f1b0411d4e468",
+}
 
 
 def minimal_doc(**overrides):
@@ -102,6 +119,26 @@ class TestBuiltins:
         with pytest.raises(ConfigurationError):
             figure_bundle("fig9")
 
+    @pytest.mark.parametrize("name, digest", sorted(BUILTIN_DIGESTS.items()))
+    def test_config_hash_pinned(self, name, digest):
+        assert AttackScenario.from_dict(builtin_scenario(name)).config_hash() == digest
+
+    def test_every_builtin_pinned(self):
+        assert sorted(BUILTIN_DIGESTS) == builtin_names()
+
+    def test_returned_documents_are_copies(self):
+        for name in builtin_names():
+            doc = builtin_scenario(name)
+            pristine = json.dumps(doc)
+            doc["run"]["seed"] = 999
+            doc["detection"]["threshold"]["threshold_ps"] = 1.0
+            doc["coordination"]["mode"] = "edited"
+            doc["m_events"].append({"pattern": "jump"})
+            for event in doc["m_events"]:
+                event["amplitude_ps"] = 0.0
+            doc.get("source", {})["pair_rate_hz"] = 1.0
+            assert json.dumps(builtin_scenario(name)) == pristine
+
     def test_spike_train_amplitude_ordering(self):
         doc = builtin_scenario("spike_train")
         onsets = [e["start_s"] for e in doc["m_events"]]
@@ -170,6 +207,31 @@ class TestValidation:
         with pytest.raises(SchemaError) as err:
             AttackScenario.from_dict(minimal_doc(fooo=1))
         assert any(path == "fooo" for path, _ in err.value.issues)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 2.5),
+            ("seed", True),
+            ("seed", "7"),
+            ("duration_s", "1.0"),
+            ("duration_s", True),
+            ("epoch_s", "0.5"),
+            ("epoch_s", False),
+            ("epoch_s", float("nan")),
+        ],
+        ids=["fractional-seed", "bool-seed", "text-seed", "text-duration", "bool-duration",
+             "text-epoch", "bool-epoch", "nan-epoch"],
+    )
+    def test_run_config_refuses_inexact_values(self, field, value):
+        # Refused as given: none is rounded, parsed or left to fail later.
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{"duration_s": 1.0, field: value})
+
+    def test_run_config_stores_plain_numbers(self):
+        run = RunConfig(duration_s=np.int64(2), epoch_s=1, seed=np.uint8(3))
+        assert (run.duration_s, run.epoch_s, run.seed) == (2.0, 1.0, 3)
+        assert (type(run.duration_s), type(run.epoch_s), type(run.seed)) == (float, float, int)
 
     def test_negative_seed_rejected(self):
         doc = minimal_doc()

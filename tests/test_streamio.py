@@ -66,6 +66,36 @@ class TestStreamLayout:
         with pytest.raises(ConfigurationError):
             TimestampStream(times=times, duration_s=1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "idler",
+        [
+            [1.7, 2.2],
+            [1.0, float("nan")],
+            [1.0, float("inf")],
+            [2.0**63],
+            np.array([True, True]),
+            np.array([2**63], np.uint64),
+            [2**70],
+            ["1", "2"],
+        ],
+        ids=["fractional", "nan", "infinite", "float-beyond-int64", "bool", "uint64-beyond-int64",
+             "int-beyond-int64", "text"],
+    )
+    def test_inexact_times_refused(self, idler):
+        # Converting any of these would change or invent a timestamp.
+        with pytest.raises(ConfigurationError, match="IdlerA timestamps must be exact integers"):
+            TimestampStream(times=[idler, [20], []], duration_s=1.0, seed=0)
+
+    def test_exact_times_converted_and_int64_kept(self):
+        idler = np.array([10, 40], np.int64)
+        stream = TimestampStream(
+            times=[idler, [20.0, 50.0], np.array([2**63 - 1], np.uint64)], duration_s=1.0, seed=0
+        )
+        assert stream.times[DetectorId.IDLER_A] is idler
+        assert all(t.dtype == np.int64 for t in stream.times)
+        assert stream.times[DetectorId.SIGNAL_B].tolist() == [20, 50]
+        assert stream.times[DetectorId.RETURN_A].tolist() == [2**63 - 1]
+
 
 class TestBinaryFormat:
     def test_roundtrip(self, stream, tmp_path):
