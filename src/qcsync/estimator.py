@@ -5,10 +5,13 @@ over a window, peak at the propagation delay (plus clock offset) of the
 photon path connecting them.  One kernel builds the forward (IdlerA x
 SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
 pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
-single epoch.  Each slice of far-end records is searched into the whole
-idler array, and a pair takes the epoch that the grid's edges give its
-far-end record, counting only if its idler lies in that epoch too.  Per
-epoch both peak positions tau_AB and tau_ABA give the clock difference
+single epoch.  Each slice of far-end records is searched into the idlers
+the kernel is given, and a pair takes the epoch that the grid's edges give
+its far-end record, counting only if its idler lies in that epoch too.
+The per-epoch series runs the kernel one block of epochs at a time, on the
+records inside the block's edges, and takes the block's peaks before the
+next block is counted, so no count matrix outgrows one block.  Per epoch
+both peak positions tau_AB and tau_ABA give the clock difference
 ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
@@ -218,7 +221,13 @@ _PEAK_FALSE_ALARM_PROB = 1e-3
 # splits a slice wherever its candidate pairs pass another this many, so
 # its temporaries stay slice-sized however long the stream is and however
 # wide the window; the counts of all slices add up to the same histograms.
-_B_SLICE = 1 << 16
+# One int64 slice array is 256 kB.  The kernels' and acquisition's slice
+# temporaries, two threads' worth, are most of what the estimator holds
+# beyond the stream.  On 2 cores the benchmark's ``gradual3500`` peaked at
+# ~231 MB with ``1 << 16``, ~223 MB with this and ~221 MB with ``1 << 14``,
+# which made ``highrate_deadtime``'s acquisition 0.070 -> 0.100 s and its
+# series 0.094 -> 0.099 s (medians of five in-process runs).
+_B_SLICE = 1 << 15
 
 # The count matrix is int32, exact as long as it counts no more pairs than
 # this; a kernel call that would count more fails closed rather than wrap.
@@ -299,6 +308,13 @@ def _window_pairs(a, b, lo_key, hi_key):
             yield a[ai], np.repeat(bs[j0:j1], n[j0:j1])
 
 
+def _bin_count(bin_width_ps, window_halfwidth_ps):
+    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
+    if nbins < 1:
+        raise ConfigurationError("window narrower than one bin")
+    return nbins
+
+
 def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
 
@@ -311,9 +327,7 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a
     count wraps.
     """
-    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
-    if nbins < 1:
-        raise ConfigurationError("window narrower than one bin")
+    nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
     lo_key, hi_key = lo, lo + nbins * bin_width_ps
     if a.dtype.kind == b.dtype.kind == "i":
@@ -622,7 +636,8 @@ def coarse_acquire(stream, config=None):
 
     Searches +-2x the nominal delay around it at coarse (1 ns) binning and
     refines the winning bin with a fine centroid.  The nominal one-way
-    delay is taken from the stream metadata.
+    delay is taken from the stream metadata.  A centre that ``config``
+    sets is returned as set, and its path is not searched.
     """
     config = config or EstimatorConfig()
     nominal = stream.nominal_one_way_delay_ps
@@ -630,16 +645,21 @@ def coarse_acquire(stream, config=None):
         raise ConfigurationError("nominal one-way delay required for acquisition")
 
     idler = stream.times[DetectorId.IDLER_A][: config.acquire_max_events]
-    signal = stream.times[DetectorId.SIGNAL_B]
-    ret = stream.times[DetectorId.RETURN_A]
-    if idler.size == 0 or signal.size == 0 or ret.size == 0:
+    centers = [config.forward_center_ps, config.loopback_center_ps]
+    searches = [
+        (i, stream.times[det], (i + 1) * nominal)
+        for i, det in enumerate((DetectorId.SIGNAL_B, DetectorId.RETURN_A))
+        if centers[i] is None
+    ]
+    if idler.size == 0 or any(far.size == 0 for _, far, _ in searches):
         raise AcquisitionError("one or more detector streams are empty")
 
-    searches = ((signal, nominal), (ret, 2.0 * nominal))
     # The forward and loopback searches share no state, so running them at
     # once changes no result; a forward failure is still the one raised.
-    centers = []
-    _pipeline(lambda i: _acquire_one(idler, *searches[i], config), len(searches), centers.append)
+    found = []
+    _pipeline(lambda k: _acquire_one(idler, *searches[k][1:], config), len(searches), found.append)
+    for (i, _, _), center in zip(searches, found):
+        centers[i] = center
     forward, loopback = centers
     return AcquisitionResult(forward_center_ps=forward, loopback_center_ps=loopback)
 
@@ -648,11 +668,12 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     """Per-epoch clock-difference series from a timestamp stream.
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
-    timestamp, builds all epochs' forward and loopback histograms in one
-    kernel pass each (the two at once), extracts their peaks in blocks of
-    epochs, and emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs
-    where either peak estimation fails are emitted as gaps.  The combined
-    counting-statistics sigma of each delta is recorded alongside.
+    timestamp, builds the forward and loopback histograms (the two at once)
+    one block of epochs at a time, extracts each block's peaks before the
+    next block is counted, and emits each epoch's ``delta = tau_AB -
+    tau_ABA/2``.  Epochs where either peak estimation fails are emitted as
+    gaps.  The combined counting-statistics sigma of each delta is recorded
+    alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -665,12 +686,10 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     fwd_center, loop_center = config.forward_center_ps, config.loopback_center_ps
     if fwd_center is None or loop_center is None:
-        # Acquisition supplies only the centre the configuration leaves unset.
+        # Acquisition searches only for the centre the configuration leaves
+        # unset, and returns the other as configured.
         acq = coarse_acquire(stream, config)
-        if fwd_center is None:
-            fwd_center = acq.forward_center_ps
-        if loop_center is None:
-            loop_center = acq.loopback_center_ps
+        fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
 
     idler = stream.times[DetectorId.IDLER_A]
     epoch_ps = epoch_length_s * 1e12
@@ -678,18 +697,27 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
     paths = ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
 
+    # Blocks of rows holding about eight kernel slices of bins (262 epochs
+    # of the default 1000 bins).  A pair counts only when both its records
+    # lie in one epoch, so the records inside a block's edges give that
+    # block's rows exactly, and each block's peaks are taken before the
+    # next block is counted: the count matrices and the temporaries of
+    # ``_peaks`` stay bounded however many epochs there are.
+    rows = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
+
     def path_peaks(i):
         det, center = paths[i]
-        counts, accidentals = _histograms(idler, stream.times[det], edges, bw, center, hw)
-        # Blocks of rows holding about eight kernel slices of bins (524
-        # epochs of the default 1000 bins): the temporaries of ``_peaks``
-        # follow the rows' peak spans, so they stay bounded however many
-        # epochs there are.
-        rows = max(1, 8 * _B_SLICE // counts.shape[1])
-        blocks = [
-            _peaks(counts[lo : lo + rows], accidentals[lo : lo + rows], bw, center, hw)
-            for lo in range(0, n_epochs, rows)
-        ]
+        far = stream.times[det]
+        blocks = []
+        for lo in range(0, n_epochs, rows):
+            block_edges = edges[lo : lo + rows + 1]
+            ends = block_edges[[0, -1]]
+            a = idler[slice(*np.searchsorted(idler, ends))]
+            b = far[slice(*np.searchsorted(far, ends))]
+            counts, accidentals = _histograms(a, b, block_edges, bw, center, hw)
+            blocks.append(_peaks(counts, accidentals, bw, center, hw))
+            # Dropped before the next block's counts are made.
+            del counts
         return _PeakArrays(*map(np.concatenate, zip(*blocks)))
 
     # The forward and loopback kernels share no state, so running them at

@@ -261,7 +261,11 @@ def _parse(tp, value, path, issues):
         return _fail(issues, path, "must be a number")
     if tp is int:
         return value if isinstance(value, int) else _fail(issues, path, "must be an integer")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # A JSON integer has no size limit; one past the float range is refused.
+        return _fail(issues, path, "must be a number within the float range")
 
 
 def _parse_tagged(members, value, path, issues):

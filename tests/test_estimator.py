@@ -355,7 +355,7 @@ class TestKernelSlices:
             )
         ]
 
-    @pytest.mark.parametrize("slice_size", [1, 7, estimator._B_SLICE])
+    @pytest.mark.parametrize("slice_size", [1, 7, 1 << 16, estimator._B_SLICE])
     def test_counts_and_accidentals_independent_of_slice(self, monkeypatch, slice_size):
         want = self.histograms()
         monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
@@ -369,7 +369,7 @@ class TestKernelSlices:
                 assert g_acc == w_acc
 
 
-    @pytest.mark.parametrize("slice_size", [1, 7, estimator._B_SLICE])
+    @pytest.mark.parametrize("slice_size", [1, 7, 1 << 16, estimator._B_SLICE])
     def test_uneven_grid_rows_equal_each_epochs_own_histogram(self, monkeypatch, slice_size):
         # Three 1 ms epochs, then 0.997 s, 1.5 s and 0.5 s: no division by
         # a mean epoch width finds these epochs, only the edges do.
@@ -940,6 +940,25 @@ class TestPerEpochSeries:
         stream = noiseless_stream(duration_s=5.0)
         series = per_epoch_series(stream, 1.0, EstimatorConfig(forward_center_ps=48_990_100))
         assert series.gap_count() == 0
+
+    def test_configured_centre_is_not_searched_for(self):
+        # A 120 us clock offset puts the forward peak at L + 120 us, beyond
+        # the +-2L acquisition window around L, so a forward search fails;
+        # with the forward centre configured, only the loopback is searched.
+        doc = builtin_scenario("baseline")
+        doc["run"]["duration_s"] = 20.0
+        doc["clock"] = {"offset_ps": 1.2e8}
+        delay = ChannelConfig().one_way_delay_ps
+        doc["estimator"] = {"forward_center_ps": int(delay + 1.2e8)}
+        scenario = load_scenario(doc)
+        stream = run_round_trip_sim(scenario)
+        acq = coarse_acquire(stream, scenario.estimator)
+        assert acq.forward_center_ps == int(delay + 1.2e8)
+        assert abs(acq.loopback_center_ps - 2 * delay) <= 1000
+        series = per_epoch_series(stream, 1.0, scenario.estimator)
+        assert len(series) == 20 and series.gap_count() == 0
+        with pytest.raises(AcquisitionError, match="not significant"):
+            coarse_acquire(stream, dataclasses.replace(scenario.estimator, forward_center_ps=None))
 
     def test_stream_shorter_than_epoch(self):
         stream = noiseless_stream(duration_s=0.5)

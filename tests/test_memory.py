@@ -3,14 +3,16 @@
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts the bytes the program asked for, not what the allocator or the
 kernel made of them.  The emission times, which IdlerA's records are
-written into, and the SignalB and ReturnA records grow with the run; the
-estimator's count matrices grow with its epochs; everything else must stay
+written into, and the SignalB and ReturnA records grow with the run, and
+the estimator's series grows with its epochs; everything else must stay
 within a multiple of the simulation's chunk or the histogram kernel's
 slice, which both tests shrink so that a single full-length temporary of a
-1 M-pair run would exceed the bound many times.
+1 M-pair run would exceed the bound many times.  The estimator's count
+matrices never outgrow one block of epochs.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,10 +147,10 @@ def piece_count_bytes(times, epoch_ps, nbins):
 
 
 def test_many_epochs_hold_two_count_matrices_plus_slice_temporaries(monkeypatch):
-    # 2000 epochs of 5 ms: the forward and loopback count matrices, built at
-    # once, grow with the epochs, and so does each piece's bincount, which
-    # spans the epochs of its slice of far-end records.  The peaks are
-    # extracted in row blocks; int64 matrices alone would be four int32 ones.
+    # 2000 epochs of 5 ms: the forward and loopback counts, built at once,
+    # and each piece's bincount, which spans the epochs of its slice of
+    # far-end records, are held one block of rows at a time.  This bound
+    # still allows two whole int32 matrices; int64 ones alone would be four.
     stream, scenario, config = acquired_series_inputs(monkeypatch)
     epochs = 2000
     epoch_s = scenario.run.duration_s / epochs
@@ -160,6 +162,40 @@ def test_many_epochs_hold_two_count_matrices_plus_slice_temporaries(monkeypatch)
         for det in (DetectorId.SIGNAL_B, DetectorId.RETURN_A)
     )
     assert peak < 2 * 4 * epochs * nbins + pieces + 30 * CHUNK_BYTES
+
+
+def traced_excess(func, *args):
+    """``(value, bytes)``: what ``func(*args)`` returns, and how far the traced
+    memory peaked above where it started plus what the call left held."""
+    held = []
+
+    def call():
+        start = tracemalloc.get_traced_memory()[0]
+        value = func(*args)
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return value
+
+    value, peak = traced_peak(call)
+    return value, peak - held[0]
+
+
+def test_series_excess_does_not_grow_with_epochs(monkeypatch):
+    # The counts are made and dropped one block of 8 * CHUNK // 1000 = 80
+    # epochs at a time, so only the returned series grows with the epochs.
+    # Whole count matrices of both paths would add 2 * 4 * 4500 * 1000
+    # bytes, 450 chunk-sizes, from 500 to 5000 epochs.  The excess may
+    # shrink instead: 80 epochs of 2 ms hold fewer far-end records than a
+    # slice, so the kernel's slices there are short (~30 against ~17
+    # chunk-sizes of excess).
+    stream, scenario, config = acquired_series_inputs(monkeypatch)
+    excess = {}
+    for epochs in (500, 5000):
+        epoch_s = scenario.run.duration_s / epochs
+        series, excess[epochs] = traced_excess(
+            estimator.per_epoch_series, stream, epoch_s, config
+        )
+        assert len(series) == epochs
+    assert excess[5000] - excess[500] < 4 * CHUNK_BYTES
 
 
 def test_acquisition_holds_histograms_plus_slice_temporaries(monkeypatch):

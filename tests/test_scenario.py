@@ -260,6 +260,18 @@ class TestValidation:
         issues = validate_scenario_dict(json.loads(json.dumps(doc)))
         assert any(p in (section, path) for p, _ in issues), issues
 
+    @pytest.mark.parametrize("path", ["run.duration_s", "reference_ps"])
+    def test_integer_beyond_float_range_rejected(self, path):
+        # JSON integers have no size limit, so ``json.load`` reads this one
+        # as a Python int that ``float`` cannot convert.
+        doc = json.loads(json.dumps(minimal_doc()))
+        section = doc
+        *parents, key = path.split(".")
+        for name in parents:
+            section = section[name]
+        section[key] = 10**400
+        assert [p for p, _ in validate_scenario_dict(doc)] == [path]
+
     @pytest.mark.parametrize(
         "key, value",
         [
