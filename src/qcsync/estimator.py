@@ -700,31 +700,32 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     # Blocks of rows holding about eight kernel slices of bins (262 epochs
     # of the default 1000 bins).  A pair counts only when both its records
     # lie in one epoch, so the records inside a block's edges give that
-    # block's rows exactly, and each block's peaks are taken before the
-    # next block is counted: the count matrices and the temporaries of
-    # ``_peaks`` stay bounded however many epochs there are.
+    # block's rows exactly, and each block's peaks are taken as soon as it
+    # is counted, with at most ``_WORKERS`` blocks in flight: the count
+    # matrices and the temporaries of ``_peaks`` stay bounded however many
+    # epochs there are.
     rows = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
+    n_blocks = -(-n_epochs // rows)
 
-    def path_peaks(i):
-        det, center = paths[i]
+    def block_peaks(task):
+        """Path ``task // n_blocks``'s peaks in row block ``task % n_blocks``."""
+        path, block = divmod(task, n_blocks)
+        det, center = paths[path]
         far = stream.times[det]
-        blocks = []
-        for lo in range(0, n_epochs, rows):
-            block_edges = edges[lo : lo + rows + 1]
-            ends = block_edges[[0, -1]]
-            a = idler[slice(*np.searchsorted(idler, ends))]
-            b = far[slice(*np.searchsorted(far, ends))]
-            counts, accidentals = _histograms(a, b, block_edges, bw, center, hw)
-            blocks.append(_peaks(counts, accidentals, bw, center, hw))
-            # Dropped before the next block's counts are made.
-            del counts
-        return _PeakArrays(*map(np.concatenate, zip(*blocks)))
+        block_edges = edges[block * rows : (block + 1) * rows + 1]
+        ends = block_edges[[0, -1]]
+        a = idler[slice(*np.searchsorted(idler, ends))]
+        b = far[slice(*np.searchsorted(far, ends))]
+        counts, accidentals = _histograms(a, b, block_edges, bw, center, hw)
+        return path, _peaks(counts, accidentals, bw, center, hw)
 
-    # The forward and loopback kernels share no state, so running them at
-    # once changes no result.
-    results = []
-    _pipeline(path_peaks, len(paths), results.append)
-    fwd, loop = results
+    # Blocks share no state, so running several at once changes no result.
+    # Both paths' blocks are one task list, consumed in order, so the
+    # workers run blocks of one path side by side: none idles while the
+    # forward path, with twice the loopback's records, finishes.
+    blocks = ([], [])
+    _pipeline(block_peaks, len(paths) * n_blocks, lambda done: blocks[done[0]].append(done[1]))
+    fwd, loop = (_PeakArrays(*map(np.concatenate, zip(*path))) for path in blocks)
     usable = (fwd.code == _PEAK) & (loop.code == _PEAK)
     if not usable.any():
         raise EmptySeriesError("no epoch produced a usable clock-difference sample")

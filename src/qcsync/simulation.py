@@ -28,20 +28,20 @@ sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
 Memory: what grows with the run is the emission times (8 B per pair) and
-the SignalB and ReturnA records (8 B per record), about 10.4 B per pair at
-the default 0.3 signal records per pair; every other array is bounded by
-``_PAIR_CHUNK``.  Pairs are generated in blocks and propagated in chunks of
-about that many, two chunks in flight at once, and each chunk's times are
-written straight into one buffer per detector.  A campaign's IdlerA buffer
-is its consumed emission times: a pair gives at most one idler, so the
-idlers of the chunks consumed so far fit in those chunks' slots, ahead of
-every chunk still in flight.  Each buffer is sorted in place once, with
-numpy's stable sort (a timsort), which merges only where chunks overlap in
-time (a jitter or delay step wider than the gap across a chunk edge), so
-its merge buffer holds only overlapping records.  The dead time is applied
-in those buffers in slices of that length, each filtered behind the last
-record kept before it, and the stream check reads them in windows of the
-same length.
+the records (8 B each); every other array is bounded by ``_PAIR_CHUNK``.
+Pairs are generated in blocks and propagated in chunks of about that many,
+two chunks in flight at once, and each chunk's times are written straight
+into one buffer per detector.  The emission times lie in an anonymous
+mapping of their own, whose pages propagation hands back to the operating
+system as it consumes them, so a campaign holds 8 B per pair after
+generation and ~8.8 B per pair of records at the end (0.8 idlers and 0.3
+signal records per pair by default), never both in full.  Each buffer
+is sorted in place once, with numpy's stable sort (a timsort), which
+merges only where chunks overlap in time (a jitter or delay step wider
+than the gap across a chunk edge), so its merge buffer holds only
+overlapping records.  The dead time is applied in those buffers in slices
+of ``_PAIR_CHUNK`` records, each filtered behind the last record kept
+before it, and the stream check reads them in windows of the same length.
 
 All randomness flows from a single integer seed.  Each block of the pair
 generator and each propagation chunk draws from its own generator, seeded
@@ -55,7 +55,9 @@ from __future__ import annotations
 
 import bisect
 import collections
+import contextlib
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
@@ -326,13 +328,48 @@ def is_sorted(values):
     return True
 
 
+class _EmissionTimes(mmap.mmap):
+    """The anonymous private mapping that holds ``generate_pairs``' emission
+    times, handed back to the operating system page by page as
+    ``propagate_and_detect`` consumes them."""
+
+    released = 0
+
+    def release_below(self, offset):
+        """Hand back every whole page below byte ``offset``; they read zero
+        from then on."""
+        offset = min(offset, len(self))
+        end = offset - offset % mmap.PAGESIZE
+        if end > self.released:
+            self.madvise(mmap.MADV_DONTNEED, self.released, end - self.released)
+            self.released = end
+
+
+def _emission_buffer(n):
+    """An uninitialised float64 array of ``n`` emission times: an
+    ``_EmissionTimes`` mapping where the platform has private mappings and
+    ``madvise`` (not Windows), else ``np.empty``."""
+    if not (n and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_DONTNEED")):
+        return np.empty(n)
+    mapping = _EmissionTimes(-1, 8 * n, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # As numpy asks for its own large arrays: fewer page faults and TLB
+        # misses.  A release splits a huge page and frees its small pages.
+        # A kernel without transparent huge pages refuses the hint.
+        with contextlib.suppress(OSError):
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray(n, np.float64, buffer=mapping)
+
+
 def generate_pairs(source, duration_s, seed):
     """Emission times of a Poisson pair source over ``[0, duration_s)``.
 
     Returns the sorted 1-D float array of pair emission times, ps, in
     Alice's timebase; both photons of a pair leave at that time (the
     correlation jitter is drawn by ``propagate_and_detect``).
-    Deterministic for a fixed integer seed.
+    Deterministic for a fixed integer seed.  The array lies in a mapping
+    of its own, which ``propagate_and_detect`` hands back to the operating
+    system as it consumes it: pass it a copy to keep the emission times.
 
     The run is cut into blocks of ``_PAIR_CHUNK / pair_rate_hz`` seconds
     (the last one shorter).  The generator of ``seed`` draws every block's
@@ -352,7 +389,7 @@ def generate_pairs(source, duration_s, seed):
     edges[-1] = end_ps
     counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate * 1e-12))
     starts = np.concatenate(([0], np.cumsum(counts)))
-    t = np.empty(int(starts[-1]))
+    t = _emission_buffer(int(starts[-1]))
 
     def fill(i):
         block = t[starts[i] : starts[i + 1]]
@@ -436,11 +473,9 @@ class _DetectorRecords:
     """One detector's timestamps, assembled in place chunk by chunk.
 
     Each chunk's times, negative ones dropped, are copied as they come into
-    the int64 ``buffer``.  A buffer that owns its memory is resized in place
+    the int64 ``buffer``, which owns its memory.  It is resized in place
     when it fills up, which lets the allocator remap a large block rather
-    than copy it (glibc does), and is trimmed once by ``finish``.  A
-    borrowed buffer (a view into another array) is never resized: filling
-    it up fails closed, and ``finish`` returns a view of its records.
+    than copy it (glibc does), and is trimmed once by ``finish``.
     ``finish`` sorts the records once and applies the dead time in place.
     The sort is stable, a timsort for int64: in-order chunks with jitter
     below the record spacing leave long ascending runs, which it finds and
@@ -459,23 +494,17 @@ class _DetectorRecords:
         held = self.size
         end = held + times.size
         if end > self.times.size:
-            if not self.times.flags.owndata:
-                raise ContractViolation(
-                    f"a borrowed buffer of {self.times.size} records cannot hold {end}"
-                )
             self.times.resize(end, refcheck=False)
         self.times[held:end] = times
         self.size = end
 
     def finish(self, dead_time_ps):
-        """The times sorted, with the dead time applied in place: the owned
-        buffer trimmed once, or a view of the borrowed one."""
+        """The times sorted, with the dead time applied in place, in the
+        buffer trimmed once."""
         n = self.size
         self.times[:n].sort(kind="stable")
         if dead_time_ps > 0:
             n = self._filter_dead_time(n, math.ceil(dead_time_ps))
-        if not self.times.flags.owndata:
-            return self.times[:n]
         self.times.resize(n, refcheck=False)
         return self.times
 
@@ -525,11 +554,13 @@ def chain_model(source, channel, detectors, tdc, clocks):
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
     """Propagate pair emissions through the attacked link and detect.
 
-    ``pairs`` is consumed, as numpy's ``overwrite_input`` would: it becomes
-    IdlerA's buffer, each consumed chunk's emission times overwritten by
-    idler records, and the stream's IdlerA array is a view of it.  Input
-    that is not a writeable, contiguous float64 array is copied first and
-    left unchanged; pass a copy to keep the emission times.
+    ``pairs`` is only read, and input that is not a contiguous float64
+    array is read through a copy.  The array ``generate_pairs`` returns is
+    the exception: each whole page of its mapping below the chunks still
+    in flight is handed back to the operating system once its chunk is
+    assembled, and reads 0.0 from then on: propagating it again raises
+    ContractViolation.  Every detector's records go into a buffer of their
+    own.
 
     Parameters
     ----------
@@ -546,7 +577,7 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     Returns a TimestampStream.  Records with negative local timestamps
     (possible for detections jittered before the clock origin) are dropped.
     """
-    pairs = np.require(pairs, np.float64, ["C", "W"])
+    pairs = np.require(pairs, np.float64, ["C"])
     if pairs.ndim != 1:
         raise ConfigurationError("pairs must be a 1-D array of emission times")
     if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
@@ -560,14 +591,15 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     def buffer(prob):
         return np.empty(_expected_capacity(pairs.size, prob), np.int64)
 
-    # Chunk j's idlers land in the first (j + 1) * _PAIR_CHUNK slots of
-    # ``pairs`` as it is consumed, and the chunks still in flight read only
-    # from there on: a pair gives at most one idler.
     records = {
-        DetectorId.IDLER_A: _DetectorRecords(pairs.view(np.int64)),
+        DetectorId.IDLER_A: _DetectorRecords(buffer(eff)),
         DetectorId.SIGNAL_B: _DetectorRecords(buffer(p_bob)),
         DetectorId.RETURN_A: _DetectorRecords(buffer(p_signal - p_bob)),
     }
+    mapping = pairs.base if isinstance(pairs.base, _EmissionTimes) else None
+    if mapping is not None and mapping.released:
+        raise ContractViolation("these emission times were handed back by an earlier propagation")
+    assembled = 0
 
     def detect(chunk):
         """Chunk ``chunk``'s int64 times per detector, from its own generator
@@ -627,8 +659,13 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         return idler, bob, _quantize(ret, tdc.resolution_ps)
 
     def assemble(readings):
+        nonlocal assembled
         for det, t in zip(DetectorId, readings):
             records[det].append(t)
+        assembled += 1
+        if mapping is not None:
+            # The chunks still in flight read only from here on.
+            mapping.release_below(assembled * _PAIR_CHUNK * pairs.itemsize)
 
     _pipeline(detect, (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK, assemble)
 
@@ -644,9 +681,9 @@ def run_round_trip_sim(scenario: "AttackScenario"):
     """End-to-end simulation of one scenario: pairs, attack, detection.
 
     Composes generate_pairs, the coordination rule and propagate_and_detect,
-    which assembles IdlerA in the emission times it consumes; the returned
-    stream carries the scenario seed, config hash and nominal fiber delay as
-    metadata.
+    which hands the emission times back to the operating system as it
+    consumes them; the returned stream carries the scenario seed, config
+    hash and nominal fiber delay as metadata.
     """
     run = scenario.run
     gen_seed, prop_seed = (

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcsync import simulation
 from qcsync.estimator import ClockDifferencePoint, ClockDifferenceSeries
 from qcsync.scenario import builtin_scenario
 
@@ -46,21 +45,6 @@ def gap_doc(duration_s, spike_width_s, start_s=60.0, pair_rate_hz=1000.0):
     doc["m_events"] = [dict(spike, start_s=start_s, width_s=spike_width_s)]
     del doc["detection"]
     return doc
-
-
-def recorded_pairs(monkeypatch):
-    """The list that every later ``simulation.generate_pairs`` call appends
-    the emission times it returns to."""
-    made = []
-    generate = simulation.generate_pairs
-
-    def recording(*args):
-        pairs = generate(*args)
-        made.append(pairs)
-        return pairs
-
-    monkeypatch.setattr(simulation, "generate_pairs", recording)
-    return made
 
 
 def traced_peak(func, *args):

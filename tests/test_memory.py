@@ -2,13 +2,14 @@
 
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts the bytes the program asked for, not what the allocator or the
-kernel made of them.  The emission times, which IdlerA's records are
-written into, and the SignalB and ReturnA records grow with the run, and
-the estimator's series grows with its epochs; everything else must stay
-within a multiple of the simulation's chunk or the histogram kernel's
-slice, which both tests shrink so that a single full-length temporary of a
-1 M-pair run would exceed the bound many times.  The estimator's count
-matrices never outgrow one block of epochs.
+kernel made of them.  The emission times lie in a mapping of their own,
+which ``tracemalloc`` does not see (``test_simulation.py`` checks that it
+is handed back as it is consumed).  The three detectors' records grow with
+the run, and the estimator's series grows with its epochs; everything else
+must stay within a multiple of the simulation's chunk or the histogram
+kernel's slice, which both tests shrink so that a single full-length
+temporary of a 1 M-pair run would exceed the bound many times.  The
+estimator's count matrices never outgrow one block of epochs.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from qcsync.runner import load_scenario
 from qcsync.scenario import builtin_scenario
 from qcsync.simulation import DetectorId
 
-from conftest import recorded_pairs, traced_peak
+from conftest import traced_peak
 
 CHUNK = 10_000
 CHUNK_BYTES = 8 * CHUNK
@@ -35,22 +36,10 @@ def million_pair_scenario():
     return load_scenario(doc)
 
 
-def held_bytes(*arrays):
-    """Bytes of the buffers behind ``arrays``, each buffer counted once
-    however many of the arrays view it."""
-    buffers = {}
-    for a in arrays:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        buffers[id(a)] = a.nbytes
-    return sum(buffers.values())
-
-
 def simulation_peak(monkeypatch, **detectors):
-    """A million-pair simulation's traced peak, and the bytes of its emission
-    times and its SignalB and ReturnA records, with the ``detectors`` fields
-    changed.  IdlerA's records live in the emission times' buffer, so they
-    are not counted again."""
+    """A million-pair simulation's traced peak, and the bytes of the three
+    detectors' records it returns, with the ``detectors`` fields changed.
+    The emission times' mapping is not traced, so it is in neither."""
     monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
     scenario = million_pair_scenario()
     scenario = dataclasses.replace(
@@ -62,25 +51,20 @@ def simulation_peak(monkeypatch, **detectors):
     # so it runs on the thread pool as the measured run does.
     short = dataclasses.replace(scenario.run, duration_s=0.25)
     simulation.run_round_trip_sim(dataclasses.replace(scenario, run=short))
-    made = recorded_pairs(monkeypatch)
     stream, peak = traced_peak(simulation.run_round_trip_sim, scenario)
-    (pairs,) = made
-    assert pairs.nbytes >= 8 * 1_000_000
-    signals = (stream.times[DetectorId.SIGNAL_B], stream.times[DetectorId.RETURN_A])
-    return peak, held_bytes(pairs, *signals)
+    return peak, sum(t.nbytes for t in stream.times)
 
 
 def simulation_excess(monkeypatch, **detectors):
-    """How far a million-pair simulation's traced peak exceeds its emission
-    times and its signal records, in bytes, with the ``detectors`` fields
-    changed."""
+    """How far a million-pair simulation's traced peak exceeds the records
+    it returns, in bytes, with the ``detectors`` fields changed."""
     peak, grown = simulation_peak(monkeypatch, **detectors)
     return peak - grown
 
 
 # The buffers' slack and the temporaries of the two chunks in flight come
-# to about 7 chunk-sizes, with or without dead time; an IdlerA buffer of
-# its own, or one full-length copy of the IdlerA times, is 80.
+# to about 7 chunk-sizes, with or without dead time; one full-length copy of
+# the IdlerA times is 80, and emission times in a traced buffer are 100.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import sys
 import threading
 
@@ -40,7 +41,6 @@ from qcsync.simulation import (
     run_round_trip_sim,
 )
 
-from conftest import recorded_pairs
 
 NOISELESS_SOURCE = SourceConfig(intrinsic_correlation_jitter_ps=0.0)
 NOISELESS_DETECTOR = DetectorConfig(efficiency=1.0, jitter_sigma_ps=0.0, dead_time_ps=0.0)
@@ -741,36 +741,26 @@ class TestScheduling:
             estimator.per_epoch_series(stream, 0.1, config)
 
 
-def own_idler_buffer(monkeypatch):
-    """From now on IdlerA is assembled in a buffer of its own, the size of
-    the emission times it would otherwise be written into."""
-
-    class OwnBuffer(simulation._DetectorRecords):
-        def __init__(self, buffer):
-            super().__init__(buffer if buffer.flags.owndata else np.empty_like(buffer))
-
-    monkeypatch.setattr(simulation, "_DetectorRecords", OwnBuffer)
-
-
 class TestIdlerInPairs:
-    """IdlerA assembled in the consumed emission times is the IdlerA that a
-    buffer of its own gives, and input that cannot hold it is copied."""
+    """IdlerA has a buffer of its own, not the emission times': the stream is
+    the same whether ``generate_pairs``' mapping is handed back as it is
+    consumed or the caller's own array is read, which is left unchanged."""
 
     RATE_HZ = 1e5  # 10 us pair spacing
 
     @classmethod
-    def pairs(cls):
-        return generate_pairs(SourceConfig(pair_rate_hz=cls.RATE_HZ), 0.02, 41)
+    def pairs(cls, duration_s=0.02):
+        return generate_pairs(SourceConfig(pair_rate_hz=cls.RATE_HZ), duration_s, 41)
 
     @classmethod
-    def stream(cls, pairs, offset_ps=-9900.0, **detector):
-        # Every pair gives an idler, so the idlers written so far reach the
-        # end of the last consumed chunk.
+    def stream(cls, pairs, offset_ps=-9900.0, duration_s=0.02, **detector):
+        # Every pair gives an idler, so IdlerA is as long as the emission
+        # times, less what the cases drop.
         detector = DetectorConfig(efficiency=1.0, **detector)
         return propagate_and_detect(
             pairs, SourceConfig(pair_rate_hz=cls.RATE_HZ), ChannelConfig(),
             DelayTrajectory(), DelayTrajectory(), detector, TdcConfig(),
-            ClockConfig(offset_ps=offset_ps), 42, duration_s=0.02,
+            ClockConfig(offset_ps=offset_ps), 42, duration_s=duration_s,
         )
 
     @staticmethod
@@ -791,37 +781,82 @@ class TestIdlerInPairs:
     @pytest.mark.parametrize("chunk", [3, 7])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_streams_match_own_buffer(self, monkeypatch, case, chunk, workers):
+        # The released mapping against the caller's own copy of it.
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
         monkeypatch.setattr(simulation, "_WORKERS", workers)
         pairs = self.pairs()
+        want = self.stream(pairs.copy(), **self.CASES[case])
         got = self.stream(pairs, **self.CASES[case])
-        assert np.shares_memory(got.times[DetectorId.IDLER_A], pairs)
-        own_idler_buffer(monkeypatch)
-        want = self.stream(self.pairs(), **self.CASES[case])
+        assert not pairs[: pairs.nbytes // mmap.PAGESIZE * mmap.PAGESIZE // 8].any()
         assert pairs.size - want.times[DetectorId.IDLER_A].size > 0
         self.assert_same(want, got)
 
     def test_four_wide_with_fast_switching(self, monkeypatch):
-        # More threads than cores, switching every microsecond: an idler
-        # written over an emission time that a chunk in flight has yet to
-        # read would show.
+        # More threads than cores, switching every microsecond: a page
+        # handed back under a chunk still in flight would show.
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 7)
+        pairs = self.pairs()
+        want = self.stream(pairs.copy(), **self.CASES["dead-time"])
         monkeypatch.setattr(simulation, "_WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = self.stream(self.pairs(), **self.CASES["dead-time"])
+            got = self.stream(pairs, **self.CASES["dead-time"])
         finally:
             sys.setswitchinterval(interval)
-        own_idler_buffer(monkeypatch)
-        self.assert_same(self.stream(self.pairs(), **self.CASES["dead-time"]), got)
+        self.assert_same(want, got)
 
-    @pytest.mark.parametrize("kind", ["read-only", "float32", "strided"])
-    def test_unsuitable_pairs_are_copied(self, kind):
+    @pytest.mark.parametrize("kind", ["writeable", "read-only"])
+    def test_caller_pairs_are_left_unchanged(self, kind):
+        pairs = np.array(self.pairs())
+        pairs.flags.writeable = kind == "writeable"
+        kept = pairs.copy()
+        got = self.stream(pairs)
+        assert pairs.tobytes() == kept.tobytes()
+        self.assert_same(self.stream(self.pairs()), got)
+
+    def test_consumed_emission_times_are_released(self, monkeypatch):
+        # 20 000 pairs (160 kB) in chunks of 997: each assembled chunk hands
+        # back the whole pages below it, while later chunks are still to run.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        marks = []
+        release_below = simulation._EmissionTimes.release_below
+
+        def recording(mapping, offset):
+            release_below(mapping, offset)
+            marks.append(mapping.released)
+
+        monkeypatch.setattr(simulation._EmissionTimes, "release_below", recording)
+        pairs = self.pairs(0.2)
+        kept = pairs.copy()
+        self.stream(pairs, duration_s=0.2)
+        chunks = -(-pairs.size // 997)
+        assert len(marks) == chunks and marks == sorted(marks)
+        assert 0 < marks[chunks // 2] < marks[-1]
+        whole = pairs.nbytes // mmap.PAGESIZE * mmap.PAGESIZE // 8
+        assert marks[-1] == 8 * whole
+        assert not pairs[:whole].any()
+        assert pairs[whole:].tobytes() == kept[whole:].tobytes()
+        with pytest.raises(ContractViolation, match="handed back by an earlier propagation"):
+            self.stream(pairs, duration_s=0.2)
+
+    def test_without_private_mappings_nothing_is_released(self, monkeypatch):
         pairs = self.pairs()
-        if kind == "read-only":
-            pairs.flags.writeable = False
-        elif kind == "float32":
+        want = self.stream(pairs, **self.CASES["dead-time"])
+        monkeypatch.delattr(mmap, "MAP_PRIVATE")
+        pairs = self.pairs()
+        assert pairs.flags.owndata
+        kept = pairs.copy()
+        got = self.stream(pairs, **self.CASES["dead-time"])
+        assert pairs.tobytes() == kept.tobytes()
+        self.assert_same(want, got)
+
+    @pytest.mark.parametrize("kind", ["float32", "strided"])
+    def test_unsuitable_pairs_are_copied(self, kind):
+        # Read through a contiguous float64 copy; read-only input needs none
+        # (test_caller_pairs_are_left_unchanged).
+        pairs = self.pairs()
+        if kind == "float32":
             pairs = pairs.astype(np.float32)
         else:
             pairs = np.repeat(pairs, 2)[::2]
@@ -829,28 +864,7 @@ class TestIdlerInPairs:
         kept = held.copy()
         got = self.stream(pairs)
         assert held.tobytes() == kept.tobytes()
-        assert not np.shares_memory(got.times[DetectorId.IDLER_A], held)
         self.assert_same(self.stream(np.array(pairs, np.float64)), got)
-
-    def test_round_trip_idler_lives_in_emission_times(self, monkeypatch):
-        made = recorded_pairs(monkeypatch)
-        doc = builtin_scenario("baseline")
-        doc["run"]["duration_s"] = 2.0
-        stream = run_round_trip_sim(load_scenario(doc))
-        (pairs,) = made
-        idler = stream.times[DetectorId.IDLER_A]
-        assert idler.size > 0.7 * pairs.size
-        assert np.shares_memory(idler, pairs)
-
-    def test_borrowed_buffer_fails_closed_instead_of_growing(self):
-        buffer = np.zeros(4).view(np.int64)
-        records = simulation._DetectorRecords(buffer)
-        records.append(np.array([30, -1, 10, 20], np.int64))
-        with pytest.raises(ContractViolation, match="cannot hold 5"):
-            records.append(np.array([40, 50], np.int64))
-        kept = records.finish(0.0)
-        np.testing.assert_array_equal(kept, [10, 20, 30])
-        assert np.shares_memory(kept, buffer) and buffer.size == 4
 
     def test_owned_buffer_grows_and_is_trimmed(self):
         records = simulation._DetectorRecords(np.empty(1, np.int64))
