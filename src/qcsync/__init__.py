@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .attacks import (
     AttackEvent,
@@ -86,4 +86,3 @@ from .simulation import (
     run_round_trip_sim,
 )
 from .stability import TdevCurve, TdevPoint, default_m_grid, estimate_step_shift, tdev
-from .streamio import read_stream, read_stream_csv, write_stream, write_stream_csv

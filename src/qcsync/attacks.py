@@ -88,6 +88,16 @@ class CoordinationMode(str, Enum):
     PROPORTIONAL = "proportional"
 
 
+def enum_member(enum, value, name):
+    """``enum(value)``, an unknown value refused with a ConfigurationError
+    whose message starts with the field ``name``."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = sorted(m.value for m in enum)
+        raise ConfigurationError(f"{name} must be one of {choices}: {value!r}") from None
+
+
 # --------------------------------------------------------------------------
 # Gradual ramp shapes ``shape(u, basis_s)`` of elapsed time ``u`` (array,
 # seconds).  Every shape satisfies f(0) = 0 so the onset step is controlled
@@ -200,7 +210,7 @@ class AttackEvent:
     reverse_after_end: bool = False
 
     def __post_init__(self):
-        pattern = AttackPattern(self.pattern)
+        pattern = enum_member(AttackPattern, self.pattern, "pattern")
         object.__setattr__(self, "pattern", pattern)
         if not math.isfinite(self.amplitude_ps):
             raise ConfigurationError("amplitude_ps must be finite")
@@ -266,7 +276,7 @@ class CoordinationRule:
     n: Optional[float] = None
 
     def __post_init__(self):
-        mode = CoordinationMode(self.mode)
+        mode = enum_member(CoordinationMode, self.mode, "mode")
         object.__setattr__(self, "mode", mode)
         if mode is CoordinationMode.PROPORTIONAL:
             if self.n is None:
@@ -369,10 +379,7 @@ def tampered_clock_difference(delta_t_ps, m_ps, n_ps, scheme):
     pair of ``scheme``, a ``SchemeKind`` or its value string.  Accepts
     scalars or arrays.
     """
-    try:
-        scheme = SchemeKind(scheme)
-    except ValueError:
-        raise ConfigurationError(f"unknown scheme kind: {scheme!r}") from None
+    scheme = enum_member(SchemeKind, scheme, "scheme")
     delta_t = np.asarray(delta_t_ps, dtype=float)
     m = np.asarray(m_ps, dtype=float)
     n = np.asarray(n_ps, dtype=float)

@@ -153,9 +153,7 @@ def _cmd_tdev(args):
             p = curve.nearest(target)
             print(f"tau {target:g} s -> nearest m={p.m} (tau {p.tau_s:g} s): {p.tdev_ps:.4f} ps")
     elif args.out is None:
-        print("tau_s,tdev_ps,m,n_terms")
-        for p in curve.points:
-            print(f"{p.tau_s!r},{p.tdev_ps!r},{p.m},{p.n_terms}")
+        sys.stdout.writelines(curve.csv_lines())
     return 0
 
 

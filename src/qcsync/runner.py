@@ -100,7 +100,7 @@ def _apply_overrides(scenario, seed=None, mode=None, epoch_s=None):
     if run is not scenario.run:
         scenario = dataclasses.replace(scenario, run=run)
     if mode is not None:
-        scenario = dataclasses.replace(scenario, mode=RunMode(mode))
+        scenario = dataclasses.replace(scenario, mode=mode)
     return scenario
 
 

@@ -54,6 +54,7 @@ from .attacks import (
     DelayTrajectory,
     SchemeKind,
     derive_n_from_m,
+    enum_member,
 )
 from .detection import CusumConfig, ThresholdConfig
 from .errors import ConfigurationError, SchemaError
@@ -137,6 +138,8 @@ class AttackScenario:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        self.scheme = enum_member(SchemeKind, self.scheme, "scheme")
+        self.mode = enum_member(RunMode, self.mode, "mode")
         # Cross-field rules, all reported together with their field paths.
         rules = (
             (

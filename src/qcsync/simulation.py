@@ -240,7 +240,6 @@ DETECTOR_NAMES = {
     DetectorId.SIGNAL_B: "SignalB",
     DetectorId.RETURN_A: "ReturnA",
 }
-DETECTOR_IDS_BY_NAME = {v: k for k, v in DETECTOR_NAMES.items()}
 
 
 @dataclass
@@ -250,14 +249,11 @@ class TimestampStream:
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
     ps) in ascending order: all a time tagger would record.  Times that
     are not exact int64 integers are refused, never converted.  ``duration_s``
-    is finite and >= 0; ``seed`` is an integer >= 0; ``config_hash`` is None
-    or a string; ``nominal_one_way_delay_ps`` is None or finite and > 0.
+    is finite and >= 0; ``nominal_one_way_delay_ps`` is None or finite and > 0.
     """
 
     times: Tuple[np.ndarray, ...]
     duration_s: float
-    seed: int
-    config_hash: Optional[str] = None
     nominal_one_way_delay_ps: Optional[float] = None
 
     def __post_init__(self):
@@ -268,11 +264,6 @@ class TimestampStream:
             raise ConfigurationError(
                 f"nominal_one_way_delay_ps must be None or finite and > 0: {nominal!r}"
             )
-        seed = self.seed
-        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-            raise ConfigurationError(f"seed must be an integer >= 0: {seed!r}")
-        if not (self.config_hash is None or isinstance(self.config_hash, str)):
-            raise ConfigurationError(f"config_hash must be None or a string: {self.config_hash!r}")
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         names = DETECTOR_NAMES.values()
@@ -672,7 +663,6 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     return TimestampStream(
         times=[records.pop(det).finish(detectors.dead_time_ps) for det in DetectorId],
         duration_s=float(duration_s),
-        seed=int(seed),
         nominal_one_way_delay_ps=L,
     )
 
@@ -682,15 +672,15 @@ def run_round_trip_sim(scenario: "AttackScenario"):
 
     Composes generate_pairs, the coordination rule and propagate_and_detect,
     which hands the emission times back to the operating system as it
-    consumes them; the returned stream carries the scenario seed, config
-    hash and nominal fiber delay as metadata.
+    consumes them; the returned stream carries the run duration and the
+    nominal fiber delay.
     """
     run = scenario.run
     gen_seed, prop_seed = (
         int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, dtype=np.uint64)
     )
     pairs = generate_pairs(scenario.source, run.duration_s, gen_seed)
-    stream = propagate_and_detect(
+    return propagate_and_detect(
         pairs,
         scenario.source,
         scenario.channel,
@@ -702,6 +692,3 @@ def run_round_trip_sim(scenario: "AttackScenario"):
         prop_seed,
         run.duration_s,
     )
-    stream.seed = run.seed
-    stream.config_hash = scenario.config_hash()
-    return stream

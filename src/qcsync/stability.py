@@ -62,11 +62,15 @@ class TdevCurve:
         idx = int(np.argmin(np.abs(self.taus() - tau_s)))
         return self.points[idx]
 
+    def csv_lines(self):
+        """The ``tdev.csv`` lines, header first, each ending in a newline."""
+        yield "tau_s,tdev_ps,m,n_terms\n"
+        for p in self.points:
+            yield f"{p.tau_s!r},{p.tdev_ps!r},{p.m},{p.n_terms}\n"
+
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("tau_s,tdev_ps,m,n_terms\n")
-            for p in self.points:
-                fh.write(f"{p.tau_s!r},{p.tdev_ps!r},{p.m},{p.n_terms}\n")
+            fh.writelines(self.csv_lines())
 
 
 def default_m_grid(n):

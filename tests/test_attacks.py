@@ -280,7 +280,7 @@ class TestScheme:
         assert (kind.alpha, kind.beta) == expected
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError, match="unknown scheme kind"):
+        with pytest.raises(ConfigurationError, match="^scheme must be one of .*'telepathy'"):
             tampered_clock_difference(0.0, 0.0, 0.0, "telepathy")
 
     def test_value_string_accepted(self):

@@ -109,6 +109,15 @@ class TestTdevAndDetect:
         assert lines[0] == "tau_s,tdev_ps,m,n_terms"
         assert len(lines) > 3
 
+    def test_tdev_printed_equals_written(self, analytic_scenario_file, tmp_path, capsysbinary):
+        out = tmp_path / "out"
+        main(["run", str(analytic_scenario_file), "--out-dir", str(out)])
+        curve_path = tmp_path / "curve.csv"
+        assert main(["tdev", str(out / "series.csv"), "--out", str(curve_path)]) == 0
+        capsysbinary.readouterr()
+        assert main(["tdev", str(out / "series.csv")]) == 0
+        assert capsysbinary.readouterr().out == curve_path.read_bytes()
+
     def test_tdev_nearest_tau_report(self, analytic_scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", str(analytic_scenario_file), "--out-dir", str(out)])

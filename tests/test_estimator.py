@@ -203,7 +203,6 @@ def straddle_stream():
     stream = TimestampStream(
         times=times,
         duration_s=3.0,
-        seed=0,
         nominal_one_way_delay_ps=float(delay),
     )
     return stream, EstimatorConfig(forward_center_ps=delay, loopback_center_ps=2 * delay)
@@ -298,7 +297,6 @@ def third_second_stream():
     stream = TimestampStream(
         times=times,
         duration_s=3.0,
-        seed=0,
         nominal_one_way_delay_ps=float(delay),
     )
     return stream, EstimatorConfig(forward_center_ps=delay, loopback_center_ps=2 * delay)
@@ -832,7 +830,6 @@ class TestCoarseAcquire:
         stream = TimestampStream(
             times=[np.empty(0, np.int64)] * 3,
             duration_s=10.0,
-            seed=0,
             nominal_one_way_delay_ps=49e6,
         )
         with pytest.raises(AcquisitionError):
@@ -913,7 +910,6 @@ class TestPerEpochSeries:
         stream = TimestampStream(
             times=[idler, idler + delay, idler + 2 * delay],
             duration_s=3.0,
-            seed=0,
             nominal_one_way_delay_ps=float(delay),
         )
         cfg = EstimatorConfig(

@@ -1,13 +1,15 @@
 """Campaign runner: modes, overrides, failure paths, bundle layout."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from qcsync.attacks import AttackEvent, CoordinationRule
 from qcsync.cli import main
 from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError
-from qcsync.runner import reproduce, run_scenario
+from qcsync.runner import load_scenario, reproduce, run_scenario
 from qcsync.scenario import builtin_scenario
 
 from conftest import gap_doc
@@ -110,6 +112,22 @@ class TestAnalyticMode:
         # Refused as given, never rounded or parsed: 2.9 is not seed 2.
         with pytest.raises(ConfigurationError, match=next(iter(override))):
             run_scenario(analytic_doc(), **override)
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("mode", lambda: run_scenario(analytic_doc(), mode="bogus")),
+            ("pattern", lambda: AttackEvent(pattern="bogus", amplitude_ps=1.0, start_s=0.0)),
+            ("mode", lambda: CoordinationRule(mode="bogus")),
+            ("scheme", lambda: dataclasses.replace(load_scenario("baseline"), scheme="bogus")),
+        ],
+        ids=["run-mode", "event-pattern", "coordination-mode", "scenario-scheme"],
+    )
+    def test_unknown_enum_value_refused(self, field, build):
+        # The message starts with the field, so a scenario document's error
+        # lands on that field's path.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be one of .*'bogus'"):
+            build()
 
     def test_two_way_scheme_symmetric_attack_cancels(self):
         # Identical delays on both directions preserve reciprocity in the
