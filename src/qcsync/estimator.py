@@ -321,11 +321,11 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
     accidentals per bin that each epoch's singles predict; ``edges`` may be
     any ascending grid.  A pair counts only in the epoch holding both of its
-    records, found among the edges by a search for its ``b`` record; a
-    ``bincount`` over ``epoch * nbins + bin`` adds each piece of pairs into
-    all epochs' counts.  No bin can exceed the pairs counted, so a running
-    total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a
-    count wraps.
+    records, found among the edges by a search for its ``b`` record;
+    ``np.add.at`` over ``epoch * nbins + bin`` adds each piece of pairs
+    straight into all epochs' counts.  No bin can exceed the pairs counted,
+    so a running total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation
+    before a count wraps.
     """
     nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
@@ -366,14 +366,13 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
         np.clip(cells, 0, nbins - 1, out=cells)
-        # The piece's epochs never decrease and span a few epochs: count only
-        # that stretch, and drop its counts before the next piece's are made.
-        offset = int(epoch[0]) * nbins
-        cells += epoch * nbins - offset
-        piece_counts = np.bincount(cells)
+        epoch *= nbins
+        cells += epoch
+        del epoch
+        # A one of the counts' own dtype keeps numpy on its fast path, which
+        # casts nothing; the piece makes no counts of its own.
+        np.add.at(counts, cells, np.int32(1))
         del cells
-        counts[offset : offset + piece_counts.size] += piece_counts
-        del piece_counts
     return counts.reshape(n_epochs, nbins), accidentals
 
 
@@ -701,9 +700,11 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     # of the default 1000 bins).  A pair counts only when both its records
     # lie in one epoch, so the records inside a block's edges give that
     # block's rows exactly, and each block's peaks are taken as soon as it
-    # is counted, with at most ``_WORKERS`` blocks in flight: the count
-    # matrices and the temporaries of ``_peaks`` stay bounded however many
-    # epochs there are.
+    # is counted, on the thread that counted it: at most ``_WORKERS`` count
+    # matrices exist at once, and ``_pipeline`` holds at most
+    # ``_WORKERS + 1`` blocks' peaks before it hands them on, so the counts
+    # and the temporaries of ``_peaks`` stay bounded however many epochs
+    # there are.
     rows = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
     n_blocks = -(-n_epochs // rows)
 

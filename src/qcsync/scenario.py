@@ -141,6 +141,9 @@ class AttackScenario:
         self.scheme = enum_member(SchemeKind, self.scheme, "scheme")
         self.mode = enum_member(RunMode, self.mode, "mode")
         # Cross-field rules, all reported together with their field paths.
+        # The epochs are counted as ``per_epoch_series`` counts them.
+        epochs = int(self.run.duration_s / self.run.epoch_s + 1e-9)
+        threshold = self.detection.threshold if self.detection else None
         rules = (
             (
                 self.schema_version != SCHEMA_VERSION,
@@ -156,6 +159,11 @@ class AttackScenario:
                 self.coordination.mode is CoordinationMode.PROPORTIONAL and bool(self.n_events),
                 "n_events",
                 "conflicts with proportional coordination (N is derived from M)",
+            ),
+            (
+                threshold is not None and epochs <= threshold.baseline_window_epochs,
+                "detection.threshold.baseline_window_epochs",
+                f"must be less than the run's {epochs} epochs",
             ),
         )
         issues = [(path, message) for broken, path, message in rules if broken]

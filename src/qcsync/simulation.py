@@ -30,7 +30,7 @@ mid-flight approximation error is far below a femtosecond at these rates.
 Memory: what grows with the run is the emission times (8 B per pair) and
 the records (8 B each); every other array is bounded by ``_PAIR_CHUNK``.
 Pairs are generated in blocks and propagated in chunks of about that many,
-two chunks in flight at once, and each chunk's times are written straight
+two chunks computed while a third is written, each chunk's times straight
 into one buffer per detector.  The emission times lie in an anonymous
 mapping of their own, whose pages propagation hands back to the operating
 system as it consumes them, so a campaign holds 8 B per pair after
@@ -115,9 +115,12 @@ def _pipeline(produce, count, consume):
     order on the calling thread while ``produce`` runs on ``_WORKERS``
     threads.
 
-    Chunk ``i + _WORKERS`` is started only once chunk ``i`` is consumed, so
-    at most ``_WORKERS`` chunks are alive at once.  An exception in
-    ``produce`` is raised here, after the chunks already started finish.
+    Chunk ``i + _WORKERS`` is queued before chunk ``i`` is awaited, so the
+    workers go on computing while the calling thread consumes, and at most
+    ``_WORKERS + 1`` chunks are alive at once: the one being consumed and
+    the ``_WORKERS`` after it.  An exception in ``produce`` or ``consume``
+    cancels the chunks queued but not started and is raised here, after the
+    chunks already started finish.
     """
     if _WORKERS < 2 or count < 2:
         for i in range(count):
@@ -128,12 +131,16 @@ def _pipeline(produce, count, consume):
 
     with ThreadPoolExecutor(_WORKERS) as pool:
         pending = collections.deque()
-        for i in range(count):
-            if len(pending) == _WORKERS:
+        try:
+            for i in range(count):
+                pending.append(pool.submit(produce, i))
+                if len(pending) > _WORKERS:
+                    consume(pending.popleft().result())
+            while pending:
                 consume(pending.popleft().result())
-            pending.append(pool.submit(produce, i))
-        while pending:
-            consume(pending.popleft().result())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 @dataclass(frozen=True)

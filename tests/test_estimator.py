@@ -943,6 +943,7 @@ class TestPerEpochSeries:
         # with the forward centre configured, only the loopback is searched.
         doc = builtin_scenario("baseline")
         doc["run"]["duration_s"] = 20.0
+        del doc["detection"]
         doc["clock"] = {"offset_ps": 1.2e8}
         delay = ChannelConfig().one_way_delay_ps
         doc["estimator"] = {"forward_center_ps": int(delay + 1.2e8)}

@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from qcsync import runner
 from qcsync.attacks import AttackEvent, CoordinationRule
 from qcsync.cli import main
-from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError
+from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError, SchemaError
 from qcsync.runner import load_scenario, reproduce, run_scenario
-from qcsync.scenario import builtin_scenario
+from qcsync.scenario import builtin_scenario, validate_scenario_dict
 
 from conftest import gap_doc
 
@@ -176,6 +177,27 @@ class TestFailurePaths:
         with pytest.raises(AcquisitionError):
             run_scenario(doc)
 
+    def test_run_within_baseline_window_refused_before_simulating(self, monkeypatch):
+        # The threshold monitor needs more epochs than its 60-epoch window:
+        # a shorter run is refused as it is built, not after simulating.
+        def simulate(scenario):
+            raise AssertionError("simulated a run the threshold monitor cannot judge")
+
+        monkeypatch.setattr(runner, "run_round_trip_sim", simulate)
+        window = "detection.threshold.baseline_window_epochs"
+        doc = builtin_scenario("baseline")
+        for duration_s, issues in ((60.0, [window]), (61.0, [])):
+            doc["run"]["duration_s"] = duration_s
+            assert [path for path, _ in validate_scenario_dict(doc)] == issues
+        doc["run"]["duration_s"] = 20.0
+        with pytest.raises(SchemaError) as err:
+            run_scenario(doc)
+        assert err.value.issues == [(window, "must be less than the run's 20 epochs")]
+        # 500 s in 10 s epochs: a run override that leaves 50 epochs.
+        with pytest.raises(SchemaError) as err:
+            run_scenario(builtin_scenario("baseline"), epoch_s=10.0)
+        assert [path for path, _ in err.value.issues] == [window]
+
     def test_cli_exit_codes_for_failures(self, tmp_path):
         doc = builtin_scenario("baseline")
         doc["run"]["duration_s"] = 20.0
@@ -195,6 +217,8 @@ def unrepresentable_delay_doc(mode, event):
     doc = builtin_scenario("jump_-100ps")
     doc["mode"] = mode
     doc["run"]["duration_s"] = 40.0
+    # The threshold window must leave the 40 epochs more to judge.
+    doc["detection"]["threshold"]["baseline_window_epochs"] = 10
     doc["m_events"] = [event]
     return doc
 

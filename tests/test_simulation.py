@@ -9,6 +9,7 @@ import math
 import mmap
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -421,8 +422,9 @@ class TestCountingAndClocks:
         scenario = load_scenario("baseline")
         import dataclasses
 
+        # 60 epochs leave the 60-epoch threshold window nothing to judge.
         scenario = dataclasses.replace(
-            scenario, run=dataclasses.replace(scenario.run, duration_s=60.0)
+            scenario, run=dataclasses.replace(scenario.run, duration_s=60.0), detection=None
         )
         stream = run_round_trip_sim(scenario)
         expected = 10_000.0 * 60.0 * 0.8
@@ -814,6 +816,68 @@ class TestScheduling:
         with pytest.raises(ConfigurationError, match="refused on ThreadPoolExecutor"):
             estimator.per_epoch_series(stream, 0.1, config)
 
+    def test_next_chunk_runs_while_one_is_consumed(self):
+        # Chunk i + _WORKERS is queued before chunk i is consumed, so no
+        # worker waits for the calling thread to assemble.
+        count = 12
+        started = [threading.Event() for _ in range(count)]
+        consumed = []
+
+        def produce(i):
+            started[i].set()
+            return i
+
+        def consume(i):
+            ahead = i + simulation._WORKERS
+            if ahead < count:
+                assert started[ahead].wait(10.0), f"chunk {ahead} waited for chunk {i}"
+            consumed.append(i)
+
+        simulation._pipeline(produce, count, consume)
+        assert consumed == list(range(count))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_at_most_one_chunk_more_than_workers_alive(self, monkeypatch, workers):
+        # A chunk is alive from the start of its produce to the end of its
+        # consume; a slow consume lets the workers run ahead as far as the
+        # scheduler allows.
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        lock = threading.Lock()
+        alive = [0]
+        most = [0]
+
+        def produce(i):
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+            return i
+
+        def consume(i):
+            time.sleep(0.002)
+            with lock:
+                alive[0] -= 1
+
+        simulation._pipeline(produce, 40, consume)
+        assert alive[0] == 0
+        assert most[0] == workers + 1
+
+    def test_produce_error_stops_the_queue(self):
+        # Every chunk from 3 on fails: the caller gets chunk 3's error, and
+        # no chunk after the ones queued while it was awaited ever starts.
+        started = []
+
+        def produce(i):
+            started.append(i)
+            if i >= 3:
+                raise ConfigurationError(f"chunk {i} refused")
+            return i
+
+        consumed = []
+        with pytest.raises(ConfigurationError, match="^chunk 3 refused$"):
+            simulation._pipeline(produce, 50, consumed.append)
+        assert consumed == [0, 1, 2]
+        assert max(started) <= 3 + simulation._WORKERS
+
 
 class TestIdlerInPairs:
     """IdlerA has a buffer of its own, not the emission times': the stream is
@@ -967,7 +1031,7 @@ class TestDeterminism:
         import dataclasses
 
         scenario = dataclasses.replace(
-            scenario, run=dataclasses.replace(scenario.run, duration_s=30.0)
+            scenario, run=dataclasses.replace(scenario.run, duration_s=30.0), detection=None
         )
         s1 = run_round_trip_sim(scenario)
         s2 = run_round_trip_sim(scenario)
@@ -987,7 +1051,9 @@ class TestDeterminism:
         monkeypatch.setattr(simulation.TimestampStream, "__post_init__", counting)
         scenario = load_scenario("baseline")
         scenario = dataclasses.replace(
-            scenario, run=dataclasses.replace(scenario.run, duration_s=5.0, seed=9)
+            scenario,
+            run=dataclasses.replace(scenario.run, duration_s=5.0, seed=9),
+            detection=None,
         )
         stream = run_round_trip_sim(scenario)
         assert calls == [stream]
@@ -1018,6 +1084,7 @@ class TestDeterminism:
         doc["source"] = {"pair_rate_hz": 1.0e5}
         doc["run"]["duration_s"] = 2.0
         doc["run"]["seed"] = 16
+        del doc["detection"]
         scenario = load_scenario(doc)
         scenario = dataclasses.replace(
             scenario,
