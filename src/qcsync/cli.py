@@ -145,12 +145,13 @@ def _cmd_validate(args):
 def _cmd_tdev(args):
     series = ClockDifferenceSeries.from_csv(args.series)
     curve = tdev(series.deltas(), series.epoch_length_s)
+    # Every --tau is checked before anything is written.
+    nearest = [(target, curve.nearest(target)) for target in args.tau or ()]
     if args.out is not None:
         curve.to_csv(args.out)
         print(f"wrote {args.out}")
-    if args.tau:
-        for target in args.tau:
-            p = curve.nearest(target)
+    if nearest:
+        for target, p in nearest:
             print(f"tau {target:g} s -> nearest m={p.m} (tau {p.tau_s:g} s): {p.tdev_ps:.4f} ps")
     elif args.out is None:
         sys.stdout.writelines(curve.csv_lines())

@@ -154,18 +154,26 @@ class ClockDifferenceSeries:
 
     @classmethod
     def from_csv(cls, path):
+        """The series a ``to_csv`` file holds.  A file that cannot be read as
+        UTF-8 text, or does not hold such a series, raises
+        ConfigurationError."""
         points = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "epoch_start_s,tau_ab_ps,tau_aba_ps,delta_ps":
-                raise ConfigurationError(f"unexpected series header: {header!r}")
-            for line in fh:
-                cells = line.rstrip("\n").split(",")
-                if len(cells) != 4:
-                    raise ConfigurationError(f"malformed series row: {line!r}")
-                row = len(points) + 1
-                values = (_finite_cell(c, row) if c else None for c in cells[1:])
-                points.append(ClockDifferencePoint(_finite_cell(cells[0], row), *values))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip()
+                if header != "epoch_start_s,tau_ab_ps,tau_aba_ps,delta_ps":
+                    raise ConfigurationError(f"unexpected series header: {header!r}")
+                for line in fh:
+                    cells = line.rstrip("\n").split(",")
+                    if len(cells) != 4:
+                        raise ConfigurationError(f"malformed series row: {line!r}")
+                    row = len(points) + 1
+                    values = (_finite_cell(c, row) if c else None for c in cells[1:])
+                    points.append(ClockDifferencePoint(_finite_cell(cells[0], row), *values))
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read series file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"series file {path} is not UTF-8 text") from exc
         # The epoch length is not stored: it is the spacing of the rows, and
         # every row must sit on that grid, so a dropped row is refused rather
         # than silently closed up.

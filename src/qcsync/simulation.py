@@ -27,37 +27,34 @@ Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
-Memory: what grows with the run is the emission times (8 B per pair) and
-the records (8 B each); every other array is bounded by ``_PAIR_CHUNK``.
-Pairs are generated in blocks and propagated in chunks of about that many,
-two chunks computed while a third is written, each chunk's times straight
-into one buffer per detector.  The emission times lie in an anonymous
-mapping of their own, whose pages propagation hands back to the operating
-system as it consumes them, so a campaign holds 8 B per pair after
-generation and ~8.8 B per pair of records at the end (0.8 idlers and 0.3
-signal records per pair by default), never both in full.  Each buffer
-is sorted in place once, with numpy's stable sort (a timsort), which
-merges only where chunks overlap in time (a jitter or delay step wider
-than the gap across a chunk edge), so its merge buffer holds only
-overlapping records.  The dead time is applied in those buffers in slices
-of ``_PAIR_CHUNK`` records, each filtered behind the last record kept
-before it, and the stream check reads them in windows of the same length.
+Memory: what grows with the run is the records (8 B each); every other
+array is bounded by ``_PAIR_CHUNK``.  ``generate_pairs`` plans the run as
+blocks of about that many pairs, and propagation chunk i is block i: its
+emission times are drawn, propagated and dropped, two chunks computed while
+a third is written, each chunk's times straight into one buffer per
+detector.  So a campaign holds no emission times beyond its chunks, and
+~8.8 B per pair of records at the end (0.8 idlers and 0.3 signal records
+per pair by default).  Each buffer is sorted in place once, with numpy's
+stable sort (a timsort), which merges only where chunks overlap in time (a
+jitter or delay step wider than the gap across a chunk edge), so its merge
+buffer holds only overlapping records.  The dead time is applied in those
+buffers in slices of ``_PAIR_CHUNK`` records, each filtered behind the last
+record kept before it, and the stream check reads them in windows of the
+same length.
 
-All randomness flows from a single integer seed.  Each block of the pair
-generator and each propagation chunk draws from its own generator, seeded
-by its index through ``numpy.random.SeedSequence`` spawn keys, so
-identical configuration and seed reproduce a bit-identical stream however
-many chunks run at once.  The chunk length belongs to that contract; the
-number of threads (``_WORKERS``) does not.
+All randomness flows from a single integer seed.  Each block's emission
+times and each chunk's propagation draw from their own generators, seeded
+by the index through ``numpy.random.SeedSequence`` spawn keys, so identical
+configuration and seed reproduce a bit-identical stream however many
+chunks run at once.  The chunk length belongs to that contract; the number
+of threads (``_WORKERS``) does not.
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
-import contextlib
 import math
-import mmap
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
@@ -66,7 +63,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .attacks import MAX_EXACT_PS, eval_trajectory
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AttackScenario
@@ -80,6 +77,7 @@ __all__ = [
     "DetectorId",
     "DETECTOR_NAMES",
     "TimestampStream",
+    "EmissionPlan",
     "chain_model",
     "generate_pairs",
     "propagate_and_detect",
@@ -89,12 +87,13 @@ __all__ = [
 # Jitter specs are conventionally quoted as FWHM; convert to Gaussian sigma.
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
-# Vectorized propagation works on slices of this many emission times, the
-# pair generator on blocks of this many expected pairs, and the dead-time
-# pass and the stream's order check on slices of about this many records:
-# one 8-byte array of a slice is 512 kB and fits in cache.  The length is
-# part of the determinism contract: each block and chunk has its own
-# generator, so another length gives another stream from the same seed.
+# The pair generator plans blocks of this many expected pairs, each one
+# propagation chunk (a given array of emission times is propagated in
+# slices of exactly this many), and the dead-time pass and the stream's
+# order check work on slices of about this many records: one 8-byte array
+# of a slice is 512 kB and fits in cache.  The length is part of the
+# determinism contract: each block and chunk has its own generator, so
+# another length gives another stream from the same seed.
 _PAIR_CHUNK = 1 << 16
 
 # How many chunks ``_pipeline`` runs at once, one thread each.  numpy
@@ -326,81 +325,64 @@ def is_sorted(values):
     return True
 
 
-class _EmissionTimes(mmap.mmap):
-    """The anonymous private mapping that holds ``generate_pairs``' emission
-    times, handed back to the operating system page by page as
-    ``propagate_and_detect`` consumes them."""
+@dataclass(frozen=True, eq=False)
+class EmissionPlan:
+    """The blocks of a Poisson pair source's emission times, each drawn when
+    it is needed.
 
-    released = 0
+    Block ``i`` spans ``[edges[i], edges[i + 1])`` ps of Alice's timebase
+    and holds ``counts[i]`` pairs, whose times ``times(i)`` draws from
+    ``_chunk_rng(seed, i)``.  ``len()`` is the number of pairs in the run.
+    """
 
-    def release_below(self, offset):
-        """Hand back every whole page below byte ``offset``; they read zero
-        from then on."""
-        offset = min(offset, len(self))
-        end = offset - offset % mmap.PAGESIZE
-        if end > self.released:
-            self.madvise(mmap.MADV_DONTNEED, self.released, end - self.released)
-            self.released = end
+    edges: np.ndarray
+    counts: np.ndarray
+    seed: int
 
+    def __len__(self):
+        return int(self.counts.sum())
 
-def _emission_buffer(n):
-    """An uninitialised float64 array of ``n`` emission times: an
-    ``_EmissionTimes`` mapping where the platform has private mappings and
-    ``madvise`` (not Windows), else ``np.empty``."""
-    if not (n and hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MADV_DONTNEED")):
-        return np.empty(n)
-    mapping = _EmissionTimes(-1, 8 * n, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        # As numpy asks for its own large arrays: fewer page faults and TLB
-        # misses.  A release splits a huge page and frees its small pages.
-        # A kernel without transparent huge pages refuses the hint.
-        with contextlib.suppress(OSError):
-            mapping.madvise(mmap.MADV_HUGEPAGE)
-    return np.ndarray(n, np.float64, buffer=mapping)
+    def times(self, i):
+        """Block ``i``'s sorted emission times, a fresh float64 array."""
+        lo, hi = self.edges[i], self.edges[i + 1]
+        block = _chunk_rng(self.seed, i).random(self.counts[i])
+        block *= hi - lo
+        block += lo
+        # lo + (hi - lo) * u can round up to hi.
+        np.minimum(block, np.nextafter(hi, lo), out=block)
+        block.sort()
+        return block
 
 
 def generate_pairs(source, duration_s, seed):
-    """Emission times of a Poisson pair source over ``[0, duration_s)``.
+    """The emission plan of a Poisson pair source over ``[0, duration_s)``.
 
-    Returns the sorted 1-D float array of pair emission times, ps, in
-    Alice's timebase; both photons of a pair leave at that time (the
-    correlation jitter is drawn by ``propagate_and_detect``).
-    Deterministic for a fixed integer seed.  The array lies in a mapping
-    of its own, which ``propagate_and_detect`` hands back to the operating
-    system as it consumes it: pass it a copy to keep the emission times.
+    Returns an ``EmissionPlan``; no emission time is drawn here.  Both
+    photons of a pair leave at its emission time, ps, in Alice's timebase
+    (the correlation jitter is drawn by ``propagate_and_detect``, which
+    draws each block's times as it propagates them).  Deterministic for a
+    fixed integer seed.
 
     The run is cut into blocks of ``_PAIR_CHUNK / pair_rate_hz`` seconds
-    (the last one shorter).  The generator of ``seed`` draws every block's
-    Poisson count first; block ``i`` then fills its slice of the output
-    with uniform times from its own generator (``_chunk_rng(seed, i)``) and
-    sorts only that slice.  Times stay below their block's end, so the
-    blocks' slices are in order.
+    (the last one shorter), and the generator of ``seed`` draws every
+    block's Poisson count.  Block ``i``'s times are uniform within it,
+    drawn from its own generator, and sorted, so the blocks' times, taken
+    in order, ascend.  A run that ends beyond the exact int64/float64 range
+    is refused, since its last emission times would lie there.
     """
     if not (duration_s > 0 and math.isfinite(duration_s)):
         raise ConfigurationError("duration_s must be > 0")
     rate = source.pair_rate_hz
     end_ps = duration_s * 1e12
+    if end_ps > MAX_EXACT_PS:
+        raise ConfigurationError("emission times exceed the exact int64/float64 range")
     n_blocks = max(1, math.ceil(duration_s * rate / _PAIR_CHUNK))
     # The last block ends at the end of the run, whichever side of it the
     # rounded multiple of the block length falls.
     edges = np.minimum(np.arange(n_blocks + 1) * (_PAIR_CHUNK / rate * 1e12), end_ps)
     edges[-1] = end_ps
     counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate * 1e-12))
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    t = _emission_buffer(int(starts[-1]))
-
-    def fill(i):
-        block = t[starts[i] : starts[i + 1]]
-        lo, hi = edges[i], edges[i + 1]
-        _chunk_rng(seed, i).random(out=block)
-        block *= hi - lo
-        block += lo
-        # lo + (hi - lo) * u can round up to hi.
-        np.minimum(block, np.nextafter(hi, lo), out=block)
-        block.sort()
-
-    _pipeline(fill, n_blocks, lambda _: None)
-    return t
+    return EmissionPlan(edges, counts, seed)
 
 
 def _quantize(times, resolution_ps):
@@ -552,17 +534,16 @@ def chain_model(source, channel, detectors, tdc, clocks):
 def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
     """Propagate pair emissions through the attacked link and detect.
 
-    ``pairs`` is only read, and input that is not a contiguous float64
-    array is read through a copy.  The array ``generate_pairs`` returns is
-    the exception: each whole page of its mapping below the chunks still
-    in flight is handed back to the operating system once its chunk is
-    assembled, and reads 0.0 from then on: propagating it again raises
-    ContractViolation.  Every detector's records go into a buffer of their
-    own.
+    ``pairs`` is the ``EmissionPlan`` that ``generate_pairs`` returns, whose
+    block ``i`` is drawn, propagated as chunk ``i`` and dropped, so no
+    whole-run array of emission times exists; or a 1-D array of given
+    emission times, propagated in chunks of ``_PAIR_CHUNK``.  An array is
+    only read, through a copy if it is not contiguous float64.  Every
+    detector's records go into a buffer of their own.
 
     Parameters
     ----------
-    pairs : 1-D array of pair emission times, ps, Alice timebase
+    pairs : EmissionPlan, or 1-D array of pair emission times, ps, Alice timebase
     source : SourceConfig whose correlation jitter is drawn on the idler
     channel : ChannelConfig
     m, n : DelayTrajectory for the forward (Alice->Bob) and backward legs
@@ -575,11 +556,18 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     Returns a TimestampStream.  Records with negative local timestamps
     (possible for detections jittered before the clock origin) are dropped.
     """
-    pairs = np.require(pairs, np.float64, ["C"])
-    if pairs.ndim != 1:
-        raise ConfigurationError("pairs must be a 1-D array of emission times")
-    if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
-        raise ConfigurationError("emission times exceed the exact int64/float64 range")
+    if isinstance(pairs, EmissionPlan):
+        n_chunks, emitted_in = pairs.counts.size, pairs.times
+    else:
+        pairs = np.require(pairs, np.float64, ["C"])
+        if pairs.ndim != 1:
+            raise ConfigurationError("pairs must be a 1-D array of emission times")
+        if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
+            raise ConfigurationError("emission times exceed the exact int64/float64 range")
+        n_chunks = (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK
+
+        def emitted_in(chunk):
+            return pairs[chunk * _PAIR_CHUNK : (chunk + 1) * _PAIR_CHUNK]
 
     L = channel.one_way_delay_ps
     sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
@@ -587,34 +575,29 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     )
 
     def buffer(prob):
-        return np.empty(_expected_capacity(pairs.size, prob), np.int64)
+        return np.empty(_expected_capacity(len(pairs), prob), np.int64)
 
     records = {
         DetectorId.IDLER_A: _DetectorRecords(buffer(eff)),
         DetectorId.SIGNAL_B: _DetectorRecords(buffer(p_bob)),
         DetectorId.RETURN_A: _DetectorRecords(buffer(p_signal - p_bob)),
     }
-    mapping = pairs.base if isinstance(pairs.base, _EmissionTimes) else None
-    if mapping is not None and mapping.released:
-        raise ContractViolation("these emission times were handed back by an earlier propagation")
-    assembled = 0
 
     def detect(chunk):
         """Chunk ``chunk``'s int64 times per detector, from its own generator
         alone."""
         rng = _chunk_rng(seed, chunk)
-        lo = chunk * _PAIR_CHUNK
-        emitted = pairs[lo : lo + _PAIR_CHUNK]
+        emitted = emitted_in(chunk)
         k = emitted.size
 
         # Draw order is fixed so results depend only on (config, seed): two
         # uniforms per pair, then one Gaussian per detected photon, IdlerA's
         # first, then SignalB's, then ReturnA's.
-        idler_idx = np.flatnonzero(rng.random(k) < eff)
+        idler_hit = rng.random(k) < eff
         u_signal = rng.random(k)
-        signal_idx = np.flatnonzero(u_signal < p_signal)
+        signal_hit = u_signal < p_signal
         # A recorded signal photon reaches SignalB when u < p_bob, else ReturnA.
-        at_bob = u_signal[signal_idx] < p_bob
+        at_bob = u_signal[signal_hit] < p_bob
         del u_signal
 
         # Each reading is built in its Gaussian's array, in place, one step
@@ -624,12 +607,14 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         # one reading's temporaries at a time, besides the signal photons'
         # shared forward leg.
         # idler = emitted + sigma_idler * z
-        idler = rng.standard_normal(idler_idx.size)
+        idler = rng.standard_normal(np.count_nonzero(idler_hit))
         idler *= sigma_idler
-        idler += emitted[idler_idx]
+        idler += emitted[idler_hit]
+        del idler_hit
         idler = _quantize(idler, tdc.resolution_ps)
         # arrive = emitted + L + M(emitted), once for every signal photon
-        arrive = emitted[signal_idx]
+        arrive = emitted[signal_hit]
+        del emitted, signal_hit
         delay = eval_trajectory(m, arrive * 1e-12)
         arrive += L
         arrive += delay
@@ -657,15 +642,10 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         return idler, bob, _quantize(ret, tdc.resolution_ps)
 
     def assemble(readings):
-        nonlocal assembled
         for det, t in zip(DetectorId, readings):
             records[det].append(t)
-        assembled += 1
-        if mapping is not None:
-            # The chunks still in flight read only from here on.
-            mapping.release_below(assembled * _PAIR_CHUNK * pairs.itemsize)
 
-    _pipeline(detect, (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK, assemble)
+    _pipeline(detect, n_chunks, assemble)
 
     return TimestampStream(
         times=[records.pop(det).finish(detectors.dead_time_ps) for det in DetectorId],
@@ -678,9 +658,8 @@ def run_round_trip_sim(scenario: "AttackScenario"):
     """End-to-end simulation of one scenario: pairs, attack, detection.
 
     Composes generate_pairs, the coordination rule and propagate_and_detect,
-    which hands the emission times back to the operating system as it
-    consumes them; the returned stream carries the run duration and the
-    nominal fiber delay.
+    which draws each block of emission times as it propagates it; the
+    returned stream carries the run duration and the nominal fiber delay.
     """
     run = scenario.run
     gen_seed, prop_seed = (

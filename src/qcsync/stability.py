@@ -56,7 +56,10 @@ class TdevCurve:
         return np.array([p.tdev_ps for p in self.points])
 
     def nearest(self, tau_s):
-        """Curve point whose averaging time is closest to ``tau_s``."""
+        """Curve point whose averaging time is closest to ``tau_s``, a
+        positive, finite time."""
+        if not (tau_s > 0 and math.isfinite(tau_s)):
+            raise ConfigurationError(f"tau must be a positive, finite time: {tau_s!r}")
         if not self.points:
             raise ConfigurationError("empty TDEV curve")
         idx = int(np.argmin(np.abs(self.taus() - tau_s)))

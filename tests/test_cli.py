@@ -172,3 +172,29 @@ class TestTdevAndDetect:
         out = tmp_path / "out"
         main(["run", str(analytic_scenario_file), "--out-dir", str(out)])
         assert main(["detect", str(out / "series.csv")]) == 1
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-5", "0"])
+    def test_tdev_tau_must_be_positive_and_finite(self, analytic_scenario_file, tmp_path,
+                                                  capsys, tau):
+        # An argmin over NaN distances used to report the m = 1 point.
+        out = tmp_path / "out"
+        main(["run", str(analytic_scenario_file), "--out-dir", str(out)])
+        capsys.readouterr()
+        curve_path = tmp_path / "curve.csv"
+        args = ["tdev", str(out / "series.csv"), "--tau", "10", "--tau", tau]
+        assert main(args + ["--out", str(curve_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not curve_path.exists()
+        assert re.fullmatch(r"error: tau must be a positive, finite time: .*\n", captured.err)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_series_fails_closed(self, tmp_path, capsys, kind):
+        path = tmp_path / "series.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"epoch_start_s,tau_ab_ps,tau_aba_ps,delta_ps\n0.0,\xff\xfe,,\n")
+        for command in (["tdev"], ["detect", "--threshold-ps", "50"]):
+            assert main([command[0], str(path), *command[1:]]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]

@@ -2,10 +2,10 @@
 
 numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts the bytes the program asked for, not what the allocator or the
-kernel made of them.  The emission times lie in a mapping of their own,
-which ``tracemalloc`` does not see (``test_simulation.py`` checks that it
-is handed back as it is consumed).  The three detectors' records grow with
-the run, and the estimator's series grows with its epochs; everything else
+kernel made of them.  Every byte the simulation holds is such an array:
+each chunk draws its own emission times and drops them, so no whole-run
+array of them exists.  The three detectors' records grow with the run,
+and the estimator's series grows with its epochs; everything else
 must stay within a multiple of the simulation's chunk or the histogram
 kernel's slice, which both tests shrink so that a single full-length
 temporary of a 1 M-pair run would exceed the bound many times.  The
@@ -38,8 +38,7 @@ def million_pair_scenario():
 
 def simulation_peak(monkeypatch, **detectors):
     """A million-pair simulation's traced peak, and the bytes of the three
-    detectors' records it returns, with the ``detectors`` fields changed.
-    The emission times' mapping is not traced, so it is in neither."""
+    detectors' records it returns, with the ``detectors`` fields changed."""
     monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
     scenario = million_pair_scenario()
     scenario = dataclasses.replace(
@@ -63,9 +62,9 @@ def simulation_excess(monkeypatch, **detectors):
 
 
 # The buffers' slack and the chunks alive at once (two computed while a
-# third is assembled) come to 8-9 chunk-sizes, with or without dead time;
-# one full-length copy of the IdlerA times is 80, and emission times in a
-# traced buffer are 100.
+# third is assembled), each with its own emission times, come to 7.5-8.7
+# chunk-sizes, with or without dead time; one full-length copy of the
+# IdlerA times is 80, and a whole-run array of emission times is 100.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 

@@ -318,11 +318,16 @@ class TestReproduceBundles:
 
 
 class TestBuiltinFullSimExamples:
-    def test_baseline_tdev_monotone_on_octave_grid(self):
-        # White-noise-dominated baseline: TDEV falls with averaging time.
+    def test_baseline_tdev_falls_as_white_noise(self):
+        # White-noise-dominated baseline: TDEV falls as m^-1/2 on the octave
+        # grid.  The fitted log-log slope of 500-sample white-noise series
+        # spreads about -0.53 +- 0.06, and a random-walk phase reads about
+        # +0.4.  Requiring every octave to fall instead fails a fifth of
+        # white-noise series, on the few terms left at the largest m.
         result = run_scenario("baseline")
-        values = result.tdev.values()
-        assert np.all(np.diff(values) < 0)
+        m = np.array([p.m for p in result.tdev.points], dtype=float)
+        slope = np.polyfit(np.log(m), np.log(result.tdev.values()), 1)[0]
+        assert -0.8 <= slope <= -0.25
 
     def test_builtin_jump_recovers_injected_skew(self):
         from qcsync.stability import estimate_step_shift

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import mmap
 import sys
 import threading
 import time
@@ -26,7 +25,7 @@ from qcsync.attacks import (
     derive_n_from_m,
     eval_trajectory,
 )
-from qcsync.errors import ConfigurationError, ContractViolation
+from qcsync.errors import ConfigurationError
 from qcsync.runner import load_scenario, run_scenario
 from qcsync.scenario import builtin_scenario
 from qcsync.simulation import (
@@ -34,6 +33,7 @@ from qcsync.simulation import (
     ClockConfig,
     DetectorConfig,
     DetectorId,
+    EmissionPlan,
     SourceConfig,
     TdcConfig,
     TimestampStream,
@@ -62,6 +62,11 @@ def integer_pairs(duration_s=20.0, spacing_ms=1.0):
 # Flight of each detector's records on LOSSLESS_CHANNEL without attacks,
 # in its own clock under QUIET_CLOCK.
 BOB_FLIGHT, RETURN_FLIGHT = 1000 - 9900, 2000
+
+
+def emission_times(plan):
+    """Every block's emission times of ``plan``, in block order."""
+    return np.concatenate([plan.times(i) for i in range(plan.counts.size)])
 
 
 def emitted(pairs, times, flight):
@@ -243,23 +248,29 @@ class TestGeneratePairs:
         assert abs(len(pairs) - expected) <= 4.0 * math.sqrt(expected)
 
     def test_times_sorted_and_in_range(self):
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 5.0, 1)
+        pairs = emission_times(generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 5.0, 1))
         assert pairs.ndim == 1
         assert np.all(np.diff(pairs) >= 0)
         assert pairs.min() >= 0.0
         assert pairs.max() < 5.0 * 1e12
 
     def test_vanishing_duration_yields_empty(self):
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 1e-9, 2)
-        assert len(pairs) == 0
+        plan = generate_pairs(SourceConfig(pair_rate_hz=1_000.0), 1e-9, 2)
+        assert len(plan) == 0 and emission_times(plan).size == 0
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_pairs(SourceConfig(), 0.0, 0)
 
+    def test_run_beyond_exact_range_rejected(self):
+        # 2**53 ps is ~9007 s; the plan is refused before any time is drawn.
+        with pytest.raises(ConfigurationError, match="emission times exceed the exact"):
+            generate_pairs(SourceConfig(), 9008.0, 0)
+        assert len(generate_pairs(SourceConfig(pair_rate_hz=1.0), 9007.0, 0)) > 0
+
     def test_determinism(self):
-        a = generate_pairs(SourceConfig(), 3.0, 77)
-        b = generate_pairs(SourceConfig(), 3.0, 77)
+        a = emission_times(generate_pairs(SourceConfig(), 3.0, 77))
+        b = emission_times(generate_pairs(SourceConfig(), 3.0, 77))
         np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=40, deadline=None, database=None)
@@ -274,7 +285,8 @@ class TestGeneratePairs:
         # of the run: each holds exactly the Poisson count drawn for it.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulation, "_PAIR_CHUNK", chunk)
-            pairs = generate_pairs(SourceConfig(pair_rate_hz=rate_hz), duration_s, seed)
+            plan = generate_pairs(SourceConfig(pair_rate_hz=rate_hz), duration_s, seed)
+            pairs = emission_times(plan)
         end_ps = duration_s * 1e12
         assert np.all(pairs[1:] >= pairs[:-1])
         assert pairs.size == 0 or (pairs[0] >= 0.0 and pairs[-1] < end_ps)
@@ -282,14 +294,37 @@ class TestGeneratePairs:
         edges = np.minimum(np.arange(n_blocks + 1) * (chunk / rate_hz * 1e12), end_ps)
         edges[-1] = end_ps
         counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate_hz * 1e-12))
-        assert pairs.size == counts.sum()
+        np.testing.assert_array_equal(plan.edges, edges)
+        np.testing.assert_array_equal(plan.counts, counts)
+        assert pairs.size == len(plan) == counts.sum()
         np.testing.assert_array_equal(np.diff(np.searchsorted(pairs, edges)), counts)
+
+    def test_propagation_draws_each_block_once(self, monkeypatch):
+        # Block i is drawn on a worker as chunk i, and nothing else draws.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        drawn = []
+        times = EmissionPlan.times
+
+        def recording(plan, i):
+            drawn.append((i, threading.current_thread()))
+            return times(plan, i)
+
+        monkeypatch.setattr(EmissionPlan, "times", recording)
+        source = SourceConfig(pair_rate_hz=1e5)
+        plan = generate_pairs(source, 0.2, 31)
+        assert drawn == []
+        propagate_and_detect(
+            plan, source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            DetectorConfig(), TdcConfig(), ClockConfig(), 32, duration_s=0.2,
+        )
+        assert sorted(i for i, _ in drawn) == list(range(plan.counts.size))
+        assert threading.main_thread() not in {thread for _, thread in drawn}
 
     def test_times_uniform_across_blocks(self, monkeypatch):
         # ~300 blocks of 64 expected pairs: the times are uniform over the
         # run, and their phases within their blocks are uniform too.
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 64)
-        pairs = generate_pairs(SourceConfig(pair_rate_hz=10_000.0), 2.0, 5)
+        pairs = emission_times(generate_pairs(SourceConfig(pair_rate_hz=10_000.0), 2.0, 5))
         critical = 1.95 / math.sqrt(pairs.size)  # 0.1% level
         block_ps = 64 / 10_000.0 * 1e12
         phase = pairs % block_ps / block_ps
@@ -664,7 +699,7 @@ class TestInPlaceAssembly:
         if chunk is not None:
             monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
         pairs, _ = self.run(recorded_assembly, jitter_ps=jitter_ps)
-        several_chunks = pairs.size > simulation._PAIR_CHUNK
+        several_chunks = pairs.counts.size > 1
         # Jitter of ten pair spacings makes neighbouring chunks overlap in
         # time, so a chunk is merged with the held tail; a 10 ps jitter
         # never does.
@@ -880,9 +915,9 @@ class TestScheduling:
 
 
 class TestIdlerInPairs:
-    """IdlerA has a buffer of its own, not the emission times': the stream is
-    the same whether ``generate_pairs``' mapping is handed back as it is
-    consumed or the caller's own array is read, which is left unchanged."""
+    """IdlerA has a buffer of its own, and so has every chunk's emission
+    times: a generated stream is the same however many chunks run at once,
+    and a caller's array of emission times is only read."""
 
     RATE_HZ = 1e5  # 10 us pair spacing
 
@@ -917,83 +952,45 @@ class TestIdlerInPairs:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("chunk", [3, 7])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_streams_match_own_buffer(self, monkeypatch, case, chunk, workers):
-        # The released mapping against the caller's own copy of it.
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_streams_match_across_workers(self, monkeypatch, case, chunk, workers):
+        # Each of ~700 blocks is drawn, propagated and dropped by a worker.
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", chunk)
+        assert simulation._WORKERS == 2
+        want = self.stream(self.pairs(), **self.CASES[case])
         monkeypatch.setattr(simulation, "_WORKERS", workers)
-        pairs = self.pairs()
-        want = self.stream(pairs.copy(), **self.CASES[case])
-        got = self.stream(pairs, **self.CASES[case])
-        assert not pairs[: pairs.nbytes // mmap.PAGESIZE * mmap.PAGESIZE // 8].any()
-        assert pairs.size - want.times[DetectorId.IDLER_A].size > 0
+        got = self.stream(self.pairs(), **self.CASES[case])
+        assert len(self.pairs()) - want.times[DetectorId.IDLER_A].size > 0
         self.assert_same(want, got)
 
     def test_four_wide_with_fast_switching(self, monkeypatch):
-        # More threads than cores, switching every microsecond: a page
-        # handed back under a chunk still in flight would show.
+        # More threads than cores, switching every microsecond: a block
+        # drawn into another chunk's arrays would show.
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 7)
-        pairs = self.pairs()
-        want = self.stream(pairs.copy(), **self.CASES["dead-time"])
+        want = self.stream(self.pairs(), **self.CASES["dead-time"])
         monkeypatch.setattr(simulation, "_WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = self.stream(pairs, **self.CASES["dead-time"])
+            got = self.stream(self.pairs(), **self.CASES["dead-time"])
         finally:
             sys.setswitchinterval(interval)
         self.assert_same(want, got)
 
     @pytest.mark.parametrize("kind", ["writeable", "read-only"])
     def test_caller_pairs_are_left_unchanged(self, kind):
-        pairs = np.array(self.pairs())
+        pairs = emission_times(self.pairs())
         pairs.flags.writeable = kind == "writeable"
         kept = pairs.copy()
         got = self.stream(pairs)
         assert pairs.tobytes() == kept.tobytes()
-        self.assert_same(self.stream(self.pairs()), got)
-
-    def test_consumed_emission_times_are_released(self, monkeypatch):
-        # 20 000 pairs (160 kB) in chunks of 997: each assembled chunk hands
-        # back the whole pages below it, while later chunks are still to run.
-        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
-        marks = []
-        release_below = simulation._EmissionTimes.release_below
-
-        def recording(mapping, offset):
-            release_below(mapping, offset)
-            marks.append(mapping.released)
-
-        monkeypatch.setattr(simulation._EmissionTimes, "release_below", recording)
-        pairs = self.pairs(0.2)
-        kept = pairs.copy()
-        self.stream(pairs, duration_s=0.2)
-        chunks = -(-pairs.size // 997)
-        assert len(marks) == chunks and marks == sorted(marks)
-        assert 0 < marks[chunks // 2] < marks[-1]
-        whole = pairs.nbytes // mmap.PAGESIZE * mmap.PAGESIZE // 8
-        assert marks[-1] == 8 * whole
-        assert not pairs[:whole].any()
-        assert pairs[whole:].tobytes() == kept[whole:].tobytes()
-        with pytest.raises(ContractViolation, match="handed back by an earlier propagation"):
-            self.stream(pairs, duration_s=0.2)
-
-    def test_without_private_mappings_nothing_is_released(self, monkeypatch):
-        pairs = self.pairs()
-        want = self.stream(pairs, **self.CASES["dead-time"])
-        monkeypatch.delattr(mmap, "MAP_PRIVATE")
-        pairs = self.pairs()
-        assert pairs.flags.owndata
-        kept = pairs.copy()
-        got = self.stream(pairs, **self.CASES["dead-time"])
-        assert pairs.tobytes() == kept.tobytes()
-        self.assert_same(want, got)
+        self.assert_same(self.stream(kept), got)
 
     @pytest.mark.parametrize("kind", ["float32", "strided"])
     def test_unsuitable_pairs_are_copied(self, kind):
         # Read through a contiguous float64 copy; read-only input needs none
         # (test_caller_pairs_are_left_unchanged).
-        pairs = self.pairs()
+        pairs = emission_times(self.pairs())
         if kind == "float32":
             pairs = pairs.astype(np.float32)
         else:
@@ -1060,7 +1057,9 @@ class TestDeterminism:
 
     # SHA-256 of each detector's times (IdlerA, SignalB, ReturnA) from a 2 s,
     # 100 kHz baseline run at seed 16: four chunks, both threads.  The 50 ns
-    # dead time drops 640 idlers and a few dozen signal records.
+    # dead time drops 640 idlers and a few dozen signal records.  These are
+    # the streams of the plan's emission times propagated as one array, in
+    # chunks of exactly ``_PAIR_CHUNK`` pairs (the streams of 0.23.0).
     STREAM_DIGESTS = {
         0.0: (
             "2d192c554f1f84d166d61c8e168b5bd8cd7f19bca09b7e9647a108ac9cdf8277",
@@ -1073,11 +1072,22 @@ class TestDeterminism:
             "e7f7e44a352a64fa4141c72123ca419b55f28004b23dd44e0ced2dfcd31e6983",
         ),
     }
+    # The same runs through the plan, each block propagated as one chunk.
+    PLAN_STREAM_DIGESTS = {
+        0.0: (
+            "937a9a66d096456b9f0a3bf009af81e0475310e8c88a1a0c0912e5895a88c2f9",
+            "cc040a3ebf3f2eec446c417eca1f84a6bf84334aa057043a17e31d8f50bb4f37",
+            "9b65f753713f1b04065af8d91583135e015f6b3a666f8973e20d9c052c708e8c",
+        ),
+        50_000.0: (
+            "9e90b47f85c41139d473cfe6323c7e4162863eee40440583c7835b92da4bc71f",
+            "dec554bf38e77aa1d2e83ccbc0c2b68bb43b2230a2a103f0055d5237a8ceb2b9",
+            "fc14d2c886c810a6e7f18271e7d7faf5225b332dd33a5af4a82c3517e98c888e",
+        ),
+    }
 
-    @pytest.mark.parametrize(
-        "dead_time_ps", sorted(STREAM_DIGESTS), ids=["no-dead-time", "dead-time"]
-    )
-    def test_stream_digests_pinned(self, dead_time_ps):
+    @staticmethod
+    def stream_digests(dead_time_ps):
         # The stream is a function of configuration and seed alone; any
         # change to a draw, to the order of draws or to the assembly shows.
         doc = builtin_scenario("baseline")
@@ -1091,13 +1101,27 @@ class TestDeterminism:
             detectors=dataclasses.replace(scenario.detectors, dead_time_ps=dead_time_ps),
         )
         stream = run_round_trip_sim(scenario)
-        digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in stream.times)
-        assert digests == self.STREAM_DIGESTS[dead_time_ps]
+        return tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in stream.times)
+
+    @pytest.mark.parametrize(
+        "dead_time_ps", sorted(STREAM_DIGESTS), ids=["no-dead-time", "dead-time"]
+    )
+    def test_stream_digests_pinned(self, monkeypatch, dead_time_ps):
+        monkeypatch.setattr(
+            simulation, "generate_pairs", lambda *args: emission_times(generate_pairs(*args))
+        )
+        assert self.stream_digests(dead_time_ps) == self.STREAM_DIGESTS[dead_time_ps]
+
+    @pytest.mark.parametrize(
+        "dead_time_ps", sorted(PLAN_STREAM_DIGESTS), ids=["no-dead-time", "dead-time"]
+    )
+    def test_plan_stream_digests_pinned(self, dead_time_ps):
+        assert self.stream_digests(dead_time_ps) == self.PLAN_STREAM_DIGESTS[dead_time_ps]
 
     def test_different_seed_differs(self):
         pairs = generate_pairs(SourceConfig(), 2.0, 1)
         s1 = propagate_and_detect(
-            pairs.copy(), SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            pairs, SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
             DetectorConfig(), TdcConfig(), QUIET_CLOCK, 100, duration_s=2.0,
         )
         s2 = propagate_and_detect(
