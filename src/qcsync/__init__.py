@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 from .attacks import (
     AttackEvent,

@@ -334,16 +334,42 @@ def eval_event(event, t_s):
     return float(out) if scalar else out
 
 
-def eval_trajectory(traj, t_s):
-    """Sum of event contributions at time(s) ``t_s``; empty trajectory is 0.
+def _piece(event, t):
+    """The constant piece of ``event`` that holds the time ``t`` (seconds),
+    or None for a continuous ramp, which has no pieces.
 
-    A delay no timestamp or clock difference can carry is refused here
-    with a ``ConfigurationError``: an overflowing ramp (infinite or NaN),
-    or a finite value beyond ``MAX_EXACT_PS``.  Full simulation and
-    analytic runs both evaluate their trajectories here.
+    Each entry is a quantity that ``eval_event`` computes from ``t`` with
+    the same float operations, and which never falls as ``t`` grows: the
+    onset gate, a spike's end, a staircase's step count and the hold point.
+    So two times with equal pieces give every time between them the same
+    inputs, hence the same delay bit for bit.
     """
-    t = np.asarray(t_s, dtype=float)
-    scalar = t.ndim == 0
+    u = t - event.start_s
+    if event.pattern is AttackPattern.JUMP:
+        return (u >= 0.0,)
+    if event.pattern is AttackPattern.SPIKE:
+        return u >= 0.0, u < event.width_s
+    if event.step_interval_s <= 0:
+        return None
+    u_clipped = max(u, 0.0)
+    held = event.end_s is not None and u_clipped > event.end_s - event.start_s
+    return u >= 0.0, np.floor(u_clipped / event.step_interval_s), held
+
+
+def _one_piece(traj, t):
+    """Whether every time of the array ``t`` lies in one constant piece of
+    every event of ``traj``: its earliest and latest times do."""
+    lo, hi = float(t.min()), float(t.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return False
+    for event in traj.events:
+        piece = _piece(event, lo)
+        if piece is None or piece != _piece(event, hi):
+            return False
+    return True
+
+
+def _event_sum(traj, t):
     out = np.zeros_like(t)
     with np.errstate(over="ignore", invalid="ignore"):
         for event in traj.events:
@@ -354,7 +380,30 @@ def eval_trajectory(traj, t_s):
         raise ConfigurationError(
             "delay trajectory is not finite or exceeds the exact int64/float64 range"
         )
-    return float(out) if scalar else out
+    return out
+
+
+def eval_trajectory(traj, t_s):
+    """Sum of event contributions at time(s) ``t_s``; empty trajectory is 0.
+
+    When an array's earliest and latest times lie in one constant piece
+    of every event (see ``_piece``: onset gates, spike ends, staircase
+    steps and hold points split pieces), the sum is evaluated at its first
+    time only and filled in: the same bits as evaluating it at each time,
+    since every time between shares that piece.  A continuous ramp has no
+    pieces, so an array meeting one is evaluated element by element.
+
+    A delay no timestamp or clock difference can carry is refused here
+    with a ``ConfigurationError``: an overflowing ramp (infinite or NaN),
+    or a finite value beyond ``MAX_EXACT_PS``.  Full simulation and
+    analytic runs both evaluate their trajectories here.
+    """
+    t = np.asarray(t_s, dtype=float)
+    if t.ndim == 0:
+        return float(_event_sum(traj, t))
+    if t.size > 1 and _one_piece(traj, t):
+        return np.full_like(t, _event_sum(traj, t.reshape(-1)[:1])[0])
+    return _event_sum(traj, t)
 
 
 def derive_n_from_m(m, rule, independent_n=None):

@@ -271,37 +271,35 @@ def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
     return centers
 
 
-def _partner_counts(a, first, stop):
-    """``searchsorted(a, stop, side="right") - first`` for a non-empty ``a``:
-    how many of ``a[first:]`` lie at or below each ``stop``.
-
-    A window narrower than the spacing of ``a`` mostly holds no partner or
-    one, which two comparisons settle; only the records that hold two or
-    more are searched.
-    """
-    last = a.size - 1
-    n = (a[np.minimum(first, last)] <= stop) & (first <= last)
-    more = n & (first < last)
-    more &= a[np.minimum(first + 1, last)] <= stop
-    n = n.astype(np.int64)
-    if more.any():
-        more = np.flatnonzero(more)
-        n[more] = np.searchsorted(a, stop[more], side="right") - first[more]
-    return n
-
-
 def _window_pairs(a, b, lo_key, hi_key):
     """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``.
 
     Each record of ``b`` is searched into the non-empty ``a`` for its first
-    partner, ``_B_SLICE`` records at a time.  A slice is yielded in pieces
-    cut wherever its pair count passes a multiple of ``_B_SLICE``, so a
-    piece holds at most ``_B_SLICE`` pairs plus one record's.
+    partner, ``_B_SLICE`` records at a time.  A window narrower than the
+    spacing of ``a`` mostly holds no partner or one, which two comparisons
+    settle; a slice where no record has two partners is yielded as its
+    records with one.  Otherwise only the records with two or more are
+    searched for their last partner, and the slice is yielded in pieces cut
+    wherever its pair count passes a multiple of ``_B_SLICE``, so a piece
+    holds at most ``_B_SLICE`` pairs plus one record's.  Every piece's
+    ``t_b`` ascend.
     """
+    last = a.size - 1
     for start in range(0, b.size, _B_SLICE):
         bs = b[start : start + _B_SLICE]
         first = np.searchsorted(a, bs - hi_key, side="right")
-        n = _partner_counts(a, first, bs - lo_key)
+        stop = bs - lo_key
+        one = (a[np.minimum(first, last)] <= stop) & (first <= last)
+        more = one & (first < last)
+        more &= a[np.minimum(first + 1, last)] <= stop
+        if not more.any():
+            first = np.compress(one, first)
+            if first.size:
+                yield a[first], np.compress(one, bs)
+            continue
+        n = one.astype(np.int64)
+        more = np.flatnonzero(more)
+        n[more] = np.searchsorted(a, stop[more], side="right") - first[more]
         # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
         bounds = np.concatenate(([0], np.cumsum(n)))
         offset = first - bounds[:-1]
@@ -329,11 +327,12 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
     accidentals per bin that each epoch's singles predict; ``edges`` may be
     any ascending grid.  A pair counts only in the epoch holding both of its
-    records, found among the edges by a search for its ``b`` record;
-    ``np.add.at`` over ``epoch * nbins + bin`` adds each piece of pairs
-    straight into all epochs' counts.  No bin can exceed the pairs counted,
-    so a running total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation
-    before a count wraps.
+    records; a piece's ``b`` records ascend, so the edges cut it into one
+    run of pairs per epoch, found by one search per edge.  ``np.add.at``
+    over ``epoch * nbins + bin`` adds each piece of pairs straight into all
+    epochs' counts.  No bin can exceed the pairs counted, so a running total
+    above ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a count
+    wraps.
     """
     nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
@@ -354,10 +353,13 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
     counted = 0
     for ta, tb in _window_pairs(a, b, lo_key, hi_key):
-        epoch = np.searchsorted(edges, tb, side="right") - 1
-        keep = (edges[epoch] <= ta) & (ta < edges[epoch + 1])
+        # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
+        # are one run of the piece.
+        runs = np.diff(np.searchsorted(tb, edges))
+        epoch = np.repeat(np.arange(n_epochs), runs)
+        keep = (np.repeat(edges[:-1], runs) <= ta) & (ta < np.repeat(edges[1:], runs))
         if not keep.all():
-            ta, tb, epoch = ta[keep], tb[keep], epoch[keep]
+            ta, tb, epoch = (np.compress(keep, v) for v in (ta, tb, epoch))
             if epoch.size == 0:
                 continue
         counted += ta.size

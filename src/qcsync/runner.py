@@ -155,9 +155,22 @@ def _run_detectors(scenario, series):
     return alarms, detection_score
 
 
+def _make_out_dir(out_dir):
+    """Create ``out_dir`` before anything runs, so that a directory no bundle
+    could be written to is refused with a ConfigurationError naming it."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {out_dir}: {exc.strerror or exc}"
+        ) from exc
+
+
 def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
     """Execute one scenario and optionally write its result bundle."""
     scenario = _apply_overrides(load_scenario(source), seed=seed, mode=mode, epoch_s=epoch_s)
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     started = time.perf_counter()
 
     sigma = None
@@ -245,6 +258,8 @@ def reproduce(figure_id, out_dir=None, seed=None) -> Dict[str, CampaignResult]:
     could be dispatched concurrently; they run sequentially here.
     """
     names = figure_bundle(figure_id)
+    if out_dir is not None:
+        _make_out_dir(Path(out_dir) / figure_id)
     results: Dict[str, CampaignResult] = {}
     for name in names:
         run_out = None

@@ -366,12 +366,15 @@ def validate_scenario_dict(doc):
 
 
 def load_scenario_file(path):
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file.  A file that is not UTF-8
+    text raises ConfigurationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError([("", f"not valid JSON: {exc}")]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"scenario file {path} is not UTF-8 text") from exc
     return AttackScenario.from_dict(doc)
 
 

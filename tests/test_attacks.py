@@ -1,8 +1,13 @@
 """Attack event algebra: shapes, superposition, coordination, tampering."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qcsync import attacks
 from qcsync.attacks import (
     AttackEvent,
     AttackPattern,
@@ -225,6 +230,129 @@ class TestTrajectory:
         for t_s in (21.0, 40.0, np.array([21.0]), np.array([40.0, 21.0]), np.nan):
             with pytest.raises(ConfigurationError, match=message):
                 eval_trajectory(traj, t_s)
+
+
+UNREPRESENTABLE = "not finite or exceeds the exact int64/float64 range"
+
+behaviors = st.one_of(
+    st.builds(LinearBehavior, st.floats(-10.0, 10.0)),
+    st.builds(LogarithmicBehavior, st.floats(0.01, 100.0)),
+    st.builds(ExponentialBehavior, st.floats(-1.0, 20.0)),
+    st.builds(
+        PolynomialBehavior, st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3).map(tuple)
+    ),
+)
+
+
+@st.composite
+def events(draw):
+    """A random jump, spike, or stepped or continuous ramp of any behaviour."""
+    pattern = draw(st.sampled_from(AttackPattern))
+    amplitude = draw(st.floats(-1e3, 1e3))
+    start = draw(st.floats(0.0, 100.0))
+    if pattern is AttackPattern.JUMP:
+        return jump(amplitude, start)
+    if pattern is AttackPattern.SPIKE:
+        return spike(amplitude, start, draw(st.floats(1e-3, 50.0)))
+    end = draw(st.none() | st.floats(1e-3, 100.0).map(lambda held_s: start + held_s))
+    return gradual(
+        amplitude,
+        start,
+        behavior=draw(behaviors),
+        step_interval_s=draw(st.just(0.0) | st.floats(1e-2, 20.0)),
+        end_s=end,
+        reverse_after_end=draw(st.booleans()),
+    )
+
+
+def breakpoints(event):
+    """Times where ``event`` can change value: its onset, a spike's end, the
+    first staircase steps, the hold point and the steps around it."""
+    points = [event.start_s]
+    if event.pattern is AttackPattern.SPIKE:
+        points.append(event.start_s + event.width_s)
+    step = event.step_interval_s
+    points += [event.start_s + k * step for k in (1, 2, 3)] if step > 0 else []
+    if event.end_s is not None:
+        points.append(event.end_s)
+        if step > 0:
+            k = math.floor((event.end_s - event.start_s) / step)
+            points += [event.start_s + j * step for j in (k, k + 1, k + 2)]
+    return points
+
+
+def event_sum(traj, t):
+    """The sum of ``eval_event`` over the events, element by element."""
+    out = np.zeros_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for event in traj.events:
+            out = out + eval_event(event, t)
+    return out
+
+
+class TestConstantPieces:
+    @given(st.lists(events(), min_size=1, max_size=3), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_sum_of_events_bit_for_bit(self, evs, data):
+        # Every breakpoint and the floats either side of it; short runs of
+        # neighbours mostly share one piece of every event, the whole set
+        # never does.
+        traj = DelayTrajectory(tuple(evs))
+        times = sorted(
+            {
+                x
+                for b in (p for e in evs for p in breakpoints(e))
+                for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+            }
+        )
+        lo = data.draw(st.integers(0, len(times) - 1))
+        hi = data.draw(st.integers(lo + 1, min(lo + 4, len(times))))
+        for t in (np.array(times[lo:hi]), np.array(times)):
+            want = event_sum(traj, t)
+            if not np.all(np.abs(want) <= attacks.MAX_EXACT_PS):
+                with pytest.raises(ConfigurationError, match=UNREPRESENTABLE):
+                    eval_trajectory(traj, t)
+                continue
+            got = eval_trajectory(traj, t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_piece_evaluated_once(self, monkeypatch):
+        sizes = []
+        evaluate = attacks.eval_event
+
+        def recording(event, t):
+            sizes.append(np.size(t))
+            return evaluate(event, t)
+
+        monkeypatch.setattr(attacks, "eval_event", recording)
+        stair = gradual(-4.0, 0.0, step_interval_s=35.0, end_s=1750.0, reverse_after_end=True)
+        traj = DelayTrajectory((stair, jump(-100.0, 250.0), spike(50.0, 400.0, 1.0)))
+        # Within one step of the staircase, away from the jump and spike.
+        t = np.linspace(36.0, 69.0, 1000)
+        np.testing.assert_array_equal(eval_trajectory(traj, t), np.full(1000, -4.0))
+        assert sizes == [1, 1, 1]
+        # Across a step, and wherever a continuous ramp takes part, every
+        # time is evaluated.
+        sizes.clear()
+        eval_trajectory(traj, np.linspace(30.0, 40.0, 1000))
+        ramp = gradual(-4.0, 0.0, end_s=1750.0)
+        eval_trajectory(DelayTrajectory((ramp,)), np.linspace(2000.0, 2001.0, 1000))
+        assert sizes == [1000, 1000, 1000, 1000]
+
+    def test_refusal_unchanged_in_one_piece(self):
+        # An overflowing staircase: every time of each array shares one step.
+        ramp = gradual(
+            -100.0, 20.0, behavior=ExponentialBehavior(rate_per_s=100.0), step_interval_s=1.0
+        )
+        traj = DelayTrajectory((ramp,))
+        for t in (np.linspace(21.0, 21.5, 100), np.linspace(40.0, 40.5, 100)):
+            with pytest.raises(ConfigurationError, match=UNREPRESENTABLE):
+                eval_trajectory(traj, t)
+        # A NaN time is never read as lying in a piece.
+        with pytest.raises(ConfigurationError, match=UNREPRESENTABLE):
+            eval_trajectory(traj, np.array([0.0, np.nan, 0.5]))
+        np.testing.assert_array_equal(eval_trajectory(traj, np.linspace(0.0, 19.0, 50)), 0.0)
 
 
 class TestCoordination:

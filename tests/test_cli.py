@@ -98,6 +98,14 @@ class TestValidate:
         path.write_text("{oops")
         assert main(["validate", str(path)]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_not_utf8_fails_closed(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0]
+
 
 class TestTdevAndDetect:
     def test_tdev_from_series_csv(self, analytic_scenario_file, tmp_path, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gap_doc
 from qcsync import estimator
@@ -408,6 +410,30 @@ class TestKernelSlices:
         got = per_epoch_series(stream, 0.01, config).points
         assert len(got) == 200
         assert got == want == reference_per_epoch_series(stream, 0.01, config).points
+
+
+class TestWindowPairs:
+    @given(
+        st.lists(st.integers(0, 400), min_size=1, max_size=60),
+        st.lists(st.integers(-50, 450), max_size=60),
+        st.integers(-30, 30),
+        st.integers(1, 40),
+        st.integers(1, 9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_hold_every_pair_once_with_ascending_tb(self, a, b, lo, width, slice_size):
+        # Narrow windows give each record one partner at most, wide ones
+        # several; the kernel's epoch runs need each piece's tb to ascend.
+        a, b = np.sort(np.array(a)), np.sort(np.array(b))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_B_SLICE", slice_size)
+            pieces = list(estimator._window_pairs(a, b, lo, lo + width))
+        got = [(int(x), int(y)) for ta, tb in pieces for x, y in zip(ta, tb)]
+        want = [(int(x), int(y)) for y in b for x in a if lo <= y - x < lo + width]
+        assert sorted(got) == sorted(want)
+        for ta, tb in pieces:
+            assert ta.size == tb.size > 0 and np.all(np.diff(tb) >= 0)
+            assert tb.size <= slice_size + a.size
 
 
 class TestBuildHistogram:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,29 @@ class TestFailurePaths:
         path = tmp_path / "gaps.json"
         path.write_text(json.dumps(gap_doc(120.0, spike_width_s=5.0)))
         assert main(["run", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["run", "baseline"], ["reproduce", "fig4"]], ids=["run", "reproduce"]
+    )
+    def test_unwritable_out_dir_refused_before_simulating(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # A file where the output directory would go is found before the
+        # campaign runs, not when its finished bundle is written.
+        def simulate(scenario):
+            raise AssertionError("simulated a run whose bundle cannot be written")
+
+        monkeypatch.setattr(runner, "run_round_trip_sim", simulate)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        run = run_scenario if command[0] == "run" else reproduce
+        with pytest.raises(ConfigurationError, match=re.escape(str(out))):
+            run(command[1], out)
+        capsys.readouterr()
+        assert main([*command, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
 
 
 def unrepresentable_delay_doc(mode, event):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcsync import estimator, simulation
+from qcsync import attacks, estimator, simulation
 from qcsync.attacks import (
     AttackEvent,
     AttackPattern,
@@ -1117,6 +1117,71 @@ class TestDeterminism:
     )
     def test_plan_stream_digests_pinned(self, dead_time_ps):
         assert self.stream_digests(dead_time_ps) == self.PLAN_STREAM_DIGESTS[dead_time_ps]
+
+    # SHA-256 of each detector's times from a 2 s, 100 kHz proportional run
+    # (N = -M) at seed 27.  Its -100 ps jump at 0.9 s and its reversing
+    # staircase (-7.3 ps a 0.13 s step from 0.2 s, reversing after 1.1 s)
+    # change inside the 0.66 s chunks, so M and N are evaluated both on
+    # times within one step and across steps and the jump.  Computed at
+    # 0.24.0, at 1 ps and 4 ps TDC resolution.
+    ATTACKED_STREAM_DIGESTS = {
+        1.0: (
+            "8fe2f40682db1d0469466a42b36a5f5e9cafe31a2eaa1029cf4c028c7d126025",
+            "64c4ab27f26d7947ea2cfed2e81f841ccf26f9c8ef1358b2ed10890750528e9f",
+            "30d3fc9b73c2daa6e712ac60e5d752d028c197ca5bbec68d5a250a3171ac54b2",
+        ),
+        4.0: (
+            "d646e9c395a782032ae9aa03c6584a436dde87b285205e6fa92ca00706aeccb7",
+            "5a58e1bb7f6665c91b2ca467dc0a301c2ad316926ca89e33524d5e6b3bcfc249",
+            "829b19bd42ed033bb76b71e8831feb7fcf9e8a0ea708f6a9294d1f01e8da7220",
+        ),
+    }
+
+    @staticmethod
+    def attacked_doc(resolution_ps=1.0, duration_s=2.0, step_interval_s=0.13):
+        doc = builtin_scenario("jump_-100ps")
+        doc["source"] = {"pair_rate_hz": 1.0e5}
+        doc["run"]["duration_s"] = duration_s
+        doc["run"]["seed"] = 27
+        doc["m_events"] = [
+            {"pattern": "jump", "amplitude_ps": -100.0, "start_s": 0.9},
+            {
+                "pattern": "gradual",
+                "amplitude_ps": -7.3,
+                "start_s": 0.2,
+                "step_interval_s": step_interval_s,
+                "end_s": 1.1,
+                "reverse_after_end": True,
+            },
+        ]
+        doc["tdc"] = {"resolution_ps": resolution_ps}
+        del doc["detection"]
+        return doc
+
+    @pytest.mark.parametrize("resolution_ps", sorted(ATTACKED_STREAM_DIGESTS), ids=["1ps", "4ps"])
+    def test_attacked_stream_digests_pinned(self, resolution_ps):
+        stream = run_round_trip_sim(load_scenario(self.attacked_doc(resolution_ps)))
+        digests = tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in stream.times)
+        assert digests == self.ATTACKED_STREAM_DIGESTS[resolution_ps]
+
+    def test_constant_pieces_change_no_record(self, monkeypatch):
+        # Steps of 1.5 s outlast a chunk, so some chunks' photons lie in one
+        # piece of M and of N and are evaluated once; evaluating every
+        # photon instead gives the same stream.
+        scenario = load_scenario(self.attacked_doc(duration_s=4.0, step_interval_s=1.5))
+        one_piece = attacks._one_piece
+        seen = []
+
+        def recording(traj, t):
+            seen.append(one_piece(traj, t))
+            return seen[-1]
+
+        monkeypatch.setattr(attacks, "_one_piece", recording)
+        once = run_round_trip_sim(scenario)
+        assert any(seen) and not all(seen)
+        monkeypatch.setattr(attacks, "_one_piece", lambda traj, t: False)
+        every = run_round_trip_sim(scenario)
+        assert [t.tobytes() for t in once.times] == [t.tobytes() for t in every.times]
 
     def test_different_seed_differs(self):
         pairs = generate_pairs(SourceConfig(), 2.0, 1)
