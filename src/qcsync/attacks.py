@@ -348,7 +348,7 @@ def _piece(event, t):
     if event.pattern is AttackPattern.JUMP:
         return (u >= 0.0,)
     if event.pattern is AttackPattern.SPIKE:
-        return u >= 0.0, u < event.width_s
+        return u >= 0.0, u >= event.width_s
     if event.step_interval_s <= 0:
         return None
     u_clipped = max(u, 0.0)

@@ -7,6 +7,18 @@ gap-related series problems exit 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "QcsyncError",
+    "ConfigurationError",
+    "SchemaError",
+    "ContractViolation",
+    "NoPeakError",
+    "AcquisitionError",
+    "EmptySeriesError",
+    "GapError",
+    "GapRateError",
+]
+
 
 class QcsyncError(Exception):
     """Base class for all package-specific errors."""

@@ -646,15 +646,18 @@ def coarse_acquire(stream, config=None):
     Searches +-2x the nominal delay around it at coarse (1 ns) binning and
     refines the winning bin with a fine centroid.  The nominal one-way
     delay is taken from the stream metadata.  A centre that ``config``
-    sets is returned as set, and its path is not searched.
+    sets is returned as set, and its path is not searched: with both set,
+    neither the nominal delay nor the streams are read.
     """
     config = config or EstimatorConfig()
+    centers = [config.forward_center_ps, config.loopback_center_ps]
+    if None not in centers:
+        return AcquisitionResult(*centers)
     nominal = stream.nominal_one_way_delay_ps
     if nominal is None or not (nominal > 0):
         raise ConfigurationError("nominal one-way delay required for acquisition")
 
     idler = stream.times[DetectorId.IDLER_A][: config.acquire_max_events]
-    centers = [config.forward_center_ps, config.loopback_center_ps]
     searches = [
         (i, stream.times[det], (i + 1) * nominal)
         for i, det in enumerate((DetectorId.SIGNAL_B, DetectorId.RETURN_A))
@@ -669,8 +672,13 @@ def coarse_acquire(stream, config=None):
     _pipeline(lambda k: _acquire_one(idler, *searches[k][1:], config), len(searches), found.append)
     for (i, _, _), center in zip(searches, found):
         centers[i] = center
-    forward, loopback = centers
-    return AcquisitionResult(forward_center_ps=forward, loopback_center_ps=loopback)
+    return AcquisitionResult(*centers)
+
+
+def epoch_count(duration_s, epoch_s):
+    """Whole epochs of ``epoch_s`` in a run of ``duration_s`` seconds; a
+    duration within rounding of a whole number of epochs counts in full."""
+    return int(duration_s / epoch_s + 1e-9)
 
 
 def per_epoch_series(stream, epoch_length_s=1.0, config=None):
@@ -687,18 +695,14 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
         raise ConfigurationError("epoch_length_s must be > 0")
-    n_epochs = int(stream.duration_s / epoch_length_s + 1e-9)
+    n_epochs = epoch_count(stream.duration_s, epoch_length_s)
     if n_epochs < 1:
         raise ConfigurationError("stream shorter than one epoch")
     if len(stream) == 0:
         raise EmptySeriesError("stream contains no detection records")
 
-    fwd_center, loop_center = config.forward_center_ps, config.loopback_center_ps
-    if fwd_center is None or loop_center is None:
-        # Acquisition searches only for the centre the configuration leaves
-        # unset, and returns the other as configured.
-        acq = coarse_acquire(stream, config)
-        fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
+    acq = coarse_acquire(stream, config)
+    fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
 
     idler = stream.times[DetectorId.IDLER_A]
     epoch_ps = epoch_length_s * 1e12

@@ -43,7 +43,7 @@ from .detection import (
     write_alarms_csv,
 )
 from .errors import ConfigurationError, GapRateError
-from .estimator import ClockDifferencePoint, ClockDifferenceSeries, per_epoch_series
+from .estimator import ClockDifferencePoint, ClockDifferenceSeries, epoch_count, per_epoch_series
 from .scenario import (
     AttackScenario,
     RunMode,
@@ -113,7 +113,7 @@ def _run_analytic(scenario):
     p_bob)`` loopback coincidences, each peak centroid having its pair
     differences' sigma over ``sqrt(N)``."""
     run = scenario.run
-    n_epochs = int(run.duration_s / run.epoch_s + 1e-9)
+    n_epochs = epoch_count(run.duration_s, run.epoch_s)
     if n_epochs < 1:
         raise ConfigurationError("run shorter than one epoch")
     s_i, s_b, s_r, eff, p_bob, p_signal = chain_model(

@@ -58,7 +58,7 @@ from .attacks import (
 )
 from .detection import CusumConfig, ThresholdConfig
 from .errors import ConfigurationError, SchemaError
-from .estimator import EstimatorConfig
+from .estimator import EstimatorConfig, epoch_count
 from .simulation import (
     ChannelConfig,
     ClockConfig,
@@ -141,8 +141,7 @@ class AttackScenario:
         self.scheme = enum_member(SchemeKind, self.scheme, "scheme")
         self.mode = enum_member(RunMode, self.mode, "mode")
         # Cross-field rules, all reported together with their field paths.
-        # The epochs are counted as ``per_epoch_series`` counts them.
-        epochs = int(self.run.duration_s / self.run.epoch_s + 1e-9)
+        epochs = epoch_count(self.run.duration_s, self.run.epoch_s)
         threshold = self.detection.threshold if self.detection else None
         rules = (
             (

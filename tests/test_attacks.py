@@ -340,6 +340,29 @@ class TestConstantPieces:
         eval_trajectory(DelayTrajectory((ramp,)), np.linspace(2000.0, 2001.0, 1000))
         assert sizes == [1000, 1000, 1000, 1000]
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            jump(-100.0, 10.0),
+            spike(50.0, 10.0, 5.0),
+            gradual(-4.0, 0.0, step_interval_s=3.5),
+            gradual(-4.0, 0.0, step_interval_s=3.5, end_s=20.0),
+            gradual(-4.0, 0.0, step_interval_s=3.5, end_s=20.0, reverse_after_end=True),
+        ],
+        ids=["jump", "spike", "staircase", "held", "reversed"],
+    )
+    def test_piece_entries_never_fall(self, event):
+        # Every entry of a piece is non-decreasing in time, so the pieces of
+        # an ascending run of times can be walked in order.
+        edges = {
+            x
+            for b in breakpoints(event)
+            for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+        }
+        times = sorted(edges | set(np.linspace(-5.0, 40.0, 901).tolist()))
+        pieces = np.array([[float(x) for x in attacks._piece(event, t)] for t in times])
+        assert np.all(np.diff(pieces, axis=0) >= 0.0)
+
     def test_refusal_unchanged_in_one_piece(self):
         # An overflowing staircase: every time of each array shares one step.
         ramp = gradual(

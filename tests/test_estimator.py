@@ -868,6 +868,20 @@ class TestCoarseAcquire:
             coarse_acquire(stream)
 
 
+    def test_both_centres_configured_read_no_stream(self):
+        # Neither the nominal delay nor the detector streams are read when
+        # no path is searched.
+        idler = np.arange(0, 10_000_000, 1000, dtype=np.int64)
+        stream = TimestampStream(
+            times=[idler, np.empty(0, np.int64), idler + 20_000],
+            duration_s=1.0,
+            nominal_one_way_delay_ps=None,
+        )
+        config = EstimatorConfig(forward_center_ps=10_000, loopback_center_ps=20_000)
+        acq = coarse_acquire(stream, config)
+        assert (acq.forward_center_ps, acq.loopback_center_ps) == (10_000, 20_000)
+
+
 class TestPerEpochSeries:
     def test_delta_rederivable_from_taus(self):
         stream = noiseless_stream()
@@ -961,6 +975,31 @@ class TestPerEpochSeries:
     def test_unset_centre_still_acquired(self):
         stream = noiseless_stream(duration_s=5.0)
         series = per_epoch_series(stream, 1.0, EstimatorConfig(forward_center_ps=48_990_100))
+        assert series.gap_count() == 0
+
+    @pytest.mark.parametrize(
+        "centres",
+        [
+            {},
+            {"forward_center_ps": 48_990_100},
+            {"forward_center_ps": 48_990_100, "loopback_center_ps": 98_000_000},
+        ],
+        ids=["none", "forward", "both"],
+    )
+    def test_acquisition_decides_the_centres(self, monkeypatch, centres):
+        # ``coarse_acquire`` alone decides which centres to search for, so
+        # the series asks it once however many centres are configured.
+        calls = []
+        acquire = estimator.coarse_acquire
+
+        def counting(stream, config=None):
+            calls.append(config)
+            return acquire(stream, config)
+
+        monkeypatch.setattr(estimator, "coarse_acquire", counting)
+        config = EstimatorConfig(**centres)
+        series = per_epoch_series(noiseless_stream(duration_s=5.0), 1.0, config)
+        assert calls == [config]
         assert series.gap_count() == 0
 
     def test_configured_centre_is_not_searched_for(self):
