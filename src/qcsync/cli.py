@@ -180,7 +180,7 @@ def _cmd_detect(args):
         print("no alarms")
 
     if args.onset_s is not None:
-        span = series.points[-1].epoch_start_s + series.epoch_length_s
+        span = float(series.times()[-1]) + series.epoch_length_s
         s = score(alarms, args.onset_s, span)
         print(json.dumps(dataclasses.asdict(s), sort_keys=True))
     if args.out_dir is not None:

@@ -13,6 +13,7 @@ simulated scenario.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -52,8 +53,9 @@ class ThresholdConfig:
     threshold_ps: Optional[float] = None
 
     def __post_init__(self):
-        if self.baseline_window_epochs < 10:
-            raise ConfigurationError("baseline_window_epochs must be >= 10")
+        window = self.baseline_window_epochs
+        if not (isinstance(window, numbers.Integral) and window >= 10):
+            raise ConfigurationError(f"baseline_window_epochs must be an integer >= 10: {window!r}")
         if self.threshold_ps is not None and not (
             self.threshold_ps > 0 and math.isfinite(self.threshold_ps)
         ):
@@ -92,10 +94,6 @@ class DetectionScore:
     false_alarms: int
 
 
-def _usable_points(series):
-    return [p for p in series.points if not p.is_gap]
-
-
 def threshold_monitor(series, cfg):
     """Alarms for every epoch deviating from the baseline-window mean.
 
@@ -104,23 +102,23 @@ def threshold_monitor(series, cfg):
     to a constant offset of the whole series.  Without a configured
     ``threshold_ps`` the level is four times the std of that window.
     """
-    points = _usable_points(series)
-    if len(points) <= cfg.baseline_window_epochs:
+    delta = series.deltas()
+    usable = ~np.isnan(delta)
+    times, delta = series.times()[usable], delta[usable]
+    if delta.size <= cfg.baseline_window_epochs:
         raise ConfigurationError(
-            f"series has {len(points)} usable epochs, need more than "
+            f"series has {delta.size} usable epochs, need more than "
             f"the {cfg.baseline_window_epochs}-epoch baseline window"
         )
-    window = [p.delta_ps for p in points[: cfg.baseline_window_epochs]]
+    window = delta[: cfg.baseline_window_epochs]
     baseline = float(np.mean(window))
     level = cfg.threshold_ps
     if level is None:
         level = 4.0 * float(np.std(window)) or 1.0
-    alarms = []
-    for p in points:
-        deviation = p.delta_ps - baseline
-        if abs(deviation) > level:
-            alarms.append(Alarm(p.epoch_start_s, AlarmKind.THRESHOLD, deviation))
-    return alarms
+    deviation = delta - baseline
+    beyond = np.abs(deviation) > level
+    hits = zip(times[beyond].tolist(), deviation[beyond].tolist())
+    return [Alarm(t, AlarmKind.THRESHOLD, d) for t, d in hits]
 
 
 def cusum_drift(series, cfg):
@@ -139,22 +137,21 @@ def cusum_drift(series, cfg):
     below ``k`` per epoch does not add up to an alarm because gaps lengthen
     its steps.
     """
-    points = [(i, p.delta_ps) for i, p in enumerate(series.points) if not p.is_gap]
-    if len(points) < 2:
-        return []
-    k = cfg.reference_drift_ps
+    delta = series.deltas()
+    usable = np.flatnonzero(~np.isnan(delta))
+    times = series.times()[usable[1:]].tolist()
+    steps = np.diff(delta[usable]).tolist()
+    allowances = (np.diff(usable) * cfg.reference_drift_ps).tolist()
     h = cfg.decision_limit_ps
     s_pos = 0.0
     s_neg = 0.0
     alarms = []
-    for (i, prev), (j, cur) in zip(points, points[1:]):
-        d = cur - prev
-        allowance = (j - i) * k
+    for t, d, allowance in zip(times, steps, allowances):
         s_pos = max(0.0, s_pos + (d - allowance))
         s_neg = max(0.0, s_neg - (d + allowance))
         if s_pos > h or s_neg > h:
             magnitude = s_pos if s_pos > h else -s_neg
-            alarms.append(Alarm(series.points[j].epoch_start_s, AlarmKind.DRIFT, magnitude))
+            alarms.append(Alarm(t, AlarmKind.DRIFT, magnitude))
             s_pos = 0.0
             s_neg = 0.0
     return alarms

@@ -41,7 +41,7 @@ from .errors import (
     EmptySeriesError,
     NoPeakError,
 )
-from .simulation import DetectorId, _pipeline, is_sorted
+from .simulation import DetectorId, _is_finite_number, _pipeline, is_sorted
 
 __all__ = [
     "CorrelationHistogram",
@@ -128,22 +128,22 @@ class ClockDifferenceSeries:
     def __len__(self):
         return len(self.points)
 
+    def _column(self, name):
+        """Field ``name`` of every point as one float array, NaN where None."""
+        return np.array([getattr(p, name) for p in self.points], dtype=float)
+
     def times(self):
-        return np.array([p.epoch_start_s for p in self.points])
+        return self._column("epoch_start_s")
 
     def deltas(self):
         """Delta values with NaN at gap epochs."""
-        return np.array(
-            [p.delta_ps if p.delta_ps is not None else np.nan for p in self.points]
-        )
+        return self._column("delta_ps")
 
     def tau_abas(self):
-        return np.array(
-            [p.tau_aba_ps if p.tau_aba_ps is not None else np.nan for p in self.points]
-        )
+        return self._column("tau_aba_ps")
 
     def gap_count(self):
-        return sum(1 for p in self.points if p.is_gap)
+        return int(np.isnan(self.deltas()).sum())
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -206,13 +206,15 @@ class EstimatorConfig:
     loopback_center_ps: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps"):
+        bins = ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps")
+        for name in bins + ("window_halfwidth_ps", "refine_halfwidth_ps", "acquire_max_events"):
             v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
+            if not (_is_finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0")
-        for name in ("window_halfwidth_ps", "refine_halfwidth_ps", "acquire_max_events"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be > 0")
+        for name in ("forward_center_ps", "loopback_center_ps"):
+            v = getattr(self, name)
+            if v is not None and not _is_finite_number(v):
+                raise ConfigurationError(f"{name} must be None or finite: {v!r}")
 
 
 @dataclass(frozen=True)

@@ -226,14 +226,11 @@ def write_campaign(result, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     result.series.to_csv(out / "series.csv")
 
-    reference = result.scenario.reference_ps
+    rezeroed = result.series.deltas() - result.scenario.reference_ps
     with open(out / "series_rezeroed.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch_start_s,delta_rezeroed_ps\n")
-        for p in result.series.points:
-            if p.is_gap:
-                fh.write(f"{p.epoch_start_s!r},\n")
-            else:
-                fh.write(f"{p.epoch_start_s!r},{p.delta_ps - reference!r}\n")
+        for t, d in zip(result.series.times().tolist(), rezeroed.tolist()):
+            fh.write(f"{t!r},\n" if math.isnan(d) else f"{t!r},{d!r}\n")
 
     if result.tdev is not None:
         result.tdev.to_csv(out / "tdev.csv")

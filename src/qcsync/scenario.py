@@ -160,6 +160,11 @@ class AttackScenario:
                 "conflicts with proportional coordination (N is derived from M)",
             ),
             (
+                not _is_finite_number(self.reference_ps),
+                "reference_ps",
+                f"must be a finite number: {self.reference_ps!r}",
+            ),
+            (
                 threshold is not None and epochs <= threshold.baseline_window_epochs,
                 "detection.threshold.baseline_window_epochs",
                 f"must be less than the run's {epochs} epochs",

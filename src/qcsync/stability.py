@@ -157,19 +157,14 @@ def estimate_step_shift(series, split_time_s):
     averaged.  Gap epochs are ignored; each side must keep at least 10
     usable points.
     """
-    before = [
-        p.delta_ps
-        for p in series.points
-        if not p.is_gap and p.epoch_start_s < split_time_s
-    ]
-    after = [
-        p.delta_ps
-        for p in series.points
-        if not p.is_gap and p.epoch_start_s >= split_time_s
-    ]
-    if len(before) < 10 or len(after) < 10:
+    times, delta = series.times(), series.deltas()
+    usable = ~np.isnan(delta)
+    # A NaN split puts every epoch on neither side, as comparisons with it fail.
+    before = delta[usable & (times < split_time_s)]
+    after = delta[usable & (times >= split_time_s)]
+    if before.size < 10 or after.size < 10:
         raise ConfigurationError(
             f"need >= 10 usable epochs on each side of the split "
-            f"(got {len(before)} before, {len(after)} after)"
+            f"(got {before.size} before, {after.size} after)"
         )
     return float(np.mean(after) - np.mean(before))

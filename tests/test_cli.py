@@ -93,6 +93,15 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "width_s" in capsys.readouterr().err
 
+    def test_nan_reference_refused(self, tmp_path, capsys):
+        doc = builtin_scenario("baseline")
+        doc["reference_ps"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        assert main(["validate", str(path)]) == 1
+        assert f"{path}: reference_ps: must be a finite number" in capsys.readouterr().err
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

@@ -116,6 +116,16 @@ class TestThresholdMonitor:
             assert alarms and alarms[0].epoch_start_s == 250.0
 
 
+class TestThresholdConfig:
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), 60.0, 9])
+    def test_window_must_be_an_integer_of_at_least_ten(self, window):
+        with pytest.raises(ConfigurationError, match="^baseline_window_epochs "):
+            ThresholdConfig(baseline_window_epochs=window)
+
+    def test_integer_window_accepted(self):
+        assert ThresholdConfig(baseline_window_epochs=np.int64(10)).baseline_window_epochs == 10
+
+
 class TestCusumDrift:
     def test_zero_increments_no_alarms(self):
         series = make_series([-9900.0] * 100)

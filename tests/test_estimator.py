@@ -1028,6 +1028,25 @@ class TestPerEpochSeries:
             per_epoch_series(stream, 1.0)
 
 
+class TestEstimatorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_halfwidth_ps", math.inf),
+            ("refine_halfwidth_ps", math.inf),
+            ("acquire_max_events", math.inf),
+            ("forward_center_ps", math.nan),
+            ("loopback_center_ps", math.nan),
+            ("forward_center_ps", -math.inf),
+        ],
+    )
+    def test_nonfinite_field_refused(self, field, value):
+        # These passed the constructor, and the series then died with a raw
+        # OverflowError or ValueError.
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            EstimatorConfig(**{field: value})
+
+
 class TestSeriesCsv:
     def test_roundtrip_with_gaps(self, tmp_path):
         from conftest import make_series

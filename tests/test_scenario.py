@@ -260,6 +260,19 @@ class TestValidation:
         issues = validate_scenario_dict(json.loads(json.dumps(doc)))
         assert any(p in (section, path) for p, _ in issues), issues
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_reference_rejected(self, tmp_path, value):
+        # ``json.load`` reads the literals NaN and Infinity as floats; a NaN
+        # reference used to write ``nan`` rows and a bare NaN token into the
+        # bundle.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(minimal_doc(reference_ps=value)))
+        assert [p for p, _ in validate_scenario(path)] == ["reference_ps"]
+        scenario = AttackScenario.from_dict(minimal_doc())
+        with pytest.raises(SchemaError) as excinfo:
+            dataclasses.replace(scenario, reference_ps=value)
+        assert [p for p, _ in excinfo.value.issues] == ["reference_ps"]
+
     @pytest.mark.parametrize("path", ["run.duration_s", "reference_ps"])
     def test_integer_beyond_float_range_rejected(self, path):
         # JSON integers have no size limit, so ``json.load`` reads this one
