@@ -7,10 +7,12 @@ SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
 pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
 single epoch.  Each slice of far-end records is searched into the idlers
 the kernel is given, and a pair takes the epoch that the grid's edges give
-its far-end record, counting only if its idler lies in that epoch too.
-The per-epoch series runs the kernel one block of epochs at a time, on the
-records inside the block's edges, and takes the block's peaks before the
-next block is counted, so no count matrix outgrows one block.  Per epoch
+its far-end record, counting only if its idler lies in that epoch too;
+only the pairs whose far-end record lies within the window of an epoch
+edge are checked.  The per-epoch series runs the kernel on blocks of
+epochs, at least one per worker thread and path, each on the records
+inside the block's edges, and takes a block's peaks before more blocks are
+counted, so no count matrix outgrows one block.  Per epoch
 both peak positions tau_AB and tau_ABA give the clock difference
 ``delta = tau_AB - tau_ABA / 2``.
 
@@ -29,6 +31,7 @@ found become explicit gaps rather than fabricated values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -41,6 +44,7 @@ from .errors import (
     EmptySeriesError,
     NoPeakError,
 )
+from . import simulation
 from .simulation import DetectorId, _is_finite_number, _pipeline, is_sorted
 
 __all__ = [
@@ -207,10 +211,14 @@ class EstimatorConfig:
 
     def __post_init__(self):
         bins = ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps")
-        for name in bins + ("window_halfwidth_ps", "refine_halfwidth_ps", "acquire_max_events"):
+        for name in bins + ("window_halfwidth_ps", "refine_halfwidth_ps"):
             v = getattr(self, name)
             if not (_is_finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0")
+        # A count of idlers, which acquisition slices the stream with.
+        v = self.acquire_max_events
+        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
+            raise ConfigurationError(f"acquire_max_events must be an integer >= 1: {v!r}")
         for name in ("forward_center_ps", "loopback_center_ps"):
             v = getattr(self, name)
             if v is not None and not _is_finite_number(v):
@@ -330,11 +338,16 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     accidentals per bin that each epoch's singles predict; ``edges`` may be
     any ascending grid.  A pair counts only in the epoch holding both of its
     records; a piece's ``b`` records ascend, so the edges cut it into one
-    run of pairs per epoch, found by one search per edge.  ``np.add.at``
-    over ``epoch * nbins + bin`` adds each piece of pairs straight into all
-    epochs' counts.  No bin can exceed the pairs counted, so a running total
-    above ``_MAX_COUNTED_PAIRS`` raises ContractViolation before a count
-    wraps.
+    run of pairs per epoch, found by one search per edge.  A pair's ``a``
+    record lies in ``(t_b - hi_key, t_b - lo_key]``, so it can leave its
+    ``b`` record's epoch only when ``t_b`` lies within ``hi_key`` of the
+    epoch's start or, for ``lo_key < 0``, within ``-lo_key`` of its end:
+    only the pairs in those two bands of each run are checked.  The bin
+    index of every pair kept is computed at once, and each epoch's row
+    offset is added to its run in place, so ``np.add.at`` adds each piece
+    straight into all epochs' counts.  No bin can exceed the pairs counted,
+    so a running total above ``_MAX_COUNTED_PAIRS`` raises
+    ContractViolation before a count wraps.
     """
     nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
@@ -343,6 +356,13 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
         # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
         lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+        pad = 0
+    else:
+        # Float differences, keys and band ends round by up to half a unit
+        # in the last place of the largest time or key each; a band padded
+        # by four such units holds every pair that can leave its epoch.
+        largest = max(abs(float(edges[0])), abs(float(edges[-1]))) + max(-lo_key, hi_key)
+        pad = 4.0 * float(np.spacing(largest))
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     n_epochs = edges.size - 1
@@ -353,17 +373,22 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     # the window of some a record can pair: each one left has an epoch.
     first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
     b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
+    # Each epoch's bands [start, start + hi_key) and [end + lo_key, end),
+    # padded; ``_leaving_pairs`` cuts them to the epoch's run.
+    bands = (edges[:-1] + (hi_key + pad), edges[1:] + (lo_key - pad))
     counted = 0
     for ta, tb in _window_pairs(a, b, lo_key, hi_key):
         # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
-        # are one run of the piece.
-        runs = np.diff(np.searchsorted(tb, edges))
-        epoch = np.repeat(np.arange(n_epochs), runs)
-        keep = (np.repeat(edges[:-1], runs) <= ta) & (ta < np.repeat(edges[1:], runs))
-        if not keep.all():
-            ta, tb, epoch = (np.compress(keep, v) for v in (ta, tb, epoch))
-            if epoch.size == 0:
+        # are the run between its edges' positions in the piece.
+        at = np.searchsorted(tb, edges)
+        left = _leaving_pairs(ta, tb, edges, at, bands)
+        if left.size:
+            keep = np.ones(ta.size, dtype=bool)
+            keep[left] = False
+            ta, tb = np.compress(keep, ta), np.compress(keep, tb)
+            if ta.size == 0:
                 continue
+            at = np.searchsorted(tb, edges)
         counted += ta.size
         if counted > _MAX_COUNTED_PAIRS:
             raise ContractViolation(
@@ -378,9 +403,7 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
         np.clip(cells, 0, nbins - 1, out=cells)
-        epoch *= nbins
-        cells += epoch
-        del epoch
+        _add_row_offsets(cells, at, nbins)
         # A one of the counts' own dtype keeps numpy on its fast path, which
         # casts nothing; the piece makes no counts of its own.
         np.add.at(counts, cells, np.int32(1))
@@ -388,19 +411,70 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     return counts.reshape(n_epochs, nbins), accidentals
 
 
+def _leaving_pairs(ta, tb, edges, at, bands):
+    """Indices of the pairs whose ``ta`` lies outside their ``tb``'s epoch.
+
+    Epoch k's pairs are ``[at[k], at[k + 1])``; only those whose ``tb`` lies
+    before ``bands[0][k]`` or from ``bands[1][k]`` on are checked, each
+    against its own epoch's edges as ``edges[k] <= ta < edges[k + 1]``.
+    Bands that meet make the whole run one band.
+    """
+    first_end = np.clip(np.searchsorted(tb, bands[0]), at[:-1], at[1:])
+    last_start = np.clip(np.searchsorted(tb, bands[1]), first_end, at[1:])
+    lo = np.concatenate((at[:-1], last_start))
+    n = np.concatenate((first_end, at[1:])) - lo
+    total = int(n.sum())
+    if total == 0:
+        return n[:0]
+    # One arange over the checked pairs, each range moved to its start.
+    offset = lo - (np.cumsum(n) - n)
+    pair = np.arange(total)
+    pair += np.repeat(offset, n)
+    epoch = np.repeat(np.tile(np.arange(edges.size - 1), 2), n)
+    t = ta[pair]
+    return np.compress(~((edges[epoch] <= t) & (t < edges[epoch + 1])), pair)
+
+
+# Above this many pairs per run of an epoch, ``_add_row_offsets`` adds each
+# run's offset in place; below it, one offset array costs less than a Python
+# step per run.
+_PAIRS_PER_RUN = 256
+
+
+def _add_row_offsets(cells, at, nbins):
+    """Add ``k * nbins`` to ``cells[at[k]:at[k + 1]]`` for every epoch k."""
+    runs = np.flatnonzero(np.diff(at))
+    if runs.size * _PAIRS_PER_RUN > cells.size:
+        cells += np.repeat(np.arange(at.size - 1) * nbins, np.diff(at))
+        return
+    for k in runs[runs > 0].tolist():
+        cells[at[k] : at[k + 1]] += k * nbins
+
+
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Histogram of ordered time differences ``t_b - t_a`` within a window.
 
     Both inputs must be sorted ascending.  This is the one-epoch case of the
     per-epoch kernel: only the ``b`` records within the window of some
-    ``a`` record are searched, so the cost follows ``a``, not ``b``.
+    ``a`` record are searched, so the cost follows ``a``, not ``b``.  The
+    bin width and the halfwidth must be finite and > 0, the centre finite.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if bin_width_ps <= 0 or window_halfwidth_ps <= 0:
-        raise ConfigurationError("bin width and window halfwidth must be positive")
+    widths = (("bin_width_ps", bin_width_ps), ("window_halfwidth_ps", window_halfwidth_ps))
+    for name, value in widths:
+        if not (_is_finite_number(value) and value > 0):
+            raise ConfigurationError(f"{name} must be finite and > 0: {value!r}")
+    if not _is_finite_number(window_center_ps):
+        raise ConfigurationError(f"window_center_ps must be finite: {window_center_ps!r}")
     _check_sorted("a", a)
     _check_sorted("b", b)
+    return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
+
+
+def _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
+    """``build_histogram`` of arrays already known to ascend, with valid
+    arguments: acquisition's far streams were checked by ``TimestampStream``."""
     # One epoch over both inputs' time span, the span of their singles rates.
     ends = np.concatenate((a[:1], a[-1:], b[:1], b[-1:]))
     edges = np.array([ends.min(), ends.max() + 1]) if ends.size else np.array([0, 1])
@@ -630,10 +704,10 @@ def clock_difference(tau_ab_ps, tau_aba_ps):
 def _acquire_one(a, b, nominal_ps, config):
     """Two-stage window search: coarse 1 ns histogram, then refined centroid."""
     halfwidth = int(round(2.0 * nominal_ps))
-    coarse = build_histogram(a, b, config.coarse_bin_ps, int(round(nominal_ps)), halfwidth)
+    coarse = _one_epoch_histogram(a, b, config.coarse_bin_ps, int(round(nominal_ps)), halfwidth)
     try:
         rough = estimate_peak(coarse)
-        fine = build_histogram(
+        fine = _one_epoch_histogram(
             a, b, config.refine_bin_ps, int(round(rough.tau_ps)), config.refine_halfwidth_ps
         )
         refined = estimate_peak(fine)
@@ -687,12 +761,12 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     """Per-epoch clock-difference series from a timestamp stream.
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
-    timestamp, builds the forward and loopback histograms (the two at once)
-    one block of epochs at a time, extracts each block's peaks before the
-    next block is counted, and emits each epoch's ``delta = tau_AB -
-    tau_ABA/2``.  Epochs where either peak estimation fails are emitted as
-    gaps.  The combined counting-statistics sigma of each delta is recorded
-    alongside.
+    timestamp, builds the forward and loopback histograms in blocks of
+    epochs, ``simulation._WORKERS`` blocks or more per path and that many at
+    once, extracts each block's peaks before more blocks are counted, and
+    emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where either
+    peak estimation fails are emitted as gaps.  The combined
+    counting-statistics sigma of each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -712,16 +786,19 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
     paths = ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
 
-    # Blocks of rows holding about eight kernel slices of bins (262 epochs
-    # of the default 1000 bins).  A pair counts only when both its records
-    # lie in one epoch, so the records inside a block's edges give that
-    # block's rows exactly, and each block's peaks are taken as soon as it
-    # is counted, on the thread that counted it: at most ``_WORKERS`` count
-    # matrices exist at once, and ``_pipeline`` holds at most
-    # ``_WORKERS + 1`` blocks' peaks before it hands them on, so the counts
-    # and the temporaries of ``_peaks`` stay bounded however many epochs
-    # there are.
-    rows = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
+    # Blocks of rows holding at most about eight kernel slices of bins (262
+    # epochs of the default 1000 bins), and at least ``_WORKERS`` blocks per
+    # path, so that every worker counts a block of the forward path, the
+    # longer one, rather than one counting it while the others wait.  A
+    # pair counts only when both its records lie in one epoch, so the
+    # records inside a block's edges give that block's rows exactly, and
+    # each block's peaks are taken as soon as it is counted, on the thread
+    # that counted it: at most ``_WORKERS`` count matrices exist at once,
+    # and ``_pipeline`` holds at most ``_WORKERS + 1`` blocks' peaks before
+    # it hands them on, so the counts and the temporaries of ``_peaks`` stay
+    # bounded however many epochs there are.
+    cap = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
+    rows = min(cap, -(-n_epochs // max(1, simulation._WORKERS)))
     n_blocks = -(-n_epochs // rows)
 
     def block_peaks(task):
@@ -738,8 +815,7 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     # Blocks share no state, so running several at once changes no result.
     # Both paths' blocks are one task list, consumed in order, so the
-    # workers run blocks of one path side by side: none idles while the
-    # forward path, with twice the loopback's records, finishes.
+    # workers run blocks of one path side by side.
     blocks = ([], [])
     _pipeline(block_peaks, len(paths) * n_blocks, lambda done: blocks[done[0]].append(done[1]))
     fwd, loop = (_PeakArrays(*map(np.concatenate, zip(*path))) for path in blocks)

@@ -46,7 +46,9 @@ jitter or delay step wider than the gap across a chunk edge), so its merge
 buffer holds only overlapping records.  The dead time is applied in those
 buffers in slices of ``_PAIR_CHUNK`` records, each filtered behind the last
 record kept before it, and the stream check reads them in windows of the
-same length.
+same length.  The three buffers are finished (sorted and dead-time
+filtered) on the same threads as the chunks, so up to ``_WORKERS`` of them
+at once, each with its own merge buffer.
 
 All randomness flows from a single integer seed.  Each block's emission
 times and each chunk's propagation draw from their own generators, seeded
@@ -663,8 +665,15 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
 
     _pipeline(detect, n_chunks, assemble)
 
+    def finish(det):
+        return records[DetectorId(det)].finish(detectors.dead_time_ps)
+
+    # The buffers share no state, so finishing them at once changes no record.
+    times = []
+    _pipeline(finish, len(records), times.append)
+
     return TimestampStream(
-        times=[records.pop(det).finish(detectors.dead_time_ps) for det in DetectorId],
+        times=times,
         duration_s=float(duration_s),
         nominal_one_way_delay_ps=L,
     )

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import gap_doc
-from qcsync import estimator
+from qcsync import estimator, simulation
 from qcsync.attacks import AttackEvent, AttackPattern, DelayTrajectory
 from qcsync.errors import (
     AcquisitionError,
@@ -412,6 +412,46 @@ class TestKernelSlices:
         assert got == want == reference_per_epoch_series(stream, 0.01, config).points
 
 
+class TestRowBlocks:
+    """Each path's epochs are cut into at least ``_WORKERS`` row blocks."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """The row count of every kernel call from now on, in call order."""
+        blocks = []
+        histograms = estimator._histograms
+
+        def recording(a, b, edges, *args):
+            blocks.append(edges.size - 1)
+            return histograms(a, b, edges, *args)
+
+        monkeypatch.setattr(estimator, "_histograms", recording)
+        return blocks
+
+    @pytest.mark.parametrize("workers, rows", [(1, [30]), (2, [15, 15]), (3, [10, 10, 10])])
+    def test_series_independent_of_workers(self, monkeypatch, workers, rows):
+        stream = noiseless_stream(duration_s=30.0, rate=5_000.0)
+        config = EstimatorConfig(forward_center_ps=48_990_100, loopback_center_ps=98_000_000)
+        monkeypatch.setattr(simulation, "_WORKERS", 1)
+        want = per_epoch_series(stream, 1.0, config).points
+        blocks = self.record_blocks(monkeypatch)
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        got = per_epoch_series(stream, 1.0, config).points
+        assert len(got) == 30 and not any(p.is_gap for p in got)
+        assert got == want
+        assert blocks == rows * 2
+
+    def test_blocks_keep_their_row_cap(self, monkeypatch):
+        # Eight slices of 7 records make 56 bins' worth: one row per block
+        # for the default 1000 bins, however few workers there are.
+        stream = noiseless_stream(duration_s=3.0, rate=5_000.0)
+        config = EstimatorConfig(forward_center_ps=48_990_100, loopback_center_ps=98_000_000)
+        monkeypatch.setattr(estimator, "_B_SLICE", 7)
+        blocks = self.record_blocks(monkeypatch)
+        per_epoch_series(stream, 1.0, config)
+        assert blocks == [1] * 6
+
+
 class TestWindowPairs:
     @given(
         st.lists(st.integers(0, 400), min_size=1, max_size=60),
@@ -434,6 +474,130 @@ class TestWindowPairs:
         for ta, tb in pieces:
             assert ta.size == tb.size > 0 and np.all(np.diff(tb) >= 0)
             assert tb.size <= slice_size + a.size
+
+
+# Test oracle: the histogram kernel as it was when every pair was given an
+# epoch array and checked, kept verbatim apart from its name and the
+# module prefixes.
+def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
+    nbins = estimator._bin_count(bin_width_ps, window_halfwidth_ps)
+    lo = float(window_center_ps) - float(window_halfwidth_ps)
+    lo_key, hi_key = lo, lo + nbins * bin_width_ps
+    if a.dtype.kind == b.dtype.kind == "i":
+        # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
+        # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
+        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
+    accidentals = singles * bin_width_ps / np.diff(edges)
+    n_epochs = edges.size - 1
+    counts = np.zeros(n_epochs * nbins, dtype=np.int32)
+    if a.size == 0:
+        return counts.reshape(n_epochs, nbins), accidentals
+    # Only the b records inside the grid can count, and only those within
+    # the window of some a record can pair: each one left has an epoch.
+    first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
+    b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
+    counted = 0
+    for ta, tb in estimator._window_pairs(a, b, lo_key, hi_key):
+        # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
+        # are one run of the piece.
+        runs = np.diff(np.searchsorted(tb, edges))
+        epoch = np.repeat(np.arange(n_epochs), runs)
+        keep = (np.repeat(edges[:-1], runs) <= ta) & (ta < np.repeat(edges[1:], runs))
+        if not keep.all():
+            ta, tb, epoch = (np.compress(keep, v) for v in (ta, tb, epoch))
+            if epoch.size == 0:
+                continue
+        counted += ta.size
+        if counted > estimator._MAX_COUNTED_PAIRS:
+            raise ContractViolation(
+                f"more than {estimator._MAX_COUNTED_PAIRS} pairs in one histogram kernel: "
+                "its int32 counts could wrap"
+            )
+        # floor((tb - ta - lo) / bin_width_ps), step by step in one array.
+        d = tb.astype(float)
+        d -= ta
+        d -= lo
+        d /= bin_width_ps
+        cells = np.floor(d, out=d).astype(np.int64)
+        del d
+        np.clip(cells, 0, nbins - 1, out=cells)
+        epoch *= nbins
+        cells += epoch
+        del epoch
+        # A one of the counts' own dtype keeps numpy on its fast path, which
+        # casts nothing; the piece makes no counts of its own.
+        np.add.at(counts, cells, np.int32(1))
+        del cells
+    return counts.reshape(n_epochs, nbins), accidentals
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Sorted ``a`` and ``b``, an ascending grid and a window for
+    ``_histograms``, int64 or float64, near zero or far from it.
+
+    Epochs run from 1 to 400 units, so some are shorter than the window; a
+    centre of 0 puts ``lo_key`` below zero; and ``b`` holds records on the
+    epoch edges, on ``edge + hi_key`` and on ``edge + lo_key`` (and one unit,
+    or for floats one ulp, off each), where a pair's idler can sit on an
+    epoch edge.
+    """
+    kind = draw(st.sampled_from(["int", "float"]))
+    shift = draw(st.sampled_from([0, 10**12, 2**53 - 300, 3 * 2**52]))
+    bw = draw(st.sampled_from([1.0, 2.5, 3.0, 7.0] + ([0.75, 1.3] if kind == "float" else [])))
+    halfwidth = draw(st.integers(1, 60))
+    center = draw(st.sampled_from([0, halfwidth, -halfwidth, draw(st.integers(-150, 150))]))
+    nbins = int(round(2.0 * halfwidth / bw))
+    if nbins < 1:
+        halfwidth, nbins = 60, int(round(120 / bw))
+    lo = float(center) - float(halfwidth)
+    lo_key, hi_key = lo, lo + nbins * bw
+    if kind == "int":
+        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    steps = draw(st.lists(st.integers(1, 400), min_size=1, max_size=6))
+    grid = np.cumsum([draw(st.integers(-100, 100))] + steps)
+    lo_t, hi_t = int(grid[0]) - 200, int(grid[-1]) + 200
+    a = draw(st.lists(st.integers(lo_t, hi_t), max_size=50))
+    a += draw(st.lists(st.sampled_from(grid.tolist()), max_size=4))
+    b = draw(st.lists(st.integers(lo_t, hi_t), max_size=50))
+    if kind == "int":
+        edges = grid.astype(np.int64) + shift
+        a, b = (np.sort(np.asarray(v, dtype=np.int64)) + shift for v in (a, b))
+        special = np.concatenate([edges + k for k in (lo_key, hi_key, 0)])
+        special = np.concatenate([special - 1, special, special + 1])
+    else:
+        # Far from zero, edge + hi_key rounds, and so do the differences.
+        edges = grid.astype(float) + shift
+        assume(np.all(np.diff(edges) > 0))
+        a = np.sort(np.asarray(a, dtype=float) + draw(st.sampled_from([0.0, 0.25, 0.5])) + shift)
+        b = np.asarray(b, dtype=float) + shift
+        special = np.concatenate([edges + k for k in (lo_key, hi_key, 0.0)])
+        special = np.concatenate(
+            [np.nextafter(special, -np.inf), special, np.nextafter(special, np.inf)]
+        )
+    picks = draw(st.lists(st.integers(0, special.size - 1), max_size=12))
+    b = np.sort(np.concatenate((b, special[picks])))
+    return a, b, edges, bw, center, halfwidth
+
+
+class TestEpochBands:
+    """The kernel checks only the pairs near an epoch's edges, and counts
+    what the per-pair check of every pair counted."""
+
+    @given(kernel_inputs(), st.integers(1, 9), st.sampled_from([1, 4, 256]))
+    @settings(max_examples=600, deadline=None)
+    def test_counts_equal_per_pair_check(self, inputs, slice_size, pairs_per_run):
+        # One pair per run forces the in-place offsets, 256 mostly the
+        # offset array.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_B_SLICE", slice_size)
+            mp.setattr(estimator, "_PAIRS_PER_RUN", pairs_per_run)
+            got_counts, got_acc = estimator._histograms(*inputs)
+            want_counts, want_acc = reference_histograms(*inputs)
+        assert got_counts.dtype == want_counts.dtype == np.int32
+        assert got_counts.tobytes() == want_counts.tobytes()
+        assert got_acc.tobytes() == want_acc.tobytes()
 
 
 class TestBuildHistogram:
@@ -464,6 +628,27 @@ class TestBuildHistogram:
         b = np.arange(1_000_000, 1_001_000, 100)
         h = build_histogram(a, b, 10.0, 0, 1000)
         assert h.counts.sum() == 0
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("bin_width_ps", math.nan),
+            ("bin_width_ps", math.inf),
+            ("bin_width_ps", 0.0),
+            ("window_center_ps", math.nan),
+            ("window_center_ps", -math.inf),
+            ("window_halfwidth_ps", math.nan),
+            ("window_halfwidth_ps", math.inf),
+            ("window_halfwidth_ps", -5),
+        ],
+    )
+    def test_unusable_window_refused_by_name(self, name, value):
+        # A NaN ended in "cannot convert float NaN to integer" and an
+        # infinite halfwidth in an OverflowError.
+        args = dict(bin_width_ps=1.0, window_center_ps=0, window_halfwidth_ps=10)
+        args[name] = value
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            build_histogram(np.array([0, 5]), np.array([1, 6]), **args)
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ContractViolation):
@@ -1045,6 +1230,19 @@ class TestEstimatorConfig:
         # OverflowError or ValueError.
         with pytest.raises(ConfigurationError, match=f"^{field} "):
             EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1e5, 2.5, 1.0, True, 0, -3, "100"])
+    def test_acquire_max_events_must_be_a_count(self, value):
+        # A float passed the constructor, and acquisition then died slicing
+        # the idlers with it (TypeError: slice indices must be integers).
+        with pytest.raises(ConfigurationError, match="^acquire_max_events "):
+            EstimatorConfig(acquire_max_events=value)
+
+    def test_acquire_max_events_takes_any_integer(self):
+        stream = noiseless_stream(duration_s=2.0)
+        want = coarse_acquire(stream, EstimatorConfig(acquire_max_events=1000))
+        config = EstimatorConfig(acquire_max_events=np.int64(1000))
+        assert coarse_acquire(stream, config) == want
 
 
 class TestSeriesCsv:

@@ -63,8 +63,9 @@ def simulation_excess(monkeypatch, **detectors):
 
 # The buffers' slack and the chunks alive at once (two computed while a
 # third is assembled), each with its own emission times, come to 7.5-8.7
-# chunk-sizes, with or without dead time; one full-length copy of the
-# IdlerA times is 80, and a whole-run array of emission times is 100.
+# chunk-sizes, with or without dead time (whose filter runs on two
+# buffers at once); one full-length copy of the IdlerA times is 80, and a
+# whole-run array of emission times is 100.
 SIMULATION_EXCESS_BOUND = 10 * CHUNK_BYTES
 
 
@@ -81,7 +82,8 @@ def test_long_dead_time_cluster_holds_chunk_temporaries(monkeypatch):
     # A 500 us dead time against a 12.5 us idler spacing makes the whole
     # stream one cluster of close records.  The records the dead time drops
     # stay in the buffers until the filter runs, so the peak is measured
-    # against the same run's without dead time.
+    # against the same run's without dead time.  Two buffers are filtered
+    # at once, each a slice of records at a time: ~3.8 chunk-sizes.
     peak, _ = simulation_peak(monkeypatch, dead_time_ps=5e8)
     baseline, _ = simulation_peak(monkeypatch, dead_time_ps=0.0)
     assert peak - baseline < SIMULATION_EXCESS_BOUND

@@ -781,6 +781,29 @@ class TestScheduling:
         for det in DetectorId:
             assert want.times[det].tobytes() == got.times[det].tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_buffers_are_finished_on_the_workers(self, monkeypatch, workers):
+        # Each detector's sort and dead time run on a worker thread when
+        # there are two, on the calling thread when there is one, and the
+        # stream is the same.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        want = self.streams(1e8, 50_000.0)
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        threads = []
+        finish = simulation._DetectorRecords.finish
+
+        def recording(records, dead_time_ps):
+            threads.append(threading.get_ident())
+            return finish(records, dead_time_ps)
+
+        monkeypatch.setattr(simulation._DetectorRecords, "finish", recording)
+        got = self.streams(1e8, 50_000.0)
+        assert len(threads) == len(DetectorId)
+        on_caller = [t == threading.get_ident() for t in threads]
+        assert on_caller == [workers == 1] * len(DetectorId)
+        for det in DetectorId:
+            assert want.times[det].tobytes() == got.times[det].tobytes()
+
     def test_four_wide_with_fast_switching(self, monkeypatch):
         # More threads than cores, switching every microsecond: a chunk
         # consumed out of turn or written over another would show.
