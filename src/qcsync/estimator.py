@@ -10,11 +10,11 @@ the kernel is given, and a pair takes the epoch that the grid's edges give
 its far-end record, counting only if its idler lies in that epoch too;
 only the pairs whose far-end record lies within the window of an epoch
 edge are checked.  The per-epoch series runs the kernel on blocks of
-epochs, at least one per worker thread and path, each on the records
-inside the block's edges, and takes a block's peaks before more blocks are
-counted, so no count matrix outgrows one block.  Per epoch
-both peak positions tau_AB and tau_ABA give the clock difference
-``delta = tau_AB - tau_ABA / 2``.
+epochs, at least one per worker thread and path when the epochs allow,
+each on the records inside the block's edges, and takes a block's peaks
+before more blocks are counted, so no count matrix outgrows one block.
+Per epoch both peak positions tau_AB and tau_ABA give the clock
+difference ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
@@ -344,8 +344,8 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     epoch's start or, for ``lo_key < 0``, within ``-lo_key`` of its end:
     only the pairs in those two bands of each run are checked.  The bin
     index of every pair kept is computed at once, and each epoch's row
-    offset is added to its run in place, so ``np.add.at`` adds each piece
-    straight into all epochs' counts.  No bin can exceed the pairs counted,
+    offset is added to its run, so ``np.add.at`` adds each piece straight
+    into all epochs' counts.  No bin can exceed the pairs counted,
     so a running total above ``_MAX_COUNTED_PAIRS`` raises
     ContractViolation before a count wraps.
     """
@@ -403,7 +403,7 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
         np.clip(cells, 0, nbins - 1, out=cells)
-        _add_row_offsets(cells, at, nbins)
+        cells += np.repeat(np.arange(n_epochs) * nbins, np.diff(at))
         # A one of the counts' own dtype keeps numpy on its fast path, which
         # casts nothing; the piece makes no counts of its own.
         np.add.at(counts, cells, np.int32(1))
@@ -433,22 +433,6 @@ def _leaving_pairs(ta, tb, edges, at, bands):
     epoch = np.repeat(np.tile(np.arange(edges.size - 1), 2), n)
     t = ta[pair]
     return np.compress(~((edges[epoch] <= t) & (t < edges[epoch + 1])), pair)
-
-
-# Above this many pairs per run of an epoch, ``_add_row_offsets`` adds each
-# run's offset in place; below it, one offset array costs less than a Python
-# step per run.
-_PAIRS_PER_RUN = 256
-
-
-def _add_row_offsets(cells, at, nbins):
-    """Add ``k * nbins`` to ``cells[at[k]:at[k + 1]]`` for every epoch k."""
-    runs = np.flatnonzero(np.diff(at))
-    if runs.size * _PAIRS_PER_RUN > cells.size:
-        cells += np.repeat(np.arange(at.size - 1) * nbins, np.diff(at))
-        return
-    for k in runs[runs > 0].tolist():
-        cells[at[k] : at[k + 1]] += k * nbins
 
 
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
@@ -762,11 +746,12 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
     timestamp, builds the forward and loopback histograms in blocks of
-    epochs, ``simulation._WORKERS`` blocks or more per path and that many at
-    once, extracts each block's peaks before more blocks are counted, and
-    emits each epoch's ``delta = tau_AB - tau_ABA/2``.  Epochs where either
-    peak estimation fails are emitted as gaps.  The combined
-    counting-statistics sigma of each delta is recorded alongside.
+    epochs, ``simulation._WORKERS`` blocks or more per path (one per epoch
+    when there are fewer epochs) and that many at once, extracts each
+    block's peaks before more blocks are counted, and emits each epoch's
+    ``delta = tau_AB - tau_ABA/2``.  Epochs where either peak estimation
+    fails are emitted as gaps.  The combined counting-statistics sigma of
+    each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
     if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
@@ -788,8 +773,9 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
 
     # Blocks of rows holding at most about eight kernel slices of bins (262
     # epochs of the default 1000 bins), and at least ``_WORKERS`` blocks per
-    # path, so that every worker counts a block of the forward path, the
-    # longer one, rather than one counting it while the others wait.  A
+    # path when there are that many epochs, so that every worker counts a
+    # block of the forward path, the longer one, rather than one counting
+    # it while the others wait.  Block sizes differ by one row at most.  A
     # pair counts only when both its records lie in one epoch, so the
     # records inside a block's edges give that block's rows exactly, and
     # each block's peaks are taken as soon as it is counted, on the thread
@@ -798,15 +784,15 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     # it hands them on, so the counts and the temporaries of ``_peaks`` stay
     # bounded however many epochs there are.
     cap = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
-    rows = min(cap, -(-n_epochs // max(1, simulation._WORKERS)))
-    n_blocks = -(-n_epochs // rows)
+    n_blocks = max(-(-n_epochs // cap), min(n_epochs, simulation._WORKERS))
+    starts = [block * n_epochs // n_blocks for block in range(n_blocks + 1)]
 
     def block_peaks(task):
         """Path ``task // n_blocks``'s peaks in row block ``task % n_blocks``."""
         path, block = divmod(task, n_blocks)
         det, center = paths[path]
         far = stream.times[det]
-        block_edges = edges[block * rows : (block + 1) * rows + 1]
+        block_edges = edges[starts[block] : starts[block + 1] + 1]
         ends = block_edges[[0, -1]]
         a = idler[slice(*np.searchsorted(idler, ends))]
         b = far[slice(*np.searchsorted(far, ends))]

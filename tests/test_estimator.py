@@ -417,29 +417,47 @@ class TestRowBlocks:
 
     @staticmethod
     def record_blocks(monkeypatch):
-        """The row count of every kernel call from now on, in call order."""
+        """The first epoch and row count of every kernel call from now on,
+        in the order the workers make them."""
         blocks = []
         histograms = estimator._histograms
 
         def recording(a, b, edges, *args):
-            blocks.append(edges.size - 1)
+            blocks.append((int(edges[0] // 10**12), edges.size - 1))
             return histograms(a, b, edges, *args)
 
         monkeypatch.setattr(estimator, "_histograms", recording)
         return blocks
 
-    @pytest.mark.parametrize("workers, rows", [(1, [30]), (2, [15, 15]), (3, [10, 10, 10])])
-    def test_series_independent_of_workers(self, monkeypatch, workers, rows):
-        stream = noiseless_stream(duration_s=30.0, rate=5_000.0)
+    @pytest.mark.parametrize(
+        "seconds, workers, slice_size, rows",
+        [
+            (30, 1, 1 << 15, [30]),
+            (30, 2, 1 << 15, [15, 15]),
+            (30, 3, 1 << 15, [10, 10, 10]),
+            # Four epochs on three workers make three blocks, not two of
+            # two, and two epochs make one block each.
+            (4, 3, 1 << 15, [1, 1, 2]),
+            (2, 3, 1 << 15, [1, 1]),
+            # Eight slices of 250 records hold two epochs of 1000 bins: a
+            # cap of two rows cuts five epochs into three blocks.
+            (5, 1, 250, [1, 2, 2]),
+        ],
+    )
+    def test_series_independent_of_workers(self, monkeypatch, seconds, workers, slice_size, rows):
+        stream = noiseless_stream(duration_s=float(seconds), rate=5_000.0)
         config = EstimatorConfig(forward_center_ps=48_990_100, loopback_center_ps=98_000_000)
         monkeypatch.setattr(simulation, "_WORKERS", 1)
         want = per_epoch_series(stream, 1.0, config).points
+        monkeypatch.setattr(estimator, "_B_SLICE", slice_size)
         blocks = self.record_blocks(monkeypatch)
         monkeypatch.setattr(simulation, "_WORKERS", workers)
         got = per_epoch_series(stream, 1.0, config).points
-        assert len(got) == 30 and not any(p.is_gap for p in got)
+        assert len(got) == seconds and not any(p.is_gap for p in got)
         assert got == want
-        assert blocks == rows * 2
+        # Each path is cut the same way; blocks run in any order.
+        firsts = np.cumsum([0] + rows[:-1]).tolist()
+        assert sorted(blocks) == sorted(list(zip(firsts, rows)) * 2)
 
     def test_blocks_keep_their_row_cap(self, monkeypatch):
         # Eight slices of 7 records make 56 bins' worth: one row per block
@@ -449,7 +467,7 @@ class TestRowBlocks:
         monkeypatch.setattr(estimator, "_B_SLICE", 7)
         blocks = self.record_blocks(monkeypatch)
         per_epoch_series(stream, 1.0, config)
-        assert blocks == [1] * 6
+        assert sorted(blocks) == [(0, 1), (0, 1), (1, 1), (1, 1), (2, 1), (2, 1)]
 
 
 class TestWindowPairs:
@@ -585,14 +603,11 @@ class TestEpochBands:
     """The kernel checks only the pairs near an epoch's edges, and counts
     what the per-pair check of every pair counted."""
 
-    @given(kernel_inputs(), st.integers(1, 9), st.sampled_from([1, 4, 256]))
+    @given(kernel_inputs(), st.integers(1, 9))
     @settings(max_examples=600, deadline=None)
-    def test_counts_equal_per_pair_check(self, inputs, slice_size, pairs_per_run):
-        # One pair per run forces the in-place offsets, 256 mostly the
-        # offset array.
+    def test_counts_equal_per_pair_check(self, inputs, slice_size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_B_SLICE", slice_size)
-            mp.setattr(estimator, "_PAIRS_PER_RUN", pairs_per_run)
             got_counts, got_acc = estimator._histograms(*inputs)
             want_counts, want_acc = reference_histograms(*inputs)
         assert got_counts.dtype == want_counts.dtype == np.int32
