@@ -5,16 +5,15 @@ over a window, peak at the propagation delay (plus clock offset) of the
 photon path connecting them.  One kernel builds the forward (IdlerA x
 SignalB) or loopback (IdlerA x ReturnA) histogram of every epoch in one
 pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
-single epoch.  Each slice of far-end records is searched into the idlers
-the kernel is given, and a pair takes the epoch that the grid's edges give
-its far-end record, counting only if its idler lies in that epoch too;
-only the pairs whose far-end record lies within the window of an epoch
-edge are checked.  The per-epoch series runs the kernel on blocks of
-epochs, at least one per worker thread and path when the epochs allow,
-each on the records inside the block's edges, and takes a block's peaks
-before more blocks are counted, so no count matrix outgrows one block.
-Per epoch both peak positions tau_AB and tau_ABA give the clock
-difference ``delta = tau_AB - tau_ABA / 2``.
+single epoch.  Each far-end record is searched for partners among the
+idlers of its own epoch only, so a pair counts in the epoch that holds
+both its records and no pair across an epoch edge is ever made; epoch
+membership is an exact comparison with the edges.  The per-epoch series
+runs the kernel on blocks of epochs, at least one per worker thread and
+path when the epochs allow, each on the records inside the block's
+edges, and takes a block's peaks before more blocks are counted, so no
+count matrix outgrows one block.  Per epoch both peak positions tau_AB
+and tau_ABA give the clock difference ``delta = tau_AB - tau_ABA / 2``.
 
 Peak extraction is a background-subtracted centroid: the contiguous bin
 region around the maximum that rises above ``background +
@@ -267,7 +266,15 @@ _RECENTRE_ROUNDS = 20
 ) = range(7)
 
 
-def _check_sorted(name, arr):
+def _check_times(name, arr):
+    """Refuse timestamps that are not finite integers or floats
+    (ConfigurationError), then unsorted ones (ContractViolation); a NaN
+    would pass the order check, since every comparison with it is false."""
+    kind = arr.dtype.kind
+    if kind not in "iuf" or (kind == "f" and not np.isfinite(arr).all()):
+        raise ConfigurationError(
+            f"{name} timestamps must be finite integers or floats, got {arr.dtype} values"
+        )
     if not is_sorted(arr):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
 
@@ -281,26 +288,34 @@ def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
     return centers
 
 
-def _window_pairs(a, b, lo_key, hi_key):
-    """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``.
+def _window_pairs(a, b, edges, lo_key, hi_key):
+    """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``
+    whose two records lie in one epoch ``[edges[k], edges[k + 1])``.
 
-    Each record of ``b`` is searched into the non-empty ``a`` for its first
-    partner, ``_B_SLICE`` records at a time.  A window narrower than the
-    spacing of ``a`` mostly holds no partner or one, which two comparisons
-    settle; a slice where no record has two partners is yielded as its
-    records with one.  Otherwise only the records with two or more are
-    searched for their last partner, and the slice is yielded in pieces cut
-    wherever its pair count passes a multiple of ``_B_SLICE``, so a piece
-    holds at most ``_B_SLICE`` pairs plus one record's.  Every piece's
-    ``t_b`` ascend.
+    Every record of ``b`` lies in ``[edges[0], edges[-1])``, and is searched
+    into the non-empty ``a`` for its first partner, ``_B_SLICE`` records at
+    a time, among the ``a`` records of its own epoch only.  A window
+    narrower than the spacing of ``a`` mostly holds no partner or one,
+    which two comparisons settle; a slice where no record has two partners
+    is yielded as its records with one.  Otherwise only the records with two
+    or more are searched for their last partner, and the slice is yielded
+    in pieces cut wherever its pair count passes a multiple of ``_B_SLICE``,
+    so a piece holds at most ``_B_SLICE`` pairs plus one record's.  Every
+    piece's ``t_b`` ascend.
     """
     last = a.size - 1
+    in_epoch = np.searchsorted(a, edges)
     for start in range(0, b.size, _B_SLICE):
         bs = b[start : start + _B_SLICE]
+        # The a records of epoch k are [in_epoch[k], in_epoch[k + 1]): each
+        # record's search starts no lower, and ends below ``upper``.
+        runs = np.diff(np.searchsorted(bs, edges))
         first = np.searchsorted(a, bs - hi_key, side="right")
+        np.maximum(first, np.repeat(in_epoch[:-1], runs), out=first)
+        upper = np.repeat(in_epoch[1:], runs)
         stop = bs - lo_key
-        one = (a[np.minimum(first, last)] <= stop) & (first <= last)
-        more = one & (first < last)
+        one = (first < upper) & (a[np.minimum(first, last)] <= stop)
+        more = one & (first + 1 < upper)
         more &= a[np.minimum(first + 1, last)] <= stop
         if not more.any():
             first = np.compress(one, first)
@@ -309,7 +324,8 @@ def _window_pairs(a, b, lo_key, hi_key):
             continue
         n = one.astype(np.int64)
         more = np.flatnonzero(more)
-        n[more] = np.searchsorted(a, stop[more], side="right") - first[more]
+        end = np.minimum(np.searchsorted(a, stop[more], side="right"), upper[more])
+        n[more] = end - first[more]
         # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
         bounds = np.concatenate(([0], np.cumsum(n)))
         offset = first - bounds[:-1]
@@ -336,18 +352,14 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
 
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
     accidentals per bin that each epoch's singles predict; ``edges`` may be
-    any ascending grid.  A pair counts only in the epoch holding both of its
-    records; a piece's ``b`` records ascend, so the edges cut it into one
-    run of pairs per epoch, found by one search per edge.  A pair's ``a``
-    record lies in ``(t_b - hi_key, t_b - lo_key]``, so it can leave its
-    ``b`` record's epoch only when ``t_b`` lies within ``hi_key`` of the
-    epoch's start or, for ``lo_key < 0``, within ``-lo_key`` of its end:
-    only the pairs in those two bands of each run are checked.  The bin
-    index of every pair kept is computed at once, and each epoch's row
+    any ascending grid.  ``_window_pairs`` makes only the pairs whose two
+    records lie in one epoch; a piece's ``b`` records ascend, so the edges
+    cut it into one run of pairs per epoch, found by one search per edge.
+    The bin index of every pair is computed at once, and each epoch's row
     offset is added to its run, so ``np.add.at`` adds each piece straight
-    into all epochs' counts.  No bin can exceed the pairs counted,
-    so a running total above ``_MAX_COUNTED_PAIRS`` raises
-    ContractViolation before a count wraps.
+    into all epochs' counts.  No bin can exceed the pairs counted, so a
+    running total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation
+    before a count wraps.
     """
     nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
@@ -356,13 +368,6 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
         # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
         lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
-        pad = 0
-    else:
-        # Float differences, keys and band ends round by up to half a unit
-        # in the last place of the largest time or key each; a band padded
-        # by four such units holds every pair that can leave its epoch.
-        largest = max(abs(float(edges[0])), abs(float(edges[-1]))) + max(-lo_key, hi_key)
-        pad = 4.0 * float(np.spacing(largest))
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     n_epochs = edges.size - 1
@@ -373,22 +378,8 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     # the window of some a record can pair: each one left has an epoch.
     first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
     b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
-    # Each epoch's bands [start, start + hi_key) and [end + lo_key, end),
-    # padded; ``_leaving_pairs`` cuts them to the epoch's run.
-    bands = (edges[:-1] + (hi_key + pad), edges[1:] + (lo_key - pad))
     counted = 0
-    for ta, tb in _window_pairs(a, b, lo_key, hi_key):
-        # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
-        # are the run between its edges' positions in the piece.
-        at = np.searchsorted(tb, edges)
-        left = _leaving_pairs(ta, tb, edges, at, bands)
-        if left.size:
-            keep = np.ones(ta.size, dtype=bool)
-            keep[left] = False
-            ta, tb = np.compress(keep, ta), np.compress(keep, tb)
-            if ta.size == 0:
-                continue
-            at = np.searchsorted(tb, edges)
+    for ta, tb in _window_pairs(a, b, edges, lo_key, hi_key):
         counted += ta.size
         if counted > _MAX_COUNTED_PAIRS:
             raise ContractViolation(
@@ -403,7 +394,9 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
         np.clip(cells, 0, nbins - 1, out=cells)
-        cells += np.repeat(np.arange(n_epochs) * nbins, np.diff(at))
+        # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
+        # are the run between its edges' positions in the piece.
+        cells += np.repeat(np.arange(n_epochs) * nbins, np.diff(np.searchsorted(tb, edges)))
         # A one of the counts' own dtype keeps numpy on its fast path, which
         # casts nothing; the piece makes no counts of its own.
         np.add.at(counts, cells, np.int32(1))
@@ -411,35 +404,13 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     return counts.reshape(n_epochs, nbins), accidentals
 
 
-def _leaving_pairs(ta, tb, edges, at, bands):
-    """Indices of the pairs whose ``ta`` lies outside their ``tb``'s epoch.
-
-    Epoch k's pairs are ``[at[k], at[k + 1])``; only those whose ``tb`` lies
-    before ``bands[0][k]`` or from ``bands[1][k]`` on are checked, each
-    against its own epoch's edges as ``edges[k] <= ta < edges[k + 1]``.
-    Bands that meet make the whole run one band.
-    """
-    first_end = np.clip(np.searchsorted(tb, bands[0]), at[:-1], at[1:])
-    last_start = np.clip(np.searchsorted(tb, bands[1]), first_end, at[1:])
-    lo = np.concatenate((at[:-1], last_start))
-    n = np.concatenate((first_end, at[1:])) - lo
-    total = int(n.sum())
-    if total == 0:
-        return n[:0]
-    # One arange over the checked pairs, each range moved to its start.
-    offset = lo - (np.cumsum(n) - n)
-    pair = np.arange(total)
-    pair += np.repeat(offset, n)
-    epoch = np.repeat(np.tile(np.arange(edges.size - 1), 2), n)
-    t = ta[pair]
-    return np.compress(~((edges[epoch] <= t) & (t < edges[epoch + 1])), pair)
-
-
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Histogram of ordered time differences ``t_b - t_a`` within a window.
 
-    Both inputs must be sorted ascending.  This is the one-epoch case of the
-    per-epoch kernel: only the ``b`` records within the window of some
+    Both inputs must be finite integer or float times sorted ascending;
+    NaN, infinite, bool and other arrays are refused with a
+    ConfigurationError naming ``a`` or ``b``.  This is the one-epoch case
+    of the per-epoch kernel: only the ``b`` records within the window of some
     ``a`` record are searched, so the cost follows ``a``, not ``b``.  The
     bin width and the halfwidth must be finite and > 0, the centre finite.
     """
@@ -451,8 +422,8 @@ def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
             raise ConfigurationError(f"{name} must be finite and > 0: {value!r}")
     if not _is_finite_number(window_center_ps):
         raise ConfigurationError(f"window_center_ps must be finite: {window_center_ps!r}")
-    _check_sorted("a", a)
-    _check_sorted("b", b)
+    _check_times("a", a)
+    _check_times("b", b)
     return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
 
 

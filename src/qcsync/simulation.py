@@ -20,11 +20,13 @@ the idler (a pair is one emission time, see ``SourceConfig``).  Analytic
 runs read these sigmas and probabilities from the same ``chain_model``.
 The attack trajectories are evaluated only for the photons that reach them,
 once per chunk where its photons share a constant piece of every event
-(see ``eval_trajectory``).  Each selection gathers with ``np.compress``
-rather than a boolean index: the same elements, at a third of the cost or
-less, through an index array of its own (8 B per element kept), so the
-idlers' emission times are gathered before their Gaussians are drawn and
-the two never peak together.
+(see ``eval_trajectory``).  Each selection in a chunk gathers with
+``np.compress`` rather than a boolean index: the same elements, at a third
+of the cost or less, through an index array of its own (8 B per element
+kept), so the idlers' emission times are gathered before their Gaussians
+are drawn and the two never peak together.  The dead-time filter, which
+keeps nearly every record, gathers with a boolean index, which is faster
+there.
 
 Clock model: Alice's clock is the time reference.  Bob's clock reads
 ``true + offset + drift * t + white phase noise``.
@@ -451,7 +453,7 @@ def _apply_dead_time(times, dead_time_ps):
             if k == len(cluster):
                 break
             keep[anchor + k] = True
-    return np.compress(keep, times)
+    return times[keep]
 
 
 def _expected_capacity(n_pairs, prob):

@@ -474,29 +474,98 @@ class TestWindowPairs:
     @given(
         st.lists(st.integers(0, 400), min_size=1, max_size=60),
         st.lists(st.integers(-50, 450), max_size=60),
+        st.lists(st.integers(-50, 450), min_size=2, max_size=8, unique=True),
         st.integers(-30, 30),
         st.integers(1, 40),
         st.integers(1, 9),
+        st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_pieces_hold_every_pair_once_with_ascending_tb(self, a, b, lo, width, slice_size):
+    def test_pieces_hold_every_pair_once_with_ascending_tb(
+        self, a, b, grid, lo, width, slice_size, data
+    ):
         # Narrow windows give each record one partner at most, wide ones
-        # several; the kernel's epoch runs need each piece's tb to ascend.
-        a, b = np.sort(np.array(a)), np.sort(np.array(b))
+        # several; epochs run from one unit to the whole span, and records
+        # sit on their edges.  A pair counts only when both its records lie
+        # in one epoch, and the kernel's epoch runs need each piece's tb to
+        # ascend.
+        edges = np.sort(np.array(grid))
+        on_edges = st.lists(st.sampled_from(grid), max_size=6)
+        a = np.sort(np.array(a + data.draw(on_edges)))
+        b = np.sort(np.array(b + data.draw(on_edges), dtype=np.int64))
+        # The kernel passes only the far records inside the grid.
+        b = b[(edges[0] <= b) & (b < edges[-1])]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_B_SLICE", slice_size)
-            pieces = list(estimator._window_pairs(a, b, lo, lo + width))
+            pieces = list(estimator._window_pairs(a, b, edges, lo, lo + width))
         got = [(int(x), int(y)) for ta, tb in pieces for x, y in zip(ta, tb)]
-        want = [(int(x), int(y)) for y in b for x in a if lo <= y - x < lo + width]
+        # Epoch k + 1 holds [edges[k], edges[k + 1]); 0 and edges.size
+        # hold the idlers outside the grid.
+        epoch_a = np.searchsorted(edges, a, side="right")
+        epoch_b = np.searchsorted(edges, b, side="right")
+        want = [
+            (int(x), int(y))
+            for y, ky in zip(b, epoch_b)
+            for x, kx in zip(a, epoch_a)
+            if lo <= y - x < lo + width and kx == ky
+        ]
         assert sorted(got) == sorted(want)
         for ta, tb in pieces:
             assert ta.size == tb.size > 0 and np.all(np.diff(tb) >= 0)
             assert tb.size <= slice_size + a.size
 
 
+# Test oracle: ``_window_pairs`` as it was when it paired records across
+# epoch edges and left the kernel to drop those pairs, kept verbatim apart
+# from its name and the module prefixes.
+def reference_window_pairs(a, b, lo_key, hi_key):
+    """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``.
+
+    Each record of ``b`` is searched into the non-empty ``a`` for its first
+    partner, ``_B_SLICE`` records at a time.  A window narrower than the
+    spacing of ``a`` mostly holds no partner or one, which two comparisons
+    settle; a slice where no record has two partners is yielded as its
+    records with one.  Otherwise only the records with two or more are
+    searched for their last partner, and the slice is yielded in pieces cut
+    wherever its pair count passes a multiple of ``_B_SLICE``, so a piece
+    holds at most ``_B_SLICE`` pairs plus one record's.  Every piece's
+    ``t_b`` ascend.
+    """
+    last = a.size - 1
+    for start in range(0, b.size, estimator._B_SLICE):
+        bs = b[start : start + estimator._B_SLICE]
+        first = np.searchsorted(a, bs - hi_key, side="right")
+        stop = bs - lo_key
+        one = (a[np.minimum(first, last)] <= stop) & (first <= last)
+        more = one & (first < last)
+        more &= a[np.minimum(first + 1, last)] <= stop
+        if not more.any():
+            first = np.compress(one, first)
+            if first.size:
+                yield a[first], np.compress(one, bs)
+            continue
+        n = one.astype(np.int64)
+        more = np.flatnonzero(more)
+        n[more] = np.searchsorted(a, stop[more], side="right") - first[more]
+        # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
+        bounds = np.concatenate(([0], np.cumsum(n)))
+        offset = first - bounds[:-1]
+        cuts = np.searchsorted(
+            bounds[1:],
+            np.arange(estimator._B_SLICE, bounds[-1], estimator._B_SLICE),
+            side="right",
+        ).tolist()
+        for j0, j1 in zip([0] + cuts, cuts + [bs.size]):
+            if bounds[j1] == bounds[j0]:
+                continue
+            ai = np.arange(bounds[j0], bounds[j1])
+            ai += np.repeat(offset[j0:j1], n[j0:j1])
+            yield a[ai], np.repeat(bs[j0:j1], n[j0:j1])
+
+
 # Test oracle: the histogram kernel as it was when every pair was given an
-# epoch array and checked, kept verbatim apart from its name and the
-# module prefixes.
+# epoch array and checked, kept verbatim apart from its name, the module
+# prefixes and its pair search, the frozen ``reference_window_pairs``.
 def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
     nbins = estimator._bin_count(bin_width_ps, window_halfwidth_ps)
     lo = float(window_center_ps) - float(window_halfwidth_ps)
@@ -516,7 +585,7 @@ def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_hal
     first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
     b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
     counted = 0
-    for ta, tb in estimator._window_pairs(a, b, lo_key, hi_key):
+    for ta, tb in reference_window_pairs(a, b, lo_key, hi_key):
         # tb ascends within [edges[0], edges[-1]), so each epoch's pairs
         # are one run of the piece.
         runs = np.diff(np.searchsorted(tb, edges))
@@ -600,8 +669,8 @@ def kernel_inputs(draw):
 
 
 class TestEpochBands:
-    """The kernel checks only the pairs near an epoch's edges, and counts
-    what the per-pair check of every pair counted."""
+    """The kernel pairs each far record only with the idlers of its own
+    epoch, and counts what the per-pair check of every pair counted."""
 
     @given(kernel_inputs(), st.integers(1, 9))
     @settings(max_examples=600, deadline=None)
@@ -664,6 +733,36 @@ class TestBuildHistogram:
         args[name] = value
         with pytest.raises(ConfigurationError, match=f"^{name} "):
             build_histogram(np.array([0, 5]), np.array([1, 6]), **args)
+
+    @pytest.mark.parametrize(
+        "a, b, name",
+        [
+            ([0.0, math.nan, 5.0, 100.0], [10.0, 20.0, 30.0, 110.0], "a"),
+            ([0.0, math.inf], [10.0, 20.0], "a"),
+            ([-math.inf, 0.0], [10.0, 20.0], "a"),
+            ([0.0, 100.0], [10.0, math.nan], "b"),
+            ([0.0, 100.0], [10.0, math.inf], "b"),
+            ([False, True], [False, True], "a"),
+            ([0, 100], [False, True], "b"),
+            (["0", "5"], [10, 20], "a"),
+            ([0, 100], [None, 20], "b"),
+            ([0, 100], [10j, 20j], "b"),
+        ],
+        ids=["nan", "inf", "-inf", "b-nan", "b-inf", "bool", "b-bool", "str", "object",
+             "complex"],
+    )
+    def test_unusable_timestamps_refused_by_name(self, a, b, name):
+        # A NaN passed the order check, since every comparison with it is
+        # false, and NaN, infinite and bool times were counted.
+        with pytest.raises(ConfigurationError, match=f"^{name} timestamps must be finite"):
+            build_histogram(a, b, 4.0, 10, 50)
+
+    def test_finite_times_of_any_width_counted(self):
+        want = build_histogram(np.array([0, 100]), np.array([10, 110]), 4.0, 10, 50).counts
+        for dtype in (np.float32, np.float64, np.int32, np.uint64):
+            a, b = np.array([0, 100], dtype=dtype), np.array([10, 110], dtype=dtype)
+            np.testing.assert_array_equal(build_histogram(a, b, 4.0, 10, 50).counts, want)
+        assert want.sum() == 2
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ContractViolation):

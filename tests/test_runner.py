@@ -1,13 +1,14 @@
 """Campaign runner: modes, overrides, failure paths, bundle layout."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from qcsync import runner
+from qcsync import estimator, runner
 from qcsync.attacks import AttackEvent, CoordinationRule
 from qcsync.cli import main
 from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError, SchemaError
@@ -359,6 +360,30 @@ class TestBuiltinFullSimExamples:
         result = run_scenario("jump_-100ps")
         shift = estimate_step_shift(result.series, 250.0)
         assert shift == pytest.approx(-100.0, abs=3.0)
+
+
+class TestSeriesDigest:
+    # SHA-256 of ``series.csv`` from a 3 s, 100 kHz full simulation in
+    # 10 ms epochs at seed 31, with a -100 ps jump of M at 1.5 s: 300
+    # epochs, none a gap.  Computed at 0.28.0.
+    SERIES_DIGEST = "a61b2eb66640bcc477e20cf27b8f640a65532c0b514a58321508ad2a01cc77a6"
+
+    def test_series_csv_digest_pinned(self, tmp_path):
+        # Any change to a count, a peak, a sigma or the file's format shows.
+        doc = builtin_scenario("jump_-100ps")
+        doc["source"] = {"pair_rate_hz": 1.0e5}
+        doc["run"] = {"duration_s": 3.0, "epoch_s": 0.01, "seed": 31}
+        doc["m_events"] = [{"pattern": "jump", "amplitude_ps": -100.0, "start_s": 1.5}]
+        del doc["detection"]
+        result = run_scenario(doc, tmp_path)
+        # More epochs than one row block holds, so the series crosses a
+        # block edge whatever the number of workers.
+        config = result.scenario.estimator
+        bins = estimator._bin_count(config.bin_width_ps, config.window_halfwidth_ps)
+        assert len(result.series) == 300 > 8 * estimator._B_SLICE // bins
+        assert result.series.gap_count() <= 3
+        digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
+        assert digest == self.SERIES_DIGEST
 
 
 class TestMetadata:
