@@ -35,7 +35,7 @@ from typing import ClassVar, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, number, store_number
 
 __all__ = [
     "AttackPattern",
@@ -118,8 +118,7 @@ class LinearBehavior:
     rate_per_step: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.rate_per_step):
-            raise ConfigurationError("rate_per_step must be finite")
+        store_number(self, "rate_per_step")
 
     def shape(self, u, basis_s):
         return self.rate_per_step * (u / basis_s)
@@ -133,8 +132,7 @@ class LogarithmicBehavior:
     scale_s: float = 1.0
 
     def __post_init__(self):
-        if not (self.scale_s > 0 and math.isfinite(self.scale_s)):
-            raise ConfigurationError("scale_s must be > 0")
+        store_number(self, "scale_s", low=0, above=True)
 
     def shape(self, u, basis_s):
         return np.log1p(u / self.scale_s)
@@ -148,8 +146,7 @@ class ExponentialBehavior:
     rate_per_s: float = 0.01
 
     def __post_init__(self):
-        if not math.isfinite(self.rate_per_s):
-            raise ConfigurationError("rate_per_s must be finite")
+        store_number(self, "rate_per_s")
 
     def shape(self, u, basis_s):
         return np.expm1(self.rate_per_s * u)
@@ -165,8 +162,8 @@ class PolynomialBehavior:
     def __post_init__(self):
         if not self.coefficients:
             raise ConfigurationError("coefficients must be non-empty")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ConfigurationError("coefficients must be finite")
+        coefficients = tuple(number("coefficients", c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def shape(self, u, basis_s):
         out = np.zeros_like(u)
@@ -212,10 +209,14 @@ class AttackEvent:
     def __post_init__(self):
         pattern = enum_member(AttackPattern, self.pattern, "pattern")
         object.__setattr__(self, "pattern", pattern)
-        if not math.isfinite(self.amplitude_ps):
-            raise ConfigurationError("amplitude_ps must be finite")
-        if not (math.isfinite(self.start_s) and self.start_s >= 0):
-            raise ConfigurationError("start_s must be finite and >= 0")
+        store_number(self, "amplitude_ps")
+        store_number(self, "start_s", low=0)
+        store_number(self, "width_s", low=0, above=True, optional=True)
+        store_number(self, "step_interval_s", low=0)
+        store_number(self, "end_s", low=self.start_s, above=True, optional=True)
+        reverse = self.reverse_after_end
+        if not isinstance(reverse, bool):
+            raise ConfigurationError(f"reverse_after_end must be a bool: {reverse!r}")
 
         gradual_only = {
             "behavior": self.behavior is not None,
@@ -226,8 +227,6 @@ class AttackEvent:
         if pattern is AttackPattern.SPIKE:
             if self.width_s is None:
                 object.__setattr__(self, "width_s", 1.0)
-            if not (math.isfinite(self.width_s) and self.width_s > 0):
-                raise ConfigurationError("width_s must be > 0 for spike events")
         elif self.width_s is not None:
             raise ConfigurationError(f"width_s not allowed for {pattern.value} events")
 
@@ -236,12 +235,6 @@ class AttackEvent:
                 object.__setattr__(self, "behavior", LinearBehavior())
             if not isinstance(self.behavior, _BEHAVIOR_TYPES):
                 raise ConfigurationError(f"unsupported gradual behavior: {self.behavior!r}")
-            if not (math.isfinite(self.step_interval_s) and self.step_interval_s >= 0):
-                raise ConfigurationError("step_interval_s must be >= 0")
-            if self.end_s is not None and not (
-                math.isfinite(self.end_s) and self.end_s > self.start_s
-            ):
-                raise ConfigurationError("end_s must be > start_s")
         else:
             offending = [k for k, v in gradual_only.items() if v]
             if offending:
@@ -278,11 +271,10 @@ class CoordinationRule:
     def __post_init__(self):
         mode = enum_member(CoordinationMode, self.mode, "mode")
         object.__setattr__(self, "mode", mode)
+        store_number(self, "n", optional=True)
         if mode is CoordinationMode.PROPORTIONAL:
             if self.n is None:
                 object.__setattr__(self, "n", -1.0)
-            if not math.isfinite(self.n):
-                raise ConfigurationError("proportional coefficient n must be finite")
         elif self.n is not None:
             raise ConfigurationError("n only allowed for proportional coordination")
 

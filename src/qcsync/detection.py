@@ -12,15 +12,13 @@ simulated scenario.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, number, store_number
 
 __all__ = [
     "ThresholdConfig",
@@ -53,13 +51,8 @@ class ThresholdConfig:
     threshold_ps: Optional[float] = None
 
     def __post_init__(self):
-        window = self.baseline_window_epochs
-        if not (isinstance(window, numbers.Integral) and window >= 10):
-            raise ConfigurationError(f"baseline_window_epochs must be an integer >= 10: {window!r}")
-        if self.threshold_ps is not None and not (
-            self.threshold_ps > 0 and math.isfinite(self.threshold_ps)
-        ):
-            raise ConfigurationError("threshold_ps must be > 0")
+        store_number(self, "baseline_window_epochs", low=10, integer=True)
+        store_number(self, "threshold_ps", low=0, above=True, optional=True)
 
 
 @dataclass(frozen=True)
@@ -74,10 +67,8 @@ class CusumConfig:
     decision_limit_ps: float = 25.0
 
     def __post_init__(self):
-        if not (self.reference_drift_ps >= 0 and math.isfinite(self.reference_drift_ps)):
-            raise ConfigurationError("reference_drift_ps must be >= 0")
-        if not (self.decision_limit_ps > 0 and math.isfinite(self.decision_limit_ps)):
-            raise ConfigurationError("decision_limit_ps must be > 0")
+        store_number(self, "reference_drift_ps", low=0)
+        store_number(self, "decision_limit_ps", low=0, above=True)
 
 
 @dataclass(frozen=True)
@@ -172,9 +163,10 @@ def collect_alarms(series, detectors):
 
 
 def score(alarms, attack_onset_s, series_span_s):
-    """Ground-truth detection score for a known attack onset."""
-    if not (0.0 <= attack_onset_s <= series_span_s):
-        raise ConfigurationError("attack onset must fall within the series span")
+    """Ground-truth detection score for a known attack onset, which must
+    fall within ``[0, series_span_s]``."""
+    series_span_s = number("series_span_s", series_span_s)
+    attack_onset_s = number("attack_onset_s", attack_onset_s, low=0, high=series_span_s)
     false_alarms = sum(1 for a in alarms if a.epoch_start_s < attack_onset_s)
     hits = [a for a in alarms if a.epoch_start_s >= attack_onset_s]
     if not hits:

@@ -30,7 +30,6 @@ found become explicit gaps rather than fabricated values.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -42,9 +41,12 @@ from .errors import (
     ContractViolation,
     EmptySeriesError,
     NoPeakError,
+    number,
+    store_number,
 )
 from . import simulation
-from .simulation import DetectorId, _is_finite_number, _pipeline, is_sorted
+from .attacks import MAX_EXACT_PS
+from .simulation import DetectorId, _pipeline, is_sorted
 
 __all__ = [
     "CorrelationHistogram",
@@ -209,19 +211,14 @@ class EstimatorConfig:
     loopback_center_ps: Optional[int] = None
 
     def __post_init__(self):
-        bins = ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps")
-        for name in bins + ("window_halfwidth_ps", "refine_halfwidth_ps"):
-            v = getattr(self, name)
-            if not (_is_finite_number(v) and v > 0):
-                raise ConfigurationError(f"{name} must be finite and > 0")
+        for name in ("bin_width_ps", "coarse_bin_ps", "refine_bin_ps"):
+            store_number(self, name, low=0, above=True)
+        for name in ("window_halfwidth_ps", "refine_halfwidth_ps"):
+            store_number(self, name, low=0, above=True, integer=True)
         # A count of idlers, which acquisition slices the stream with.
-        v = self.acquire_max_events
-        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1):
-            raise ConfigurationError(f"acquire_max_events must be an integer >= 1: {v!r}")
+        store_number(self, "acquire_max_events", low=1, integer=True)
         for name in ("forward_center_ps", "loopback_center_ps"):
-            v = getattr(self, name)
-            if v is not None and not _is_finite_number(v):
-                raise ConfigurationError(f"{name} must be None or finite: {v!r}")
+            store_number(self, name, integer=True, optional=True)
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,10 @@ _RECENTRE_ROUNDS = 20
 def _check_times(name, arr):
     """Refuse timestamps that are not finite integers or floats
     (ConfigurationError), then unsorted ones (ContractViolation); a NaN
-    would pass the order check, since every comparison with it is false."""
+    would pass the order check, since every comparison with it is false.
+    Then refuse times not strictly within ``MAX_EXACT_PS`` of zero: beyond
+    it the kernel's float differences round, and at it a float grid's end,
+    one past the last time, rounds back onto that time."""
     kind = arr.dtype.kind
     if kind not in "iuf" or (kind == "f" and not np.isfinite(arr).all()):
         raise ConfigurationError(
@@ -277,6 +277,10 @@ def _check_times(name, arr):
         )
     if not is_sorted(arr):
         raise ContractViolation(f"{name} timestamps must be sorted ascending")
+    # The ends bound every time; an integer at or past 2**53 stays there
+    # when it is compared as a float.
+    if arr.size and not (-MAX_EXACT_PS < arr[0] and arr[-1] < MAX_EXACT_PS):
+        raise ConfigurationError(f"{name} timestamps must lie strictly within +-2**53 ps")
 
 
 def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
@@ -407,21 +411,19 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Histogram of ordered time differences ``t_b - t_a`` within a window.
 
-    Both inputs must be finite integer or float times sorted ascending;
-    NaN, infinite, bool and other arrays are refused with a
-    ConfigurationError naming ``a`` or ``b``.  This is the one-epoch case
-    of the per-epoch kernel: only the ``b`` records within the window of some
-    ``a`` record are searched, so the cost follows ``a``, not ``b``.  The
-    bin width and the halfwidth must be finite and > 0, the centre finite.
+    Both inputs must be finite integer or float times sorted ascending,
+    strictly within +-2**53 ps; NaN, infinite, bool and other arrays, and
+    times beyond that range, are refused with a ConfigurationError naming
+    ``a`` or ``b``.  This is the one-epoch case of the per-epoch kernel:
+    only the ``b`` records within the window of some ``a`` record are
+    searched, so the cost follows ``a``, not ``b``.  The bin width and the
+    halfwidth must be finite and > 0, the centre finite.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    widths = (("bin_width_ps", bin_width_ps), ("window_halfwidth_ps", window_halfwidth_ps))
-    for name, value in widths:
-        if not (_is_finite_number(value) and value > 0):
-            raise ConfigurationError(f"{name} must be finite and > 0: {value!r}")
-    if not _is_finite_number(window_center_ps):
-        raise ConfigurationError(f"window_center_ps must be finite: {window_center_ps!r}")
+    bin_width_ps = number("bin_width_ps", bin_width_ps, low=0, above=True)
+    window_center_ps = number("window_center_ps", window_center_ps)
+    window_halfwidth_ps = number("window_halfwidth_ps", window_halfwidth_ps, low=0, above=True)
     _check_times("a", a)
     _check_times("b", b)
     return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
@@ -651,9 +653,7 @@ def estimate_peak(histogram):
 
 def clock_difference(tau_ab_ps, tau_aba_ps):
     """Clock difference from one-way and round-trip peak positions."""
-    if not (math.isfinite(tau_ab_ps) and math.isfinite(tau_aba_ps)):
-        raise ConfigurationError("clock_difference requires finite inputs")
-    return tau_ab_ps - tau_aba_ps / 2.0
+    return number("tau_ab_ps", tau_ab_ps) - number("tau_aba_ps", tau_aba_ps) / 2.0
 
 
 def _acquire_one(a, b, nominal_ps, config):
@@ -725,8 +725,7 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     each delta is recorded alongside.
     """
     config = config or EstimatorConfig()
-    if not (epoch_length_s > 0 and math.isfinite(epoch_length_s)):
-        raise ConfigurationError("epoch_length_s must be > 0")
+    epoch_length_s = number("epoch_length_s", epoch_length_s, low=0, above=True)
     n_epochs = epoch_count(stream.duration_s, epoch_length_s)
     if n_epochs < 1:
         raise ConfigurationError("stream shorter than one epoch")

@@ -21,7 +21,10 @@ dataclass defaults; fields without a default are required.
 Validation is fail-closed: unknown fields are rejected, the dataclasses'
 own ``__post_init__`` checks are the only value rules, every problem is
 reported with its field path, and a scenario only constructs if no issue
-was found.
+was found.  One rule, ``errors.number``, decides every number: the walker
+reads each numeric field through it (an ``int`` field needs an integer),
+and each ``__post_init__`` applies it with the field's bounds, so a
+document and a constructor refuse the same values.
 
 The builtin registry encodes the reference experiments: a no-attack
 baseline, the jump grid {-10, -50, -100, -200, -500} ps with N = -M over
@@ -40,7 +43,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import numbers
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,7 +59,7 @@ from .attacks import (
     enum_member,
 )
 from .detection import CusumConfig, ThresholdConfig
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, SchemaError, number, store_number
 from .estimator import EstimatorConfig, epoch_count
 from .simulation import (
     ChannelConfig,
@@ -65,7 +67,6 @@ from .simulation import (
     DetectorConfig,
     SourceConfig,
     TdcConfig,
-    _is_finite_number,
 )
 
 __all__ = [
@@ -98,16 +99,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Refused, never rounded or parsed; stored as float and int for JSON.
-        for name in ("duration_s", "epoch_s"):
-            value = getattr(self, name)
-            if not (_is_finite_number(value) and value > 0):
-                raise ConfigurationError(f"{name} must be > 0 and finite: {value!r}")
-            object.__setattr__(self, name, float(value))
-        seed = self.seed
-        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
-            raise ConfigurationError(f"seed must be an integer >= 0: {seed!r}")
-        object.__setattr__(self, "seed", int(seed))
+        store_number(self, "duration_s", low=0, above=True)
+        store_number(self, "epoch_s", low=0, above=True)
+        store_number(self, "seed", low=0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -141,6 +135,11 @@ class AttackScenario:
         self.scheme = enum_member(SchemeKind, self.scheme, "scheme")
         self.mode = enum_member(RunMode, self.mode, "mode")
         # Cross-field rules, all reported together with their field paths.
+        issues = []
+        try:
+            store_number(self, "reference_ps")
+        except ConfigurationError as exc:
+            issues.append(("reference_ps", str(exc)))
         epochs = epoch_count(self.run.duration_s, self.run.epoch_s)
         threshold = self.detection.threshold if self.detection else None
         rules = (
@@ -160,17 +159,12 @@ class AttackScenario:
                 "conflicts with proportional coordination (N is derived from M)",
             ),
             (
-                not _is_finite_number(self.reference_ps),
-                "reference_ps",
-                f"must be a finite number: {self.reference_ps!r}",
-            ),
-            (
                 threshold is not None and epochs <= threshold.baseline_window_epochs,
                 "detection.threshold.baseline_window_epochs",
                 f"must be less than the run's {epochs} epochs",
             ),
         )
-        issues = [(path, message) for broken, path, message in rules if broken]
+        issues += [(path, message) for broken, path, message in rules if broken]
         if issues:
             raise SchemaError(issues)
 
@@ -272,15 +266,11 @@ def _parse(tp, value, path, issues):
         if not isinstance(value, tp):
             return _fail(issues, path, f"must be a {'boolean' if tp is bool else 'string'}")
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return _fail(issues, path, "must be a number")
-    if tp is int:
-        return value if isinstance(value, int) else _fail(issues, path, "must be an integer")
     try:
-        return float(value)
-    except OverflowError:
-        # A JSON integer has no size limit; one past the float range is refused.
-        return _fail(issues, path, "must be a number within the float range")
+        return number(path, value, integer=tp is int)
+    except ConfigurationError as exc:
+        # The message starts with the name that the issue's path gives.
+        return _fail(issues, path, str(exc).removeprefix(f"{path} "))
 
 
 def _parse_tagged(members, value, path, issues):

@@ -65,7 +65,6 @@ from __future__ import annotations
 import bisect
 import collections
 import math
-import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple, TYPE_CHECKING
@@ -73,7 +72,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .attacks import MAX_EXACT_PS, eval_trajectory
-from .errors import ConfigurationError
+from .errors import ConfigurationError, number, store_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AttackScenario
@@ -167,11 +166,8 @@ class SourceConfig:
     intrinsic_correlation_jitter_ps: float = 1.0
 
     def __post_init__(self):
-        if not (self.pair_rate_hz > 0 and math.isfinite(self.pair_rate_hz)):
-            raise ConfigurationError("pair_rate_hz must be > 0")
-        jitter = self.intrinsic_correlation_jitter_ps
-        if not (jitter >= 0 and math.isfinite(jitter)):
-            raise ConfigurationError("intrinsic_correlation_jitter_ps must be finite and >= 0")
+        store_number(self, "pair_rate_hz", low=0, above=True)
+        store_number(self, "intrinsic_correlation_jitter_ps", low=0)
 
 
 @dataclass(frozen=True)
@@ -183,12 +179,9 @@ class DetectorConfig:
     dead_time_ps: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ConfigurationError("efficiency must be in [0, 1]")
-        if not (self.jitter_sigma_ps >= 0 and math.isfinite(self.jitter_sigma_ps)):
-            raise ConfigurationError("jitter_sigma_ps must be finite and >= 0")
-        if not (self.dead_time_ps >= 0 and math.isfinite(self.dead_time_ps)):
-            raise ConfigurationError("dead_time_ps must be finite and >= 0")
+        store_number(self, "efficiency", low=0, high=1)
+        store_number(self, "jitter_sigma_ps", low=0)
+        store_number(self, "dead_time_ps", low=0)
 
 
 @dataclass(frozen=True)
@@ -199,10 +192,8 @@ class TdcConfig:
     jitter_sigma_ps: float = 8.0 * FWHM_TO_SIGMA
 
     def __post_init__(self):
-        if not (self.resolution_ps > 0 and math.isfinite(self.resolution_ps)):
-            raise ConfigurationError("resolution_ps must be > 0")
-        if not (self.jitter_sigma_ps >= 0 and math.isfinite(self.jitter_sigma_ps)):
-            raise ConfigurationError("jitter_sigma_ps must be finite and >= 0")
+        store_number(self, "resolution_ps", low=0, above=True)
+        store_number(self, "jitter_sigma_ps", low=0)
 
 
 @dataclass(frozen=True)
@@ -219,12 +210,9 @@ class ChannelConfig:
     splitter_loopback_prob: float = 0.5
 
     def __post_init__(self):
-        if not (self.one_way_delay_ps > 0 and math.isfinite(self.one_way_delay_ps)):
-            raise ConfigurationError("one_way_delay_ps must be > 0")
-        for name in ("loss_survival_prob", "splitter_loopback_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigurationError(f"{name} must be in [0, 1]")
+        store_number(self, "one_way_delay_ps", low=0, above=True)
+        store_number(self, "loss_survival_prob", low=0, high=1)
+        store_number(self, "splitter_loopback_prob", low=0, high=1)
 
 
 @dataclass(frozen=True)
@@ -236,13 +224,9 @@ class ClockConfig:
     white_phase_noise_sigma_ps: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.offset_ps):
-            raise ConfigurationError("offset_ps must be finite")
-        if not math.isfinite(self.drift_ps_per_s):
-            raise ConfigurationError("drift_ps_per_s must be finite")
-        sigma = self.white_phase_noise_sigma_ps
-        if not (sigma >= 0 and math.isfinite(sigma)):
-            raise ConfigurationError("white_phase_noise_sigma_ps must be finite and >= 0")
+        store_number(self, "offset_ps")
+        store_number(self, "drift_ps_per_s")
+        store_number(self, "white_phase_noise_sigma_ps", low=0)
 
 
 class DetectorId(IntEnum):
@@ -273,13 +257,8 @@ class TimestampStream:
     nominal_one_way_delay_ps: Optional[float] = None
 
     def __post_init__(self):
-        if not (_is_finite_number(self.duration_s) and self.duration_s >= 0):
-            raise ConfigurationError(f"duration_s must be finite and >= 0: {self.duration_s!r}")
-        nominal = self.nominal_one_way_delay_ps
-        if nominal is not None and not (_is_finite_number(nominal) and nominal > 0):
-            raise ConfigurationError(
-                f"nominal_one_way_delay_ps must be None or finite and > 0: {nominal!r}"
-            )
+        store_number(self, "duration_s", low=0)
+        store_number(self, "nominal_one_way_delay_ps", low=0, above=True, optional=True)
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         names = DETECTOR_NAMES.values()
@@ -319,10 +298,6 @@ def _exact_int64(values, name):
             f"{name} timestamps must be exact integers within the int64 range, not {t.dtype}"
         )
     return t.astype(np.int64)
-
-
-def _is_finite_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def is_sorted(values):
@@ -380,8 +355,7 @@ def generate_pairs(source, duration_s, seed):
     in order, ascend.  A run that ends beyond the exact int64/float64 range
     is refused, since its last emission times would lie there.
     """
-    if not (duration_s > 0 and math.isfinite(duration_s)):
-        raise ConfigurationError("duration_s must be > 0")
+    duration_s = number("duration_s", duration_s, low=0, above=True)
     rate = source.pair_rate_hz
     end_ps = duration_s * 1e12
     if end_ps > MAX_EXACT_PS:

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigurationError, GapError
+from .errors import ConfigurationError, GapError, number
 
 __all__ = [
     "TdevPoint",
@@ -113,8 +113,7 @@ def tdev(x, tau0_s, m_values=None):
         raise ConfigurationError("series must contain at least 4 samples")
     if not np.all(np.isfinite(x[~np.isnan(x)])):
         raise ConfigurationError("series must be finite")
-    if not (tau0_s > 0 and math.isfinite(tau0_s)):
-        raise ConfigurationError("tau0_s must be > 0")
+    tau0_s = number("tau0_s", tau0_s, low=0, above=True)
 
     if m_values is None:
         m_values = default_m_grid(n)

@@ -159,6 +159,12 @@ class TestGradual:
         with pytest.raises(ConfigurationError):
             AttackEvent(AttackPattern.JUMP, 1.0, 0.0, step_interval_s=35.0)
 
+    @pytest.mark.parametrize("value", ["yes", 1, 0, None, np.bool_(True)], ids=repr)
+    def test_reverse_flag_must_be_a_bool(self, value):
+        # A truthy value passed the constructor, which a document refuses.
+        with pytest.raises(ConfigurationError, match="^reverse_after_end "):
+            gradual(-4.0, 0.0, end_s=10.0, reverse_after_end=value)
+
 
 def random_events(rng, max_events=3):
     events = []

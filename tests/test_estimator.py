@@ -757,6 +757,31 @@ class TestBuildHistogram:
         with pytest.raises(ConfigurationError, match=f"^{name} timestamps must be finite"):
             build_histogram(a, b, 4.0, 10, 50)
 
+    @pytest.mark.parametrize(
+        "a, b, name",
+        [
+            ([2.0**54], [2.0**54 + 8], "a"),
+            (np.array([2**60]), np.array([2**60 + 3]), "a"),
+            ([-(2.0**53)], [0.0], "a"),
+            ([0.0], [2.0**53], "b"),
+            (np.array([0]), np.array([2**53 + 1]), "b"),
+            (np.array([0], np.uint64), np.array([2**64 - 1], np.uint64), "b"),
+        ],
+        ids=["float", "int", "float-low", "float-edge", "int-edge", "uint64"],
+    )
+    def test_times_beyond_exact_range_refused_by_name(self, a, b, name):
+        # Float records at 2**53 and beyond dropped the last far record (the
+        # grid end, one past it, rounded back onto it), and int64 records
+        # were binned by a rounded float difference.
+        with pytest.raises(ConfigurationError, match=f"^{name} timestamps must lie"):
+            build_histogram(a, b, 1.0, 8, 4)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_times_just_inside_exact_range_binned_exactly(self, dtype):
+        top = 2**53 - 1
+        h = build_histogram(np.array([top - 3], dtype), np.array([top], dtype), 1.0, 2, 2)
+        assert np.flatnonzero(h.counts).tolist() == [3]
+
     def test_finite_times_of_any_width_counted(self):
         want = build_histogram(np.array([0, 100]), np.array([10, 110]), 4.0, 10, 50).counts
         for dtype in (np.float32, np.float64, np.int32, np.uint64):

@@ -870,7 +870,9 @@ class TestScheduling:
 
         monkeypatch.setattr(estimator, "_histograms", refusing)
         stream = self.streams(50.0, 0.0)
-        config = estimator.EstimatorConfig(forward_center_ps=49e6, loopback_center_ps=98e6)
+        config = estimator.EstimatorConfig(
+            forward_center_ps=49_000_000, loopback_center_ps=98_000_000
+        )
         with pytest.raises(ConfigurationError, match="refused on ThreadPoolExecutor"):
             estimator.per_epoch_series(stream, 0.1, config)
 
