@@ -298,16 +298,14 @@ def _window_pairs(a, b, edges, lo_key, hi_key):
 
     Every record of ``b`` lies in ``[edges[0], edges[-1])``, and is searched
     into the non-empty ``a`` for its first partner, ``_B_SLICE`` records at
-    a time, among the ``a`` records of its own epoch only.  A window
-    narrower than the spacing of ``a`` mostly holds no partner or one,
-    which two comparisons settle; a slice where no record has two partners
-    is yielded as its records with one.  Otherwise only the records with two
-    or more are searched for their last partner, and the slice is yielded
-    in pieces cut wherever its pair count passes a multiple of ``_B_SLICE``,
-    so a piece holds at most ``_B_SLICE`` pairs plus one record's.  Every
-    piece's ``t_b`` ascend.
+    a time, among the ``a`` records of its own epoch only.  One gather of
+    each record's candidate and two comparisons settle its first pair, and
+    a slice's records with one are yielded as one piece.  Only the records
+    with a second partner are searched for their last, and their further
+    pairs are yielded in pieces cut wherever their count passes a multiple
+    of ``_B_SLICE``, so a piece holds at most ``_B_SLICE`` pairs plus one
+    record's.  Every piece's ``t_b`` ascend.
     """
-    last = a.size - 1
     in_epoch = np.searchsorted(a, edges)
     for start in range(0, b.size, _B_SLICE):
         bs = b[start : start + _B_SLICE]
@@ -318,30 +316,28 @@ def _window_pairs(a, b, edges, lo_key, hi_key):
         np.maximum(first, np.repeat(in_epoch[:-1], runs), out=first)
         upper = np.repeat(in_epoch[1:], runs)
         stop = bs - lo_key
-        one = (first < upper) & (a[np.minimum(first, last)] <= stop)
-        more = one & (first + 1 < upper)
-        more &= a[np.minimum(first + 1, last)] <= stop
-        if not more.any():
-            first = np.compress(one, first)
-            if first.size:
-                yield a[first], np.compress(one, bs)
-            continue
-        n = one.astype(np.int64)
-        more = np.flatnonzero(more)
-        end = np.minimum(np.searchsorted(a, stop[more], side="right"), upper[more])
-        n[more] = end - first[more]
-        # Pairs of records [j0, j1) are pairs [bounds[j0], bounds[j1]).
+        # A clipped gather reads a[-1] past the end, where first < upper fails.
+        ta = a.take(first, mode="clip")
+        one = (first < upper) & (ta <= stop)
+        if one.any():
+            yield np.compress(one, ta), np.compress(one, bs)
+        first += 1
+        more = np.flatnonzero(one & (first < upper) & (a.take(first, mode="clip") <= stop))
+        # Record more[j]'s further partners run from first[j] to its end;
+        # those of records [j0, j1) of ``more`` are pairs [bounds[j0], bounds[j1]).
+        first = first[more]
+        n = np.minimum(np.searchsorted(a, stop[more], side="right"), upper[more]) - first
         bounds = np.concatenate(([0], np.cumsum(n)))
         offset = first - bounds[:-1]
         cuts = np.searchsorted(
             bounds[1:], np.arange(_B_SLICE, bounds[-1], _B_SLICE), side="right"
         ).tolist()
-        for j0, j1 in zip([0] + cuts, cuts + [bs.size]):
+        for j0, j1 in zip([0] + cuts, cuts + [more.size]):
             if bounds[j1] == bounds[j0]:
                 continue
             ai = np.arange(bounds[j0], bounds[j1])
             ai += np.repeat(offset[j0:j1], n[j0:j1])
-            yield a[ai], np.repeat(bs[j0:j1], n[j0:j1])
+            yield a[ai], np.repeat(bs[more[j0:j1]], n[j0:j1])
 
 
 def _bin_count(bin_width_ps, window_halfwidth_ps):
@@ -357,7 +353,8 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
     accidentals per bin that each epoch's singles predict; ``edges`` may be
     any ascending grid.  ``_window_pairs`` makes only the pairs whose two
-    records lie in one epoch; a piece's ``b`` records ascend, so the edges
+    records lie in one epoch, each slice's first pairs in one piece and its
+    further pairs in others; a piece's ``b`` records ascend, so the edges
     cut it into one run of pairs per epoch, found by one search per edge.
     The bin index of every pair is computed at once, and each epoch's row
     offset is added to its run, so ``np.add.at`` adds each piece straight

@@ -137,17 +137,20 @@ class AttackScenario:
         # Cross-field rules, all reported together with their field paths.
         issues = []
         try:
+            store_number(self, "schema_version", integer=True)
+            if self.schema_version != SCHEMA_VERSION:
+                raise ConfigurationError(
+                    f"unsupported version {self.schema_version}, expected {SCHEMA_VERSION}"
+                )
+        except ConfigurationError as exc:
+            issues.append(("schema_version", str(exc)))
+        try:
             store_number(self, "reference_ps")
         except ConfigurationError as exc:
             issues.append(("reference_ps", str(exc)))
         epochs = epoch_count(self.run.duration_s, self.run.epoch_s)
         threshold = self.detection.threshold if self.detection else None
         rules = (
-            (
-                self.schema_version != SCHEMA_VERSION,
-                "schema_version",
-                f"unsupported version {self.schema_version}, expected {SCHEMA_VERSION}",
-            ),
             (
                 self.mode == RunMode.FULL_SIM and self.scheme != SchemeKind.ROUND_TRIP,
                 "scheme",

@@ -247,9 +247,10 @@ class TimestampStream:
     """Detection records stored per detector, indexed by ``DetectorId``.
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
-    ps) in ascending order: all a time tagger would record.  Times that
-    are not exact int64 integers are refused, never converted.  ``duration_s``
-    is finite and >= 0; ``nominal_one_way_delay_ps`` is None or finite and > 0.
+    ps) in ascending order within [0, 2**53): all a time tagger would
+    record.  Times that are not exact int64 integers are refused, never
+    converted.  ``duration_s`` is finite and >= 0;
+    ``nominal_one_way_delay_ps`` is None or finite and > 0.
     """
 
     times: Tuple[np.ndarray, ...]
@@ -264,8 +265,9 @@ class TimestampStream:
         names = DETECTOR_NAMES.values()
         self.times = tuple(_exact_int64(t, name) for name, t in zip(names, self.times))
         for name, t in zip(names, self.times):
-            if t.size and t[0] < 0:
-                raise ConfigurationError(f"{name} timestamps must be >= 0")
+            # Beyond 2**53 the estimator's float differences round.
+            if t.size and not (0 <= t[0] and t[-1] < MAX_EXACT_PS):
+                raise ConfigurationError(f"{name} timestamps must lie in [0, 2**53) ps")
             if not is_sorted(t):
                 raise ConfigurationError(f"{name} timestamps must be sorted ascending")
 
@@ -551,7 +553,7 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         pairs = np.require(pairs, np.float64, ["C"])
         if pairs.ndim != 1:
             raise ConfigurationError("pairs must be a 1-D array of emission times")
-        if pairs.size and float(np.max(pairs)) > MAX_EXACT_PS:
+        if pairs.size and not (pairs.min() >= -MAX_EXACT_PS and pairs.max() <= MAX_EXACT_PS):
             raise ConfigurationError("emission times exceed the exact int64/float64 range")
         n_chunks = (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK
 

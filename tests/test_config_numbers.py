@@ -171,16 +171,17 @@ def test_document_refuses_what_the_constructor_refuses(
     assert [p for p, _ in issues] == ([path] if refused else []), issues
 
 
-@pytest.mark.parametrize("value", _DOCUMENT_VALUES, ids=repr)
-def test_document_refuses_the_reference_the_scenario_refuses(value):
+@pytest.mark.parametrize("value", _DOCUMENT_VALUES + [1.0], ids=repr)
+@pytest.mark.parametrize("name", ["reference_ps", "schema_version"])
+def test_document_refuses_the_reference_the_scenario_refuses(name, value):
     scenario = AttackScenario.from_dict(_minimal_doc())
     try:
-        dataclasses.replace(scenario, reference_ps=value)
+        dataclasses.replace(scenario, **{name: value})
         refused = False
     except ConfigurationError:
         refused = True
-    issues = validate_scenario_dict(dict(_minimal_doc(), reference_ps=value))
-    assert [p for p, _ in issues] == (["reference_ps"] if refused else [])
+    issues = validate_scenario_dict(dict(_minimal_doc(), **{name: value}))
+    assert [p for p, _ in issues] == ([name] if refused else [])
 
 
 @pytest.mark.parametrize("value", [True, "1"], ids=repr)

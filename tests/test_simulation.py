@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -189,12 +190,28 @@ class TestStreamLayout:
     def test_exact_times_converted_and_int64_kept(self):
         idler = np.array([10, 40], np.int64)
         stream = TimestampStream(
-            times=[idler, [20.0, 50.0], np.array([2**63 - 1], np.uint64)], duration_s=1.0
+            times=[idler, [20.0, 50.0], np.array([2**53 - 1], np.uint64)], duration_s=1.0
         )
         assert stream.times[DetectorId.IDLER_A] is idler
         assert all(t.dtype == np.int64 for t in stream.times)
         assert stream.times[DetectorId.SIGNAL_B].tolist() == [20, 50]
-        assert stream.times[DetectorId.RETURN_A].tolist() == [2**63 - 1]
+        assert stream.times[DetectorId.RETURN_A].tolist() == [2**53 - 1]
+
+    @pytest.mark.parametrize(
+        "times, name",
+        [
+            ([[2**60], [2**60 + 3], []], "IdlerA"),
+            ([[10], [20, 2**53], []], "SignalB"),
+            ([[10], [20], np.array([2**63 - 1], np.uint64)], "ReturnA"),
+        ],
+        ids=["IdlerA-2**60", "SignalB-2**53", "ReturnA-2**63-1"],
+    )
+    def test_times_past_the_exact_range_refused(self, times, name):
+        # The estimator takes t_b - t_a as a float difference, exact only
+        # below 2**53: 2**60 + 3 - 2**60 would be binned as 0, not 3.
+        bound = re.escape("timestamps must lie in [0, 2**53)")
+        with pytest.raises(ConfigurationError, match=f"^{name} {bound}"):
+            TimestampStream(times=times, duration_s=1.0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -267,6 +284,16 @@ class TestGeneratePairs:
         with pytest.raises(ConfigurationError, match="emission times exceed the exact"):
             generate_pairs(SourceConfig(), 9008.0, 0)
         assert len(generate_pairs(SourceConfig(pair_rate_hz=1.0), 9007.0, 0)) > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -(2.0**54)], ids=repr)
+    def test_emission_times_outside_the_exact_range_refused(self, bad):
+        # Every comparison with NaN is false, so only a test that both ends
+        # must pass refuses it.
+        with pytest.raises(ConfigurationError, match="emission times exceed the exact"):
+            propagate_and_detect(
+                np.array([1e9, bad, 2e9]), SourceConfig(), ChannelConfig(), DelayTrajectory(),
+                DelayTrajectory(), DetectorConfig(), TdcConfig(), ClockConfig(), 1, duration_s=1.0,
+            )
 
     def test_determinism(self):
         a = emission_times(generate_pairs(SourceConfig(), 3.0, 77))
