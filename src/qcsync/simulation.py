@@ -35,22 +35,28 @@ Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
 mid-flight approximation error is far below a femtosecond at these rates.
 
-Memory: what grows with the run is the records (8 B each); every other
-array is bounded by ``_PAIR_CHUNK``.  ``generate_pairs`` plans the run as
-blocks of about that many pairs, and propagation chunk i is block i: its
-emission times are drawn, propagated and dropped, two chunks computed while
-a third is written, each chunk's times straight into one buffer per
-detector.  So a campaign holds no emission times beyond its chunks, and
-~8.8 B per pair of records at the end (0.8 idlers and 0.3 signal records
-per pair by default).  Each buffer is sorted in place once, with numpy's
-stable sort (a timsort), which merges only where chunks overlap in time (a
-jitter or delay step wider than the gap across a chunk edge), so its merge
-buffer holds only overlapping records.  The dead time is applied in those
-buffers in slices of ``_PAIR_CHUNK`` records, each filtered behind the last
-record kept before it, and the stream check reads them in windows of the
-same length.  The three buffers are finished (sorted and dead-time
-filtered) on the same threads as the chunks, so up to ``_WORKERS`` of them
-at once, each with its own merge buffer.
+Memory: what grows with a block of the run is its records (8 B each);
+every other array is bounded by ``_PAIR_CHUNK``.  ``generate_pairs`` plans
+the run as blocks of about that many pairs, and propagation chunk i is
+block i: its emission times are drawn, propagated and dropped, two chunks
+computed while a third is written, each chunk's times straight into one
+buffer per detector.  So no emission times are held beyond the chunks, and
+a run released as one block holds ~8.8 B per pair of records at the end
+(0.8 idlers and 0.3 signal records per pair by default).  A run can be
+released in blocks of time instead (``propagate_and_detect``'s
+``until_ps``, which the campaign runner uses): each call simulates only the
+chunks that can read a record below the block's end, a margin of delays,
+offset and jitter above it (``_release_margin``), and hands on the records
+below it, so a buffer holds one block's records and the few that follow
+it.  Each buffer is sorted in place once per block, with numpy's stable
+sort (a timsort), which merges only where chunks overlap in time (a jitter
+or delay step wider than the gap across a chunk edge), so its merge buffer
+holds only overlapping records.  The dead time is applied in those buffers
+in slices of ``_PAIR_CHUNK`` records, each filtered behind the last record
+kept before it, in the block or the one before, and the stream check reads
+them in windows of the same length.  The three buffers are finished
+(sorted and dead-time filtered) on the same threads as the chunks, so up to
+``_WORKERS`` of them at once, each with its own merge buffer.
 
 All randomness flows from a single integer seed.  Each block's emission
 times and each chunk's propagation draw from their own generators, seeded
@@ -72,7 +78,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .attacks import MAX_EXACT_PS, eval_trajectory
-from .errors import ConfigurationError, number, store_number
+from .errors import ConfigurationError, ContractViolation, number, store_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AttackScenario
@@ -87,6 +93,7 @@ __all__ = [
     "DETECTOR_NAMES",
     "TimestampStream",
     "EmissionPlan",
+    "HeldRecords",
     "chain_model",
     "generate_pairs",
     "propagate_and_detect",
@@ -441,27 +448,50 @@ def _expected_capacity(n_pairs, prob):
 
 
 class _DetectorRecords:
-    """One detector's timestamps, assembled in place chunk by chunk.
+    """One detector's timestamps, assembled in place chunk by chunk and
+    released a block of time at a time.
 
     Each chunk's times, negative ones dropped, are copied as they come into
-    the int64 ``buffer``, which owns its memory.  It is resized in place
-    when it fills up, which lets the allocator remap a large block rather
-    than copy it (glibc does), and is trimmed once by ``finish``.
-    ``finish`` sorts the records once and applies the dead time in place.
-    The sort is stable, a timsort for int64: in-order chunks with jitter
-    below the record spacing leave long ascending runs, which it finds and
-    merges only where they overlap.
+    the int64 ``buffer``, which owns its memory.  ``reserve`` gives it room
+    for a block's chunks, and it is resized in place when it fills up
+    anyway, which lets the allocator remap a large block rather than copy
+    it (glibc does).  ``finish`` sorts the records once, releases those
+    below the block's end with the dead time applied in place, in the
+    buffer trimmed once, and holds the rest in a buffer of their own.  The
+    sort is stable, a timsort for int64: in-order chunks with jitter below
+    the record spacing leave long ascending runs, which it finds and merges
+    only where they overlap.
+
+    The dead time goes on across blocks from the last record released (the
+    ``anchor``).  A record that arrives below the end of a block already
+    released would belong to that block, so it raises ContractViolation.
     """
 
     def __init__(self, buffer):
         self.times = buffer
         self.size = 0
+        # Every record below this time has been released; 0 before the
+        # first release, so that only negative times are dropped.
+        self.released = 0
+        self.anchor = None
+
+    def reserve(self, n):
+        """Room for ``n`` more records: a fresh buffer holding those held."""
+        buffer = np.empty(self.size + n, np.int64)
+        buffer[: self.size] = self.times[: self.size]
+        self.times = buffer
 
     def append(self, times):
         """Add one chunk's times after those already held."""
-        # Most chunks hold no time below zero and are copied without a mask.
-        if times.min(initial=0) < 0:
+        # Most chunks hold no time below the released edge and are copied
+        # without a mask.
+        if times.min(initial=self.released) < self.released:
             times = np.compress(times >= 0, times)
+            if times.min(initial=self.released) < self.released:
+                raise ContractViolation(
+                    f"a record at {times.min()} ps arrived after the records below "
+                    f"{self.released} ps were released: the release margin is too small"
+                )
         held = self.size
         end = held + times.size
         if end > self.times.size:
@@ -469,38 +499,60 @@ class _DetectorRecords:
         self.times[held:end] = times
         self.size = end
 
-    def finish(self, dead_time_ps):
-        """The times sorted, with the dead time applied in place, in the
-        buffer trimmed once."""
+    def finish(self, dead_time_ps, until_ps=None):
+        """The times below the integer ``until_ps`` (every one when None),
+        sorted, with the dead time applied in place, in the buffer trimmed
+        once; the rest stay held."""
         n = self.size
-        self.times[:n].sort(kind="stable")
-        if dead_time_ps > 0:
-            n = self._filter_dead_time(n, math.ceil(dead_time_ps))
-        self.times.resize(n, refcheck=False)
-        return self.times
-
-    def _filter_dead_time(self, n, dead):
-        """Filter the first ``n`` times through ``_apply_dead_time`` in slices
-        of ``_PAIR_CHUNK`` records, moving the kept ones to the front; returns
-        how many are kept.
-
-        Each slice after the first is filtered behind the last record kept so
-        far, copied into the already consumed slot before it and dropped from
-        the result: greedy keeps that anchor, so the slices continue one
-        greedy pass.
-        """
         times = self.times
+        times[:n].sort(kind="stable")
+        cut = n
+        if until_ps is not None:
+            cut = int(np.searchsorted(times[:n], until_ps))
+            self.released = until_ps
+        self.times = times[cut:n].copy()
+        self.size = n - cut
+        if dead_time_ps > 0:
+            cut = self._filter_dead_time(times, cut, math.ceil(dead_time_ps))
+        times.resize(cut, refcheck=False)
+        return times
+
+    def _filter_dead_time(self, times, n, dead):
+        """Filter the first ``n`` of ``times`` through ``_apply_dead_time`` in
+        slices of ``_PAIR_CHUNK`` records, moving the kept ones to the front;
+        returns how many are kept.
+
+        Each slice is filtered behind the ``anchor``, the last record kept
+        before it: copied into the already consumed slot before the slice,
+        or prepended to a block's first slice, and dropped from the result.
+        Greedy keeps that anchor, so the slices, and the blocks, continue
+        one greedy pass.
+        """
         kept = 0
         for lo in range(0, n, _PAIR_CHUNK):
             hi = min(lo + _PAIR_CHUNK, n)
-            if lo:
-                times[lo - 1] = times[kept - 1]
+            if self.anchor is None:
+                t = _apply_dead_time(times[lo:hi], dead)
+            elif lo:
+                times[lo - 1] = self.anchor
                 t = _apply_dead_time(times[lo - 1 : hi], dead)[1:]
             else:
-                t = _apply_dead_time(times[:hi], dead)
+                t = _apply_dead_time(np.concatenate(([self.anchor], times[:hi])), dead)[1:]
             times[kept : kept + t.size] = t
             kept += t.size
+            if kept:
+                self.anchor = times[kept - 1]
         return kept
+
+
+class HeldRecords:
+    """What a run released in blocks carries from one ``propagate_and_detect``
+    call to the next: how many of its chunks are simulated, and each
+    detector's records not yet released."""
+
+    def __init__(self):
+        self.chunks = 0
+        self.records = tuple(_DetectorRecords(np.empty(0, np.int64)) for _ in DetectorId)
 
 
 def chain_model(source, channel, detectors, tdc, clocks):
@@ -522,7 +574,37 @@ def chain_model(source, channel, detectors, tdc, clocks):
     )
 
 
-def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s):
+def _largest_delay(traj, duration_s):
+    """The largest size of ``traj``'s delay within a run of ``duration_s``,
+    ps, taken at every event's onset and hold point inside the run and on a
+    grid of 4096 steps.  It sizes the release margin, which fails closed
+    where it falls short."""
+    if not traj.events:
+        return 0.0
+    knots = [k for e in traj.events for k in (e.start_s, e.end_s) if k is not None]
+    grid = np.linspace(0.0, duration_s, 4096, endpoint=False)
+    t = np.concatenate((grid, [k for k in knots if k < duration_s]))
+    return float(np.abs(eval_trajectory(traj, t)).max())
+
+
+def _release_margin(channel, m, n, clocks, sigmas, duration_s):
+    """How far below its chunk's first emission time a record can be read,
+    ps: both one-way delays, Bob's clock offset and drift over the run, the
+    largest delay of either trajectory and ten times the widest merged
+    jitter ``sigmas``."""
+    return (
+        2.0 * channel.one_way_delay_ps
+        + abs(clocks.offset_ps)
+        + abs(clocks.drift_ps_per_s) * duration_s
+        + _largest_delay(m, duration_s)
+        + _largest_delay(n, duration_s)
+        + 10.0 * max(sigmas)
+    )
+
+
+def propagate_and_detect(
+    pairs, source, channel, m, n, detectors, tdc, clocks, seed, duration_s, until_ps=None, held=None
+):
     """Propagate pair emissions through the attacked link and detect.
 
     ``pairs`` is the ``EmissionPlan`` that ``generate_pairs`` returns, whose
@@ -531,6 +613,15 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     emission times, propagated in chunks of ``_PAIR_CHUNK``.  An array is
     only read, through a copy if it is not contiguous float64.  Every
     detector's records go into a buffer of their own.
+
+    A run can be released in blocks of time.  Each call then gets the same
+    ``held`` (a ``HeldRecords``) and the next block's end ``until_ps``, an
+    integer, ascending from call to call, and the last call gets None.  A
+    call simulates the chunks not yet simulated that can read a record
+    below ``until_ps``: those that start less than ``_release_margin``
+    above it, or every chunk of an array, whose chunks may emit at any
+    time.  It returns the records below ``until_ps`` and holds the rest
+    back.  Without ``held`` and ``until_ps`` the whole run is one block.
 
     Parameters
     ----------
@@ -543,12 +634,15 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     clocks : ClockConfig for Bob's clock (Alice is the reference)
     seed : RNG seed; fixed seed reproduces the stream exactly
     duration_s : stream duration metadata
+    until_ps : None, or the end of the block to release, ps, local time
+    held : None, or the HeldRecords of a run released in blocks
 
-    Returns a TimestampStream.  Records with negative local timestamps
-    (possible for detections jittered before the clock origin) are dropped.
+    Returns a TimestampStream of the block.  Records with negative local
+    timestamps (possible for detections jittered before the clock origin)
+    are dropped.
     """
     if isinstance(pairs, EmissionPlan):
-        n_chunks, emitted_in = pairs.counts.size, pairs.times
+        sizes, emitted_in, starts = pairs.counts, pairs.times, pairs.edges[:-1]
     else:
         pairs = np.require(pairs, np.float64, ["C"])
         if pairs.ndim != 1:
@@ -556,6 +650,8 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         if pairs.size and not (pairs.min() >= -MAX_EXACT_PS and pairs.max() <= MAX_EXACT_PS):
             raise ConfigurationError("emission times exceed the exact int64/float64 range")
         n_chunks = (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK
+        sizes = np.diff(np.minimum(np.arange(n_chunks + 1) * _PAIR_CHUNK, pairs.size))
+        starts = np.full(n_chunks, -np.inf)
 
         def emitted_in(chunk):
             return pairs[chunk * _PAIR_CHUNK : (chunk + 1) * _PAIR_CHUNK]
@@ -564,15 +660,15 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
         source, channel, detectors, tdc, clocks
     )
-
-    def buffer(prob):
-        return np.empty(_expected_capacity(len(pairs), prob), np.int64)
-
-    records = {
-        DetectorId.IDLER_A: _DetectorRecords(buffer(eff)),
-        DetectorId.SIGNAL_B: _DetectorRecords(buffer(p_bob)),
-        DetectorId.RETURN_A: _DetectorRecords(buffer(p_signal - p_bob)),
-    }
+    held = HeldRecords() if held is None else held
+    first, stop = held.chunks, sizes.size
+    if until_ps is not None:
+        sigmas = (sigma_idler, sigma_bob, sigma_return)
+        margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
+        stop = max(first, int(np.searchsorted(starts, until_ps + margin)))
+    count = int(sizes[first:stop].sum())
+    for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
+        records.reserve(_expected_capacity(count, prob))
 
     def detect(chunk):
         """Chunk ``chunk``'s int64 times per detector, from its own generator
@@ -638,17 +734,18 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
         return idler, bob, _quantize(ret, tdc.resolution_ps)
 
     def assemble(readings):
-        for det, t in zip(DetectorId, readings):
-            records[det].append(t)
+        for records, t in zip(held.records, readings):
+            records.append(t)
 
-    _pipeline(detect, n_chunks, assemble)
+    _pipeline(lambda i: detect(first + i), stop - first, assemble)
+    held.chunks = stop
 
     def finish(det):
-        return records[DetectorId(det)].finish(detectors.dead_time_ps)
+        return held.records[det].finish(detectors.dead_time_ps, until_ps)
 
     # The buffers share no state, so finishing them at once changes no record.
     times = []
-    _pipeline(finish, len(records), times.append)
+    _pipeline(finish, len(held.records), times.append)
 
     return TimestampStream(
         times=times,
@@ -657,20 +754,16 @@ def propagate_and_detect(pairs, source, channel, m, n, detectors, tdc, clocks, s
     )
 
 
-def run_round_trip_sim(scenario: "AttackScenario"):
-    """End-to-end simulation of one scenario: pairs, attack, detection.
-
-    Composes generate_pairs, the coordination rule and propagate_and_detect,
-    which draws each block of emission times as it propagates it; the
-    returned stream carries the run duration and the nominal fiber delay.
-    """
+def plan_run(scenario: "AttackScenario"):
+    """``(pairs, link)``: the emission plan of ``scenario``'s run, from
+    ``generate_pairs``, and the arguments that follow it in the run's
+    ``propagate_and_detect`` calls."""
     run = scenario.run
     gen_seed, prop_seed = (
         int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, dtype=np.uint64)
     )
     pairs = generate_pairs(scenario.source, run.duration_s, gen_seed)
-    return propagate_and_detect(
-        pairs,
+    link = (
         scenario.source,
         scenario.channel,
         scenario.m_trajectory(),
@@ -681,3 +774,16 @@ def run_round_trip_sim(scenario: "AttackScenario"):
         prop_seed,
         run.duration_s,
     )
+    return pairs, link
+
+
+def run_round_trip_sim(scenario: "AttackScenario"):
+    """End-to-end simulation of one scenario: pairs, attack, detection.
+
+    Composes generate_pairs, the coordination rule and propagate_and_detect,
+    which draws each block of emission times as it propagates it, with the
+    whole run as one block; the returned stream carries the run duration
+    and the nominal fiber delay.
+    """
+    pairs, link = plan_run(scenario)
+    return propagate_and_detect(pairs, *link)

@@ -1206,6 +1206,52 @@ class TestCoarseAcquire:
         assert (acq.forward_center_ps, acq.loopback_center_ps) == (10_000, 20_000)
 
 
+    def test_far_records_past_the_idlers_reach_change_nothing(self, monkeypatch):
+        # Acquisition reads the first ``acquire_max_events`` idlers and only
+        # the far records within its windows of them, so a dense burst of far
+        # records long after that reach changes none of the histograms it
+        # builds: not their counts, nor the accidentals the singles predict.
+        config = EstimatorConfig(acquire_max_events=2000)
+        stream = noiseless_stream(duration_s=2.0)
+        histograms = []
+        estimate = estimator.estimate_peak
+
+        def recording(histogram):
+            histograms.append((histogram.counts.tobytes(), histogram.accidentals_per_bin))
+            return estimate(histogram)
+
+        monkeypatch.setattr(estimator, "estimate_peak", recording)
+        want = coarse_acquire(stream, config)
+        assert estimator.acquisition_reach(stream, config) < 1e12
+        burst = np.arange(3 * 10**12, 3 * 10**12 + 100_000, dtype=np.int64)
+        times = [np.concatenate((t, burst)) if det else t for det, t in enumerate(stream.times)]
+        longer = TimestampStream(times, stream.duration_s, stream.nominal_one_way_delay_ps)
+        plain = histograms[:]
+        histograms.clear()
+        assert coarse_acquire(longer, config) == want
+        # The forward and loopback searches record theirs on two threads.
+        assert len(histograms) == 4 and sorted(histograms) == sorted(plain)
+
+    def test_reach_bounds_what_acquisition_reads(self):
+        stream = noiseless_stream(duration_s=2.0)
+        idler = stream.times[DetectorId.IDLER_A]
+        config = EstimatorConfig(acquire_max_events=2000)
+        reach = estimator.acquisition_reach(stream, config)
+        # The loopback's coarse window ends 6 L past the 2000th idler, and
+        # the refined one lies within a refined halfwidth and bin of it.
+        assert 0 <= reach - (idler[1999] + 6 * 49_000_000) <= 5000 + 10
+        cut = TimestampStream(
+            [t[t < reach] for t in stream.times], stream.duration_s, 49e6
+        )
+        assert coarse_acquire(cut, config) == coarse_acquire(stream, config)
+        forward = dataclasses.replace(config, loopback_center_ps=98_000_000)
+        assert estimator.acquisition_reach(stream, forward) < reach
+        both = dataclasses.replace(forward, forward_center_ps=48_990_100)
+        assert estimator.acquisition_reach(stream, both) == -math.inf
+        many = dataclasses.replace(config, acquire_max_events=idler.size + 1)
+        assert estimator.acquisition_reach(stream, many) == math.inf
+
+
 class TestPerEpochSeries:
     def test_delta_rederivable_from_taus(self):
         stream = noiseless_stream()

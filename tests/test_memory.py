@@ -4,12 +4,15 @@ numpy reports its array allocations to ``tracemalloc``, so a traced peak
 counts the bytes the program asked for, not what the allocator or the
 kernel made of them.  Every byte the simulation holds is such an array:
 each chunk draws its own emission times and drops them, so no whole-run
-array of them exists.  The three detectors' records grow with the run,
-and the estimator's series grows with its epochs; everything else
-must stay within a multiple of the simulation's chunk or the histogram
-kernel's slice, which both tests shrink so that a single full-length
-temporary of a 1 M-pair run would exceed the bound many times.  The
-estimator's count matrices never outgrow one block of epochs.
+array of them exists.  The detectors' records are held one released
+block at a time: the whole run in ``run_round_trip_sim``, one block of
+epochs in a campaign, which ``run_scenario`` simulates and estimates a
+block at a time, so only the campaign's series grows with the run.
+Everything else must stay within a multiple of the simulation's chunk or
+the histogram kernel's slice, which the tests shrink so that a single
+full-length temporary of a 1 M-pair run would exceed the bound many
+times, and the campaign's block budget with them.  The estimator's count
+matrices never outgrow one block of epochs.
 """
 
 import dataclasses
@@ -17,8 +20,8 @@ import tracemalloc
 
 import pytest
 
-from qcsync import estimator, simulation
-from qcsync.runner import load_scenario
+from qcsync import estimator, runner, simulation
+from qcsync.runner import load_scenario, run_scenario
 from qcsync.scenario import builtin_scenario
 
 from conftest import traced_peak
@@ -27,10 +30,10 @@ CHUNK = 10_000
 CHUNK_BYTES = 8 * CHUNK
 
 
-def million_pair_scenario():
+def million_pair_scenario(duration_s=10.0):
     doc = builtin_scenario("baseline")
     doc["source"] = {"pair_rate_hz": 1.0e5}
-    doc["run"]["duration_s"] = 10.0
+    doc["run"]["duration_s"] = duration_s
     # Ten epochs leave the threshold monitor's 60-epoch window nothing to judge.
     del doc["detection"]
     return load_scenario(doc)
@@ -191,3 +194,22 @@ def test_acquisition_holds_histograms_plus_slice_temporaries(monkeypatch):
     nominal = stream.nominal_one_way_delay_ps
     histogram_bytes = 8 * round(8.0 * nominal / scenario.estimator.coarse_bin_ps)
     assert peak < histogram_bytes + 60 * CHUNK_BYTES
+
+
+def test_campaign_peak_does_not_grow_with_the_run(monkeypatch):
+    # A full simulation runs in blocks of about ``_BLOCK_RECORDS`` records,
+    # here 20 chunk-sizes' worth, two 1 s epochs of the 100 kHz run, so a
+    # campaign holds one block's records at a time: ten times the run adds
+    # the 90 epochs' series and curve, well under one chunk-size.  One
+    # block for the whole run would add the 9.9 M records of the other
+    # 90 s, 990 chunk-sizes.  Acquisition's 200 000 idlers span 2.5 s, so
+    # both runs' first block takes in the blocks up to 3 s.
+    monkeypatch.setattr(simulation, "_PAIR_CHUNK", CHUNK)
+    monkeypatch.setattr(estimator, "_B_SLICE", CHUNK, raising=False)
+    monkeypatch.setattr(runner, "_BLOCK_RECORDS", 20 * CHUNK)
+    run_scenario(million_pair_scenario(duration_s=1.0))
+    peak = {}
+    for duration_s in (10.0, 100.0):
+        result, peak[duration_s] = traced_peak(run_scenario, million_pair_scenario(duration_s))
+        assert len(result.series) == duration_s and result.series.gap_count() == 0
+    assert peak[100.0] - peak[10.0] < 4 * CHUNK_BYTES

@@ -8,10 +8,17 @@ import re
 import numpy as np
 import pytest
 
-from qcsync import estimator, runner
+from qcsync import estimator, runner, simulation
 from qcsync.attacks import AttackEvent, CoordinationRule
 from qcsync.cli import main
-from qcsync.errors import AcquisitionError, ConfigurationError, GapRateError, SchemaError
+from qcsync.errors import (
+    AcquisitionError,
+    ConfigurationError,
+    ContractViolation,
+    EmptySeriesError,
+    GapRateError,
+    SchemaError,
+)
 from qcsync.runner import load_scenario, reproduce, run_scenario
 from qcsync.scenario import builtin_scenario, validate_scenario_dict
 
@@ -185,7 +192,8 @@ class TestFailurePaths:
         def simulate(scenario):
             raise AssertionError("simulated a run the threshold monitor cannot judge")
 
-        monkeypatch.setattr(runner, "run_round_trip_sim", simulate)
+        # The runner's full simulation starts with the run's emission plan.
+        monkeypatch.setattr(simulation, "plan_run", simulate)
         window = "detection.threshold.baseline_window_epochs"
         doc = builtin_scenario("baseline")
         for duration_s, issues in ((60.0, [window]), (61.0, [])):
@@ -224,7 +232,7 @@ class TestFailurePaths:
         def simulate(scenario):
             raise AssertionError("simulated a run whose bundle cannot be written")
 
-        monkeypatch.setattr(runner, "run_round_trip_sim", simulate)
+        monkeypatch.setattr(simulation, "plan_run", simulate)
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "out"
@@ -362,20 +370,39 @@ class TestBuiltinFullSimExamples:
         assert shift == pytest.approx(-100.0, abs=3.0)
 
 
+def digest_doc():
+    """A 3 s, 100 kHz full simulation in 10 ms epochs at seed 31, with a
+    -100 ps jump of M at 1.5 s: 300 epochs, none a gap."""
+    doc = builtin_scenario("jump_-100ps")
+    doc["source"] = {"pair_rate_hz": 1.0e5}
+    doc["run"] = {"duration_s": 3.0, "epoch_s": 0.01, "seed": 31}
+    doc["m_events"] = [{"pattern": "jump", "amplitude_ps": -100.0, "start_s": 1.5}]
+    del doc["detection"]
+    return doc
+
+
+def counted_blocks(monkeypatch, records):
+    """The series each ``per_epoch_series`` call of the next runs returns,
+    with the runner's block budget set to ``records``."""
+    monkeypatch.setattr(runner, "_BLOCK_RECORDS", records)
+    parts = []
+    series = runner.per_epoch_series
+
+    def counting(*args):
+        parts.append(series(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(runner, "per_epoch_series", counting)
+    return parts
+
+
 class TestSeriesDigest:
-    # SHA-256 of ``series.csv`` from a 3 s, 100 kHz full simulation in
-    # 10 ms epochs at seed 31, with a -100 ps jump of M at 1.5 s: 300
-    # epochs, none a gap.  Computed at 0.28.0.
+    # SHA-256 of ``series.csv`` from ``digest_doc``.  Computed at 0.28.0.
     SERIES_DIGEST = "a61b2eb66640bcc477e20cf27b8f640a65532c0b514a58321508ad2a01cc77a6"
 
     def test_series_csv_digest_pinned(self, tmp_path):
         # Any change to a count, a peak, a sigma or the file's format shows.
-        doc = builtin_scenario("jump_-100ps")
-        doc["source"] = {"pair_rate_hz": 1.0e5}
-        doc["run"] = {"duration_s": 3.0, "epoch_s": 0.01, "seed": 31}
-        doc["m_events"] = [{"pattern": "jump", "amplitude_ps": -100.0, "start_s": 1.5}]
-        del doc["detection"]
-        result = run_scenario(doc, tmp_path)
+        result = run_scenario(digest_doc(), tmp_path)
         # More epochs than one row block holds, so the series crosses a
         # block edge whatever the number of workers.
         config = result.scenario.estimator
@@ -384,6 +411,118 @@ class TestSeriesDigest:
         assert result.series.gap_count() <= 3
         digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
         assert digest == self.SERIES_DIGEST
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_digest_holds_in_blocks(self, tmp_path, monkeypatch, workers):
+        # 330 000 records in 30 blocks of 10 epochs.  Acquisition reads the
+        # first 200 000 idlers, about 2.5 s of the run, so the first block
+        # takes in the blocks up to 2.5 s and five blocks follow it.
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        parts = counted_blocks(monkeypatch, 11_000)
+        run_scenario(digest_doc(), tmp_path)
+        assert [len(part) for part in parts] == [250, 10, 10, 10, 10, 10]
+        digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
+        assert digest == self.SERIES_DIGEST
+
+
+def dead_time_doc():
+    doc = digest_doc()
+    doc["detectors"] = {"dead_time_ps": 50_000.0}
+    return doc
+
+
+def jitter_doc():
+    """100 Hz for 400 s in 10 s epochs with a 100 us (1e8 ps) detector
+    jitter, on a 1 ms link, with an estimator wide enough to find peaks
+    that wide; a -30 us jump at 200 s."""
+    doc = builtin_scenario("jump_-100ps")
+    doc["source"] = {"pair_rate_hz": 100.0}
+    doc["run"] = {"duration_s": 400.0, "epoch_s": 10.0, "seed": 5}
+    doc["channel"] = {"one_way_delay_ps": 1e9}
+    doc["detectors"] = {"jitter_sigma_ps": 1e8}
+    doc["estimator"] = {
+        "bin_width_ps": 2e7,
+        "window_halfwidth_ps": 500_000_000,
+        "coarse_bin_ps": 1e8,
+        "refine_bin_ps": 1e7,
+        "refine_halfwidth_ps": 500_000_000,
+        "acquire_max_events": 2000,
+    }
+    doc["m_events"] = [{"pattern": "jump", "amplitude_ps": -3e7, "start_s": 200.0}]
+    del doc["detection"]
+    return doc
+
+
+def offset_doc():
+    """10 kHz for 40 s in 5 s epochs, Bob's clock 1 s behind: the forward
+    centre is set, since the forward peak lies outside its search."""
+    doc = builtin_scenario("jump_-100ps")
+    doc["run"] = {"duration_s": 40.0, "epoch_s": 5.0, "seed": 3}
+    doc["clock"] = {"offset_ps": -1e12}
+    doc["estimator"] = {"forward_center_ps": 49_000_000 - 10**12, "acquire_max_events": 20_000}
+    doc["m_events"] = [{"pattern": "jump", "amplitude_ps": -100.0, "start_s": 20.0}]
+    del doc["detection"]
+    return doc
+
+
+class TestBlocks:
+    """A full simulation run in blocks of epochs gives the series of the
+    whole stream."""
+
+    # Each document and the block budget that cuts its records into 10 to
+    # 30 blocks.
+    CASES = {
+        "dead-50ns": (dead_time_doc, 11_000),
+        "jitter-1e8": (jitter_doc, 4_400),
+        "offset-1s": (offset_doc, 55_000),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_series_equals_the_whole_stream(self, monkeypatch, case):
+        doc, records = self.CASES[case]
+        scenario = load_scenario(doc())
+        stream = simulation.run_round_trip_sim(scenario)
+        want = estimator.per_epoch_series(stream, scenario.run.epoch_s, scenario.estimator)
+        del stream
+        assert want.gap_count() < len(want) / 4
+        parts = counted_blocks(monkeypatch, records)
+        # ``run_scenario``'s series, before its gap check: the 100 us
+        # jitter leaves more than 1% of its epochs gaps.
+        got = runner._simulated_series(scenario)
+        assert len(parts) >= 3
+        assert got == want
+
+    def test_zero_margin_refused(self, monkeypatch):
+        # Without a margin, Bob's readings 1 s behind their emissions arrive
+        # after the block they belong to was released: chunks of 0.1 s put
+        # a chunk's start within 1 s above every block's end.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        monkeypatch.setattr(simulation, "_release_margin", lambda *args: 0.0)
+        counted_blocks(monkeypatch, 55_000)
+        with pytest.raises(ContractViolation, match="release margin"):
+            run_scenario(offset_doc())
+
+    @pytest.mark.parametrize(
+        "centre, error",
+        [(None, GapRateError), (48_990_100 + 10_000, EmptySeriesError)],
+        ids=["gap-rate", "empty"],
+    )
+    def test_gap_block_fails_as_one_block(self, monkeypatch, centre, error):
+        # The +20 ns spike of M empties the forward window in epochs 60-64:
+        # one whole block of 5 epochs, at 1 kHz for 120 s.  A forward centre
+        # 10 ns off the peak empties it in every epoch instead.
+        doc = gap_doc(120.0, spike_width_s=5.0)
+        doc["estimator"] = {"acquire_max_events": 5000, "forward_center_ps": centre}
+        with pytest.raises(error) as one_block:
+            run_scenario(doc)
+        parts = counted_blocks(monkeypatch, 5_500)
+        with pytest.raises(error) as blocks:
+            run_scenario(doc)
+        assert str(blocks.value) == str(one_block.value)
+        # Acquisition's 5000 idlers span 6.25 s, so the first block takes
+        # in the second.
+        assert [len(part) for part in parts] == [10] + [5] * 22
+        assert parts[11].gap_count() == 5
 
 
 class TestMetadata:

@@ -26,7 +26,7 @@ from qcsync.attacks import (
     derive_n_from_m,
     eval_trajectory,
 )
-from qcsync.errors import ConfigurationError
+from qcsync.errors import ConfigurationError, ContractViolation
 from qcsync.runner import load_scenario, run_scenario
 from qcsync.scenario import builtin_scenario
 from qcsync.simulation import (
@@ -677,14 +677,16 @@ def reference_finalize(out_times, dead_time_ps):
 @pytest.fixture
 def recorded_assembly(monkeypatch):
     """Per-detector assemblies of the next runs, in ``DetectorId`` order, each
-    with a copy of every chunk it was given and, as ``ordered``, whether no
-    chunk's kept records started before the records already held ended."""
+    with a copy of every chunk it was given, the count of its records kept
+    (``assembled``) and, as ``ordered``, whether no chunk's kept records
+    started before the records already held ended."""
     made = []
 
     class Recording(simulation._DetectorRecords):
         def __init__(self, buffer):
             super().__init__(buffer)
             self.chunks = []
+            self.assembled = 0
             self.ordered = True
             made.append(self)
 
@@ -693,6 +695,7 @@ def recorded_assembly(monkeypatch):
             kept = times[times >= 0]
             if self.size and kept.size and kept.min() < self.times[self.size - 1]:
                 self.ordered = False
+            self.assembled += kept.size
             super().append(times)
 
     monkeypatch.setattr(simulation, "_DetectorRecords", Recording)
@@ -742,7 +745,7 @@ class TestInPlaceAssembly:
     def test_dead_time_50ns(self, monkeypatch, recorded_assembly, jitter_ps):
         monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
         _, stream = self.run(recorded_assembly, jitter_ps=jitter_ps, dead_time_ps=50_000.0)
-        dropped = sum(r.size for r in recorded_assembly) - len(stream)
+        dropped = sum(r.assembled for r in recorded_assembly) - len(stream)
         assert dropped > 0
 
     def test_time_ties(self, monkeypatch, recorded_assembly):
@@ -819,9 +822,9 @@ class TestScheduling:
         threads = []
         finish = simulation._DetectorRecords.finish
 
-        def recording(records, dead_time_ps):
+        def recording(records, *args):
             threads.append(threading.get_ident())
-            return finish(records, dead_time_ps)
+            return finish(records, *args)
 
         monkeypatch.setattr(simulation._DetectorRecords, "finish", recording)
         got = self.streams(1e8, 50_000.0)
@@ -964,6 +967,68 @@ class TestScheduling:
             simulation._pipeline(produce, 50, consumed.append)
         assert consumed == [0, 1, 2]
         assert max(started) <= 3 + simulation._WORKERS
+
+
+class TestBlockRelease:
+    """A run released in blocks of time gives, block after block, the
+    records of the same run released as one block, bit for bit."""
+
+    DURATION_S = 0.5
+    CASES = {
+        "plain": {},
+        "dead-50ns": {"dead_time_ps": 50_000.0},
+        # 500 us against a 12.5 us idler spacing: one cluster across blocks.
+        "dead-500us": {"dead_time_ps": 5e8},
+        # Ten pair spacings: records cross every block end.
+        "jitter-1e8": {"jitter_sigma_ps": 1e8},
+        "offset-0.2s": {"offset_ps": -2e11},
+    }
+
+    @classmethod
+    def blocks(cls, whole=False, offset_ps=-9900.0, **detector):
+        """The run's streams released at each block end and then at its end.
+
+        The ends, ps: one before any record, a repeated one (an empty
+        block) and three that lie 98.01 us, just over both one-way delays
+        and the offset, below the start of a chunk of 997 pairs, so that a
+        margin without its jitter term would leave that chunk unsimulated.
+        """
+        source = SourceConfig(pair_rate_hz=1e5)
+        pairs = generate_pairs(source, cls.DURATION_S, 41)
+        below = [int(pairs.edges[k]) - 98_010_000 for k in (10, 25, 40)]
+        ends = () if whole else (0, below[0], *below)
+        held = simulation.HeldRecords()
+        link = (
+            source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            DetectorConfig(**detector), TdcConfig(), ClockConfig(offset_ps=offset_ps), 42,
+            cls.DURATION_S,
+        )
+        blocks = [propagate_and_detect(pairs, *link, end, held) for end in (*ends, None)]
+        return blocks, ends
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_blocks_join_to_the_whole_run(self, monkeypatch, case, workers):
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        (whole,), _ = self.blocks(whole=True, **self.CASES[case])
+        monkeypatch.setattr(simulation, "_WORKERS", workers)
+        blocks, ends = self.blocks(**self.CASES[case])
+        ends = (-1, *ends, math.inf)
+        for det in DetectorId:
+            parts = [b.times[det] for b in blocks]
+            assert np.concatenate(parts).tobytes() == whole.times[det].tobytes()
+            for lo, hi, t in zip(ends, ends[1:], parts):
+                assert t.size == 0 or lo <= t[0] <= t[-1] < hi
+        assert [len(b) > 0 for b in blocks] == [False, True, False, True, True, True]
+
+    def test_record_below_a_released_end_refused(self, monkeypatch):
+        # Without a margin the chunks after a block's end are not simulated
+        # before it is released, and Bob's readings 0.2 s behind their
+        # emissions then arrive below it.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        monkeypatch.setattr(simulation, "_release_margin", lambda *args: 0.0)
+        with pytest.raises(ContractViolation, match="release margin"):
+            self.blocks(offset_ps=-2e11)
 
 
 class TestIdlerInPairs:
