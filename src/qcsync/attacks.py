@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 
-# Picosecond values stay exact in float64 arithmetic, and as int64
-# timestamps, up to 2**53: the one bound for every delay and reading.
+# Picosecond values stay exact in float64 arithmetic up to 2**53: the
+# bound for every delay and every simulated reading.
 MAX_EXACT_PS = float(2**53)
 
 

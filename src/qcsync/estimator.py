@@ -8,7 +8,9 @@ pass, as an ``(epochs, bins)`` int32 count matrix; acquisition runs it as a
 single epoch.  Each far-end record is searched for partners among the
 idlers of its own epoch only, so a pair counts in the epoch that holds
 both its records and no pair across an epoch edge is ever made; epoch
-membership is an exact comparison with the edges.  The per-epoch series
+membership is an exact comparison with the edges.  Times are int64
+(``simulation.timestamp_array``): a pair's difference is exact, and it
+is converted to float once, to be binned.  The per-epoch series
 runs the kernel on blocks of epochs, at least one per worker thread and
 path when the epochs allow, each on the records inside the block's
 edges, and takes a block's peaks before more blocks are counted, so no
@@ -45,8 +47,7 @@ from .errors import (
     store_number,
 )
 from . import simulation
-from .attacks import MAX_EXACT_PS
-from .simulation import DetectorId, _pipeline, is_sorted
+from .simulation import MAX_TIME_PS, DetectorId, _pipeline, timestamp_array
 
 __all__ = [
     "CorrelationHistogram",
@@ -222,8 +223,14 @@ class EstimatorConfig:
             store_number(self, name, low=0, above=True, integer=True)
         # A count of idlers, which acquisition slices the stream with.
         store_number(self, "acquire_max_events", low=1, integer=True)
+        # Each window must fit the time range (``_window``), one without a centre at 0.
         for name in ("forward_center_ps", "loopback_center_ps"):
             store_number(self, name, integer=True, optional=True)
+            center, hw = getattr(self, name), "window_halfwidth_ps"
+            names = ("bin_width_ps", name if center else hw, hw)
+            _window(self.bin_width_ps, center or 0, self.window_halfwidth_ps, names)
+        names = ("refine_bin_ps", "refine_halfwidth_ps", "refine_halfwidth_ps")
+        _window(self.refine_bin_ps, 0, self.refine_halfwidth_ps, names)
 
 
 @dataclass(frozen=True)
@@ -266,26 +273,6 @@ _RECENTRE_ROUNDS = 20
     _SPAN_LEFT_WINDOW,
     _SPAN_UNSETTLED,
 ) = range(7)
-
-
-def _check_times(name, arr):
-    """Refuse timestamps that are not finite integers or floats
-    (ConfigurationError), then unsorted ones (ContractViolation); a NaN
-    would pass the order check, since every comparison with it is false.
-    Then refuse times not strictly within ``MAX_EXACT_PS`` of zero: beyond
-    it the kernel's float differences round, and at it a float grid's end,
-    one past the last time, rounds back onto that time."""
-    kind = arr.dtype.kind
-    if kind not in "iuf" or (kind == "f" and not np.isfinite(arr).all()):
-        raise ConfigurationError(
-            f"{name} timestamps must be finite integers or floats, got {arr.dtype} values"
-        )
-    if not is_sorted(arr):
-        raise ContractViolation(f"{name} timestamps must be sorted ascending")
-    # The ends bound every time; an integer at or past 2**53 stays there
-    # when it is compared as a float.
-    if arr.size and not (-MAX_EXACT_PS < arr[0] and arr[-1] < MAX_EXACT_PS):
-        raise ConfigurationError(f"{name} timestamps must lie strictly within +-2**53 ps")
 
 
 def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
@@ -345,11 +332,29 @@ def _window_pairs(a, b, edges, lo_key, hi_key):
             yield a[ai], np.repeat(bs[more[j0:j1]], n[j0:j1])
 
 
-def _bin_count(bin_width_ps, window_halfwidth_ps):
-    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
+_WINDOW_NAMES = ("bin_width_ps", "window_center_ps", "window_halfwidth_ps")
+
+
+def _window(bin_width_ps, window_center_ps, window_halfwidth_ps, names=_WINDOW_NAMES):
+    """``(nbins, lo, hi)``: a window's bin count and ends, ``lo = centre -
+    halfwidth`` and ``hi = lo + nbins * bin_width_ps``, each within
+    ``MAX_TIME_PS``; else a ConfigurationError names, from ``names``, the
+    halfwidth (too wide, or below a bin), bin width (too many) or centre."""
+    bw_name, center_name, hw_name = names
+    bins = 2.0 * window_halfwidth_ps / bin_width_ps
+    if window_halfwidth_ps > MAX_TIME_PS:
+        raise ConfigurationError(f"{hw_name} makes a window wider than 2**62 ps")
+    # Compared before it is rounded, which an infinite quotient would not survive.
+    if not bins < MAX_TIME_PS:
+        raise ConfigurationError(f"{bw_name} makes a window of more than 2**62 bins")
+    nbins = int(round(bins))
     if nbins < 1:
-        raise ConfigurationError("window narrower than one bin")
-    return nbins
+        raise ConfigurationError(f"{hw_name} makes a window narrower than one bin")
+    lo = float(window_center_ps) - float(window_halfwidth_ps)
+    hi = lo + nbins * bin_width_ps
+    if not (-MAX_TIME_PS <= lo and hi <= MAX_TIME_PS):
+        raise ConfigurationError(f"{center_name} puts a window end beyond +-2**62 ps")
+    return nbins, lo, hi
 
 
 def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
@@ -367,13 +372,9 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     running total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation
     before a count wraps.
     """
-    nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
-    lo = float(window_center_ps) - float(window_halfwidth_ps)
-    lo_key, hi_key = lo, lo + nbins * bin_width_ps
-    if a.dtype.kind == b.dtype.kind == "i":
-        # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
-        # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
-        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    nbins, lo, hi = _window(bin_width_ps, window_center_ps, window_halfwidth_ps)
+    # An integer t_b - t_a lies in [lo, hi) exactly when it lies in [ceil(lo), ceil(hi)).
+    lo_key, hi_key = math.ceil(lo), math.ceil(hi)
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     n_epochs = edges.size - 1
@@ -392,9 +393,11 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
                 f"more than {_MAX_COUNTED_PAIRS} pairs in one histogram kernel: "
                 "its int32 counts could wrap"
             )
-        # floor((tb - ta - lo) / bin_width_ps), step by step in one array.
-        d = tb.astype(float)
-        d -= ta
+        # floor((tb - ta - lo) / bin_width_ps), from the exact int64 tb - ta,
+        # cast in place: element k is read before it is written.
+        d = np.subtract(tb, ta)
+        np.copyto(d.view(float), d, casting="unsafe")
+        d = d.view(float)
         d -= lo
         d /= bin_width_ps
         cells = np.floor(d, out=d).astype(np.int64)
@@ -413,21 +416,18 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
 def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     """Histogram of ordered time differences ``t_b - t_a`` within a window.
 
-    Both inputs must be finite integer or float times sorted ascending,
-    strictly within +-2**53 ps; NaN, infinite, bool and other arrays, and
-    times beyond that range, are refused with a ConfigurationError naming
-    ``a`` or ``b``.  This is the one-epoch case of the per-epoch kernel:
-    only the ``b`` records within the window of some ``a`` record are
-    searched, so the cost follows ``a``, not ``b``.  The bin width and the
-    halfwidth must be finite and > 0, the centre finite.
+    Both inputs pass ``simulation.timestamp_array``, as a stream's times
+    do, named ``a`` and ``b``.  This is the one-epoch case of the
+    per-epoch kernel: only the ``b`` records within the window of some
+    ``a`` record are searched, so the cost follows ``a``, not ``b``.  The
+    bin width and the halfwidth must be finite and > 0, the centre finite,
+    and the window must fit the time range (``_window``).
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
     bin_width_ps = number("bin_width_ps", bin_width_ps, low=0, above=True)
     window_center_ps = number("window_center_ps", window_center_ps)
     window_halfwidth_ps = number("window_halfwidth_ps", window_halfwidth_ps, low=0, above=True)
-    _check_times("a", a)
-    _check_times("b", b)
+    a = timestamp_array(a, "a")
+    b = timestamp_array(b, "b")
     return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
 
 
@@ -658,15 +658,11 @@ def clock_difference(tau_ab_ps, tau_aba_ps):
     return number("tau_ab_ps", tau_ab_ps) - number("tau_aba_ps", tau_aba_ps) / 2.0
 
 
-def _window_end(bin_width_ps, window_center_ps, window_halfwidth_ps):
-    """Where a window's last bin ends: ``lo + nbins * bin_width_ps``."""
-    nbins = _bin_count(bin_width_ps, window_halfwidth_ps)
-    return window_center_ps - window_halfwidth_ps + nbins * bin_width_ps
-
-
-def _coarse_window(nominal_ps):
-    """Centre and halfwidth of the coarse search around ``nominal_ps``."""
-    return int(round(nominal_ps)), int(round(2.0 * nominal_ps))
+def _coarse_window(nominal_ps, config):
+    """Bin width, centre and halfwidth of the coarse search around ``nominal_ps``."""
+    window = (config.coarse_bin_ps, int(round(nominal_ps)), int(round(2.0 * nominal_ps)))
+    _window(*window, ("coarse_bin_ps",) + ("nominal_one_way_delay_ps",) * 2)
+    return window
 
 
 def _reached_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
@@ -675,15 +671,14 @@ def _reached_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps
     a[-1] + hi)`` of the window.  A far record beyond that reach would
     count only as a single, and make the accidentals depend on how much of
     the far stream follows the idlers."""
-    lo = window_center_ps - window_halfwidth_ps
-    hi = _window_end(bin_width_ps, window_center_ps, window_halfwidth_ps)
+    _, lo, hi = _window(bin_width_ps, window_center_ps, window_halfwidth_ps)
     b = b[np.searchsorted(b, a[0] + math.ceil(lo)) : np.searchsorted(b, a[-1] + math.ceil(hi))]
     return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
 
 
 def _acquire_one(a, b, nominal_ps, config):
     """Two-stage window search: coarse 1 ns histogram, then refined centroid."""
-    coarse = _reached_histogram(a, b, config.coarse_bin_ps, *_coarse_window(nominal_ps))
+    coarse = _reached_histogram(a, b, *_coarse_window(nominal_ps, config))
     try:
         rough = estimate_peak(coarse)
         fine = _reached_histogram(
@@ -746,9 +741,7 @@ def acquisition_reach(stream, config=None):
     nominal = stream.nominal_one_way_delay_ps
     if nominal is None or idler.size < config.acquire_max_events:
         return math.inf
-    coarse = max(
-        _window_end(config.coarse_bin_ps, *_coarse_window(hops * nominal)) for hops in searched
-    )
+    coarse = max(_window(*_coarse_window(hops * nominal, config))[2] for hops in searched)
     refined = config.refine_halfwidth_ps + config.refine_bin_ps
     return int(idler[config.acquire_max_events - 1]) + math.ceil(coarse + refined)
 
@@ -834,7 +827,7 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None, epochs=None):
     # and ``_pipeline`` holds at most ``_WORKERS + 1`` blocks' peaks before
     # it hands them on, so the counts and the temporaries of ``_peaks`` stay
     # bounded however many epochs there are.
-    cap = max(1, 8 * _B_SLICE // _bin_count(bw, hw))
+    cap = max(1, 8 * _B_SLICE // _window(bw, 0, hw)[0])
     n_blocks = max(-(-rows // cap), min(rows, simulation._WORKERS))
     starts = [block * rows // n_blocks for block in range(n_blocks + 1)]
 

@@ -254,10 +254,10 @@ class TimestampStream:
     """Detection records stored per detector, indexed by ``DetectorId``.
 
     ``times[det]`` holds detector ``det``'s local-clock timestamps (integer
-    ps) in ascending order within [0, 2**53): all a time tagger would
-    record.  Times that are not exact int64 integers are refused, never
-    converted.  ``duration_s`` is finite and >= 0;
-    ``nominal_one_way_delay_ps`` is None or finite and > 0.
+    ps) in ascending order within [0, 2**62): all a time tagger would
+    record in about 53 days.  Each array passes ``timestamp_array``.
+    ``duration_s`` is finite and >= 0; ``nominal_one_way_delay_ps`` is None
+    or finite and > 0.
     """
 
     times: Tuple[np.ndarray, ...]
@@ -270,13 +270,10 @@ class TimestampStream:
         if len(self.times) != len(DetectorId):
             raise ConfigurationError(f"stream needs one array per detector ({len(DetectorId)})")
         names = DETECTOR_NAMES.values()
-        self.times = tuple(_exact_int64(t, name) for name, t in zip(names, self.times))
+        self.times = tuple(timestamp_array(t, name) for name, t in zip(names, self.times))
         for name, t in zip(names, self.times):
-            # Beyond 2**53 the estimator's float differences round.
-            if t.size and not (0 <= t[0] and t[-1] < MAX_EXACT_PS):
-                raise ConfigurationError(f"{name} timestamps must lie in [0, 2**53) ps")
-            if not is_sorted(t):
-                raise ConfigurationError(f"{name} timestamps must be sorted ascending")
+            if t.size and t[0] < 0:
+                raise ConfigurationError(f"{name} timestamps must not be negative")
 
     def __len__(self):
         return sum(t.size for t in self.times)
@@ -285,28 +282,38 @@ class TimestampStream:
         return {det: int(self.times[det].size) for det in DetectorId}
 
 
-def _exact_int64(values, name):
-    """``values`` as an int64 array, refusing any value it would change.
+# Times, and histogram window ends, lie within this many ps of zero (about
+# 53 days), so a difference of two, or a time plus a window end, fits int64.
+MAX_TIME_PS = 2**62
 
-    An int64 array passes through uncopied; other integers, and floats
-    that are finite whole numbers, are converted when every value fits
-    int64.  Bools and anything else are refused.
-    """
+
+def timestamp_array(values, name):
+    """``values`` as a 1-D int64 array of times, ps: the one rule for a
+    timestamp array.  An int64 array passes uncopied, other integers and
+    whole floats are converted; anything else, or a time not strictly
+    within ``MAX_TIME_PS`` of zero, raises a ConfigurationError naming
+    ``name``, and unsorted times raise ContractViolation."""
     t = np.asarray(values)
-    if t.dtype == np.int64:
-        return t
-    if t.dtype.kind == "f":
-        exact = np.all((t >= -(2.0**63)) & (t < 2.0**63) & (np.floor(t) == t))
-    elif t.dtype.kind in "iu":
+    kind = t.dtype.kind if t.ndim == 1 else "not 1-D"
+    if kind == "f":
+        # A NaN fails both comparisons.
+        exact = np.all((np.abs(t) < MAX_TIME_PS) & (np.floor(t) == t))
+    elif kind in "iu":
         # Only uint64 holds values beyond int64; compared as uint64, exactly.
-        exact = np.can_cast(t.dtype, np.int64) or not t.size or t.max() < np.uint64(2**63)
+        exact = np.can_cast(t.dtype, np.int64) or not t.size or t.max() < np.uint64(MAX_TIME_PS)
     else:
         exact = False
+    if exact:
+        t = t.astype(np.int64, copy=False)
+        if not is_sorted(t):
+            raise ContractViolation(f"{name} timestamps must be sorted ascending")
+        exact = not t.size or (-MAX_TIME_PS < t[0] and t[-1] < MAX_TIME_PS)
     if not exact:
         raise ConfigurationError(
-            f"{name} timestamps must be exact integers within the int64 range, not {t.dtype}"
+            f"{name} timestamps must be exact integers strictly within +-2**62 ps in a 1-D "
+            f"array, not these {t.ndim}-D {t.dtype} values"
         )
-    return t.astype(np.int64)
+    return t
 
 
 def is_sorted(values):

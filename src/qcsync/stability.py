@@ -57,9 +57,8 @@ class TdevCurve:
 
     def nearest(self, tau_s):
         """Curve point whose averaging time is closest to ``tau_s``, a
-        positive, finite time."""
-        if not (tau_s > 0 and math.isfinite(tau_s)):
-            raise ConfigurationError(f"tau must be a positive, finite time: {tau_s!r}")
+        positive, finite time (``errors.number``)."""
+        tau_s = number("tau_s", tau_s, low=0, above=True)
         if not self.points:
             raise ConfigurationError("empty TDEV curve")
         idx = int(np.argmin(np.abs(self.taus() - tau_s)))

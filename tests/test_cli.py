@@ -102,6 +102,28 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert f"{path}: reference_ps: must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_halfwidth_ps", 10**300),
+            ("bin_width_ps", 1e-300),
+            ("forward_center_ps", 10**300),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unusable_estimator_window_fails_closed(self, tmp_path, capsys, command, field, value):
+        # The document validated, and a full-simulation run then died in a
+        # raw ValueError or OverflowError.
+        doc = builtin_scenario("jump_-100ps")
+        doc["run"]["duration_s"] = 80.0
+        doc["estimator"] = {field: value}
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert f"estimator.{field}: {field} " in err and "Traceback" not in err
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")
@@ -202,7 +224,7 @@ class TestTdevAndDetect:
         assert main(args + ["--out", str(curve_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not curve_path.exists()
-        assert re.fullmatch(r"error: tau must be a positive, finite time: .*\n", captured.err)
+        assert re.fullmatch(r"error: tau_s must be a finite number > 0: .*\n", captured.err)
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_series_fails_closed(self, tmp_path, capsys, kind):

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gap_doc
@@ -259,8 +260,8 @@ class TestEpochKernelOracle:
 
     def test_build_histogram_equals_reference_on_random_streams(self, rng):
         n = 100_000
-        a = np.sort(rng.uniform(0, 1e12, n))
-        b = np.sort(a + 250_000.0 + rng.normal(0.0, 110.0, n))
+        a = np.sort(rng.integers(0, 10**12, n))
+        b = np.sort(a + 250_000 + np.rint(rng.normal(0.0, 110.0, n)).astype(np.int64))
         for args in ((a, b, 1.0, 250_000, 1000), (a, b, 4.0, 249_000, 2000)):
             np.testing.assert_array_equal(
                 build_histogram(*args).counts, reference_build_histogram(*args).counts
@@ -326,7 +327,7 @@ class TestFractionalEpochs:
         for args in (
             (a, b, 4.0, 700, 400),
             (a - 10**12, b - 10**12, 1.0, 650, 200),
-            (a.astype(float) - 0.25, b.astype(float), 10.0, 0, 2000),
+            (a.astype(float) - 3.0, b.astype(float), 10.0, 0, 2000),
             (a, a - 5, 3.0, -5, 30),
         ):
             got = build_histogram(*args)
@@ -565,15 +566,15 @@ def reference_window_pairs(a, b, lo_key, hi_key):
 
 # Test oracle: the histogram kernel as it was when every pair was given an
 # epoch array and checked, kept verbatim apart from its name, the module
-# prefixes and its pair search, the frozen ``reference_window_pairs``.
+# prefixes, its pair search, the frozen ``reference_window_pairs``, and its
+# integer-only inputs: the keys are always the integer ones, and each
+# difference is taken in int64 before it is converted to float.
 def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
-    nbins = estimator._bin_count(bin_width_ps, window_halfwidth_ps)
+    nbins = int(round(2.0 * window_halfwidth_ps / bin_width_ps))
     lo = float(window_center_ps) - float(window_halfwidth_ps)
-    lo_key, hi_key = lo, lo + nbins * bin_width_ps
-    if a.dtype.kind == b.dtype.kind == "i":
-        # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
-        # [ceil(lo), ceil(hi)): integer keys never convert the arrays to float.
-        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    # An integer t_b - t_a lies in [lo, hi) exactly when it lies in
+    # [ceil(lo), ceil(hi)).
+    lo_key, hi_key = math.ceil(lo), math.ceil(lo + nbins * bin_width_ps)
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     n_epochs = edges.size - 1
@@ -602,8 +603,7 @@ def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_hal
                 "its int32 counts could wrap"
             )
         # floor((tb - ta - lo) / bin_width_ps), step by step in one array.
-        d = tb.astype(float)
-        d -= ta
+        d = (tb - ta).astype(float)
         d -= lo
         d /= bin_width_ps
         cells = np.floor(d, out=d).astype(np.int64)
@@ -621,48 +621,34 @@ def reference_histograms(a, b, edges, bin_width_ps, window_center_ps, window_hal
 
 @st.composite
 def kernel_inputs(draw):
-    """Sorted ``a`` and ``b``, an ascending grid and a window for
-    ``_histograms``, int64 or float64, near zero or far from it.
+    """Sorted int64 ``a`` and ``b``, an ascending grid and a window for
+    ``_histograms``, near zero or far from it, up to 2**60 ps, where a
+    float difference of two times would round.
 
     Epochs run from 1 to 400 units, so some are shorter than the window; a
     centre of 0 puts ``lo_key`` below zero; and ``b`` holds records on the
-    epoch edges, on ``edge + hi_key`` and on ``edge + lo_key`` (and one unit,
-    or for floats one ulp, off each), where a pair's idler can sit on an
-    epoch edge.
+    epoch edges, on ``edge + hi_key`` and on ``edge + lo_key`` (and one unit
+    off each), where a pair's idler can sit on an epoch edge.
     """
-    kind = draw(st.sampled_from(["int", "float"]))
-    shift = draw(st.sampled_from([0, 10**12, 2**53 - 300, 3 * 2**52]))
-    bw = draw(st.sampled_from([1.0, 2.5, 3.0, 7.0] + ([0.75, 1.3] if kind == "float" else [])))
+    shift = draw(st.sampled_from([0, 10**12, 2**53 - 300, 3 * 2**52, 2**60]))
+    bw = draw(st.sampled_from([1.0, 2.5, 3.0, 7.0]))
     halfwidth = draw(st.integers(1, 60))
     center = draw(st.sampled_from([0, halfwidth, -halfwidth, draw(st.integers(-150, 150))]))
     nbins = int(round(2.0 * halfwidth / bw))
     if nbins < 1:
         halfwidth, nbins = 60, int(round(120 / bw))
     lo = float(center) - float(halfwidth)
-    lo_key, hi_key = lo, lo + nbins * bw
-    if kind == "int":
-        lo_key, hi_key = math.ceil(lo_key), math.ceil(hi_key)
+    lo_key, hi_key = math.ceil(lo), math.ceil(lo + nbins * bw)
     steps = draw(st.lists(st.integers(1, 400), min_size=1, max_size=6))
     grid = np.cumsum([draw(st.integers(-100, 100))] + steps)
     lo_t, hi_t = int(grid[0]) - 200, int(grid[-1]) + 200
     a = draw(st.lists(st.integers(lo_t, hi_t), max_size=50))
     a += draw(st.lists(st.sampled_from(grid.tolist()), max_size=4))
     b = draw(st.lists(st.integers(lo_t, hi_t), max_size=50))
-    if kind == "int":
-        edges = grid.astype(np.int64) + shift
-        a, b = (np.sort(np.asarray(v, dtype=np.int64)) + shift for v in (a, b))
-        special = np.concatenate([edges + k for k in (lo_key, hi_key, 0)])
-        special = np.concatenate([special - 1, special, special + 1])
-    else:
-        # Far from zero, edge + hi_key rounds, and so do the differences.
-        edges = grid.astype(float) + shift
-        assume(np.all(np.diff(edges) > 0))
-        a = np.sort(np.asarray(a, dtype=float) + draw(st.sampled_from([0.0, 0.25, 0.5])) + shift)
-        b = np.asarray(b, dtype=float) + shift
-        special = np.concatenate([edges + k for k in (lo_key, hi_key, 0.0)])
-        special = np.concatenate(
-            [np.nextafter(special, -np.inf), special, np.nextafter(special, np.inf)]
-        )
+    edges = grid.astype(np.int64) + shift
+    a, b = (np.sort(np.asarray(v, dtype=np.int64)) + shift for v in (a, b))
+    special = np.concatenate([edges + k for k in (lo_key, hi_key, 0)])
+    special = np.concatenate([special - 1, special, special + 1])
     picks = draw(st.lists(st.integers(0, special.size - 1), max_size=12))
     b = np.sort(np.concatenate((b, special[picks])))
     return a, b, edges, bw, center, halfwidth
@@ -724,11 +710,19 @@ class TestBuildHistogram:
             ("window_halfwidth_ps", math.nan),
             ("window_halfwidth_ps", math.inf),
             ("window_halfwidth_ps", -5),
+            ("bin_width_ps", 1e-300),
+            ("bin_width_ps", 5e-324),
+            ("window_halfwidth_ps", 10**300),
+            ("window_halfwidth_ps", 0.2),
+            ("window_center_ps", 10**300),
+            ("window_center_ps", -(2.0**63)),
         ],
     )
     def test_unusable_window_refused_by_name(self, name, value):
         # A NaN ended in "cannot convert float NaN to integer" and an
-        # infinite halfwidth in an OverflowError.
+        # infinite halfwidth in an OverflowError; a window of more than
+        # 2**62 bins or ps in "Maximum allowed dimension exceeded" or an
+        # OverflowError, and one narrower than a bin named no argument.
         args = dict(bin_width_ps=1.0, window_center_ps=0, window_halfwidth_ps=10)
         args[name] = value
         with pytest.raises(ConfigurationError, match=f"^{name} "):
@@ -754,32 +748,36 @@ class TestBuildHistogram:
     def test_unusable_timestamps_refused_by_name(self, a, b, name):
         # A NaN passed the order check, since every comparison with it is
         # false, and NaN, infinite and bool times were counted.
-        with pytest.raises(ConfigurationError, match=f"^{name} timestamps must be finite"):
+        with pytest.raises(ConfigurationError, match=f"^{name} timestamps must be exact integers"):
             build_histogram(a, b, 4.0, 10, 50)
 
     @pytest.mark.parametrize(
         "a, b, name",
         [
-            ([2.0**54], [2.0**54 + 8], "a"),
-            (np.array([2**60]), np.array([2**60 + 3]), "a"),
-            ([-(2.0**53)], [0.0], "a"),
-            ([0.0], [2.0**53], "b"),
-            (np.array([0]), np.array([2**53 + 1]), "b"),
+            ([2.0**62], [2.0**62 + 2048], "a"),
+            (np.array([2**62]), np.array([2**62 + 3]), "a"),
+            ([-(2.0**62)], [0.0], "a"),
+            ([0.0], [2.0**62], "b"),
+            (np.array([0]), np.array([2**62]), "b"),
             (np.array([0], np.uint64), np.array([2**64 - 1], np.uint64), "b"),
         ],
         ids=["float", "int", "float-low", "float-edge", "int-edge", "uint64"],
     )
     def test_times_beyond_exact_range_refused_by_name(self, a, b, name):
-        # Float records at 2**53 and beyond dropped the last far record (the
-        # grid end, one past it, rounded back onto it), and int64 records
-        # were binned by a rounded float difference.
-        with pytest.raises(ConfigurationError, match=f"^{name} timestamps must lie"):
+        # Within +-2**62 ps the difference of two times, and a time plus a
+        # window end, is exact in int64; beyond it the sums could wrap.
+        bound = re.escape("timestamps must be exact integers strictly within +-2**62 ps")
+        with pytest.raises(ConfigurationError, match=f"^{name} {bound}"):
             build_histogram(a, b, 1.0, 8, 4)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_times_just_inside_exact_range_binned_exactly(self, dtype):
-        top = 2**53 - 1
+        # A float difference of these times would round to a multiple of
+        # 1024 ps; the int64 one bins them exactly.
+        top = 2**62 - 1
         h = build_histogram(np.array([top - 3], dtype), np.array([top], dtype), 1.0, 2, 2)
+        assert np.flatnonzero(h.counts).tolist() == [3]
+        h = build_histogram(np.array([-top]), np.array([-top + 3]), 1.0, 2, 2)
         assert np.flatnonzero(h.counts).tolist() == [3]
 
     def test_finite_times_of_any_width_counted(self):
@@ -801,22 +799,25 @@ class TestBuildHistogram:
         # Oracle: the histogram-weighted mean of 1e5 jittered differences
         # must sit within 3*sigma/sqrt(N) of the injected delay.
         n = 100_000
-        delay = 250_000.0
+        delay = 250_000
         sigma = 110.0
-        a = np.sort(rng.uniform(0, 1e12, n))
-        b = np.sort(a + delay + rng.normal(0.0, sigma, n))
-        h = build_histogram(a, b, 1.0, int(delay), 1000)
+        a = np.sort(rng.integers(0, 10**12, n))
+        b = np.sort(a + delay + np.rint(rng.normal(0.0, sigma, n)).astype(np.int64))
+        h = build_histogram(a, b, 1.0, delay, 1000)
         centers = h.bin_centers()
         mean = np.dot(h.counts, centers) / h.counts.sum()
         assert mean == pytest.approx(delay, abs=3.0 * sigma / math.sqrt(n))
 
-    def test_translation_invariance(self, rng):
+    @pytest.mark.parametrize("shift", [123_456, 2**60, -(2**60)], ids=repr)
+    def test_translation_invariance(self, rng, shift):
+        # At 2**60 ps a float difference of two times rounds to 256 ps.
         a = np.sort(rng.integers(0, 10_000, 50))
         b = np.sort(rng.integers(0, 10_000, 50))
-        shift = 123_456
         h0 = build_histogram(a, b, 5.0, 0, 500)
         h1 = build_histogram(a + shift, b + shift, 5.0, 0, 500)
+        assert h0.total() > 0
         np.testing.assert_array_equal(h0.counts, h1.counts)
+        assert h0.accidentals_per_bin == h1.accidentals_per_bin
 
 
 # Test oracle: ``estimate_peak`` with the per-bin loops that grow its seed
@@ -1251,6 +1252,16 @@ class TestCoarseAcquire:
         many = dataclasses.replace(config, acquire_max_events=idler.size + 1)
         assert estimator.acquisition_reach(stream, many) == math.inf
 
+    def test_coarse_window_beyond_the_time_range_refused(self):
+        # A nominal delay of 1e300 ps centred the coarse window at an int
+        # that numpy could not add to a time (OverflowError).
+        idler = np.arange(0, 10**9, 10**6, dtype=np.int64)
+        stream = TimestampStream([idler, idler + 5000, idler + 10_000], 1.0, 1e300)
+        config = EstimatorConfig(acquire_max_events=10)
+        for call in (coarse_acquire, estimator.acquisition_reach):
+            with pytest.raises(ConfigurationError, match="^nominal_one_way_delay_ps "):
+                call(stream, config)
+
 
 class TestPerEpochSeries:
     def test_delta_rederivable_from_taus(self):
@@ -1397,6 +1408,28 @@ class TestPerEpochSeries:
         with pytest.raises(ConfigurationError):
             per_epoch_series(stream, 1.0)
 
+    def test_series_shifted_by_1e18_ps_is_unchanged(self):
+        # 10**18 ps (about 11.6 days) is far past 2**53 ps, where a float
+        # difference of two times rounds to 128 ps; the int64 one is exact,
+        # so epochs 10**6 onwards of the shifted stream are the first
+        # epochs of the stream, bit for bit.
+        doc = builtin_scenario("jump_-100ps")
+        doc["run"]["duration_s"] = 20.0
+        del doc["detection"]
+        scenario = load_scenario(doc)
+        stream = run_round_trip_sim(scenario)
+        epoch_s = scenario.run.epoch_s
+        want = per_epoch_series(stream, epoch_s, scenario.estimator)
+        config = dataclasses.replace(scenario.estimator, **dataclasses.asdict(want.acquisition))
+        shifted = TimestampStream(
+            [t + 10**18 for t in stream.times], 10**6 + 20.0, stream.nominal_one_way_delay_ps
+        )
+        got = per_epoch_series(shifted, epoch_s, config, range(10**6, 10**6 + 20))
+        assert [p.epoch_start_s for p in got.points] == [10**6 + k * epoch_s for k in range(20)]
+        assert want.gap_count() == 0
+        for g, w in zip(got.points, want.points):
+            assert dataclasses.replace(g, epoch_start_s=w.epoch_start_s) == w
+
 
 class TestEstimatorConfig:
     @pytest.mark.parametrize(
@@ -1413,6 +1446,29 @@ class TestEstimatorConfig:
     def test_nonfinite_field_refused(self, field, value):
         # These passed the constructor, and the series then died with a raw
         # OverflowError or ValueError.
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_halfwidth_ps", 10**300),
+            ("window_halfwidth_ps", 1),
+            ("bin_width_ps", 1e-300),
+            ("bin_width_ps", 5e-324),
+            ("forward_center_ps", 10**300),
+            ("loopback_center_ps", -(10**300)),
+            ("forward_center_ps", 2**62 - 1000),
+            ("refine_halfwidth_ps", 10**300),
+            ("refine_bin_ps", 1e-300),
+        ],
+        ids=repr,
+    )
+    def test_window_beyond_the_time_range_refused(self, field, value):
+        # Each passed the constructor and a scenario's validation, and the
+        # run then died in a raw "Maximum allowed dimension exceeded" or
+        # OverflowError; a window narrower than a bin failed only when the
+        # series was estimated, naming no field.
         with pytest.raises(ConfigurationError, match=f"^{field} "):
             EstimatorConfig(**{field: value})
 

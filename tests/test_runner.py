@@ -406,7 +406,7 @@ class TestSeriesDigest:
         # More epochs than one row block holds, so the series crosses a
         # block edge whatever the number of workers.
         config = result.scenario.estimator
-        bins = estimator._bin_count(config.bin_width_ps, config.window_halfwidth_ps)
+        bins = round(2 * config.window_halfwidth_ps / config.bin_width_ps)
         assert len(result.series) == 300 > 8 * estimator._B_SLICE // bins
         assert result.series.gap_count() <= 3
         digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()

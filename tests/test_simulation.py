@@ -155,16 +155,17 @@ DEAD_TIME_CASES = [
 
 class TestStreamLayout:
     @pytest.mark.parametrize(
-        "times",
+        "times, error",
         [
-            [[1], [2]],  # two detector arrays, not three
-            [[5, 1], [0], [0]],  # IdlerA out of order
-            [[-1], [0], [0]],  # negative timestamp
+            ([[1], [2]], ConfigurationError),  # two detector arrays, not three
+            ([[5, 1], [0], [0]], ContractViolation),  # IdlerA out of order
+            ([[-1], [0], [0]], ConfigurationError),  # negative timestamp
         ],
         ids=["two_detectors", "unsorted", "negative_time"],
     )
-    def test_malformed_layout_rejected(self, times):
-        with pytest.raises(ConfigurationError):
+    def test_malformed_layout_rejected(self, times, error):
+        # Unsorted times break the caller's contract, as in build_histogram.
+        with pytest.raises(error):
             TimestampStream(times=times, duration_s=1.0)
 
     @pytest.mark.parametrize(
@@ -200,16 +201,16 @@ class TestStreamLayout:
     @pytest.mark.parametrize(
         "times, name",
         [
-            ([[2**60], [2**60 + 3], []], "IdlerA"),
-            ([[10], [20, 2**53], []], "SignalB"),
+            ([[2**62], [2**62 + 3], []], "IdlerA"),
+            ([[10], [20, 2**62], []], "SignalB"),
             ([[10], [20], np.array([2**63 - 1], np.uint64)], "ReturnA"),
         ],
-        ids=["IdlerA-2**60", "SignalB-2**53", "ReturnA-2**63-1"],
+        ids=["IdlerA-2**62", "SignalB-2**62", "ReturnA-2**63-1"],
     )
     def test_times_past_the_exact_range_refused(self, times, name):
-        # The estimator takes t_b - t_a as a float difference, exact only
-        # below 2**53: 2**60 + 3 - 2**60 would be binned as 0, not 3.
-        bound = re.escape("timestamps must lie in [0, 2**53)")
+        # The estimator takes t_b - t_a, and a time plus a window end, in
+        # int64, which holds them only for times strictly within 2**62 ps.
+        bound = re.escape("timestamps must be exact integers strictly within +-2**62 ps")
         with pytest.raises(ConfigurationError, match=f"^{name} {bound}"):
             TimestampStream(times=times, duration_s=1.0)
 

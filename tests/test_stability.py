@@ -138,6 +138,14 @@ class TestTdevProperties:
         assert curve.nearest(1000.0).m == 1024
         assert curve.nearest(1.0).m == 1
 
+    @pytest.mark.parametrize("tau", ["3", True, None, math.nan, math.inf, 0.0, -1.0], ids=repr)
+    def test_nearest_refuses_what_number_refuses(self, rng, tau):
+        # "3" and None raised a raw TypeError, and True returned the 1 s
+        # point, a bool taken as a number.
+        curve = tdev(rng.normal(0.0, 1.0, 100), 1.0)
+        with pytest.raises(ConfigurationError, match="^tau_s "):
+            curve.nearest(tau)
+
 
 class TestTdevErrors:
     def test_too_short_series(self):
