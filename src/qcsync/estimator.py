@@ -9,8 +9,8 @@ single epoch.  Each far-end record is searched for partners among the
 idlers of its own epoch only, so a pair counts in the epoch that holds
 both its records and no pair across an epoch edge is ever made; epoch
 membership is an exact comparison with the edges.  Times are int64
-(``simulation.timestamp_array``): a pair's difference is exact, and it
-is converted to float once, to be binned.  The per-epoch series
+(``simulation.timestamp_array``), window ends integer keys, and a pair's
+offset in its window exact, binned as a float once.  The per-epoch series
 runs the kernel on blocks of epochs, at least one per worker thread and
 path when the epochs allow, each on the records inside the block's
 edges, and takes a block's peaks before more blocks are counted, so no
@@ -81,9 +81,8 @@ class CorrelationHistogram:
     accidentals_per_bin: float = 0.0
 
     def bin_centers(self):
-        return _bin_centers(
-            self.window_center_ps, self.window_halfwidth_ps, self.bin_width_ps, self.counts.size
-        )
+        lo = self.window_center_ps - self.window_halfwidth_ps
+        return _bin_centers(lo, self.bin_width_ps, self.counts.size)
 
     def total(self):
         return int(self.counts.sum())
@@ -259,6 +258,11 @@ _B_SLICE = 1 << 15
 # this; a kernel call that would count more fails closed rather than wrap.
 _MAX_COUNTED_PAIRS = np.iinfo(np.int32).max
 
+# A window holds at most this many bins, one row of int32 counts in 64 MB,
+# so a finer bin width fails closed by name, not in a raw MemoryError; the
+# default 1 ns coarse search takes one-way delays up to about 4.2 ms.
+_MAX_BINS = 1 << 24
+
 # The integration span is re-centred on its own centroid until it stops
 # moving, at most this many times; a span still moving then is no peak.
 _RECENTRE_ROUNDS = 20
@@ -275,17 +279,17 @@ _RECENTRE_ROUNDS = 20
 ) = range(7)
 
 
-def _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins):
+def _bin_centers(lo, bin_width_ps, nbins):
     """``lo + (k + 0.5) * bin_width_ps`` for each bin k, in one array."""
     centers = np.arange(nbins, dtype=float)
     centers += 0.5
     centers *= bin_width_ps
-    centers += window_center_ps - window_halfwidth_ps
+    centers += lo
     return centers
 
 
-def _window_pairs(a, b, edges, lo_key, hi_key):
-    """Times ``(t_a, t_b)`` of the pairs with ``lo_key <= t_b - t_a < hi_key``
+def _window_pairs(a, b, edges, lo, hi):
+    """Times ``(t_a, t_b)`` of the pairs with ``lo <= t_b - t_a < hi``
     whose two records lie in one epoch ``[edges[k], edges[k + 1])``.
 
     Every record of ``b`` lies in ``[edges[0], edges[-1])``, and is searched
@@ -304,10 +308,10 @@ def _window_pairs(a, b, edges, lo_key, hi_key):
         # The a records of epoch k are [in_epoch[k], in_epoch[k + 1]): each
         # record's search starts no lower, and ends below ``upper``.
         runs = np.diff(np.searchsorted(bs, edges))
-        first = np.searchsorted(a, bs - hi_key, side="right")
+        first = np.searchsorted(a, bs - hi, side="right")
         np.maximum(first, np.repeat(in_epoch[:-1], runs), out=first)
         upper = np.repeat(in_epoch[1:], runs)
-        stop = bs - lo_key
+        stop = bs - lo
         # A clipped gather reads a[-1] past the end, where first < upper fails.
         ta = a.take(first, mode="clip")
         one = (first < upper) & (ta <= stop)
@@ -336,28 +340,30 @@ _WINDOW_NAMES = ("bin_width_ps", "window_center_ps", "window_halfwidth_ps")
 
 
 def _window(bin_width_ps, window_center_ps, window_halfwidth_ps, names=_WINDOW_NAMES):
-    """``(nbins, lo, hi)``: a window's bin count and ends, ``lo = centre -
-    halfwidth`` and ``hi = lo + nbins * bin_width_ps``, each within
-    ``MAX_TIME_PS``; else a ConfigurationError names, from ``names``, the
-    halfwidth (too wide, or below a bin), bin width (too many) or centre."""
+    """``(lo, nbins, hi)`` in exact integer ps from an integer centre and
+    halfwidth: ``lo = centre - halfwidth`` and ``hi = lo + ceil(nbins *
+    bin_width_ps)``, so an integer d lies in the window exactly when ``lo <=
+    d < hi``.  Else a ConfigurationError names, from ``names``, the halfwidth
+    (too wide, or below a bin), bin width (over ``_MAX_BINS`` bins) or centre
+    (an end beyond ``MAX_TIME_PS``)."""
     bw_name, center_name, hw_name = names
-    bins = 2.0 * window_halfwidth_ps / bin_width_ps
     if window_halfwidth_ps > MAX_TIME_PS:
         raise ConfigurationError(f"{hw_name} makes a window wider than 2**62 ps")
+    bins = 2.0 * window_halfwidth_ps / bin_width_ps
     # Compared before it is rounded, which an infinite quotient would not survive.
-    if not bins < MAX_TIME_PS:
-        raise ConfigurationError(f"{bw_name} makes a window of more than 2**62 bins")
+    if not bins <= _MAX_BINS:
+        raise ConfigurationError(f"{bw_name} makes a window of more than 2**24 bins")
     nbins = int(round(bins))
     if nbins < 1:
         raise ConfigurationError(f"{hw_name} makes a window narrower than one bin")
-    lo = float(window_center_ps) - float(window_halfwidth_ps)
-    hi = lo + nbins * bin_width_ps
+    lo = window_center_ps - window_halfwidth_ps
+    hi = lo + math.ceil(nbins * bin_width_ps)
     if not (-MAX_TIME_PS <= lo and hi <= MAX_TIME_PS):
         raise ConfigurationError(f"{center_name} puts a window end beyond +-2**62 ps")
-    return nbins, lo, hi
+    return lo, nbins, hi
 
 
-def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps):
+def _histograms(a, b, edges, bin_width_ps, window):
     """Correlation histograms of ``t_b - t_a``, one per epoch ``[edges[k], edges[k+1])``.
 
     Returns the ``(n_epochs, nbins)`` int32 count matrix and the
@@ -366,15 +372,15 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
     records lie in one epoch, each slice's first pairs in one piece and its
     further pairs in others; a piece's ``b`` records ascend, so the edges
     cut it into one run of pairs per epoch, found by one search per edge.
-    The bin index of every pair is computed at once, and each epoch's row
+    ``window`` is a ``_window``: a pair counts when its exact int64
+    difference d lies in ``[lo, hi)``, and is binned from ``d - lo``.  The
+    bin index of every pair is computed at once, and each epoch's row
     offset is added to its run, so ``np.add.at`` adds each piece straight
     into all epochs' counts.  No bin can exceed the pairs counted, so a
     running total above ``_MAX_COUNTED_PAIRS`` raises ContractViolation
     before a count wraps.
     """
-    nbins, lo, hi = _window(bin_width_ps, window_center_ps, window_halfwidth_ps)
-    # An integer t_b - t_a lies in [lo, hi) exactly when it lies in [ceil(lo), ceil(hi)).
-    lo_key, hi_key = math.ceil(lo), math.ceil(hi)
+    lo, nbins, hi = window
     singles = np.diff(np.searchsorted(a, edges)) * np.diff(np.searchsorted(b, edges))
     accidentals = singles * bin_width_ps / np.diff(edges)
     n_epochs = edges.size - 1
@@ -383,22 +389,22 @@ def _histograms(a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
         return counts.reshape(n_epochs, nbins), accidentals
     # Only the b records inside the grid can count, and only those within
     # the window of some a record can pair: each one left has an epoch.
-    first, stop = max(edges[0], a[0] + lo_key), min(edges[-1], a[-1] + hi_key)
+    first, stop = max(edges[0], a[0] + lo), min(edges[-1], a[-1] + hi)
     b = b[np.searchsorted(b, first) : np.searchsorted(b, stop)]
     counted = 0
-    for ta, tb in _window_pairs(a, b, edges, lo_key, hi_key):
+    for ta, tb in _window_pairs(a, b, edges, lo, hi):
         counted += ta.size
         if counted > _MAX_COUNTED_PAIRS:
             raise ContractViolation(
                 f"more than {_MAX_COUNTED_PAIRS} pairs in one histogram kernel: "
                 "its int32 counts could wrap"
             )
-        # floor((tb - ta - lo) / bin_width_ps), from the exact int64 tb - ta,
-        # cast in place: element k is read before it is written.
+        # floor((tb - ta - lo) / bin_width_ps), from the exact int64
+        # tb - ta - lo, cast in place: element k is read before it is written.
         d = np.subtract(tb, ta)
+        d -= lo
         np.copyto(d.view(float), d, casting="unsafe")
         d = d.view(float)
-        d -= lo
         d /= bin_width_ps
         cells = np.floor(d, out=d).astype(np.int64)
         del d
@@ -420,32 +426,29 @@ def build_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
     do, named ``a`` and ``b``.  This is the one-epoch case of the
     per-epoch kernel: only the ``b`` records within the window of some
     ``a`` record are searched, so the cost follows ``a``, not ``b``.  The
-    bin width and the halfwidth must be finite and > 0, the centre finite,
-    and the window must fit the time range (``_window``).
+    bin width must be finite and > 0, the centre an integer and the
+    halfwidth an integer > 0, and the window must fit the time range and
+    ``_MAX_BINS`` (``_window``).
     """
     bin_width_ps = number("bin_width_ps", bin_width_ps, low=0, above=True)
-    window_center_ps = number("window_center_ps", window_center_ps)
-    window_halfwidth_ps = number("window_halfwidth_ps", window_halfwidth_ps, low=0, above=True)
+    center = number("window_center_ps", window_center_ps, integer=True)
+    halfwidth = number("window_halfwidth_ps", window_halfwidth_ps, low=0, above=True, integer=True)
     a = timestamp_array(a, "a")
     b = timestamp_array(b, "b")
-    return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
+    window = _window(bin_width_ps, center, halfwidth)
+    return _one_epoch_histogram(a, b, bin_width_ps, center, halfwidth, window)
 
 
-def _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
+def _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps, window):
     """``build_histogram`` of arrays already known to ascend, with valid
-    arguments: acquisition's far streams were checked by ``TimestampStream``."""
+    arguments and their ``_window``: acquisition's far streams were checked
+    by ``TimestampStream``."""
     # One epoch over both inputs' time span, the span of their singles rates.
     ends = np.concatenate((a[:1], a[-1:], b[:1], b[-1:]))
     edges = np.array([ends.min(), ends.max() + 1]) if ends.size else np.array([0, 1])
-    counts, accidentals = _histograms(
-        a, b, edges, bin_width_ps, window_center_ps, window_halfwidth_ps
-    )
+    counts, accidentals = _histograms(a, b, edges, bin_width_ps, window)
     return CorrelationHistogram(
-        float(bin_width_ps),
-        int(window_center_ps),
-        int(window_halfwidth_ps),
-        counts[0],
-        float(accidentals[0]),
+        bin_width_ps, window_center_ps, window_halfwidth_ps, counts[0], float(accidentals[0])
     )
 
 
@@ -494,9 +497,10 @@ class _PeakArrays(NamedTuple):
     code: np.ndarray
 
 
-def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth_ps):
+def _peaks(counts, accidentals, bin_width_ps, lo):
     """The peak of each row of a ``(rows, nbins)`` count matrix, as arrays.
 
+    Bin k spans ``[lo + k*bin_width_ps, lo + (k+1)*bin_width_ps)``, and
     ``accidentals[r]`` is row r's accidentals per bin.  ``code`` is
     ``_PEAK`` where a row has a peak, and otherwise why it has none; tau
     and uncertainty are NaN there.  A row's result is the same, bit for
@@ -536,40 +540,41 @@ def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth
     run = np.searchsorted(run_starts, origin + peak_bin[found], side="right") - 1
     left, right = run_starts[run] - origin, run_stops[run] - origin
 
-    centers = _bin_centers(window_center_ps, window_halfwidth_ps, bin_width_ps, nbins)
+    centers = _bin_centers(lo, bin_width_ps, nbins)
     bg = background[found]
     _, span_tau, span_rms = _centroids(counts, found, bg, centers, left, right)
-    lo, hi = _span(centers, span_tau, span_rms, bin_width_ps)
+    first, stop = _span(centers, span_tau, span_rms, bin_width_ps)
     floor = bin_width_ps / math.sqrt(12.0)
     # Each round takes the centroid of every unsettled row's span, and a row
     # whose span that centroid reproduces has its peak.  The seed can be a
     # fragment cut off the peak by one empty bin, and its span then lies off
     # the peak's centre; re-centring walks it onto the peak.
-    prev_lo = prev_hi = np.full(found.size, -1)
+    prev_first = prev_stop = np.full(found.size, -1)
     final = np.zeros(found.size, dtype=bool)
     for _ in range(_RECENTRE_ROUNDS):
         # A span can hold more bins under the background than above it;
         # such a row has no net counts and no peak.
         with np.errstate(divide="ignore", invalid="ignore"):
-            net_total, span_tau, span_rms = _centroids(counts, found, bg, centers, lo, hi)
+            net_total, span_tau, span_rms = _centroids(counts, found, bg, centers, first, stop)
         net = net_total > 0
         code[found[~net]] = _NO_NET_COUNTS
-        next_lo, next_hi = _span(centers, span_tau, span_rms, bin_width_ps)
-        settled = net & (final | ((next_lo == lo) & (next_hi == hi)))
+        next_first, next_stop = _span(centers, span_tau, span_rms, bin_width_ps)
+        settled = net & (final | ((next_first == first) & (next_stop == stop)))
         tau[found[settled]] = span_tau[settled]
         rms = np.maximum(span_rms[settled], floor)
         uncertainty[found[settled]] = rms / np.sqrt(net_total[settled])
         # A centroid that sends its row back to the previous span sits on the
         # edge between two spans; the row takes the centroid of their union.
-        final = (next_lo == prev_lo) & (next_hi == prev_hi)
-        next_lo = np.where(final, np.minimum(lo, next_lo), next_lo)
-        next_hi = np.where(final, np.maximum(hi, next_hi), next_hi)
+        final = (next_first == prev_first) & (next_stop == prev_stop)
+        next_first = np.where(final, np.minimum(first, next_first), next_first)
+        next_stop = np.where(final, np.maximum(stop, next_stop), next_stop)
         moving = net & ~settled
-        left_window = moving & (next_lo >= next_hi)
+        left_window = moving & (next_first >= next_stop)
         code[found[left_window]] = _SPAN_LEFT_WINDOW
         moving &= ~left_window
         found, bg, final = found[moving], bg[moving], final[moving]
-        prev_lo, prev_hi, lo, hi = lo[moving], hi[moving], next_lo[moving], next_hi[moving]
+        prev_first, prev_stop = first[moving], stop[moving]
+        first, stop = next_first[moving], next_stop[moving]
         if found.size == 0:
             break
     code[found] = _SPAN_UNSETTLED
@@ -577,7 +582,7 @@ def _peaks(counts, accidentals, bin_width_ps, window_center_ps, window_halfwidth
 
 
 def _span(centers, tau, rms, bin_width_ps):
-    """Bins ``[lo, hi)`` whose centres lie within four RMS widths, and at
+    """Bins ``[first, stop)`` whose centres lie within four RMS widths, and at
     least four bin widths, of each ``tau``."""
     half = 4.0 * np.maximum(rms, bin_width_ps)
     return (
@@ -637,8 +642,7 @@ def estimate_peak(histogram):
         np.asarray(histogram.counts)[np.newaxis],
         np.array([histogram.accidentals_per_bin], dtype=float),
         histogram.bin_width_ps,
-        histogram.window_center_ps,
-        histogram.window_halfwidth_ps,
+        histogram.window_center_ps - histogram.window_halfwidth_ps,
     )
     tau, uncertainty, peak_counts, background, code = (v[0].item() for v in found)
     if code != _PEAK:
@@ -659,21 +663,21 @@ def clock_difference(tau_ab_ps, tau_aba_ps):
 
 
 def _coarse_window(nominal_ps, config):
-    """Bin width, centre and halfwidth of the coarse search around ``nominal_ps``."""
-    window = (config.coarse_bin_ps, int(round(nominal_ps)), int(round(2.0 * nominal_ps)))
-    _window(*window, ("coarse_bin_ps",) + ("nominal_one_way_delay_ps",) * 2)
-    return window
+    """Bin width, centre and halfwidth of the coarse search around
+    ``nominal_ps``, and the names ``_window`` refuses them by."""
+    names = ("coarse_bin_ps",) + ("nominal_one_way_delay_ps",) * 2
+    return config.coarse_bin_ps, int(round(nominal_ps)), int(round(2.0 * nominal_ps)), names
 
 
-def _reached_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps):
+def _reached_histogram(a, b, bin_width_ps, center, halfwidth, names=_WINDOW_NAMES):
     """The one-epoch histogram of the idlers ``a`` and of the far records
     ``b`` that could pair with one of them, those within ``[a[0] + lo,
     a[-1] + hi)`` of the window.  A far record beyond that reach would
     count only as a single, and make the accidentals depend on how much of
     the far stream follows the idlers."""
-    _, lo, hi = _window(bin_width_ps, window_center_ps, window_halfwidth_ps)
-    b = b[np.searchsorted(b, a[0] + math.ceil(lo)) : np.searchsorted(b, a[-1] + math.ceil(hi))]
-    return _one_epoch_histogram(a, b, bin_width_ps, window_center_ps, window_halfwidth_ps)
+    window = _window(bin_width_ps, center, halfwidth, names)
+    b = b[np.searchsorted(b, a[0] + window[0]) : np.searchsorted(b, a[-1] + window[2])]
+    return _one_epoch_histogram(a, b, bin_width_ps, center, halfwidth, window)
 
 
 def _acquire_one(a, b, nominal_ps, config):
@@ -742,8 +746,8 @@ def acquisition_reach(stream, config=None):
     if nominal is None or idler.size < config.acquire_max_events:
         return math.inf
     coarse = max(_window(*_coarse_window(hops * nominal, config))[2] for hops in searched)
-    refined = config.refine_halfwidth_ps + config.refine_bin_ps
-    return int(idler[config.acquire_max_events - 1]) + math.ceil(coarse + refined)
+    refined = config.refine_halfwidth_ps + math.ceil(config.refine_bin_ps)
+    return int(idler[config.acquire_max_events - 1]) + coarse + refined
 
 
 def epoch_count(duration_s, epoch_s):
@@ -807,13 +811,13 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None, epochs=None):
         raise EmptySeriesError("stream contains no detection records")
 
     acq = coarse_acquire(stream, config)
-    fwd_center, loop_center = acq.forward_center_ps, acq.loopback_center_ps
-
     idler = stream.times[DetectorId.IDLER_A]
     rows = len(epochs)
     edges = epoch_edges(epochs.start, epochs.stop, epoch_length_s)
     bw, hw = config.bin_width_ps, config.window_halfwidth_ps
-    paths = ((DetectorId.SIGNAL_B, fwd_center), (DetectorId.RETURN_A, loop_center))
+    fwd_window = _window(bw, acq.forward_center_ps, hw)
+    loop_window = _window(bw, acq.loopback_center_ps, hw)
+    paths = ((DetectorId.SIGNAL_B, fwd_window), (DetectorId.RETURN_A, loop_window))
 
     # Blocks of rows holding at most about eight kernel slices of bins (262
     # epochs of the default 1000 bins), and at least ``_WORKERS`` blocks per
@@ -827,21 +831,21 @@ def per_epoch_series(stream, epoch_length_s=1.0, config=None, epochs=None):
     # and ``_pipeline`` holds at most ``_WORKERS + 1`` blocks' peaks before
     # it hands them on, so the counts and the temporaries of ``_peaks`` stay
     # bounded however many epochs there are.
-    cap = max(1, 8 * _B_SLICE // _window(bw, 0, hw)[0])
+    cap = max(1, 8 * _B_SLICE // fwd_window[1])
     n_blocks = max(-(-rows // cap), min(rows, simulation._WORKERS))
     starts = [block * rows // n_blocks for block in range(n_blocks + 1)]
 
     def block_peaks(task):
         """Path ``task // n_blocks``'s peaks in row block ``task % n_blocks``."""
         path, block = divmod(task, n_blocks)
-        det, center = paths[path]
+        det, window = paths[path]
         far = stream.times[det]
         block_edges = edges[starts[block] : starts[block + 1] + 1]
         ends = block_edges[[0, -1]]
         a = idler[slice(*np.searchsorted(idler, ends))]
         b = far[slice(*np.searchsorted(far, ends))]
-        counts, accidentals = _histograms(a, b, block_edges, bw, center, hw)
-        return path, _peaks(counts, accidentals, bw, center, hw)
+        counts, accidentals = _histograms(a, b, block_edges, bw, window)
+        return path, _peaks(counts, accidentals, bw, window[0])
 
     # Blocks share no state, so running several at once changes no result.
     # Both paths' blocks are one task list, consumed in order, so the

@@ -19,7 +19,6 @@ would mask exactly the attack artifacts this statistic is meant to expose.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -119,14 +118,7 @@ def tdev(x, tau0_s, m_values=None):
     top = (n - 1) // 3
     points = []
     for m in m_values:
-        integral = isinstance(m, numbers.Integral) or (
-            isinstance(m, numbers.Real) and float(m).is_integer()
-        )
-        if isinstance(m, bool) or not integral:
-            raise ConfigurationError(f"m={m!r} is not an integer")
-        m = int(m)
-        if not (1 <= m <= top):
-            raise ConfigurationError(f"m={m} outside valid range [1, {top}] for N={n}")
+        m = number("m", m, low=1, high=top, integer=True)
         d = x[2 * m :] - 2.0 * x[m : n - m] + x[: n - 2 * m]
         # A term is complete when none of its m second differences touches
         # a gap; its sum then holds none of the zeros standing in for NaN.

@@ -107,6 +107,7 @@ class TestValidate:
         [
             ("window_halfwidth_ps", 10**300),
             ("bin_width_ps", 1e-300),
+            ("bin_width_ps", 1e-9),
             ("forward_center_ps", 10**300),
         ],
     )

@@ -349,7 +349,9 @@ class TestKernelSlices:
         delay = int(LOSSLESS_CHANNEL.one_way_delay_ps)
         idler = stream.times[DetectorId.IDLER_A]
         return [
-            estimator._histograms(idler, stream.times[det], edges, 4.0, center, 2000)
+            estimator._histograms(
+                idler, stream.times[det], edges, 4.0, estimator._window(4.0, center, 2000)
+            )
             for det, center in (
                 (DetectorId.SIGNAL_B, delay - 9900),
                 (DetectorId.RETURN_A, 2 * delay),
@@ -380,7 +382,8 @@ class TestKernelSlices:
         idler = stream.times[DetectorId.IDLER_A]
         for det, center in ((DetectorId.SIGNAL_B, 48_990_100), (DetectorId.RETURN_A, 98_000_000)):
             far = stream.times[det]
-            counts, _ = estimator._histograms(idler, far, edges, 4.0, center, 2000)
+            window = estimator._window(4.0, center, 2000)
+            counts, _ = estimator._histograms(idler, far, edges, 4.0, window)
             assert counts.shape == (6, 1000) and counts.sum() > 1000
             for row, lo, hi in zip(counts, edges[:-1], edges[1:]):
                 a = idler[np.searchsorted(idler, lo) : np.searchsorted(idler, hi)]
@@ -663,7 +666,9 @@ class TestEpochBands:
     def test_counts_equal_per_pair_check(self, inputs, slice_size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_B_SLICE", slice_size)
-            got_counts, got_acc = estimator._histograms(*inputs)
+            a, b, edges, bw, center, halfwidth = inputs
+            window = estimator._window(bw, center, halfwidth)
+            got_counts, got_acc = estimator._histograms(a, b, edges, bw, window)
             want_counts, want_acc = reference_histograms(*inputs)
         assert got_counts.dtype == want_counts.dtype == np.int32
         assert got_counts.tobytes() == want_counts.tobytes()
@@ -682,6 +687,21 @@ class TestBuildHistogram:
         monkeypatch.setattr(estimator, "_MAX_COUNTED_PAIRS", 9)
         with pytest.raises(ContractViolation, match="int32 counts could wrap"):
             build_histogram(a, a + 3, 1.0, 3, 4)
+
+    def test_window_at_the_top_of_the_time_range_counts_exactly(self):
+        # Float window ends rounded to lo = hi = 2**62 here, so the window
+        # counted no pair.
+        h = build_histogram([0], [2**62 - 5], 1.0, 2**62 - 10, 10)
+        assert h.total() == 1 and h.counts[15] == 1
+
+    def test_bins_at_most_max_bins(self):
+        # At 4 * 10**12 bins the count row died in a raw MemoryError.
+        with pytest.raises(ConfigurationError, match="^bin_width_ps "):
+            build_histogram([0], [1], 1e-9, 0, 2000)
+        half = estimator._MAX_BINS // 2
+        assert estimator._window(1.0, 0, half) == (-half, 2 * half, half)
+        with pytest.raises(ConfigurationError, match="^bin_width_ps "):
+            estimator._window(1.0, 0, half + 1)
 
     def test_empty_idlers_count_nothing(self):
         h = build_histogram(np.array([], dtype=np.int64), np.array([5, 10, 20]), 1.0, 10, 10)
@@ -716,6 +736,11 @@ class TestBuildHistogram:
             ("window_halfwidth_ps", 0.2),
             ("window_center_ps", 10**300),
             ("window_center_ps", -(2.0**63)),
+            ("bin_width_ps", 1e-9),
+            ("window_center_ps", 10.5),
+            ("window_center_ps", 10.0),
+            ("window_halfwidth_ps", 10.0),
+            ("window_center_ps", 2**62),
         ],
     )
     def test_unusable_window_refused_by_name(self, name, value):
@@ -723,6 +748,9 @@ class TestBuildHistogram:
         # infinite halfwidth in an OverflowError; a window of more than
         # 2**62 bins or ps in "Maximum allowed dimension exceeded" or an
         # OverflowError, and one narrower than a bin named no argument.
+        # 2 * 10**10 bins passed, and their counts died in a MemoryError.
+        # A fractional centre was binned from its own lo but reported
+        # rounded, and a window ending past 2**62 ps counted nothing.
         args = dict(bin_width_ps=1.0, window_center_ps=0, window_halfwidth_ps=10)
         args[name] = value
         with pytest.raises(ConfigurationError, match=f"^{name} "):
@@ -988,7 +1016,7 @@ class TestEstimatePeak:
         # background, where one empty bin cuts a fragment holding the
         # maximum off its flank 27 bins left of centre.  The seed is that
         # fragment, and a span fixed around it reads ~100 ps off the peak.
-        x = _bin_centers(0, 2000, 4.0, 1000)
+        x = _bin_centers(-2000, 4.0, 1000)
         density = np.exp(-0.5 * (x / 66.0) ** 2) / (66.0 * math.sqrt(2.0 * math.pi))
         counts = np.rint(400.0 * 4.0 * density).astype(np.int64)
         counts[471:477] = [0, 2, 13, 3, 2, 0]
@@ -1055,7 +1083,7 @@ class TestEstimatePeakOracle:
 
 def matrix_outcomes(counts, accidentals, bin_width_ps, center, halfwidth):
     """Each row's ``_peaks`` result, as ``estimate_peak`` would give it."""
-    found = estimator._peaks(counts, accidentals, bin_width_ps, center, halfwidth)
+    found = estimator._peaks(counts, accidentals, bin_width_ps, center - halfwidth)
     outcomes = []
     for tau, sigma, peak, background, code, acc in zip(
         *(v.tolist() for v in found), accidentals.tolist()
@@ -1115,7 +1143,7 @@ class TestPeakMatrix:
         ):
             bw, hw = config.bin_width_ps, config.window_halfwidth_ps
             counts, accidentals = estimator._histograms(
-                idler, stream.times[det], edges, bw, center, hw
+                idler, stream.times[det], edges, bw, estimator._window(bw, center, hw)
             )
             want = alone_outcomes(counts, accidentals, bw, center, hw)
             assert matrix_outcomes(counts, accidentals, bw, center, hw) == want
@@ -1140,7 +1168,7 @@ class TestPeakMatrix:
     )
     def test_failure_codes_give_oracle_messages(self, counts, accidentals, code):
         h = CorrelationHistogram(4.0, 0, 200, np.array(counts, dtype=np.int64), accidentals)
-        found = estimator._peaks(h.counts[np.newaxis], np.array([accidentals]), 4.0, 0, 200)
+        found = estimator._peaks(h.counts[np.newaxis], np.array([accidentals]), 4.0, -200)
         assert found.code.tolist() == [getattr(estimator, code)]
         with pytest.raises(NoPeakError) as want:
             reference_estimate_peak(h)
@@ -1251,6 +1279,16 @@ class TestCoarseAcquire:
         assert estimator.acquisition_reach(stream, both) == -math.inf
         many = dataclasses.replace(config, acquire_max_events=idler.size + 1)
         assert estimator.acquisition_reach(stream, many) == math.inf
+
+    def test_coarse_window_at_most_max_bins(self):
+        # The 1 ns coarse search spans four nominal delays, so it takes
+        # delays up to 2**22 ns, about 4.2 ms.
+        config = EstimatorConfig()
+        longest = estimator._MAX_BINS // 4 * config.coarse_bin_ps
+        window = estimator._window(*estimator._coarse_window(longest, config))
+        assert window[1] == estimator._MAX_BINS
+        with pytest.raises(ConfigurationError, match="^coarse_bin_ps "):
+            estimator._window(*estimator._coarse_window(longest + 1000, config))
 
     def test_coarse_window_beyond_the_time_range_refused(self):
         # A nominal delay of 1e300 ps centred the coarse window at an int
@@ -1456,11 +1494,13 @@ class TestEstimatorConfig:
             ("window_halfwidth_ps", 1),
             ("bin_width_ps", 1e-300),
             ("bin_width_ps", 5e-324),
+            ("bin_width_ps", 1e-9),
             ("forward_center_ps", 10**300),
             ("loopback_center_ps", -(10**300)),
             ("forward_center_ps", 2**62 - 1000),
             ("refine_halfwidth_ps", 10**300),
             ("refine_bin_ps", 1e-300),
+            ("refine_bin_ps", 1e-9),
         ],
         ids=repr,
     )

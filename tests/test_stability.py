@@ -156,14 +156,15 @@ class TestTdevErrors:
         with pytest.raises(ConfigurationError):
             tdev(np.zeros(100), 1.0, [34])
 
-    @pytest.mark.parametrize("m", [2.7, True, float("nan"), "2"])
+    @pytest.mark.parametrize("m", [2.7, 2.0, True, float("nan"), "2"])
     def test_non_integral_m_refused(self, m):
-        # None is rounded or parsed into an averaging factor.
-        with pytest.raises(ConfigurationError, match="not an integer"):
+        # None is rounded or parsed into an averaging factor, and a whole
+        # float is refused as every integer field refuses it.
+        with pytest.raises(ConfigurationError, match="^m must be an integer"):
             tdev(np.zeros(100), 1.0, [m])
 
     def test_integral_m_accepted(self):
-        curve = tdev(np.arange(100.0), 1.0, [2.0, np.int64(3)])
+        curve = tdev(np.arange(100.0), 1.0, [2, np.int64(3)])
         assert [p.m for p in curve.points] == [2, 3]
 
     def test_no_complete_term_refused(self):
