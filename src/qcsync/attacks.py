@@ -57,7 +57,7 @@ __all__ = [
 
 
 # Picosecond values stay exact in float64 arithmetic up to 2**53: the
-# bound for every delay and every simulated reading.
+# bound for every delay and every simulated reading's offset from its origin.
 MAX_EXACT_PS = float(2**53)
 
 

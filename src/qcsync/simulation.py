@@ -29,7 +29,9 @@ keeps nearly every record, gathers with a boolean index, which is faster
 there.
 
 Clock model: Alice's clock is the time reference.  Bob's clock reads
-``true + offset + drift * t + white phase noise``.
+``true + offset + drift * t + white phase noise``.  A chunk's readings are
+float64 offsets after its integer origin, which ``_quantize`` adds in int64,
+so no float holds an absolute time (``t`` is ``offset*1e-12 + origin*1e-12``).
 
 Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
@@ -331,9 +333,10 @@ class EmissionPlan:
     """The blocks of a Poisson pair source's emission times, each drawn when
     it is needed.
 
-    Block ``i`` spans ``[edges[i], edges[i + 1])`` ps of Alice's timebase
-    and holds ``counts[i]`` pairs, whose times ``times(i)`` draws from
-    ``_chunk_rng(seed, i)``.  ``len()`` is the number of pairs in the run.
+    Block ``i`` spans ``[edges[i], edges[i + 1])`` int64 ps of Alice's
+    timebase and holds ``counts[i]`` pairs, whose offsets after ``edges[i]``
+    ``times(i)`` draws from ``_chunk_rng(seed, i)``.  ``len()`` is the
+    number of pairs in the run.
     """
 
     edges: np.ndarray
@@ -344,13 +347,9 @@ class EmissionPlan:
         return int(self.counts.sum())
 
     def times(self, i):
-        """Block ``i``'s sorted emission times, a fresh float64 array."""
-        lo, hi = self.edges[i], self.edges[i + 1]
+        """Block ``i``'s sorted offsets after ``edges[i]``, ps, a fresh float64 array."""
         block = _chunk_rng(self.seed, i).random(self.counts[i])
-        block *= hi - lo
-        block += lo
-        # lo + (hi - lo) * u can round up to hi.
-        np.minimum(block, np.nextafter(hi, lo), out=block)
+        block *= float(self.edges[i + 1] - self.edges[i])
         block.sort()
         return block
 
@@ -368,44 +367,51 @@ def generate_pairs(source, duration_s, seed):
     (the last one shorter), and the generator of ``seed`` draws every
     block's Poisson count.  Block ``i``'s times are uniform within it,
     drawn from its own generator, and sorted, so the blocks' times, taken
-    in order, ascend.  A run that ends beyond the exact int64/float64 range
-    is refused, since its last emission times would lie there.
+    in order, ascend.  The edges are whole picoseconds, and a run lasts at
+    most ``MAX_TIME_PS``.
     """
-    duration_s = number("duration_s", duration_s, low=0, above=True)
+    duration_s = number("duration_s", duration_s, low=0, above=True, high=MAX_TIME_PS * 1e-12)
     rate = source.pair_rate_hz
     end_ps = duration_s * 1e12
-    if end_ps > MAX_EXACT_PS:
-        raise ConfigurationError("emission times exceed the exact int64/float64 range")
     n_blocks = max(1, math.ceil(duration_s * rate / _PAIR_CHUNK))
     # The last block ends at the end of the run, whichever side of it the
     # rounded multiple of the block length falls.
-    edges = np.minimum(np.arange(n_blocks + 1) * (_PAIR_CHUNK / rate * 1e12), end_ps)
-    edges[-1] = end_ps
+    edges = np.rint(np.minimum(np.arange(n_blocks + 1) * (_PAIR_CHUNK / rate * 1e12), end_ps))
+    edges = edges.astype(np.int64)
+    edges[-1] = round(end_ps)
     counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate * 1e-12))
     return EmissionPlan(edges, counts, seed)
 
 
-def _quantize(times, resolution_ps):
-    """Snap the float64 ``times`` to the TDC grid and return them as integer
-    picoseconds: an int64 view of ``times``'s own buffer, cast in place.
-
-    Readings beyond the exact int64/float64 range, or NaN, are refused
-    before the cast, which would wrap them to arbitrary integers.
-    """
+def _quantize(times, resolution_ps, origin):
+    """The readings ``origin + times`` (float64 offsets after the integer
+    ``origin``, ps) snapped to the TDC's absolute grid, then to whole ps,
+    each rounding half up, which commutes with adding the origin: an int64
+    view of ``times``'s own buffer, written in place.  Offsets beyond the
+    exact float64 range, or NaN, are refused before the cast, which would
+    wrap them to arbitrary integers."""
     q = times
     if resolution_ps != 1.0:
-        # Onto the TDC grid, in grid steps and back; at 1 ps this changes
-        # nothing that the rounding below does not.
-        np.divide(q, resolution_ps, out=q)
-        np.rint(q, out=q)
+        # Onto the grid, in steps from its point ``phase`` ps below the
+        # origin, and back; at 1 ps this changes nothing that the rounding
+        # below does not.  The phase is exact: resolution_ps is num / den.
+        num, den = resolution_ps.as_integer_ratio()
+        phase = int(origin) * den % num / den
+        q += phase
+        q /= resolution_ps
+        q += 0.5
+        np.floor(q, out=q)
         q *= resolution_ps
+        q -= phase
     # To whole picoseconds, which a step of a fractional picosecond leaves.
-    np.rint(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
     if q.size and not (q.max() <= MAX_EXACT_PS and q.min() >= -MAX_EXACT_PS):
-        raise ConfigurationError("detector readings exceed the exact int64/float64 range")
+        raise ConfigurationError("detector readings lie beyond 2**53 ps of their chunk's origin")
     # Element k is read before it is written, so the cast needs no copy.
     ints = q.view(np.int64)
     np.copyto(ints, q, casting="unsafe")
+    ints += origin
     return ints
 
 
@@ -617,22 +623,21 @@ def propagate_and_detect(
     ``pairs`` is the ``EmissionPlan`` that ``generate_pairs`` returns, whose
     block ``i`` is drawn, propagated as chunk ``i`` and dropped, so no
     whole-run array of emission times exists; or a 1-D array of given
-    emission times, propagated in chunks of ``_PAIR_CHUNK``.  An array is
-    only read, through a copy if it is not contiguous float64.  Every
-    detector's records go into a buffer of their own.
+    emission times, propagated in chunks of ``_PAIR_CHUNK``.  An array passes
+    ``timestamp_array`` and is only read, through a copy if it is not int64.
+    Every detector's records go into a buffer of their own.
 
     A run can be released in blocks of time.  Each call then gets the same
     ``held`` (a ``HeldRecords``) and the next block's end ``until_ps``, an
     integer, ascending from call to call, and the last call gets None.  A
     call simulates the chunks not yet simulated that can read a record
     below ``until_ps``: those that start less than ``_release_margin``
-    above it, or every chunk of an array, whose chunks may emit at any
-    time.  It returns the records below ``until_ps`` and holds the rest
+    above it.  It returns the records below ``until_ps`` and holds the rest
     back.  Without ``held`` and ``until_ps`` the whole run is one block.
 
     Parameters
     ----------
-    pairs : EmissionPlan, or 1-D array of pair emission times, ps, Alice timebase
+    pairs : EmissionPlan, or sorted 1-D array of integer pair emission times, ps, Alice timebase
     source : SourceConfig whose correlation jitter is drawn on the idler
     channel : ChannelConfig
     m, n : DelayTrajectory for the forward (Alice->Bob) and backward legs
@@ -651,17 +656,13 @@ def propagate_and_detect(
     if isinstance(pairs, EmissionPlan):
         sizes, emitted_in, starts = pairs.counts, pairs.times, pairs.edges[:-1]
     else:
-        pairs = np.require(pairs, np.float64, ["C"])
-        if pairs.ndim != 1:
-            raise ConfigurationError("pairs must be a 1-D array of emission times")
-        if pairs.size and not (pairs.min() >= -MAX_EXACT_PS and pairs.max() <= MAX_EXACT_PS):
-            raise ConfigurationError("emission times exceed the exact int64/float64 range")
-        n_chunks = (pairs.size + _PAIR_CHUNK - 1) // _PAIR_CHUNK
-        sizes = np.diff(np.minimum(np.arange(n_chunks + 1) * _PAIR_CHUNK, pairs.size))
-        starts = np.full(n_chunks, -np.inf)
+        pairs = timestamp_array(pairs, "pairs")
+        starts = pairs[::_PAIR_CHUNK]
+        sizes = np.diff(np.minimum(np.arange(starts.size + 1) * _PAIR_CHUNK, pairs.size))
 
         def emitted_in(chunk):
-            return pairs[chunk * _PAIR_CHUNK : (chunk + 1) * _PAIR_CHUNK]
+            emitted = pairs[chunk * _PAIR_CHUNK : (chunk + 1) * _PAIR_CHUNK]
+            return (emitted - starts[chunk]).astype(np.float64)
 
     L = channel.one_way_delay_ps
     sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
@@ -672,7 +673,7 @@ def propagate_and_detect(
     if until_ps is not None:
         sigmas = (sigma_idler, sigma_bob, sigma_return)
         margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
-        stop = max(first, int(np.searchsorted(starts, until_ps + margin)))
+        stop = max(first, int(np.searchsorted(starts, until_ps + math.ceil(margin))))
     count = int(sizes[first:stop].sum())
     for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
         records.reserve(_expected_capacity(count, prob))
@@ -681,7 +682,7 @@ def propagate_and_detect(
         """Chunk ``chunk``'s int64 times per detector, from its own generator
         alone."""
         rng = _chunk_rng(seed, chunk)
-        emitted = emitted_in(chunk)
+        origin, emitted = starts[chunk], emitted_in(chunk)
         k = emitted.size
 
         # Draw order is fixed so results depend only on (config, seed): two
@@ -710,35 +711,40 @@ def propagate_and_detect(
         idler *= sigma_idler
         idler += t
         del t
-        idler = _quantize(idler, tdc.resolution_ps)
+        idler = _quantize(idler, tdc.resolution_ps, origin)
         # arrive = emitted + L + M(emitted), once for every signal photon
         arrive = np.compress(signal_hit, emitted)
         del emitted, signal_hit
-        delay = eval_trajectory(m, arrive * 1e-12)
+        delay = arrive * 1e-12  # the emission times, s
+        delay += origin * 1e-12
+        delay = eval_trajectory(m, delay)
         arrive += L
         arrive += delay
         # bob = arrive + offset + drift * (arrive * 1e-12) + sigma_bob * z
         t = np.compress(at_bob, arrive)
         bob = rng.standard_normal(t.size)
         drift = t * 1e-12
+        drift += origin * 1e-12
         drift *= clocks.drift_ps_per_s
         t += clocks.offset_ps
         t += drift
         bob *= sigma_bob
         bob += t
         del t, drift
-        bob = _quantize(bob, tdc.resolution_ps)
+        bob = _quantize(bob, tdc.resolution_ps, origin)
         # ret = arrive + L + N(arrive) + sigma_return * z
         t = np.compress(~at_bob, arrive)
         del arrive
         ret = rng.standard_normal(t.size)
-        delay = eval_trajectory(n, t * 1e-12)
+        delay = t * 1e-12  # the arrival times at Bob, s
+        delay += origin * 1e-12
+        delay = eval_trajectory(n, delay)
         t += L
         t += delay
         ret *= sigma_return
         ret += t
         del t, delay
-        return idler, bob, _quantize(ret, tdc.resolution_ps)
+        return idler, bob, _quantize(ret, tdc.resolution_ps, origin)
 
     def assemble(readings):
         for records, t in zip(held.records, readings):

@@ -125,6 +125,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"estimator.{field}: {field} " in err and "Traceback" not in err
 
+    def test_delay_beyond_the_coarse_window_fails_closed(self, tmp_path, capsys):
+        # The document validated, and a run exited 1 at acquisition only
+        # after simulating.
+        doc = builtin_scenario("jump_-100ps")
+        doc["channel"] = {"one_way_delay_ps": 5e9}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "channel.one_way_delay_ps: coarse_bin_ps makes a window of more than 2**24" in err
+        assert "Traceback" not in err
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

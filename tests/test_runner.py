@@ -397,8 +397,8 @@ def counted_blocks(monkeypatch, records):
 
 
 class TestSeriesDigest:
-    # SHA-256 of ``series.csv`` from ``digest_doc``.  Computed at 0.28.0.
-    SERIES_DIGEST = "a61b2eb66640bcc477e20cf27b8f640a65532c0b514a58321508ad2a01cc77a6"
+    # SHA-256 of ``series.csv`` from ``digest_doc``.  Computed at 0.35.0.
+    SERIES_DIGEST = "ba30cac206830daa38df0ee5f59af8768ab3a1a1a36fd0f268adccb3c858567b"
 
     def test_series_csv_digest_pinned(self, tmp_path):
         # Any change to a count, a peak, a sigma or the file's format shows.
@@ -491,6 +491,17 @@ class TestBlocks:
         got = runner._simulated_series(scenario)
         assert len(parts) >= 3
         assert got == want
+
+    def test_run_past_2_53_ps(self):
+        # 10**4 s at 1 kHz in 10 s epochs: the epochs after 2**53 ps (about
+        # 9007 s) are estimated like the others.
+        doc = builtin_scenario("baseline")
+        doc["source"] = {"pair_rate_hz": 1000.0}
+        doc["run"].update(duration_s=1e4, epoch_s=10.0)
+        del doc["detection"]
+        series = run_scenario(doc).series
+        assert len(series) == 1000 and series.gap_count() == 0
+        assert series.points[-1].epoch_start_s * 1e12 > 2**53
 
     def test_zero_margin_refused(self, monkeypatch):
         # Without a margin, Bob's readings 1 s behind their emissions arrive

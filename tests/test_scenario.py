@@ -180,6 +180,32 @@ class TestValidation:
         issues = validate_scenario_dict(doc)
         assert any(path == "scheme" for path, _ in issues)
 
+    WIDE = ("channel.one_way_delay_ps", "coarse_bin_ps makes a window of more than 2**24 bins")
+    LONG = ("run.duration_s", "must be at most 2**62 ps in full_sim mode")
+
+    @pytest.mark.parametrize(
+        "changes, issues",
+        [
+            ({"channel": {"one_way_delay_ps": 5e9}}, [WIDE]),
+            # The loopback search spans two hops: 2.4e7 coarse bins at 3e9 ps.
+            ({"channel": {"one_way_delay_ps": 3e9}, "estimator": {"forward_center_ps": 3 * 10**9}},
+             [WIDE]),
+            ({"channel": {"one_way_delay_ps": 3e9}, "estimator": {"loopback_center_ps": 6 * 10**9}},
+             []),
+            ({"channel": {"one_way_delay_ps": 5e9}, "mode": "analytic"}, []),
+            ({"run": {"duration_s": 4.7e6}}, [LONG]),
+            ({"run": {"duration_s": 4.7e6}, "mode": "analytic"}, []),
+        ],
+        ids=["wide", "wide-loopback", "forward-only", "wide-analytic", "long", "long-analytic"],
+    )
+    def test_full_simulation_limits_checked_on_load(self, changes, issues):
+        # A full simulation refused these only after simulating: acquisition's
+        # coarse window, +-2x each searched path's delay, above 2**24 bins,
+        # and a run past 2**62 ps.
+        doc = builtin_scenario("jump_-100ps")
+        doc.update(changes)
+        assert validate_scenario_dict(doc) == issues
+
     def test_analytic_section_refused(self):
         # Analytic runs take their noise and baseline from the photon chain
         # and the clock, so no section sets them.

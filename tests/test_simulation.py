@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 import threading
 import time
 
@@ -66,8 +67,9 @@ BOB_FLIGHT, RETURN_FLIGHT = 1000 - 9900, 2000
 
 
 def emission_times(plan):
-    """Every block's emission times of ``plan``, in block order."""
-    return np.concatenate([plan.times(i) for i in range(plan.counts.size)])
+    """Every block's emission times of ``plan``, in block order: its offsets
+    after its first edge, added to that edge as floats."""
+    return np.concatenate([plan.edges[i] + plan.times(i) for i in range(plan.counts.size)])
 
 
 def emitted(pairs, times, flight):
@@ -281,16 +283,21 @@ class TestGeneratePairs:
             generate_pairs(SourceConfig(), 0.0, 0)
 
     def test_run_beyond_exact_range_rejected(self):
-        # 2**53 ps is ~9007 s; the plan is refused before any time is drawn.
-        with pytest.raises(ConfigurationError, match="emission times exceed the exact"):
-            generate_pairs(SourceConfig(), 9008.0, 0)
-        assert len(generate_pairs(SourceConfig(pair_rate_hz=1.0), 9007.0, 0)) > 0
+        # Times are exact int64 up to 2**62 ps (~53 days); a longer run is
+        # refused before any time is drawn, and one past 2**53 ps is planned
+        # in whole picoseconds.
+        with pytest.raises(ConfigurationError, match="^duration_s must be a finite number in"):
+            generate_pairs(SourceConfig(), 2**62 * 1e-12 * (1 + 1e-15), 0)
+        plan = generate_pairs(SourceConfig(pair_rate_hz=1e-3), 2**62 * 1e-12, 0)
+        assert plan.edges.dtype == np.int64 and plan.edges[-1] == 2**62
+        plan = generate_pairs(SourceConfig(pair_rate_hz=1.0), 9008.0, 0)
+        assert len(plan) > 0 and plan.edges[-1] == 9_008 * 10**12 > 2**53
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -(2.0**54)], ids=repr)
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -(2.0**62)], ids=repr)
     def test_emission_times_outside_the_exact_range_refused(self, bad):
-        # Every comparison with NaN is false, so only a test that both ends
-        # must pass refuses it.
-        with pytest.raises(ConfigurationError, match="emission times exceed the exact"):
+        # Given emission times pass the one timestamp rule: exact integers
+        # strictly within 2**62 ps of zero.
+        with pytest.raises(ConfigurationError, match="^pairs timestamps must be exact integers"):
             propagate_and_detect(
                 np.array([1e9, bad, 2e9]), SourceConfig(), ChannelConfig(), DelayTrajectory(),
                 DelayTrajectory(), DetectorConfig(), TdcConfig(), ClockConfig(), 1, duration_s=1.0,
@@ -316,11 +323,12 @@ class TestGeneratePairs:
             plan = generate_pairs(SourceConfig(pair_rate_hz=rate_hz), duration_s, seed)
             pairs = emission_times(plan)
         end_ps = duration_s * 1e12
-        assert np.all(pairs[1:] >= pairs[:-1])
-        assert pairs.size == 0 or (pairs[0] >= 0.0 and pairs[-1] < end_ps)
         n_blocks = max(1, math.ceil(duration_s * rate_hz / chunk))
         edges = np.minimum(np.arange(n_blocks + 1) * (chunk / rate_hz * 1e12), end_ps)
         edges[-1] = end_ps
+        edges = np.rint(edges).astype(np.int64)
+        assert np.all(pairs[1:] >= pairs[:-1])
+        assert pairs.size == 0 or (pairs[0] >= 0.0 and pairs[-1] < edges[-1])
         counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate_hz * 1e-12))
         np.testing.assert_array_equal(plan.edges, edges)
         np.testing.assert_array_equal(plan.counts, counts)
@@ -503,7 +511,10 @@ class TestCountingAndClocks:
         )
         assert len(stream) == 0
 
-    def test_clock_drift_slope(self):
+    def test_clock_drift_slope(self, monkeypatch):
+        # Chunks of 997 pairs, so the drift reads the time from each
+        # chunk's origin as well as from its offsets.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
         clock = ClockConfig(offset_ps=0.0, drift_ps_per_s=5.0)
         pairs = integer_pairs(duration_s=20.0)
         stream = propagate_and_detect(
@@ -1097,7 +1108,8 @@ class TestIdlerInPairs:
 
     @pytest.mark.parametrize("kind", ["writeable", "read-only"])
     def test_caller_pairs_are_left_unchanged(self, kind):
-        pairs = emission_times(self.pairs())
+        # Whole picoseconds, as int64: read in place.
+        pairs = np.rint(emission_times(self.pairs())).astype(np.int64)
         pairs.flags.writeable = kind == "writeable"
         kept = pairs.copy()
         got = self.stream(pairs)
@@ -1106,9 +1118,10 @@ class TestIdlerInPairs:
 
     @pytest.mark.parametrize("kind", ["float32", "strided"])
     def test_unsuitable_pairs_are_copied(self, kind):
-        # Read through a contiguous float64 copy; read-only input needs none
+        # Whole float32 times are read through an int64 copy, and a strided
+        # int64 view in place; int64 input needs no copy
         # (test_caller_pairs_are_left_unchanged).
-        pairs = emission_times(self.pairs())
+        pairs = np.rint(emission_times(self.pairs())).astype(np.int64)
         if kind == "float32":
             pairs = pairs.astype(np.float32)
         else:
@@ -1117,7 +1130,7 @@ class TestIdlerInPairs:
         kept = held.copy()
         got = self.stream(pairs)
         assert held.tobytes() == kept.tobytes()
-        self.assert_same(self.stream(np.array(pairs, np.float64)), got)
+        self.assert_same(self.stream(np.array(pairs, np.int64)), got)
 
     def test_owned_buffer_grows_and_is_trimmed(self):
         records = simulation._DetectorRecords(np.empty(1, np.int64))
@@ -1128,16 +1141,92 @@ class TestIdlerInPairs:
         assert kept.flags.owndata and kept.size == 3
 
 
+def exact_quantize(offsets, resolution_ps, origin):
+    """The TDC's readings of ``origin + offsets``, in exact rationals: the
+    nearest point of the absolute grid of ``resolution_ps``, then the nearest
+    whole picosecond, each rounding half up (test oracle)."""
+    res = Fraction(resolution_ps)
+    half = Fraction(1, 2)
+    snapped = (math.floor((origin + Fraction(x)) / res + half) * res for x in offsets.tolist())
+    return np.array([math.floor(t + half) for t in snapped], np.int64)
+
+
 class TestQuantize:
     @pytest.mark.parametrize("size", [0, 1, 8191, 8193, 100_000])
     @pytest.mark.parametrize("resolution_ps", [1.0, 3.0, 0.5, 1e8])
     def test_in_place_cast_equals_astype(self, size, resolution_ps):
-        readings = np.random.default_rng(size).normal(5e11, 1e11, size)
-        want = np.rint(np.rint(readings / resolution_ps) * resolution_ps).astype(np.int64)
-        got = simulation._quantize(readings, resolution_ps)
+        # Readings on a 1/16 ps grid, which the oracle reads exactly.
+        readings = np.rint(np.random.default_rng(size).normal(5e11, 1e11, size) * 16) / 16
+        want = exact_quantize(readings, resolution_ps, 0)
+        got = simulation._quantize(readings, resolution_ps, 0)
         assert got.dtype == np.int64
         assert size == 0 or np.shares_memory(got, readings)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("origin", [0, 7, 2**53 + 1, 2**60 + 3])
+    @pytest.mark.parametrize("resolution_ps", [1.0, 3.0, 4.0, 0.5, 2.5, 1e8])
+    def test_rounds_half_up_on_the_absolute_grid(self, resolution_ps, origin):
+        # Offsets on a 1/16 ps grid: every tie between two grid points of
+        # the absolute reading, random offsets within a chunk's span, and
+        # small ones about the origin.  Grids of 2.5 ps and 0.5 ps put half
+        # a picosecond on half their points, a tie of the final rounding.
+        res = Fraction(resolution_ps)
+        phase = origin % res
+        ties = [float(j * res + res / 2 - phase) for j in range(-64, 64)]
+        rng = np.random.default_rng(origin % 1000)
+        offsets = np.concatenate(
+            (
+                ties,
+                rng.integers(-(2**44), 2**44, 2000) / 16,
+                rng.integers(-(2**12), 2**12, 2000) / 16,
+            )
+        )
+        want = exact_quantize(offsets, resolution_ps, origin)
+        np.testing.assert_array_equal(simulation._quantize(offsets, resolution_ps, origin), want)
+
+
+class TestTimeBase:
+    """Readings are integer picoseconds however far into the run they lie:
+    only offsets after a chunk's integer origin pass through floats."""
+
+    def test_odd_readings_are_half_in_every_range(self):
+        # A fair 1 ps TDC reads an odd picosecond half the time.  Absolute
+        # float readings were rounded twice past 2**50 ps (odd fractions of
+        # 0.459, 0.374 and 0.250 in the three ranges below).
+        doc = builtin_scenario("baseline_3500s")
+        doc["source"] = {"pair_rate_hz": 300.0}
+        del doc["detection"]
+        times = np.concatenate(run_round_trip_sim(load_scenario(doc)).times)
+        for lo, hi in ((0, 2**50), (2**50, 2**51), (2**51, 2**52)):
+            t = times[(times >= lo) & (times < hi)]
+            assert t.size > 300_000
+            assert (t % 2).mean() == pytest.approx(0.5, abs=0.005)
+
+    @pytest.mark.parametrize("kind", ["plan", "array"])
+    def test_a_shift_of_2_60_ps_shifts_every_reading(self, monkeypatch, kind):
+        # The stream of emissions 2**60 ps later (a multiple of the 4 ps
+        # grid) is the stream plus 2**60, bit for bit.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        shift = 2**60
+        source = SourceConfig(pair_rate_hz=1e5)
+        plan = generate_pairs(source, 0.02, 41)
+        if kind == "plan":
+            pairs, shifted = plan, EmissionPlan(plan.edges + shift, plan.counts, plan.seed)
+        else:
+            pairs = np.rint(emission_times(plan)).astype(np.int64)
+            shifted = pairs + shift
+        # No attack and no drift: nothing else depends on the absolute time.
+        want, got = (
+            propagate_and_detect(
+                p, source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+                DetectorConfig(), TdcConfig(resolution_ps=4.0), ClockConfig(), 42, duration_s=0.02,
+            )
+            for p in (pairs, shifted)
+        )
+        assert len(want) > 2000
+        for det in DetectorId:
+            assert (got.times[det] - shift).tobytes() == want.times[det].tobytes()
+            assert np.all(got.times[det] % 4 == 0)
 
 
 class TestDeterminism:
@@ -1176,31 +1265,32 @@ class TestDeterminism:
     # SHA-256 of each detector's times (IdlerA, SignalB, ReturnA) from a 2 s,
     # 100 kHz baseline run at seed 16: four chunks, both threads.  The 50 ns
     # dead time drops 640 idlers and a few dozen signal records.  These are
-    # the streams of the plan's emission times propagated as one array, in
-    # chunks of exactly ``_PAIR_CHUNK`` pairs (the streams of 0.23.0).
+    # the streams of the plan's emission times, rounded to whole picoseconds,
+    # propagated as one array, in chunks of exactly ``_PAIR_CHUNK`` pairs,
+    # each after its first time.  Computed at 0.35.0, as are the pins below.
     STREAM_DIGESTS = {
         0.0: (
-            "2d192c554f1f84d166d61c8e168b5bd8cd7f19bca09b7e9647a108ac9cdf8277",
-            "96028055c2a2e8b3768f08a3df9e050fc3fffa70689f80a82801bf8e7ffb5efa",
-            "36b5940617b8246a4da6ea0d49eaddde99b8f0ff92c84dd276bfdb3c9fe422e5",
+            "ff6764d7d5944f7ff94c6ef55337ea3470be94f7ca83e5abe4f7d4ce7c62c95a",
+            "2422e017848f5a3b7257004e0a46bb270702230ce6c013ee06f8d58ec5dc38de",
+            "22d8809256b61b3b4c29082db379405961f4453fe1e535079cc88491c540dac7",
         ),
         50_000.0: (
-            "8b85c0fde29b3c4d62226e2ad1149ae3bce98721b7cd390facb87b6bd41c7703",
-            "49bc96f7f3449242291581736dd1d3cda9560629043c38561bbcd6114b1f06dd",
-            "e7f7e44a352a64fa4141c72123ca419b55f28004b23dd44e0ced2dfcd31e6983",
+            "06a4e9f0742a811bfef5a5f0ef1f0da39f9d495924d3bd7f0250e8e9b6ec6c12",
+            "bc0a8f9bc7586afa4ceb1a7dd8b846f33769a0a15a3e3477d7fc9d2b2e4baa84",
+            "9bb0b369526cc92a512b4e657e25290dcd1b5aa33e3034c567192fd2cdcf540c",
         ),
     }
     # The same runs through the plan, each block propagated as one chunk.
     PLAN_STREAM_DIGESTS = {
         0.0: (
-            "937a9a66d096456b9f0a3bf009af81e0475310e8c88a1a0c0912e5895a88c2f9",
-            "cc040a3ebf3f2eec446c417eca1f84a6bf84334aa057043a17e31d8f50bb4f37",
-            "9b65f753713f1b04065af8d91583135e015f6b3a666f8973e20d9c052c708e8c",
+            "2e61905c11fb30e65bda675f9354eb7bbaa8f090258012787468e67b5d97b215",
+            "b40e3edee614eae55c8eda61057b9b5249e1d195accd4fedaf271d66f7530141",
+            "e9c0757f5c1f521644e08260619e2e7f9dff62c8fd7a9d4aaeb27a70bded408b",
         ),
         50_000.0: (
-            "9e90b47f85c41139d473cfe6323c7e4162863eee40440583c7835b92da4bc71f",
-            "dec554bf38e77aa1d2e83ccbc0c2b68bb43b2230a2a103f0055d5237a8ceb2b9",
-            "fc14d2c886c810a6e7f18271e7d7faf5225b332dd33a5af4a82c3517e98c888e",
+            "131576a4f898a1f0bfdc3f44a6da5eda81745216cab110e7b01123550ad6b509",
+            "e84c47c73ea6edc405a0953a8b79562423fb132923f54e67577459ea2bfe4325",
+            "a81c929d62c707d0c015a8dfae076772baffa100991a59c4d1b778a6f7c16458",
         ),
     }
 
@@ -1225,9 +1315,10 @@ class TestDeterminism:
         "dead_time_ps", sorted(STREAM_DIGESTS), ids=["no-dead-time", "dead-time"]
     )
     def test_stream_digests_pinned(self, monkeypatch, dead_time_ps):
-        monkeypatch.setattr(
-            simulation, "generate_pairs", lambda *args: emission_times(generate_pairs(*args))
-        )
+        def whole_ps(*args):
+            return np.rint(emission_times(generate_pairs(*args)))
+
+        monkeypatch.setattr(simulation, "generate_pairs", whole_ps)
         assert self.stream_digests(dead_time_ps) == self.STREAM_DIGESTS[dead_time_ps]
 
     @pytest.mark.parametrize(
@@ -1240,17 +1331,17 @@ class TestDeterminism:
     # (N = -M) at seed 27.  Its -100 ps jump at 0.9 s and its reversing
     # staircase (-7.3 ps a 0.13 s step from 0.2 s, reversing after 1.1 s)
     # change inside the 0.66 s chunks, so M and N are evaluated both on
-    # times within one step and across steps and the jump.  Computed at
-    # 0.24.0, at 1 ps and 4 ps TDC resolution.
+    # times within one step and across steps and the jump.  At 1 ps and
+    # 4 ps TDC resolution.
     ATTACKED_STREAM_DIGESTS = {
         1.0: (
-            "8fe2f40682db1d0469466a42b36a5f5e9cafe31a2eaa1029cf4c028c7d126025",
-            "64c4ab27f26d7947ea2cfed2e81f841ccf26f9c8ef1358b2ed10890750528e9f",
-            "30d3fc9b73c2daa6e712ac60e5d752d028c197ca5bbec68d5a250a3171ac54b2",
+            "90105e82a161c9ed2ca188cca3f319d28290ed70df64742e9ac16b6fdc0d4685",
+            "021fc2000c88bb6a90ea95aeec3377ae626a0456882b22da406e7c4415d29f86",
+            "fbf9618338d76d9a068297c19fccbef825ff520aa5cdd63eb3887d9e688638ee",
         ),
         4.0: (
-            "d646e9c395a782032ae9aa03c6584a436dde87b285205e6fa92ca00706aeccb7",
-            "5a58e1bb7f6665c91b2ca467dc0a301c2ad316926ca89e33524d5e6b3bcfc249",
+            "60a9813fba3f96c4bc18ef6bfa2ea599f6a6b4d186c9c2be9c305aa23dbfa8e5",
+            "3520ba1b5149b6d2afe97b6ebaee69517f79ed6436370a873ecf5cb9d987df65",
             "829b19bd42ed033bb76b71e8831feb7fcf9e8a0ea708f6a9294d1f01e8da7220",
         ),
     }
