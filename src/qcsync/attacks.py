@@ -57,7 +57,8 @@ __all__ = [
 
 
 # Picosecond values stay exact in float64 arithmetic up to 2**53: the
-# bound for every delay and every simulated reading's offset from its origin.
+# bound for every delay (a simulated reading's offset from its chunk's
+# origin has the tighter bound ``simulation.MAX_OFFSET_PS``).
 MAX_EXACT_PS = float(2**53)
 
 

@@ -712,10 +712,10 @@ def coarse_acquire(stream, config=None):
         raise ConfigurationError("nominal one-way delay required for acquisition")
 
     idler = stream.times[DetectorId.IDLER_A][: config.acquire_max_events]
+    far_detectors = (DetectorId.SIGNAL_B, DetectorId.RETURN_A)
     searches = [
-        (i, stream.times[det], (i + 1) * nominal)
-        for i, det in enumerate((DetectorId.SIGNAL_B, DetectorId.RETURN_A))
-        if centers[i] is None
+        (hops - 1, stream.times[far_detectors[hops - 1]], hops * nominal)
+        for hops in _searched_hops(config)
     ]
     if idler.size == 0 or any(far.size == 0 for _, far, _ in searches):
         raise AcquisitionError("one or more detector streams are empty")
@@ -737,17 +737,30 @@ def acquisition_reach(stream, config=None):
     since it then reads every one.  Any stream that holds a stream's
     records below its reach acquires as that stream does."""
     config = config or EstimatorConfig()
-    centers = (config.forward_center_ps, config.loopback_center_ps)
-    searched = [hops for hops, center in enumerate(centers, 1) if center is None]
-    if not searched:
+    if not _searched_hops(config):
         return -math.inf
     idler = stream.times[DetectorId.IDLER_A]
     nominal = stream.nominal_one_way_delay_ps
     if nominal is None or idler.size < config.acquire_max_events:
         return math.inf
-    coarse = max(_window(*_coarse_window(hops * nominal, config))[2] for hops in searched)
     refined = config.refine_halfwidth_ps + math.ceil(config.refine_bin_ps)
-    return int(idler[config.acquire_max_events - 1]) + coarse + refined
+    return int(idler[config.acquire_max_events - 1]) + coarse_reach(nominal, config) + refined
+
+
+def _searched_hops(config):
+    """The hops of the paths whose centre acquisition searches, those that
+    ``config`` leaves unset: 1 for the forward path, 2 for the loopback."""
+    centers = (config.forward_center_ps, config.loopback_center_ps)
+    return [hops for hops, center in enumerate(centers, 1) if center is None]
+
+
+def coarse_reach(nominal_ps, config):
+    """How far past an idler, ps, the coarse windows of the paths that
+    acquisition searches reach at a nominal one-way delay ``nominal_ps``:
+    the largest window end, or -inf when ``config`` sets both centres.  A
+    window that ``_window`` refuses raises its ConfigurationError."""
+    ends = [_window(*_coarse_window(h * nominal_ps, config))[2] for h in _searched_hops(config)]
+    return max(ends, default=-math.inf)
 
 
 def epoch_count(duration_s, epoch_s):

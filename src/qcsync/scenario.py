@@ -60,14 +60,14 @@ from .attacks import (
 )
 from .detection import CusumConfig, ThresholdConfig
 from .errors import ConfigurationError, SchemaError, number, store_number
-from .estimator import EstimatorConfig, _coarse_window, _window, epoch_count
+from .estimator import EstimatorConfig, coarse_reach, epoch_count
 from .simulation import (
-    MAX_TIME_PS,
     ChannelConfig,
     ClockConfig,
     DetectorConfig,
     SourceConfig,
     TdcConfig,
+    run_end_ps,
 )
 
 __all__ = [
@@ -170,15 +170,16 @@ class AttackScenario:
         )
         issues += [(path, message) for broken, path, message in rules if broken]
         if self.mode == RunMode.FULL_SIM:
-            # What a run would refuse after simulating (the loopback path is two hops).
-            if self.run.duration_s * 1e12 > MAX_TIME_PS:
-                issues.append(("run.duration_s", "must be at most 2**62 ps in full_sim mode"))
-            centers = (self.estimator.forward_center_ps, self.estimator.loopback_center_ps)
-            try:
-                for hops in [hops for hops, c in enumerate(centers, 1) if c is None]:
-                    _window(*_coarse_window(hops * self.channel.one_way_delay_ps, self.estimator))
-            except ConfigurationError as exc:
-                issues.append(("channel.one_way_delay_ps", str(exc)))
+            # What a run would refuse only after simulating.
+            delay = self.channel.one_way_delay_ps
+            for path, check, *args in (
+                ("run.duration_s", run_end_ps, self.run.duration_s),
+                ("channel.one_way_delay_ps", coarse_reach, delay, self.estimator),
+            ):
+                try:
+                    check(*args)
+                except ConfigurationError as exc:
+                    issues.append((path, str(exc)))
         if issues:
             raise SchemaError(issues)
 

@@ -30,8 +30,9 @@ there.
 
 Clock model: Alice's clock is the time reference.  Bob's clock reads
 ``true + offset + drift * t + white phase noise``.  A chunk's readings are
-float64 offsets after its integer origin, which ``_quantize`` adds in int64,
-so no float holds an absolute time (``t`` is ``offset*1e-12 + origin*1e-12``).
+float64 offsets after its integer origin, within ``MAX_OFFSET_PS`` of it,
+which ``_quantize`` adds in int64, so no float holds an absolute time (``t``
+is ``offset*1e-12 + origin*1e-12``).
 
 Attack delays vary over seconds while the flight time is ~50 us, so M is
 sampled at the emission time and N at the arrival time at Bob; the
@@ -79,7 +80,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from .attacks import MAX_EXACT_PS, eval_trajectory
+from .attacks import eval_trajectory
 from .errors import ConfigurationError, ContractViolation, number, store_number
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -288,6 +289,14 @@ class TimestampStream:
 # 53 days), so a difference of two, or a time plus a window end, fits int64.
 MAX_TIME_PS = 2**62
 
+# A chunk's readings are float64 offsets after its integer origin, refused
+# this far from it or farther, where a float64 steps 1/4 ps.  Emission
+# blocks last at most half of it, leaving the rest for the delays, offset,
+# drift and jitter.  Every origin lies below the end of the run, so a run
+# that ends this short of ``MAX_TIME_PS`` reads every time within it.
+MAX_OFFSET_PS = 2**50
+MAX_RUN_PS = MAX_TIME_PS - MAX_OFFSET_PS
+
 
 def timestamp_array(values, name):
     """``values`` as a 1-D int64 array of times, ps: the one rule for a
@@ -354,6 +363,18 @@ class EmissionPlan:
         return block
 
 
+def run_end_ps(duration_s):
+    """The end of a run of ``duration_s`` seconds, whole ps: the one rule
+    for a run's length.  A run ends at most ``MAX_RUN_PS`` after it starts,
+    so all its readings lie within ``MAX_TIME_PS``."""
+    end_ps = round(number("duration_s", duration_s, low=0, above=True) * 1e12)
+    if end_ps > MAX_RUN_PS:
+        raise ConfigurationError(
+            "duration_s must end the run at most 2**62 - 2**50 ps after it starts"
+        )
+    return end_ps
+
+
 def generate_pairs(source, duration_s, seed):
     """The emission plan of a Poisson pair source over ``[0, duration_s)``.
 
@@ -363,22 +384,23 @@ def generate_pairs(source, duration_s, seed):
     draws each block's times as it propagates them).  Deterministic for a
     fixed integer seed.
 
-    The run is cut into blocks of ``_PAIR_CHUNK / pair_rate_hz`` seconds
-    (the last one shorter), and the generator of ``seed`` draws every
-    block's Poisson count.  Block ``i``'s times are uniform within it,
-    drawn from its own generator, and sorted, so the blocks' times, taken
-    in order, ascend.  The edges are whole picoseconds, and a run lasts at
-    most ``MAX_TIME_PS``.
+    The run is cut into blocks of ``_PAIR_CHUNK / pair_rate_hz`` seconds,
+    or of ``MAX_OFFSET_PS / 2`` where that is shorter (the last one
+    shorter still), and the generator of ``seed`` draws every block's
+    Poisson count.  Block ``i``'s times are uniform within it, drawn from
+    its own generator, and sorted, so the blocks' times, taken in order,
+    ascend.  The edges are whole picoseconds, and the run's end passes
+    ``run_end_ps``.
     """
-    duration_s = number("duration_s", duration_s, low=0, above=True, high=MAX_TIME_PS * 1e-12)
+    end_ps = run_end_ps(duration_s)
     rate = source.pair_rate_hz
-    end_ps = duration_s * 1e12
-    n_blocks = max(1, math.ceil(duration_s * rate / _PAIR_CHUNK))
+    longest = MAX_OFFSET_PS // 2
+    n_blocks = max(1, math.ceil(duration_s * rate / _PAIR_CHUNK), -(-end_ps // longest))
     # The last block ends at the end of the run, whichever side of it the
     # rounded multiple of the block length falls.
-    edges = np.rint(np.minimum(np.arange(n_blocks + 1) * (_PAIR_CHUNK / rate * 1e12), end_ps))
-    edges = edges.astype(np.int64)
-    edges[-1] = round(end_ps)
+    span = min(_PAIR_CHUNK / rate * 1e12, longest)
+    edges = np.minimum(np.rint(np.arange(n_blocks + 1) * span).astype(np.int64), end_ps)
+    edges[-1] = end_ps
     counts = np.random.default_rng(seed).poisson(np.diff(edges) * (rate * 1e-12))
     return EmissionPlan(edges, counts, seed)
 
@@ -387,9 +409,9 @@ def _quantize(times, resolution_ps, origin):
     """The readings ``origin + times`` (float64 offsets after the integer
     ``origin``, ps) snapped to the TDC's absolute grid, then to whole ps,
     each rounding half up, which commutes with adding the origin: an int64
-    view of ``times``'s own buffer, written in place.  Offsets beyond the
-    exact float64 range, or NaN, are refused before the cast, which would
-    wrap them to arbitrary integers."""
+    view of ``times``'s own buffer, written in place.  Offsets
+    ``MAX_OFFSET_PS`` or more from the origin, or NaN, are refused before
+    the cast, which would wrap them to arbitrary integers."""
     q = times
     if resolution_ps != 1.0:
         # Onto the grid, in steps from its point ``phase`` ps below the
@@ -406,8 +428,8 @@ def _quantize(times, resolution_ps, origin):
     # To whole picoseconds, which a step of a fractional picosecond leaves.
     q += 0.5
     np.floor(q, out=q)
-    if q.size and not (q.max() <= MAX_EXACT_PS and q.min() >= -MAX_EXACT_PS):
-        raise ConfigurationError("detector readings lie beyond 2**53 ps of their chunk's origin")
+    if q.size and not (q.max() < MAX_OFFSET_PS and q.min() > -MAX_OFFSET_PS):
+        raise ConfigurationError("detector readings lie 2**50 ps or more from their chunk's origin")
     # Element k is read before it is written, so the cast needs no copy.
     ints = q.view(np.int64)
     np.copyto(ints, q, casting="unsafe")
@@ -624,7 +646,9 @@ def propagate_and_detect(
     block ``i`` is drawn, propagated as chunk ``i`` and dropped, so no
     whole-run array of emission times exists; or a 1-D array of given
     emission times, propagated in chunks of ``_PAIR_CHUNK``.  An array passes
-    ``timestamp_array`` and is only read, through a copy if it is not int64.
+    ``timestamp_array``, lies below ``MAX_RUN_PS``, and is only read,
+    through a copy if it is not int64; a chunk of it that spans
+    ``MAX_OFFSET_PS`` or more fails in ``_quantize``.
     Every detector's records go into a buffer of their own.
 
     A run can be released in blocks of time.  Each call then gets the same
@@ -657,6 +681,8 @@ def propagate_and_detect(
         sizes, emitted_in, starts = pairs.counts, pairs.times, pairs.edges[:-1]
     else:
         pairs = timestamp_array(pairs, "pairs")
+        if pairs.size and pairs[-1] >= MAX_RUN_PS:
+            raise ConfigurationError("pairs timestamps must lie below 2**62 - 2**50 ps")
         starts = pairs[::_PAIR_CHUNK]
         sizes = np.diff(np.minimum(np.arange(starts.size + 1) * _PAIR_CHUNK, pairs.size))
 

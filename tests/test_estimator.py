@@ -1289,6 +1289,15 @@ class TestCoarseAcquire:
         assert window[1] == estimator._MAX_BINS
         with pytest.raises(ConfigurationError, match="^coarse_bin_ps "):
             estimator._window(*estimator._coarse_window(longest + 1000, config))
+        # coarse_reach takes the farthest window of the paths searched: the
+        # loopback path's spans two hops, so it takes half the delay.
+        forward = dataclasses.replace(config, loopback_center_ps=0)
+        neither = dataclasses.replace(forward, forward_center_ps=0)
+        for searched, nominal in ((forward, longest), (config, longest / 2)):
+            assert estimator.coarse_reach(nominal, searched) == window[2]
+            with pytest.raises(ConfigurationError, match="^coarse_bin_ps "):
+                estimator.coarse_reach(nominal + 1000, searched)
+        assert estimator.coarse_reach(1e300, neither) == -math.inf
 
     def test_coarse_window_beyond_the_time_range_refused(self):
         # A nominal delay of 1e300 ps centred the coarse window at an int

@@ -181,7 +181,10 @@ class TestValidation:
         assert any(path == "scheme" for path, _ in issues)
 
     WIDE = ("channel.one_way_delay_ps", "coarse_bin_ps makes a window of more than 2**24 bins")
-    LONG = ("run.duration_s", "must be at most 2**62 ps in full_sim mode")
+    LONG = (
+        "run.duration_s",
+        "duration_s must end the run at most 2**62 - 2**50 ps after it starts",
+    )
 
     @pytest.mark.parametrize(
         "changes, issues",
@@ -195,13 +198,19 @@ class TestValidation:
             ({"channel": {"one_way_delay_ps": 5e9}, "mode": "analytic"}, []),
             ({"run": {"duration_s": 4.7e6}}, [LONG]),
             ({"run": {"duration_s": 4.7e6}, "mode": "analytic"}, []),
+            # Within 2**62 ps, but its last readings could lie past it.
+            ({"run": {"duration_s": 4.611e6}}, [LONG]),
+            ({"run": {"duration_s": 4.61e6}}, []),
         ],
-        ids=["wide", "wide-loopback", "forward-only", "wide-analytic", "long", "long-analytic"],
+        ids=[
+            "wide", "wide-loopback", "forward-only", "wide-analytic",
+            "long", "long-analytic", "long-margin", "longest",
+        ],
     )
     def test_full_simulation_limits_checked_on_load(self, changes, issues):
         # A full simulation refused these only after simulating: acquisition's
         # coarse window, +-2x each searched path's delay, above 2**24 bins,
-        # and a run past 2**62 ps.
+        # and a run whose last readings could lie past 2**62 ps.
         doc = builtin_scenario("jump_-100ps")
         doc.update(changes)
         assert validate_scenario_dict(doc) == issues

@@ -283,15 +283,21 @@ class TestGeneratePairs:
             generate_pairs(SourceConfig(), 0.0, 0)
 
     def test_run_beyond_exact_range_rejected(self):
-        # Times are exact int64 up to 2**62 ps (~53 days); a longer run is
-        # refused before any time is drawn, and one past 2**53 ps is planned
-        # in whole picoseconds.
-        with pytest.raises(ConfigurationError, match="^duration_s must be a finite number in"):
-            generate_pairs(SourceConfig(), 2**62 * 1e-12 * (1 + 1e-15), 0)
-        plan = generate_pairs(SourceConfig(pair_rate_hz=1e-3), 2**62 * 1e-12, 0)
-        assert plan.edges.dtype == np.int64 and plan.edges[-1] == 2**62
+        # A run ends at most 2**62 - 2**50 ps (~53 days) after it starts, so
+        # its readings, within 2**50 ps of a block's start, lie within
+        # 2**62 ps.  A longer run is refused before any time is drawn, and
+        # one past 2**53 ps is planned in whole picoseconds, in blocks of at
+        # most 2**49 ps however slow the source.
+        longest = simulation.MAX_RUN_PS * 1e-12
+        too_long = r"^duration_s must end the run at most 2\*\*62 - 2\*\*50 ps"
+        with pytest.raises(ConfigurationError, match=too_long):
+            generate_pairs(SourceConfig(), longest * (1 + 1e-15), 0)
+        plan = generate_pairs(SourceConfig(pair_rate_hz=1e-3), longest, 0)
+        assert plan.edges.dtype == np.int64 and plan.edges[-1] == round(longest * 1e12)
+        assert np.diff(plan.edges).max() == 2**49 and len(plan) > 0
         plan = generate_pairs(SourceConfig(pair_rate_hz=1.0), 9008.0, 0)
         assert len(plan) > 0 and plan.edges[-1] == 9_008 * 10**12 > 2**53
+        assert plan.counts.size == 17 and np.diff(plan.edges).max() == 2**49
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, -(2.0**62)], ids=repr)
     def test_emission_times_outside_the_exact_range_refused(self, bad):
@@ -1201,6 +1207,50 @@ class TestTimeBase:
             t = times[(times >= lo) & (times < hi)]
             assert t.size > 300_000
             assert (t % 2).mean() == pytest.approx(0.5, abs=0.005)
+
+    def test_slow_sources_round_fairly_in_every_range(self):
+        # At 10 Hz a block of _PAIR_CHUNK pairs would outlast this 6000 s
+        # run, and its offsets past 2**52 ps, where a float64 steps 1 ps,
+        # would round every odd reading up to the next even one.  Blocks of
+        # at most 2**49 ps keep each offset below 2**50 ps.  Five binomial
+        # standard deviations about a half.
+        doc = builtin_scenario("baseline_3500s")
+        doc["source"] = {"pair_rate_hz": 10.0}
+        doc["run"]["duration_s"] = 6000.0
+        del doc["detection"]
+        scenario = load_scenario(doc)
+        assert np.diff(simulation.plan_run(scenario)[0].edges).max() <= 2**49
+        times = np.concatenate(run_round_trip_sim(scenario).times)
+        for lo, hi in ((0, 2**50), (2**50, 2**51), (2**51, 2**52), (2**52, 2**53)):
+            t = times[(times >= lo) & (times < hi)]
+            assert t.size > 10_000
+            assert abs((t % 2).mean() - 0.5) < 2.5 / math.sqrt(t.size)
+
+    def test_a_1_hz_run_past_2_53_ps_completes(self):
+        # A 10**4 s block at 1 Hz once held offsets past 2**53 ps and failed
+        # partway through the run.
+        source = SourceConfig(pair_rate_hz=1.0)
+        plan = generate_pairs(source, 1e4, 3)
+        stream = propagate_and_detect(
+            plan, source, ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            DetectorConfig(), TdcConfig(), ClockConfig(), 4, duration_s=1e4,
+        )
+        assert plan.counts.size == 18
+        assert stream.times[DetectorId.IDLER_A].size > 7000
+        assert stream.times[DetectorId.IDLER_A][-1] > 2**53
+
+    def test_given_arrays_beyond_the_offset_range_refused(self):
+        link = (
+            SourceConfig(), ChannelConfig(), DelayTrajectory(), DelayTrajectory(),
+            DetectorConfig(), TdcConfig(), ClockConfig(), 1,
+        )
+        with pytest.raises(ConfigurationError, match=r"^pairs timestamps must lie below 2\*\*62"):
+            propagate_and_detect(np.array([0, simulation.MAX_RUN_PS]), *link, duration_s=1.0)
+        # One chunk that spans 2**50 ps: its late readings are refused
+        # rather than rounded from a float64 that steps 1/4 ps.
+        sparse = np.repeat(np.array([0, 2**50]), 100)
+        with pytest.raises(ConfigurationError, match=r"^detector readings lie 2\*\*50 ps or more"):
+            propagate_and_detect(sparse, *link, duration_s=1.0)
 
     @pytest.mark.parametrize("kind", ["plan", "array"])
     def test_a_shift_of_2_60_ps_shifts_every_reading(self, monkeypatch, kind):
