@@ -8,7 +8,7 @@ stability damage of tunable jump / spike / gradual delay attacks with the
 time deviation (TDEV), and scores baseline countermeasures.
 """
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 # Each module's ``__all__`` is the one list of its public names.
 from .attacks import *

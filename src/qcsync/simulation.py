@@ -42,8 +42,9 @@ Memory: what grows with a block of the run is its records (8 B each);
 every other array is bounded by ``_PAIR_CHUNK``.  ``generate_pairs`` plans
 the run as blocks of about that many pairs, and propagation chunk i is
 block i: its emission times are drawn, propagated and dropped, two chunks
-computed while a third is written, each chunk's times straight into one
-buffer per detector.  So no emission times are held beyond the chunks, and
+computed while a third is written (``_WORKERS + 1`` alive at most), each
+chunk's times straight into one buffer per detector.  So no emission times
+are held beyond the chunks, and
 a run released as one block holds ~8.8 B per pair of records at the end
 (0.8 idlers and 0.3 signal records per pair by default).  A run can be
 released in blocks of time instead (``propagate_and_detect``'s
@@ -59,7 +60,11 @@ in slices of ``_PAIR_CHUNK`` records, each filtered behind the last record
 kept before it, in the block or the one before, and the stream check reads
 them in windows of the same length.  The three buffers are finished
 (sorted and dead-time filtered) on the same threads as the chunks, so up to
-``_WORKERS`` of them at once, each with its own merge buffer.
+``_WORKERS`` of them at once, each with its own merge buffer.  Those threads
+are one pool that every ``_pipeline`` of the process shares, and a run
+released in blocks keeps one queue of chunks across its calls, so the
+workers compute the next block's first chunks while a block is finished,
+checked and estimated.
 
 All randomness flows from a single integer seed.  Each block's emission
 times and each chunk's propagation draw from their own generators, seeded
@@ -74,6 +79,7 @@ from __future__ import annotations
 import bisect
 import collections
 import math
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Tuple, TYPE_CHECKING
@@ -128,37 +134,90 @@ def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+# The one pool of ``_WORKERS`` threads that every ``_pipeline`` and chunk
+# queue runs on, as ``(workers, pool)``: made when first needed, and again
+# when ``_WORKERS`` changes.  A forked child drops the pool it inherits,
+# whose threads do not exist there.
+_pool = None
+
+
+def _shared_pool():
+    global _pool
+    if _pool is None or _pool[0] != _WORKERS:
+        # Imported here: the module's import stays free of it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown(wait=False, cancel_futures=True)
+        _pool = (_WORKERS, ThreadPoolExecutor(_WORKERS))
+    return _pool[1]
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+class _Queue:
+    """``produce(i)`` for ``i`` in ``range(count)``, taken in index order on
+    the calling thread while the shared pool computes the ones after it.
+
+    Task ``i + _WORKERS`` is queued before task ``i`` is awaited, so the
+    workers go on computing while the calling thread consumes, and at most
+    ``_WORKERS + 1`` tasks are alive at once: the one being consumed and
+    the ``_WORKERS`` after it.  The queue outlives a ``take``: a run
+    released in blocks keeps one (``HeldRecords``), so the workers compute
+    the next block's first chunks while a block is finished and estimated.
+    An exception in ``produce``, or in a ``take`` caller's ``consume``,
+    cancels the tasks queued but not started and is raised after the tasks
+    already started finish; ``cancel`` does the same for a queue that is
+    given up.  With ``_WORKERS`` below 2, or one task, each task runs on
+    the calling thread when it is taken.
+    """
+
+    def __init__(self, produce, count):
+        self.produce, self.count = produce, count
+        self.taken = 0
+        self.pending = collections.deque()
+        self.workers = _WORKERS
+        self.pool = _shared_pool() if self.workers >= 2 and count >= 2 else None
+
+    def take(self, n, consume):
+        """``consume`` the results of the next ``n`` tasks, in order."""
+        try:
+            for i in range(self.taken, self.taken + n):
+                if self.pool is None:
+                    result = self.produce(i)
+                else:
+                    queued = i + len(self.pending)
+                    for k in range(queued, min(i + self.workers + 1, self.count)):
+                        self.pending.append(self.pool.submit(self.produce, k))
+                    result = self.pending.popleft().result()
+                self.taken = i + 1
+                consume(result)
+        except BaseException:
+            self.cancel()
+            raise
+
+    def cancel(self):
+        """Cancel the tasks queued but not started and wait for the rest."""
+        for future in self.pending:
+            future.cancel()
+        # Imported here: the module's import stays free of it.
+        from concurrent.futures import wait
+
+        wait(self.pending)
+        self.pending.clear()
+
+
 def _pipeline(produce, count, consume):
     """``consume(produce(i))`` for ``i`` in ``range(count)``, consumed in index
-    order on the calling thread while ``produce`` runs on ``_WORKERS``
-    threads.
-
-    Chunk ``i + _WORKERS`` is queued before chunk ``i`` is awaited, so the
-    workers go on computing while the calling thread consumes, and at most
-    ``_WORKERS + 1`` chunks are alive at once: the one being consumed and
-    the ``_WORKERS`` after it.  An exception in ``produce`` or ``consume``
-    cancels the chunks queued but not started and is raised here, after the
-    chunks already started finish.
-    """
-    if _WORKERS < 2 or count < 2:
-        for i in range(count):
-            consume(produce(i))
-        return
-    # Imported here: the module's import stays free of it.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        pending = collections.deque()
-        try:
-            for i in range(count):
-                pending.append(pool.submit(produce, i))
-                if len(pending) > _WORKERS:
-                    consume(pending.popleft().result())
-            while pending:
-                consume(pending.popleft().result())
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    order on the calling thread while ``produce`` runs on the shared pool of
+    ``_WORKERS`` threads: one ``_Queue`` taken in full."""
+    _Queue(produce, count).take(count, consume)
 
 
 @dataclass(frozen=True)
@@ -582,12 +641,22 @@ class _DetectorRecords:
 
 class HeldRecords:
     """What a run released in blocks carries from one ``propagate_and_detect``
-    call to the next: how many of its chunks are simulated, and each
-    detector's records not yet released."""
+    call to the next: the queue of its chunks (None before the first call),
+    with the chunks already queued ahead of the next block, and each
+    detector's records not yet released.  Leaving a ``with`` block cancels
+    the chunks queued ahead and waits for those started, so a run given up
+    leaves no work behind."""
 
     def __init__(self):
-        self.chunks = 0
+        self.chunks = None
         self.records = tuple(_DetectorRecords(np.empty(0, np.int64)) for _ in DetectorId)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.chunks is not None:
+            self.chunks.cancel()
 
 
 def chain_model(source, channel, detectors, tdc, clocks):
@@ -626,8 +695,10 @@ def _release_margin(channel, m, n, clocks, sigmas, duration_s):
     """How far below its chunk's first emission time a record can be read,
     ps: both one-way delays, Bob's clock offset and drift over the run, the
     largest delay of either trajectory and ten times the widest merged
-    jitter ``sigmas``."""
-    return (
+    jitter ``sigmas``.  A margin of ``MAX_OFFSET_PS / 2`` or more, beside an
+    emission block as long, could put a reading ``MAX_OFFSET_PS`` from its
+    chunk's origin, so it raises ConfigurationError."""
+    margin = (
         2.0 * channel.one_way_delay_ps
         + abs(clocks.offset_ps)
         + abs(clocks.drift_ps_per_s) * duration_s
@@ -635,6 +706,12 @@ def _release_margin(channel, m, n, clocks, sigmas, duration_s):
         + _largest_delay(n, duration_s)
         + 10.0 * max(sigmas)
     )
+    if not margin < MAX_OFFSET_PS // 2:
+        raise ConfigurationError(
+            f"the attack delays, with both one-way delays, Bob's clock and the jitter, reach "
+            f"{margin:.4g} ps: readings must lie less than 2**49 ps from their emission"
+        )
+    return margin
 
 
 def propagate_and_detect(
@@ -652,12 +729,14 @@ def propagate_and_detect(
     Every detector's records go into a buffer of their own.
 
     A run can be released in blocks of time.  Each call then gets the same
-    ``held`` (a ``HeldRecords``) and the next block's end ``until_ps``, an
-    integer, ascending from call to call, and the last call gets None.  A
-    call simulates the chunks not yet simulated that can read a record
-    below ``until_ps``: those that start less than ``_release_margin``
-    above it.  It returns the records below ``until_ps`` and holds the rest
-    back.  Without ``held`` and ``until_ps`` the whole run is one block.
+    run's arguments, the same ``held`` (a ``HeldRecords``) and the next
+    block's end ``until_ps``, an integer, ascending from call to call, and
+    the last call gets None.  A call takes in the chunks not yet taken that
+    can read a record below ``until_ps``: those that start less than
+    ``_release_margin`` above it.  It returns the records below
+    ``until_ps`` and holds the rest back, with the chunks that its queue
+    has started on ahead of the next call.  Without ``held`` and
+    ``until_ps`` the whole run is one block.
 
     Parameters
     ----------
@@ -694,16 +773,6 @@ def propagate_and_detect(
     sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
         source, channel, detectors, tdc, clocks
     )
-    held = HeldRecords() if held is None else held
-    first, stop = held.chunks, sizes.size
-    if until_ps is not None:
-        sigmas = (sigma_idler, sigma_bob, sigma_return)
-        margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
-        stop = max(first, int(np.searchsorted(starts, until_ps + math.ceil(margin))))
-    count = int(sizes[first:stop].sum())
-    for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
-        records.reserve(_expected_capacity(count, prob))
-
     def detect(chunk):
         """Chunk ``chunk``'s int64 times per detector, from its own generator
         alone."""
@@ -776,13 +845,26 @@ def propagate_and_detect(
         for records, t in zip(held.records, readings):
             records.append(t)
 
-    _pipeline(lambda i: detect(first + i), stop - first, assemble)
-    held.chunks = stop
+    held = HeldRecords() if held is None else held
+    if held.chunks is None:
+        # The run's one chunk queue: later calls take on from it.
+        held.chunks = _Queue(detect, sizes.size)
+    first, stop = held.chunks.taken, sizes.size
+    if until_ps is not None:
+        sigmas = (sigma_idler, sigma_bob, sigma_return)
+        margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
+        stop = max(first, int(np.searchsorted(starts, until_ps + math.ceil(margin))))
+    count = int(sizes[first:stop].sum())
+    for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
+        records.reserve(_expected_capacity(count, prob))
+    held.chunks.take(stop - first, assemble)
 
     def finish(det):
         return held.records[det].finish(detectors.dead_time_ps, until_ps)
 
     # The buffers share no state, so finishing them at once changes no record.
+    # The next block's first chunks, queued as this block's last ones were
+    # taken, run beside them.
     times = []
     _pipeline(finish, len(held.records), times.append)
 

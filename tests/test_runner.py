@@ -1,9 +1,13 @@
 """Campaign runner: modes, overrides, failure paths, bundle layout."""
 
+import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -503,6 +507,20 @@ class TestBlocks:
         assert len(series) == 1000 and series.gap_count() == 0
         assert series.points[-1].epoch_start_s * 1e12 > 2**53
 
+    def test_delay_past_the_offset_range_refused_at_load(self, monkeypatch):
+        # A +1.2e15 ps jump would put readings more than 2**50 ps from their
+        # chunk's origin: refused when the scenario is loaded, before any
+        # chunk is drawn, not partway through the run.
+        doc = builtin_scenario("jump_-100ps")
+        doc["run"].update(duration_s=20.0, epoch_s=1.0)
+        doc["m_events"] = [{"pattern": "jump", "amplitude_ps": 1.2e15, "start_s": 10.0}]
+        del doc["detection"]
+        assert [path for path, _ in validate_scenario_dict(doc)] == ["m_events"]
+        started, _ = chunk_starts(monkeypatch)
+        with pytest.raises(ConfigurationError, match="m_events: .* 2\\*\\*49 ps"):
+            run_scenario(doc)
+        assert started == []
+
     def test_zero_margin_refused(self, monkeypatch):
         # Without a margin, Bob's readings 1 s behind their emissions arrive
         # after the block they belong to was released: chunks of 0.1 s put
@@ -534,6 +552,146 @@ class TestBlocks:
         # in the second.
         assert [len(part) for part in parts] == [10] + [5] * 22
         assert parts[11].gap_count() == 5
+
+
+def chunk_starts(monkeypatch, pause_s=0.0):
+    """``(started, ended)``: the indices of the chunks of the next runs whose
+    emission times were drawn, as each starts and as each ends, each taking
+    at least ``pause_s``."""
+    started, ended = [], []
+    times = simulation.EmissionPlan.times
+
+    def recording(plan, i):
+        started.append(i)
+        time.sleep(pause_s)
+        value = times(plan, i)
+        ended.append(i)
+        return value
+
+    monkeypatch.setattr(simulation.EmissionPlan, "times", recording)
+    return started, ended
+
+
+class TestChunkQueue:
+    """A campaign's blocks share one pool of threads and one chunk queue,
+    which runs on across block edges."""
+
+    def test_runs_share_one_pool(self, monkeypatch):
+        made = []
+
+        class Counting(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(simulation, "_pool", None, raising=False)
+        parts = counted_blocks(monkeypatch, 11_000)
+        try:
+            run_scenario(digest_doc())
+            threads = threading.active_count()
+            run_scenario(digest_doc())
+            assert threading.active_count() <= threads
+        finally:
+            for pool in made:
+                pool.shutdown()
+        assert len(parts) == 12
+        assert len(made) == 1
+
+    def test_next_block_runs_while_one_is_estimated(self, monkeypatch):
+        # 300 chunks of 997 pairs, about ten per block of 0.1 s: the first
+        # chunk of the next block starts before a block's estimate returns.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        started = collections.defaultdict(threading.Event)
+        times = simulation.EmissionPlan.times
+
+        def recording(plan, i):
+            started[i].set()
+            return times(plan, i)
+
+        monkeypatch.setattr(simulation.EmissionPlan, "times", recording)
+        taken = []
+        propagate = simulation.propagate_and_detect
+
+        def propagating(*args):
+            stream = propagate(*args)
+            held = args[-1]
+            taken.append((held.chunks.taken, held.chunks.count))
+            return stream
+
+        monkeypatch.setattr(simulation, "propagate_and_detect", propagating)
+        estimated = []
+        series = runner.per_epoch_series
+
+        def estimating(*args):
+            value = series(*args)
+            following, count = taken[-1]
+            if following < count:
+                estimated.append(following)
+                assert started[following].wait(10.0), f"chunk {following} waited for a block"
+            return value
+
+        monkeypatch.setattr(runner, "per_epoch_series", estimating)
+        monkeypatch.setattr(runner, "_BLOCK_RECORDS", 11_000)
+        run_scenario(digest_doc())
+        assert len(estimated) >= 3
+
+    @staticmethod
+    def failing_runs(monkeypatch):
+        """What each failure case sets up, and the error it raises."""
+
+        def zero_margin():
+            # As TestBlocks.test_zero_margin_refused.
+            monkeypatch.setattr(simulation, "_release_margin", lambda *args: 0.0)
+            return offset_doc(), ContractViolation
+
+        def refused_chunk():
+            # Chunks from 2 s on refuse their readings on a worker thread.
+            quantize = simulation._quantize
+
+            def refusing(times, resolution_ps, origin):
+                if origin >= 2 * 10**12:
+                    raise ConfigurationError("readings refused")
+                return quantize(times, resolution_ps, origin)
+
+            monkeypatch.setattr(simulation, "_quantize", refusing)
+            return digest_doc(), ConfigurationError
+
+        def refused_block():
+            # The third block's estimate fails while chunks are queued.
+            series = runner.per_epoch_series
+            calls = []
+
+            def refusing(*args):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise AcquisitionError("block refused")
+                return series(*args)
+
+            monkeypatch.setattr(runner, "per_epoch_series", refusing)
+            return digest_doc(), AcquisitionError
+
+        return {"zero-margin": zero_margin, "chunk": refused_chunk, "block": refused_block}
+
+    @pytest.mark.parametrize("case", ["zero-margin", "chunk", "block"])
+    def test_failed_run_leaves_no_queued_work(self, monkeypatch, tmp_path, case):
+        # Chunks of 997 pairs, each taking at least 10 ms: a chunk still
+        # running or queued when the error is raised would show.
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        monkeypatch.setattr(runner, "_BLOCK_RECORDS", 11_000)
+        doc, error = self.failing_runs(monkeypatch)[case]()
+        started, ended = chunk_starts(monkeypatch, pause_s=0.01)
+        with pytest.raises(error):
+            run_scenario(doc)
+        assert sorted(ended) == sorted(started)
+        count = len(started)
+        time.sleep(0.2)
+        assert len(started) == count
+        # The next run in the process is untouched.
+        monkeypatch.undo()
+        run_scenario(digest_doc(), tmp_path)
+        digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
+        assert digest == TestSeriesDigest.SERIES_DIGEST
 
 
 class TestMetadata:

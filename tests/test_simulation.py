@@ -987,6 +987,62 @@ class TestScheduling:
         assert max(started) <= 3 + simulation._WORKERS
 
 
+def _check_streams(want):
+    """Exit a forked child with 0 when its own multi-chunk run gives ``want``."""
+    got = TestScheduling.streams(50.0, 0.0)
+    sys.exit(0 if all(w.tobytes() == g.tobytes() for w, g in zip(want.times, got.times)) else 3)
+
+
+class TestSharedPool:
+    """Every ``_pipeline`` and chunk queue runs on one pool of ``_WORKERS``
+    threads, made again only when ``_WORKERS`` changes or after a fork."""
+
+    def test_forked_child_runs_its_own_chunks(self, monkeypatch):
+        # The child inherits a pool whose threads do not exist there; work
+        # queued on it would never run, and the child would hang.
+        import multiprocessing
+
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        want = TestScheduling.streams(50.0, 0.0)
+        assert simulation._pool is not None
+        child = multiprocessing.get_context("fork").Process(target=_check_streams, args=(want,))
+        child.start()
+        child.join(60.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_error_leaves_no_task_behind(self):
+        # Task 3 fails while tasks 4 and 5 are queued: the error is raised
+        # after every task started has ended, and none starts later.
+        started, ended = [], []
+
+        def produce(i):
+            started.append(i)
+            time.sleep(0.01)
+            ended.append(i)
+            if i == 3:
+                raise ConfigurationError("task 3 refused")
+            return i
+
+        with pytest.raises(ConfigurationError, match="task 3 refused"):
+            simulation._pipeline(produce, 50, lambda i: None)
+        assert sorted(ended) == sorted(started)
+        time.sleep(0.1)
+        assert len(started) == len(ended) <= 4 + simulation._WORKERS
+
+    def test_pool_follows_workers(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
+        want = TestScheduling.streams(50.0, 0.0)
+        pool = simulation._shared_pool()
+        monkeypatch.setattr(simulation, "_WORKERS", 4)
+        got = TestScheduling.streams(50.0, 0.0)
+        assert simulation._pool[0] == 4 and simulation._shared_pool() is not pool
+        for det in DetectorId:
+            assert want.times[det].tobytes() == got.times[det].tobytes()
+
+
 class TestBlockRelease:
     """A run released in blocks of time gives, block after block, the
     records of the same run released as one block, bit for bit."""
