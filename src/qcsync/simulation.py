@@ -158,7 +158,9 @@ def _drop_pool():
     _pool = None
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+# Windows has no fork, and no os.register_at_fork.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class _Queue:

@@ -997,6 +997,8 @@ class TestSharedPool:
     """Every ``_pipeline`` and chunk queue runs on one pool of ``_WORKERS``
     threads, made again only when ``_WORKERS`` changes or after a fork."""
 
+    # Forking beside the pool's threads is what this test is about.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
     def test_forked_child_runs_its_own_chunks(self, monkeypatch):
         # The child inherits a pool whose threads do not exist there; work
         # queued on it would never run, and the child would hang.
