@@ -71,11 +71,11 @@ MAX_GAP_FRACTION = 0.01
 # A full simulation is simulated and estimated in blocks of whole epochs
 # that hold at most about this many records each, by the records per epoch
 # that ``chain_model`` expects (8 MB of int64 times), so that it holds one
-# block's records at a time however long the run is.  The chunk queue runs
-# on across block edges, so a block costs little more than its records.
-# On a 2-core box the benchmark's ``gradual3500`` runs in 19 blocks and
-# peaks at ~56 MB, against ~78 MB in blocks of 4 M records and ~194 MB in
-# one.
+# block's records at a time however long the run is.  On a 2-core box the
+# benchmark's ``gradual3500`` runs in 19 blocks and peaks at ~54 MB,
+# against ~76 MB in blocks of 4 M records and ~194 MB in one.  Each block
+# ends with the workers drained, so the run takes ~5% longer than in
+# blocks of 4 M records.
 _BLOCK_RECORDS = 1 << 20
 
 
@@ -189,6 +189,7 @@ def _simulated_series(scenario):
     n_epochs = epoch_count(run.duration_s, run.epoch_s)
     n_blocks = _block_count(scenario, n_epochs)
     pairs, link = simulation.plan_run(scenario)
+    held = simulation.HeldRecords()
 
     def end(last):
         """Where the block that ends with epoch ``last`` ends, ps: None for
@@ -197,19 +198,16 @@ def _simulated_series(scenario):
 
     parts = []
     first, stream = 0, None
-    # An error cancels the chunks queued for the next block before it is raised.
-    with simulation.HeldRecords() as held:
-        for last in (n_epochs * (k + 1) // n_blocks for k in range(n_blocks)):
-            block = simulation.propagate_and_detect(pairs, *link, end(last), held)
-            stream = block if stream is None else _joined(stream, block)
-            del block
-            first_block = not parts and end(last) is not None
-            if first_block and acquisition_reach(stream, config) > end(last):
-                continue
-            parts.append(per_epoch_series(stream, run.epoch_s, config, range(first, last)))
-            # Dropped before the next block is taken in.
-            first, stream = last, None
-            config = dataclasses.replace(config, **dataclasses.asdict(parts[0].acquisition))
+    for last in (n_epochs * (k + 1) // n_blocks for k in range(n_blocks)):
+        block = simulation.propagate_and_detect(pairs, *link, end(last), held)
+        stream = block if stream is None else _joined(stream, block)
+        del block
+        if not parts and end(last) is not None and acquisition_reach(stream, config) > end(last):
+            continue
+        parts.append(per_epoch_series(stream, run.epoch_s, config, range(first, last)))
+        # Dropped before the next block is simulated.
+        first, stream = last, None
+        config = dataclasses.replace(config, **dataclasses.asdict(parts[0].acquisition))
     return joined_series(parts)
 
 

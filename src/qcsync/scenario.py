@@ -67,8 +67,7 @@ from .simulation import (
     DetectorConfig,
     SourceConfig,
     TdcConfig,
-    _release_margin,
-    chain_model,
+    release_margin,
     run_end_ps,
 )
 
@@ -174,17 +173,18 @@ class AttackScenario:
         if self.mode == RunMode.FULL_SIM:
             # What a run would refuse only after simulating.
             delay = self.channel.one_way_delay_ps
-            model = chain_model(self.source, self.channel, self.detectors, self.tdc, self.clock)
-            link = (self.channel, self.m_trajectory(), self.n_trajectory(), self.clock, model[:3])
             for path, check, *args in (
                 ("run.duration_s", run_end_ps, self.run.duration_s),
                 ("channel.one_way_delay_ps", coarse_reach, delay, self.estimator),
-                ("m_events", _release_margin, *link, self.run.duration_s),
             ):
                 try:
                     check(*args)
                 except ConfigurationError as exc:
                     issues.append((path, str(exc)))
+            try:
+                release_margin(self)
+            except SchemaError as exc:
+                issues += exc.issues
         if issues:
             raise SchemaError(issues)
 

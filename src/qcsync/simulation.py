@@ -42,9 +42,8 @@ Memory: what grows with a block of the run is its records (8 B each);
 every other array is bounded by ``_PAIR_CHUNK``.  ``generate_pairs`` plans
 the run as blocks of about that many pairs, and propagation chunk i is
 block i: its emission times are drawn, propagated and dropped, two chunks
-computed while a third is written (``_WORKERS + 1`` alive at most), each
-chunk's times straight into one buffer per detector.  So no emission times
-are held beyond the chunks, and
+computed while a third is written, each chunk's times straight into one
+buffer per detector.  So no emission times are held beyond the chunks, and
 a run released as one block holds ~8.8 B per pair of records at the end
 (0.8 idlers and 0.3 signal records per pair by default).  A run can be
 released in blocks of time instead (``propagate_and_detect``'s
@@ -61,10 +60,8 @@ kept before it, in the block or the one before, and the stream check reads
 them in windows of the same length.  The three buffers are finished
 (sorted and dead-time filtered) on the same threads as the chunks, so up to
 ``_WORKERS`` of them at once, each with its own merge buffer.  Those threads
-are one pool that every ``_pipeline`` of the process shares, and a run
-released in blocks keeps one queue of chunks across its calls, so the
-workers compute the next block's first chunks while a block is finished,
-checked and estimated.
+are one pool that every ``_pipeline`` of the process shares, so a run
+released in many blocks starts no threads per block.
 
 All randomness flows from a single integer seed.  Each block's emission
 times and each chunk's propagation draw from their own generators, seeded
@@ -87,7 +84,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from .attacks import eval_trajectory
-from .errors import ConfigurationError, ContractViolation, number, store_number
+from .errors import ConfigurationError, ContractViolation, SchemaError, number, store_number
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import AttackScenario
@@ -134,10 +131,10 @@ def _chunk_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-# The one pool of ``_WORKERS`` threads that every ``_pipeline`` and chunk
-# queue runs on, as ``(workers, pool)``: made when first needed, and again
-# when ``_WORKERS`` changes.  A forked child drops the pool it inherits,
-# whose threads do not exist there.
+# The one pool of ``_WORKERS`` threads that every ``_pipeline`` runs on, as
+# ``(workers, pool)``: made when first needed, and again when ``_WORKERS``
+# changes.  A forked child drops the pool it inherits, whose threads do not
+# exist there.
 _pool = None
 
 
@@ -163,63 +160,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-class _Queue:
-    """``produce(i)`` for ``i`` in ``range(count)``, taken in index order on
-    the calling thread while the shared pool computes the ones after it.
-
-    Task ``i + _WORKERS`` is queued before task ``i`` is awaited, so the
-    workers go on computing while the calling thread consumes, and at most
-    ``_WORKERS + 1`` tasks are alive at once: the one being consumed and
-    the ``_WORKERS`` after it.  The queue outlives a ``take``: a run
-    released in blocks keeps one (``HeldRecords``), so the workers compute
-    the next block's first chunks while a block is finished and estimated.
-    An exception in ``produce``, or in a ``take`` caller's ``consume``,
-    cancels the tasks queued but not started and is raised after the tasks
-    already started finish; ``cancel`` does the same for a queue that is
-    given up.  With ``_WORKERS`` below 2, or one task, each task runs on
-    the calling thread when it is taken.
-    """
-
-    def __init__(self, produce, count):
-        self.produce, self.count = produce, count
-        self.taken = 0
-        self.pending = collections.deque()
-        self.workers = _WORKERS
-        self.pool = _shared_pool() if self.workers >= 2 and count >= 2 else None
-
-    def take(self, n, consume):
-        """``consume`` the results of the next ``n`` tasks, in order."""
-        try:
-            for i in range(self.taken, self.taken + n):
-                if self.pool is None:
-                    result = self.produce(i)
-                else:
-                    queued = i + len(self.pending)
-                    for k in range(queued, min(i + self.workers + 1, self.count)):
-                        self.pending.append(self.pool.submit(self.produce, k))
-                    result = self.pending.popleft().result()
-                self.taken = i + 1
-                consume(result)
-        except BaseException:
-            self.cancel()
-            raise
-
-    def cancel(self):
-        """Cancel the tasks queued but not started and wait for the rest."""
-        for future in self.pending:
-            future.cancel()
-        # Imported here: the module's import stays free of it.
-        from concurrent.futures import wait
-
-        wait(self.pending)
-        self.pending.clear()
-
-
 def _pipeline(produce, count, consume):
     """``consume(produce(i))`` for ``i`` in ``range(count)``, consumed in index
     order on the calling thread while ``produce`` runs on the shared pool of
-    ``_WORKERS`` threads: one ``_Queue`` taken in full."""
-    _Queue(produce, count).take(count, consume)
+    ``_WORKERS`` threads.
+
+    Chunk ``i + _WORKERS`` is queued before chunk ``i`` is awaited, so the
+    workers go on computing while the calling thread consumes, and at most
+    ``_WORKERS + 1`` chunks are alive at once: the one being consumed and
+    the ``_WORKERS`` after it.  An exception in ``produce`` or ``consume``
+    cancels the chunks queued but not started and is raised here, after the
+    chunks already started finish.
+    """
+    if _WORKERS < 2 or count < 2:
+        for i in range(count):
+            consume(produce(i))
+        return
+    pool = _shared_pool()
+    pending = collections.deque()
+    try:
+        for i in range(count):
+            pending.append(pool.submit(produce, i))
+            if len(pending) > _WORKERS:
+                consume(pending.popleft().result())
+        while pending:
+            consume(pending.popleft().result())
+    except BaseException:
+        from concurrent.futures import wait
+
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        raise
 
 
 @dataclass(frozen=True)
@@ -643,22 +615,12 @@ class _DetectorRecords:
 
 class HeldRecords:
     """What a run released in blocks carries from one ``propagate_and_detect``
-    call to the next: the queue of its chunks (None before the first call),
-    with the chunks already queued ahead of the next block, and each
-    detector's records not yet released.  Leaving a ``with`` block cancels
-    the chunks queued ahead and waits for those started, so a run given up
-    leaves no work behind."""
+    call to the next: how many of its chunks are simulated, and each
+    detector's records not yet released."""
 
     def __init__(self):
-        self.chunks = None
+        self.chunks = 0
         self.records = tuple(_DetectorRecords(np.empty(0, np.int64)) for _ in DetectorId)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.chunks is not None:
-            self.chunks.cancel()
 
 
 def chain_model(source, channel, detectors, tdc, clocks):
@@ -693,25 +655,32 @@ def _largest_delay(traj, duration_s):
     return float(np.abs(eval_trajectory(traj, t)).max())
 
 
+def _margin_terms(channel, m, n, clocks, sigmas, duration_s):
+    """The release margin's terms, ps: both one-way delays, Bob's clock
+    offset and drift over the run, the largest delay of each trajectory and
+    ten times the widest merged jitter ``sigmas``."""
+    return (
+        2.0 * channel.one_way_delay_ps,
+        abs(clocks.offset_ps),
+        abs(clocks.drift_ps_per_s) * duration_s,
+        _largest_delay(m, duration_s),
+        _largest_delay(n, duration_s),
+        10.0 * max(sigmas),
+    )
+
+
 def _release_margin(channel, m, n, clocks, sigmas, duration_s):
     """How far below its chunk's first emission time a record can be read,
-    ps: both one-way delays, Bob's clock offset and drift over the run, the
-    largest delay of either trajectory and ten times the widest merged
-    jitter ``sigmas``.  A margin of ``MAX_OFFSET_PS / 2`` or more, beside an
-    emission block as long, could put a reading ``MAX_OFFSET_PS`` from its
-    chunk's origin, so it raises ConfigurationError."""
-    margin = (
-        2.0 * channel.one_way_delay_ps
-        + abs(clocks.offset_ps)
-        + abs(clocks.drift_ps_per_s) * duration_s
-        + _largest_delay(m, duration_s)
-        + _largest_delay(n, duration_s)
-        + 10.0 * max(sigmas)
-    )
+    ps: the sum of ``_margin_terms``.  A margin of ``MAX_OFFSET_PS / 2`` or
+    more, beside an emission block as long, could put a reading
+    ``MAX_OFFSET_PS`` from its chunk's origin, so it raises
+    ConfigurationError."""
+    margin = sum(_margin_terms(channel, m, n, clocks, sigmas, duration_s))
     if not margin < MAX_OFFSET_PS // 2:
         raise ConfigurationError(
-            f"the attack delays, with both one-way delays, Bob's clock and the jitter, reach "
-            f"{margin:.4g} ps: readings must lie less than 2**49 ps from their emission"
+            f"the release margin (both one-way delays, Bob's clock offset and drift, the "
+            f"attack delays and the jitter) reaches {margin:.4g} ps: readings must lie less "
+            f"than 2**49 ps from their emission"
         )
     return margin
 
@@ -731,14 +700,12 @@ def propagate_and_detect(
     Every detector's records go into a buffer of their own.
 
     A run can be released in blocks of time.  Each call then gets the same
-    run's arguments, the same ``held`` (a ``HeldRecords``) and the next
-    block's end ``until_ps``, an integer, ascending from call to call, and
-    the last call gets None.  A call takes in the chunks not yet taken that
-    can read a record below ``until_ps``: those that start less than
-    ``_release_margin`` above it.  It returns the records below
-    ``until_ps`` and holds the rest back, with the chunks that its queue
-    has started on ahead of the next call.  Without ``held`` and
-    ``until_ps`` the whole run is one block.
+    ``held`` (a ``HeldRecords``) and the next block's end ``until_ps``, an
+    integer, ascending from call to call, and the last call gets None.  A
+    call simulates the chunks not yet simulated that can read a record
+    below ``until_ps``: those that start less than ``_release_margin``
+    above it.  It returns the records below ``until_ps`` and holds the rest
+    back.  Without ``held`` and ``until_ps`` the whole run is one block.
 
     Parameters
     ----------
@@ -775,6 +742,16 @@ def propagate_and_detect(
     sigma_idler, sigma_bob, sigma_return, eff, p_bob, p_signal = chain_model(
         source, channel, detectors, tdc, clocks
     )
+    held = HeldRecords() if held is None else held
+    first, stop = held.chunks, sizes.size
+    if until_ps is not None:
+        sigmas = (sigma_idler, sigma_bob, sigma_return)
+        margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
+        stop = max(first, int(np.searchsorted(starts, until_ps + math.ceil(margin))))
+    count = int(sizes[first:stop].sum())
+    for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
+        records.reserve(_expected_capacity(count, prob))
+
     def detect(chunk):
         """Chunk ``chunk``'s int64 times per detector, from its own generator
         alone."""
@@ -847,26 +824,13 @@ def propagate_and_detect(
         for records, t in zip(held.records, readings):
             records.append(t)
 
-    held = HeldRecords() if held is None else held
-    if held.chunks is None:
-        # The run's one chunk queue: later calls take on from it.
-        held.chunks = _Queue(detect, sizes.size)
-    first, stop = held.chunks.taken, sizes.size
-    if until_ps is not None:
-        sigmas = (sigma_idler, sigma_bob, sigma_return)
-        margin = _release_margin(channel, m, n, clocks, sigmas, duration_s)
-        stop = max(first, int(np.searchsorted(starts, until_ps + math.ceil(margin))))
-    count = int(sizes[first:stop].sum())
-    for records, prob in zip(held.records, (eff, p_bob, p_signal - p_bob)):
-        records.reserve(_expected_capacity(count, prob))
-    held.chunks.take(stop - first, assemble)
+    _pipeline(lambda i: detect(first + i), stop - first, assemble)
+    held.chunks = stop
 
     def finish(det):
         return held.records[det].finish(detectors.dead_time_ps, until_ps)
 
     # The buffers share no state, so finishing them at once changes no record.
-    # The next block's first chunks, queued as this block's last ones were
-    # taken, run beside them.
     times = []
     _pipeline(finish, len(held.records), times.append)
 
@@ -886,7 +850,13 @@ def plan_run(scenario: "AttackScenario"):
         int(s) for s in np.random.SeedSequence(run.seed).generate_state(2, dtype=np.uint64)
     )
     pairs = generate_pairs(scenario.source, run.duration_s, gen_seed)
-    link = (
+    return pairs, _link(scenario, prop_seed)
+
+
+def _link(scenario, seed):
+    """The ``propagate_and_detect`` arguments of ``scenario``'s run that
+    follow its pairs, with propagation seed ``seed``."""
+    return (
         scenario.source,
         scenario.channel,
         scenario.m_trajectory(),
@@ -894,10 +864,38 @@ def plan_run(scenario: "AttackScenario"):
         scenario.detectors,
         scenario.tdc,
         scenario.clock,
-        prop_seed,
-        run.duration_s,
+        seed,
+        scenario.run.duration_s,
     )
-    return pairs, link
+
+
+def release_margin(scenario: "AttackScenario"):
+    """``scenario``'s release margin, ps: ``_release_margin`` of the link
+    that ``plan_run`` hands on.  A margin too large raises SchemaError under
+    the scenario field that sets its largest term, so that a scenario a run
+    would refuse is refused when it is loaded."""
+    source, channel, m, n, detectors, tdc, clocks, _, duration_s = _link(scenario, None)
+    sigmas = chain_model(source, channel, detectors, tdc, clocks)[:3]
+    try:
+        return _release_margin(channel, m, n, clocks, sigmas, duration_s)
+    except ConfigurationError as exc:
+        jitters = {
+            "detectors.jitter_sigma_ps": detectors.jitter_sigma_ps,
+            "tdc.jitter_sigma_ps": tdc.jitter_sigma_ps,
+            "source.intrinsic_correlation_jitter_ps": source.intrinsic_correlation_jitter_ps,
+            "clock.white_phase_noise_sigma_ps": clocks.white_phase_noise_sigma_ps,
+        }
+        fields = (
+            "channel.one_way_delay_ps",
+            "clock.offset_ps",
+            "clock.drift_ps_per_s",
+            "m_events",
+            # N follows M unless the scenario gives it.
+            "n_events" if scenario.n_events else "m_events",
+            max(jitters, key=jitters.get),
+        )
+        terms = _margin_terms(channel, m, n, clocks, sigmas, duration_s)
+        raise SchemaError([(fields[int(np.argmax(terms))], str(exc))]) from None
 
 
 def run_round_trip_sim(scenario: "AttackScenario"):

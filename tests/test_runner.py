@@ -1,6 +1,5 @@
 """Campaign runner: modes, overrides, failure paths, bundle layout."""
 
-import collections
 import concurrent.futures
 import dataclasses
 import hashlib
@@ -507,17 +506,25 @@ class TestBlocks:
         assert len(series) == 1000 and series.gap_count() == 0
         assert series.points[-1].epoch_start_s * 1e12 > 2**53
 
-    def test_delay_past_the_offset_range_refused_at_load(self, monkeypatch):
-        # A +1.2e15 ps jump would put readings more than 2**50 ps from their
-        # chunk's origin: refused when the scenario is loaded, before any
-        # chunk is drawn, not partway through the run.
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("m_events", {"m_events": [{"pattern": "jump", "amplitude_ps": 1.2e15, "start_s": 10.0}]}),
+            ("clock.offset_ps", {"m_events": [], "clock": {"offset_ps": 7e14}}),
+        ],
+    )
+    def test_margin_past_the_offset_range_refused_at_load(self, monkeypatch, path, fields):
+        # A +1.2e15 ps jump, or a 700 s clock offset, gives a release margin
+        # of 2**49 ps or more: refused when the scenario is loaded, under the
+        # field that sets the margin's largest term, before any chunk is
+        # drawn, not partway through the run.
         doc = builtin_scenario("jump_-100ps")
         doc["run"].update(duration_s=20.0, epoch_s=1.0)
-        doc["m_events"] = [{"pattern": "jump", "amplitude_ps": 1.2e15, "start_s": 10.0}]
+        doc.update(fields)
         del doc["detection"]
-        assert [path for path, _ in validate_scenario_dict(doc)] == ["m_events"]
+        assert [issue[0] for issue in validate_scenario_dict(doc)] == [path]
         started, _ = chunk_starts(monkeypatch)
-        with pytest.raises(ConfigurationError, match="m_events: .* 2\\*\\*49 ps"):
+        with pytest.raises(ConfigurationError, match=f"{path}: the release margin .* 2\\*\\*49 ps"):
             run_scenario(doc)
         assert started == []
 
@@ -572,9 +579,9 @@ def chunk_starts(monkeypatch, pause_s=0.0):
     return started, ended
 
 
-class TestChunkQueue:
-    """A campaign's blocks share one pool of threads and one chunk queue,
-    which runs on across block edges."""
+class TestCampaignPool:
+    """A campaign's blocks, and the campaigns of one process, run on one pool
+    of threads, and a failed block leaves no work on it."""
 
     def test_runs_share_one_pool(self, monkeypatch):
         made = []
@@ -598,44 +605,6 @@ class TestChunkQueue:
         assert len(parts) == 12
         assert len(made) == 1
 
-    def test_next_block_runs_while_one_is_estimated(self, monkeypatch):
-        # 300 chunks of 997 pairs, about ten per block of 0.1 s: the first
-        # chunk of the next block starts before a block's estimate returns.
-        monkeypatch.setattr(simulation, "_PAIR_CHUNK", 997)
-        started = collections.defaultdict(threading.Event)
-        times = simulation.EmissionPlan.times
-
-        def recording(plan, i):
-            started[i].set()
-            return times(plan, i)
-
-        monkeypatch.setattr(simulation.EmissionPlan, "times", recording)
-        taken = []
-        propagate = simulation.propagate_and_detect
-
-        def propagating(*args):
-            stream = propagate(*args)
-            held = args[-1]
-            taken.append((held.chunks.taken, held.chunks.count))
-            return stream
-
-        monkeypatch.setattr(simulation, "propagate_and_detect", propagating)
-        estimated = []
-        series = runner.per_epoch_series
-
-        def estimating(*args):
-            value = series(*args)
-            following, count = taken[-1]
-            if following < count:
-                estimated.append(following)
-                assert started[following].wait(10.0), f"chunk {following} waited for a block"
-            return value
-
-        monkeypatch.setattr(runner, "per_epoch_series", estimating)
-        monkeypatch.setattr(runner, "_BLOCK_RECORDS", 11_000)
-        run_scenario(digest_doc())
-        assert len(estimated) >= 3
-
     @staticmethod
     def failing_runs(monkeypatch):
         """What each failure case sets up, and the error it raises."""
@@ -658,7 +627,7 @@ class TestChunkQueue:
             return digest_doc(), ConfigurationError
 
         def refused_block():
-            # The third block's estimate fails while chunks are queued.
+            # The third block's estimate fails after its chunks have run.
             series = runner.per_epoch_series
             calls = []
 

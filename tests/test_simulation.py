@@ -994,8 +994,8 @@ def _check_streams(want):
 
 
 class TestSharedPool:
-    """Every ``_pipeline`` and chunk queue runs on one pool of ``_WORKERS``
-    threads, made again only when ``_WORKERS`` changes or after a fork."""
+    """Every ``_pipeline`` runs on one pool of ``_WORKERS`` threads, made
+    again only when ``_WORKERS`` changes or after a fork."""
 
     # Forking beside the pool's threads is what this test is about.
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
